@@ -43,7 +43,6 @@ from .spectral import (
     PlaneDecomposition,
     assemble_rotation,
     plane_decomposition,
-    rotation_matrix,
 )
 
 _PI_TOL = 1e-9
@@ -400,7 +399,3 @@ def fiber_elements_match_class(
         same_decomposition_class(plane_decomposition(m, delta), decomp)
         for m in elements
     )
-
-
-def rotation_block(theta: float) -> np.ndarray:
-    return rotation_matrix(theta)

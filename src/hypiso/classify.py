@@ -57,7 +57,14 @@ from .quadspace import (
     classify_membership,
     is_orthogonal,
 )
-from .spectral import DEFAULT_DELTA, RotationAngles, null_space_at, rotation_angles
+from .spectral import (
+    DEFAULT_DELTA,
+    RotationAngles,
+    _distinct,
+    _LorentzSpectrum,
+    _lorentz_angles,
+    null_space_at,
+)
 
 # residual allowed when re-reading boundary parameters off a standard-position
 # matrix; far below the 1e-8 contract, far above accumulated rounding
@@ -242,15 +249,6 @@ def _similarity_lightcone(r: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return m
 
 
-def halfspace_action(r: float, a: np.ndarray, b: np.ndarray):
-    """The upper-half-space isometry (x, t) -> (rAx + b, rt) as a callable."""
-
-    def act(x, t):
-        return r * (a @ np.asarray(x, dtype=float)) + b, r * float(t)
-
-    return act
-
-
 def poincare_extend(
     r: float, a, b=None, eps: float = DEFAULT_EPS
 ) -> LorentzMatrix:
@@ -375,6 +373,30 @@ def _require_sheet_preserving(t: LorentzMatrix):
         )
 
 
+def _spectrum(t: LorentzMatrix, delta: float) -> _LorentzSpectrum:
+    """The spectral pass of a sheet-preserving isometry."""
+    _require_sheet_preserving(t)
+    return _LorentzSpectrum.of(t, delta)
+
+
+def _fixed_point_class(sp: _LorentzSpectrum) -> FixedPointClass:
+    tau = sp.delta * sp.scale
+    if np.any((sp.svals > tau / 2.0) & (sp.svals < 2.0 * tau)):
+        raise Borderline(
+            "kernel of T - I is threshold-ambiguous; semisimplicity marginal"
+        )
+    if sp.defective:
+        return FixedPointClass.PARABOLIC
+    rmax = float(np.max(np.abs(sp.eigvals)))
+    if rmax > 1.0 + sp.delta:
+        return FixedPointClass.HYPERBOLIC
+    if rmax > 1.0 + sp.delta / 4.0:
+        raise Borderline(
+            f"dominant eigenvalue modulus {rmax} is inside the tolerance gap"
+        )
+    return FixedPointClass.ELLIPTIC
+
+
 def fixed_point_class(
     t: LorentzMatrix, delta: float = DEFAULT_DELTA
 ) -> FixedPointClass:
@@ -389,70 +411,56 @@ def fixed_point_class(
     modulus falls inside (1 + delta/4, 1 + delta] or when the kernel of
     T - I is itself threshold-ambiguous.
     """
-    _require_sheet_preserving(t)
-    m = t.entries
-    n1 = m - np.eye(m.shape[0])
-    scale = max(1.0, float(np.linalg.norm(m, 2)))
-    tau = delta * scale
-    svals = np.linalg.svd(n1, compute_uv=False)
-    if np.any((svals > tau / 2.0) & (svals < 2.0 * tau)):
-        raise Borderline(
-            "kernel of T - I is threshold-ambiguous; semisimplicity marginal"
-        )
-    rank1 = int(np.sum(svals > tau))
-    rank2 = int(np.sum(np.linalg.svd(n1 @ n1, compute_uv=False) > tau * tau))
-    if rank2 < rank1:
-        return FixedPointClass.PARABOLIC
-    vals = np.linalg.eigvals(m)
-    rmax = float(np.max(np.abs(vals)))
-    if rmax > 1.0 + delta:
-        return FixedPointClass.HYPERBOLIC
-    if rmax > 1.0 + delta / 4.0:
-        raise Borderline(
-            f"dominant eigenvalue modulus {rmax} is inside the tolerance gap"
-        )
-    return FixedPointClass.ELLIPTIC
+    return _fixed_point_class(_spectrum(t, delta))
 
 
-def stretch_factor(t: LorentzMatrix, delta: float = DEFAULT_DELTA) -> float:
-    """Unit-normalized stretch r > 1 of a hyperbolic isometry."""
-    cls = fixed_point_class(t, delta)
-    if cls is not FixedPointClass.HYPERBOLIC:
-        raise NotHyperbolic("stretch factor is defined for hyperbolic isometries")
-    vals = np.linalg.eigvals(t.entries)
+def _stretch(sp: _LorentzSpectrum) -> float:
+    """Modulus of the dominant eigenvalue of a hyperbolic isometry."""
+    vals = sp.eigvals
     lam = vals[int(np.argmax(np.abs(vals)))]
-    if abs(lam.imag) > delta * abs(lam) or lam.real <= 0:
+    if abs(lam.imag) > sp.delta * abs(lam) or lam.real <= 0:
         raise HypisoError("dominant eigenvalue of a hyperbolic isometry must be real positive")
     return float(abs(lam))
 
 
-def _hyperbolic_rays(t: LorentzMatrix, delta: float) -> tuple[np.ndarray, np.ndarray]:
+def stretch_factor(t: LorentzMatrix, delta: float = DEFAULT_DELTA) -> float:
+    """Unit-normalized stretch r > 1 of a hyperbolic isometry."""
+    sp = _spectrum(t, delta)
+    if _fixed_point_class(sp) is not FixedPointClass.HYPERBOLIC:
+        raise NotHyperbolic("stretch factor is defined for hyperbolic isometries")
+    return _stretch(sp)
+
+
+def _hyperbolic_rays(sp: _LorentzSpectrum) -> tuple[np.ndarray, np.ndarray]:
     """Null eigenvectors for (r, 1/r), each normalized to time coordinate 1."""
-    r = stretch_factor(t, delta)
+    r = _stretch(sp)
     out = []
     for lam in (r, 1.0 / r):
-        v = frames.eigvec_min_singular(t.entries, lam)
-        v = np.real(v)
+        v = frames.eigvec_min_singular(sp.t.entries, lam)
         if abs(v[-1]) < 1e-10:
             raise HypisoError("null eigenvector has vanishing time coordinate")
         out.append(v / v[-1])
     return out[0], out[1]
 
 
-def _parabolic_ray(t: LorentzMatrix, delta: float = DEFAULT_DELTA) -> np.ndarray:
+def _fixed_space_form(sp: _LorentzSpectrum, kind: str):
+    """(kernel, w, e): ker(T - I) and the eigen-decomposition w, e of Q on it."""
+    kernel = sp.kernel
+    if kernel.shape[1] == 0:
+        raise HypisoError(f"{kind} isometry with empty fixed space")
+    j = sp.t.space.form_signs
+    w, e = np.linalg.eigh(kernel.T @ (j[:, None] * kernel))
+    return kernel, w, e
+
+
+def _parabolic_ray(sp: _LorentzSpectrum) -> np.ndarray:
     """The unique boundary fixed ray: the radical of Q on ker(T - I).
 
     ker(T - I) of a parabolic splits as (null line) + (space-like part),
     so the restricted Gram is positive semidefinite with a one-dimensional
     kernel, which is the fixed ray.
     """
-    scale = max(1.0, float(np.linalg.norm(t.entries, 2)))
-    kernel = null_space_at(t.entries - np.eye(t.space.dim), delta * scale)
-    if kernel.shape[1] == 0:
-        raise HypisoError("parabolic isometry with empty fixed space")
-    j = t.space.form_signs
-    gram = kernel.T @ (j[:, None] * kernel)
-    w, e = np.linalg.eigh(gram)
+    kernel, w, e = _fixed_space_form(sp, "parabolic")
     order = np.argsort(np.abs(w))
     if abs(w[order[0]]) > 1e-8 or (len(w) > 1 and abs(w[order[1]]) < 1e-8):
         raise HypisoError("fixed space of a parabolic must have a 1-dim radical")
@@ -462,20 +470,26 @@ def _parabolic_ray(t: LorentzMatrix, delta: float = DEFAULT_DELTA) -> np.ndarray
     return u / u[-1]
 
 
-def _elliptic_fixed_vector(t: LorentzMatrix, delta: float) -> np.ndarray:
+def _elliptic_fixed_vector(sp: _LorentzSpectrum) -> np.ndarray:
     """Time-like unit 1-eigenvector on the upper sheet."""
-    scale = max(1.0, float(np.linalg.norm(t.entries, 2)))
-    kernel = null_space_at(t.entries - np.eye(t.space.dim), delta * scale)
-    if kernel.shape[1] == 0:
-        raise HypisoError("elliptic isometry with empty fixed space")
-    j = t.space.form_signs
-    gram = kernel.T @ (j[:, None] * kernel)
-    w, e = np.linalg.eigh(gram)
+    kernel, w, e = _fixed_space_form(sp, "elliptic")
     if w[0] >= 0:
         raise HypisoError("fixed space of an elliptic isometry must be time-like")
     v = kernel @ e[:, 0]
+    j = sp.t.space.form_signs
     v = v / np.sqrt(-frames.j_inner(j, v, v))
     return v if v[-1] > 0 else -v
+
+
+def _boundary_fixed_points(
+    sp: _LorentzSpectrum, cls: FixedPointClass
+) -> FixedPointData:
+    if cls is FixedPointClass.HYPERBOLIC:
+        att, rep = _hyperbolic_rays(sp)
+        return HyperbolicPair(att, rep)
+    if cls is FixedPointClass.PARABOLIC:
+        return ParabolicPoint(_parabolic_ray(sp))
+    return EllipticSphere(sp.kernel, sp.kernel.shape[1] - 2)
 
 
 def boundary_fixed_points(
@@ -487,41 +501,34 @@ def boundary_fixed_points(
     single fixed ray; elliptic: the frame of ker(T - I), whose null rays
     form the fixed sphere.  Rays are normalized to time coordinate 1.
     """
-    cls = fixed_point_class(t, delta)
-    if cls is FixedPointClass.HYPERBOLIC:
-        att, rep = _hyperbolic_rays(t, delta)
-        return HyperbolicPair(att, rep)
-    if cls is FixedPointClass.PARABOLIC:
-        return ParabolicPoint(_parabolic_ray(t))
-    scale = max(1.0, float(np.linalg.norm(t.entries, 2)))
-    kernel = null_space_at(t.entries - np.eye(t.space.dim), delta * scale)
-    return EllipticSphere(kernel, kernel.shape[1] - 2)
+    sp = _spectrum(t, delta)
+    return _boundary_fixed_points(sp, _fixed_point_class(sp))
 
 
-def classify(t: LorentzMatrix, delta: float = DEFAULT_DELTA) -> ClassificationReport:
-    """Full classification report: class, rotation data, stretch, fixed data."""
-    _require_sheet_preserving(t)
-    cls = fixed_point_class(t, delta)
-    ang = rotation_angles(t, delta)
+def _classify(sp: _LorentzSpectrum) -> ClassificationReport:
+    cls = _fixed_point_class(sp)
+    ang = _lorentz_angles(sp)
     k = ang.k
-    regular = all(
-        ang.angles[i] - ang.angles[i + 1] > delta for i in range(len(ang.angles) - 1)
-    )
-    stretch = stretch_factor(t, delta) if cls is FixedPointClass.HYPERBOLIC else None
-    boundary_dim = t.space.n - 1
+    stretch = _stretch(sp) if cls is FixedPointClass.HYPERBOLIC else None
+    boundary_dim = sp.t.space.n - 1
     if cls is FixedPointClass.ELLIPTIC and 2 * k == boundary_dim + 1:
-        fixed: FixedPointData = EllipticPoint(_elliptic_fixed_vector(t, delta))
+        fixed: FixedPointData = EllipticPoint(_elliptic_fixed_vector(sp))
     else:
-        fixed = boundary_fixed_points(t, delta)
+        fixed = _boundary_fixed_points(sp, cls)
     return ClassificationReport(
         fixed_class=cls,
         k=k,
         angles=ang,
-        regular=regular,
+        regular=_distinct(ang.angles, sp.delta),
         stretch=stretch,
         fixed_data=fixed,
         boundary_dim=boundary_dim,
     )
+
+
+def classify(t: LorentzMatrix, delta: float = DEFAULT_DELTA) -> ClassificationReport:
+    """Full classification report: class, rotation data, stretch, fixed data."""
+    return _classify(_spectrum(t, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -535,12 +542,6 @@ def _apex(space: QuadraticSpace) -> np.ndarray:
     return v
 
 
-def _j_inverse(space: QuadraticSpace, w: np.ndarray) -> np.ndarray:
-    """Inverse of a J-orthogonal matrix via J W^T J (exact up to rounding)."""
-    j = space.form_signs
-    return (j[:, None] * w.T) * j[None, :]
-
-
 def normal_form(
     t: LorentzMatrix, delta: float = DEFAULT_DELTA
 ) -> NormalForm:
@@ -551,23 +552,29 @@ def normal_form(
     standard position; re-extending the returned parameters and
     conjugating back reproduces T.
     """
+    return _normal_form(_spectrum(t, delta))
+
+
+def _normal_form(sp: _LorentzSpectrum) -> NormalForm:
+    t = sp.t
     space = t.space
-    report = classify(t, delta)
+    j = space.form_signs
+    report = _classify(sp)
+    data = report.fixed_data
     if report.fixed_class is FixedPointClass.ELLIPTIC:
-        if isinstance(report.fixed_data, EllipticPoint):
-            v = report.fixed_data.point
+        if isinstance(data, EllipticPoint):
+            v = data.point
         else:
-            v = _elliptic_fixed_vector(t, delta)
+            v = _elliptic_fixed_vector(sp)
         w = boost_between(space, v, _apex(space))
-        std = w @ t.entries @ _j_inverse(space, w)
+        std = w @ t.entries @ frames.frame_pinv(w, j, j)
         a = std[:-1, :-1]
         u, _, vt = np.linalg.svd(a)
         variant: Union[KRotation, KRotatoryTranslation, KRotatoryStretch]
         variant = KRotation(matrix=u @ vt, angles=report.angles.angles)
     elif report.fixed_class is FixedPointClass.PARABOLIC:
-        ray = _parabolic_ray(t)
-        w = reflection_to_infinity(space, ray)
-        std = w @ t.entries @ _j_inverse(space, w)
+        w = reflection_to_infinity(space, data.point)
+        std = w @ t.entries @ frames.frame_pinv(w, j, j)
         _, a, b = read_boundary_similarity(space, std)
         kernel = null_space_at(a - np.eye(a.shape[0]), 1e-8)
         if float(np.linalg.norm(kernel.T @ b)) <= 1e-10 * max(1.0, float(np.linalg.norm(b))):
@@ -578,9 +585,8 @@ def normal_form(
             rotation=a, translation=b, angles=report.angles.angles
         )
     else:
-        att, rep = _hyperbolic_rays(t, delta)
-        w1 = reflection_to_infinity(space, att)
-        rep_moved = w1 @ rep
+        w1 = reflection_to_infinity(space, data.attracting)
+        rep_moved = w1 @ data.repelling
         p = boundary_point_of_ray(space, rep_moved)
         if p is None:
             raise HypisoError("repelling ray collided with infinity; corrupt input")
@@ -588,7 +594,7 @@ def normal_form(
             poincare_extend(1.0, np.eye(space.n - 1), -p).entries
         )
         w = w2 @ w1
-        std = w @ t.entries @ _j_inverse(space, w)
+        std = w @ t.entries @ frames.frame_pinv(w, j, j)
         r, a, _ = read_boundary_similarity(space, std)
         if r <= 1.0:
             raise HypisoError("stretch read-off lost unit normalization")

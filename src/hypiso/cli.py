@@ -155,7 +155,6 @@ def cmd_random(args) -> int:
 
 def cmd_oracle(args) -> int:
     lines = []
-    code = EXIT_OK
     for path in args.matrix:
         if args.group in ("On", "SOn"):
             _, mat = _read_matrix(path)
@@ -169,7 +168,7 @@ def cmd_oracle(args) -> int:
         )
         lines.append(json.dumps(rep.to_json_dict()))
     _emit(lines, args.output)
-    return code
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

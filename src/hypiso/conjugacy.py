@@ -29,15 +29,22 @@ from .classify import (
     KRotation,
     KRotatoryStretch,
     KRotatoryTranslation,
+    _fixed_point_class,
+    _normal_form,
     classify,
-    normal_form,
     poincare_extend,
     reflection_fixing_hyperplane,
 )
 from .errors import HypisoError, NotConjugate, NotInIdentityComponent, Undecided
 from .quadspace import Component, LorentzMatrix, classify_membership
 from .reality import _lorentz_structure
-from .spectral import DEFAULT_DELTA, null_space_at
+from .spectral import (
+    DEFAULT_DELTA,
+    _distinct,
+    _LorentzSpectrum,
+    _lorentz_angles,
+    null_space_at,
+)
 
 CONJUGATOR_TOL = 1e-8
 CHARPOLY_TOL = 1e-7
@@ -111,13 +118,11 @@ def _block_frame(a: np.ndarray, delta: float, kernel_first: Optional[np.ndarray]
     planes ordered by descending angle.  ``kernel_first`` (a unit vector in
     ker(a - I)) becomes the first fixed-space column when given.
 
-    Returns (frame, angle list).
+    Returns (frame, angle list, dim ker(a - I), dim ker(a + I)).
     """
     n = a.shape[0]
-    plane_list = frames.invariant_plane_frames(a, np.ones(n), delta)
-    plane_list = [(th, fr) for th, fr in plane_list if th < np.pi - delta]
-    fix = null_space_at(a - np.eye(n), max(delta, 1e-9))
-    neg = null_space_at(a + np.eye(n), max(delta, 1e-9))
+    blocks = frames.invariant_plane_frames(a, delta)
+    fix, neg = blocks.fix_frame, blocks.neg_frame
     if kernel_first is not None and fix.shape[1] > 0:
         # orthonormal completion of the preferred kernel direction inside
         # the fixed space (SVD; unpivoted QR can leak spurious columns)
@@ -130,13 +135,13 @@ def _block_frame(a: np.ndarray, delta: float, kernel_first: Optional[np.ndarray]
             np.column_stack([g[:, None], rest]), tol=1e-9
         ):
             raise HypisoError("kernel-aligned frame completion lost rank")
-    cols = [fr for _, fr in plane_list] + ([fix] if fix.size else []) + (
+    cols = [fr for _, fr in blocks.planes] + ([fix] if fix.size else []) + (
         [neg] if neg.size else []
     )
     frame = np.column_stack(cols) if cols else np.zeros((n, 0))
     if frame.shape[1] != n:
         raise HypisoError("orthogonal block frame is incomplete; refine delta")
-    return frame, [th for th, _ in plane_list], fix.shape[1], neg.shape[1]
+    return frame, [th for th, _ in blocks.planes], fix.shape[1], neg.shape[1]
 
 
 def _match_orthogonal(
@@ -164,14 +169,13 @@ def _kernel_component(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return kernel @ (kernel.T @ b)
 
 
-def _mn_conjugator(
-    t1: LorentzMatrix, t2: LorentzMatrix, delta: float
-) -> np.ndarray:
+def _mn_conjugator(sp1: _LorentzSpectrum, sp2: _LorentzSpectrum) -> np.ndarray:
     """Sheet-preserving S with S T1 S^-1 = T2 for a conjugate pair."""
+    t1, t2, delta = sp1.t, sp2.t, sp1.delta
     space = t1.space
     if float(np.max(np.abs(t1.entries - t2.entries))) <= 1e-12:
         return np.eye(space.dim)
-    nf1, nf2 = normal_form(t1, delta), normal_form(t2, delta)
+    nf1, nf2 = _normal_form(sp1), _normal_form(sp2)
     v1, v2 = nf1.variant, nf2.variant
     if isinstance(v1, KRotation) and isinstance(v2, KRotation):
         mo = _match_orthogonal(v1.matrix, v2.matrix, delta)
@@ -214,27 +218,28 @@ def _mn_conjugator(
     return s
 
 
-def _commuting_reflection(t: LorentzMatrix, delta: float) -> Optional[np.ndarray]:
-    """A determinant -1, sheet-preserving element commuting with t, if the
+def _commuting_reflection(sp: _LorentzSpectrum) -> Optional[np.ndarray]:
+    """A determinant -1, sheet-preserving element commuting with T, if the
     structure provides one (space-like +-1 eigenvector)."""
-    st = _lorentz_structure(t, delta)
+    st = _lorentz_structure(sp)
     g = None
-    if st.b >= 1:
+    if st.blocks.b >= 1:
         g = st.w_frame @ st.blocks.neg_frame[:, 0]
-    elif st.a >= 1:
+    elif st.blocks.a >= 1:
         g = st.w_frame @ st.blocks.fix_frame[:, 0]
     if g is None:
         return None
-    return reflection_fixing_hyperplane(t.space, g)
+    return reflection_fixing_hyperplane(sp.t.space, g)
 
 
 def _refine_to_mo(
-    t1: LorentzMatrix, t2: LorentzMatrix, s: np.ndarray, delta: float
+    sp1: _LorentzSpectrum, sp2: _LorentzSpectrum, s: np.ndarray
 ) -> ConjugacyAnswer:
+    t1, t2 = sp1.t, sp2.t
     comp = classify_membership(t1.space, s, 1e-7).component
     if comp is Component.SO_o:
         return ConjugacyAnswer(Relation.CONJUGATE_IN_MO, s, "normalform")
-    z = _commuting_reflection(t2, delta)
+    z = _commuting_reflection(sp2)
     if z is not None:
         s2 = z @ s
         resid = float(np.max(np.abs(s2 @ t1.entries @ np.linalg.inv(s2) - t2.entries)))
@@ -243,7 +248,7 @@ def _refine_to_mo(
         if classify_membership(t1.space, s2, 1e-7).component is not Component.SO_o:
             raise HypisoError("conjugator flip left the identity component")
         return ConjugacyAnswer(Relation.CONJUGATE_IN_MO, s2, "reality-clause")
-    if classify(t2, delta).regular:
+    if _distinct(_lorentz_angles(sp2).angles, sp2.delta):
         # exact for regular elements: the centralizer splits over the
         # invariant blocks, and without +-1 eigendirections every
         # sheet-preserving commuting element has determinant +1
@@ -267,12 +272,11 @@ def conjugate_in_Mn(
         raise NotConjugate("elements act on different spaces")
     if not _char_polys_match(t1.entries, t2.entries):
         return ConjugacyAnswer(Relation.NOT_CONJUGATE, None, "kg-thm1.2")
-    from .classify import fixed_point_class
-
-    if fixed_point_class(t1, delta) is not fixed_point_class(t2, delta):
+    sp1, sp2 = _LorentzSpectrum.of(t1, delta), _LorentzSpectrum.of(t2, delta)
+    if _fixed_point_class(sp1) is not _fixed_point_class(sp2):
         return ConjugacyAnswer(Relation.NOT_CONJUGATE, None, "kg-thm1.2")
-    s = _mn_conjugator(t1, t2, delta)
-    return _refine_to_mo(t1, t2, s, delta)
+    s = _mn_conjugator(sp1, sp2)
+    return _refine_to_mo(sp1, sp2, s)
 
 
 def conjugate_in_Mon(

@@ -5,32 +5,30 @@ records Q(f_j) = +-1 per column.  For a full J-orthonormal system the
 pseudo-inverse of a frame is ``diag(signs) @ F.T @ J``, which lets block
 operators be assembled without solving linear systems.
 
-Everything here takes ``j`` as a vector of form signs so the same code
-serves the Euclidean case (all ones) and the Lorentzian case.
+The frame helpers take ``j`` as a vector of form signs so the same code
+serves the Euclidean case (all ones) and the Lorentzian case.  The
+invariant-plane extractor is Euclidean-only: it splits an orthogonal
+matrix, such as the rotation part of a Lorentz element.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
-import scipy.linalg
 
+from . import spectral
 from .errors import HypisoError
-from .spectral import _cluster_eigenvalues, null_space_at
 
 
-def eigvec_min_singular(m: np.ndarray, lam: complex) -> np.ndarray:
+def eigvec_min_singular(m: np.ndarray, lam: float) -> np.ndarray:
     """Right singular vector for the smallest singular value of M - lam*I.
 
-    Robust eigenvector extraction for a simple (well separated) eigenvalue.
-    Returns a real vector when lam is real.
+    Robust eigenvector extraction for a simple (well separated) real
+    eigenvalue.
     """
-    n = m.shape[0]
-    if abs(complex(lam).imag) == 0.0:
-        a = m - float(np.real(lam)) * np.eye(n)
-    else:
-        a = m.astype(complex) - complex(lam) * np.eye(n, dtype=complex)
-    _, _, vt = np.linalg.svd(a)
-    return np.conj(vt[-1])
+    _, _, vt = np.linalg.svd(m - lam * np.eye(m.shape[0]))
+    return vt[-1]
 
 
 def j_inner(j: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -48,15 +46,6 @@ def restrict_to_frame(
 ) -> np.ndarray:
     """Matrix of m on an invariant subspace, in frame coordinates."""
     return frame_pinv(frame, signs, j) @ m @ frame
-
-
-def assemble_blocks(frames, signs_list, blocks, j: np.ndarray) -> np.ndarray:
-    """Block operator sum F_i B_i F_i^+ over a complete J-orthonormal system."""
-    n = len(j)
-    out = np.zeros((n, n))
-    for frame, signs, block in zip(frames, signs_list, blocks):
-        out += frame @ block @ frame_pinv(frame, signs, j)
-    return out
 
 
 def orthonormalize_spacelike(basis: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -80,52 +69,75 @@ def spacelike_complement(
     inside ``frame``).
     """
     a = frame.T * j[None, :]
-    basis = null_space_at(a, threshold)
+    basis = spectral.null_space_at(a, threshold)
     if basis.shape[1] == 0:
         return basis
     return orthonormalize_spacelike(basis, j)
 
 
-def invariant_plane_frames(
-    m: np.ndarray, j: np.ndarray, delta: float
-) -> list[tuple[float, np.ndarray]]:
-    """Invariant 2-plane frames for every non-real unit eigenvalue pair.
+@dataclass(frozen=True, eq=False)
+class _OrthogonalBlocks:
+    """Invariant blocks of an orthogonal matrix."""
 
-    Returns (angle, frame) pairs, one frame per pair multiplicity, frames
-    J-orthonormal and oriented so the restriction of m is B(+angle).  For
-    repeated angles the split into planes is an arbitrary (non-canonical)
-    choice, which is all the reverser constructions need.
+    planes: list  # (angle, frame) with angle in (0, pi), descending
+    fix_frame: np.ndarray  # ker(A - I)
+    neg_frame: np.ndarray  # ker(A + I)
+
+    @property
+    def p(self) -> int:
+        return len(self.planes)
+
+    @property
+    def a(self) -> int:
+        return self.fix_frame.shape[1]
+
+    @property
+    def b(self) -> int:
+        return self.neg_frame.shape[1]
+
+
+def invariant_plane_frames(m: np.ndarray, delta: float) -> _OrthogonalBlocks:
+    """Invariant 2-planes and +-1 eigenspaces of an orthogonal matrix.
+
+    One (angle, frame) pair per eigenvalue pair with angle in (0, pi), one
+    frame per pair multiplicity, frames orthonormal and oriented so the
+    restriction of m is B(+angle).  For repeated angles the split into
+    planes is an arbitrary (non-canonical) choice, which is all the
+    reverser and conjugator constructions need.  The +-1 eigenspaces are
+    read at max(delta, PM_ONE_TOL); raises when the blocks do not add up
+    to the dimension.
     """
-    vals, vecs = scipy.linalg.eig(m)
-    clusters = _cluster_eigenvalues(vals, delta)
-    out: list[tuple[float, np.ndarray]] = []
+    n = m.shape[0]
+    vals, vecs = np.linalg.eig(m)
+    clusters = spectral._cluster_eigenvalues(vals, delta)
+    planes: list[tuple[float, np.ndarray]] = []
     for idx in clusters:
         center = complex(np.mean(vals[idx]))
         if center.imag <= delta or abs(abs(center) - 1.0) > delta:
             continue
         theta = float(np.arctan2(center.imag, center.real))
+        if theta >= np.pi - delta:
+            continue
         basis = vecs[:, idx]
-        # J-Hermitian Gram-Schmidt inside the cluster (positive definite
-        # on space-like rotation eigenspaces)
+        # Hermitian Gram-Schmidt inside the cluster
         ortho: list[np.ndarray] = []
         for i in range(basis.shape[1]):
             v = basis[:, i].copy()
             for u in ortho:
-                v = v - np.dot(np.conj(u) * j, v) * u
-            nrm = np.real(np.dot(np.conj(v) * j, v))
+                v = v - np.dot(np.conj(u), v) * u
+            nrm = np.real(np.dot(np.conj(v), v))
             if nrm <= 0:
-                raise HypisoError("rotation eigenspace is not space-like")
+                raise HypisoError("rotation eigenvectors are linearly dependent")
             ortho.append(v / np.sqrt(nrm))
         for v in ortho:
             frame = np.sqrt(2.0) * np.column_stack([v.real, v.imag])
-            r = restrict_to_frame(m, frame, np.ones(2), j)
-            if r[1, 0] < 0:
+            if frame[:, 1] @ m @ frame[:, 0] < 0:
                 frame = np.column_stack([frame[:, 0], -frame[:, 1]])
-            out.append((theta, frame))
-    out.sort(key=lambda t: -t[0])
-    return out
-
-
-def kernel_frame(m: np.ndarray, shift: float, threshold: float) -> np.ndarray:
-    """Euclidean-orthonormal basis of ker(m - shift*I) at a threshold."""
-    return null_space_at(m - shift * np.eye(m.shape[0]), threshold)
+            planes.append((theta, frame))
+    planes.sort(key=lambda t: -t[0])
+    tol = max(delta, spectral.PM_ONE_TOL)
+    fix = spectral.null_space_at(m - np.eye(n), tol)
+    neg = spectral.null_space_at(m + np.eye(n), tol)
+    if 2 * len(planes) + fix.shape[1] + neg.shape[1] != n:
+        raise HypisoError("invariant block bookkeeping failed; refine delta")
+    return _OrthogonalBlocks(planes, fix, neg)

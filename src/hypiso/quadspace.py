@@ -133,13 +133,6 @@ def q_value(space: QuadraticSpace, v) -> float:
     return float(np.dot(v[:-1], v[:-1]) - v[-1] ** 2)
 
 
-def q_inner(space: QuadraticSpace, u, v) -> float:
-    """Polarized form <u, v> = u^T J v."""
-    u = _as_vector(space, u)
-    v = _as_vector(space, v)
-    return float(np.dot(u[:-1], v[:-1]) - u[-1] * v[-1])
-
-
 def causal_type(space: QuadraticSpace, v, eps: float = DEFAULT_EPS) -> CausalType:
     """Causal trichotomy of a nonzero vector at relative tolerance eps."""
     v = _as_vector(space, v)
@@ -232,9 +225,10 @@ class LorentzMatrix:
 
 
 def form_residual(space: QuadraticSpace, m: np.ndarray) -> float:
-    """max-norm of M^T J M - J."""
+    """max-norm of M^T J M - J (inf or nan when the products overflow)."""
     j = space.form_matrix
-    return float(np.max(np.abs(m.T @ j @ m - j)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(m.T @ j @ m - j)))
 
 
 def classify_membership(
@@ -254,8 +248,12 @@ def classify_membership(
         )
     if not np.all(np.isfinite(m)):
         raise NotAnIsometry("matrix entries must be finite")
-    scale = max(1.0, float(np.max(np.abs(m))) ** 2)
+    scale = _squared_scale(m)
     resid = form_residual(space, m)
+    if not (np.isfinite(scale) and np.isfinite(resid)):
+        raise NotAnIsometry(
+            f"form residual overflows at matrix scale {scale:.3e}"
+        )
     if resid > eps * scale:
         raise NotAnIsometry(
             f"form residual {resid:.3e} exceeds tolerance {eps * scale:.3e}"
@@ -270,13 +268,22 @@ def classify_membership(
     return LorentzMatrix(np.array(m), comp, eps, space)
 
 
+def _squared_scale(m: np.ndarray) -> float:
+    """max(1, ||M||_inf^2) as a float; inf when the square overflows."""
+    mx = float(np.max(np.abs(m)))
+    return max(1.0, mx * mx)
+
+
 def is_orthogonal(m: np.ndarray, eps: float = DEFAULT_EPS) -> bool:
+    """M^T M = I within eps * max(1, ||M||_inf^2); False when the residual
+    or the scale is not finite."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    return float(np.max(np.abs(m.T @ m - np.eye(m.shape[0])))) <= eps * max(
-        1.0, float(np.max(np.abs(m))) ** 2
-    )
+    scale = _squared_scale(m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = float(np.max(np.abs(m.T @ m - np.eye(m.shape[0]))))
+    return bool(np.isfinite(scale) and np.isfinite(resid) and resid <= eps * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,10 @@ from . import frames
 from .classify import (
     FixedPointClass,
     _elliptic_fixed_vector,
+    _fixed_point_class,
     _hyperbolic_rays,
     _parabolic_ray,
-    fixed_point_class,
+    _require_sheet_preserving,
 )
 from .errors import (
     BudgetExhausted,
@@ -55,7 +56,13 @@ from .quadspace import (
     classify_membership,
     is_orthogonal,
 )
-from .spectral import DEFAULT_DELTA, PM_ONE_TOL, null_space_at, rotation_angles
+from .spectral import (
+    DEFAULT_DELTA,
+    _distinct,
+    _LorentzSpectrum,
+    _lorentz_angles,
+    rotation_angles,
+)
 
 RESIDUAL_TOL = 1e-8
 
@@ -90,7 +97,8 @@ class RealityCertificate:
 
 
 def reversal_residual(s: np.ndarray, t: np.ndarray) -> float:
-    """max-norm of S T S^-1 - T^-1 computed without explicit inverses of S."""
+    """max-norm of S T S^-1 - T^-1, with both inverses formed explicitly
+    by ``np.linalg.inv``."""
     return float(np.max(np.abs(s @ t @ np.linalg.inv(s) - np.linalg.inv(t))))
 
 
@@ -113,58 +121,36 @@ def _check_certificate(s: np.ndarray, t: np.ndarray, j: Optional[np.ndarray]) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class _OrthogonalBlocks:
-    planes: list  # (angle, frame) with angle in (0, pi)
-    fix_frame: np.ndarray  # ker(T - I)
-    neg_frame: np.ndarray  # ker(T + I)
-
-    @property
-    def p(self) -> int:
-        return len(self.planes)
-
-    @property
-    def a(self) -> int:
-        return self.fix_frame.shape[1]
-
-    @property
-    def b(self) -> int:
-        return self.neg_frame.shape[1]
-
-
-def _orthogonal_blocks(t: np.ndarray, delta: float) -> _OrthogonalBlocks:
-    n = t.shape[0]
-    ones = np.ones(n)
-    planes = frames.invariant_plane_frames(t, ones, delta)
-    planes = [(theta, fr) for theta, fr in planes if theta < np.pi - delta]
-    fix = null_space_at(t - np.eye(n), max(delta, PM_ONE_TOL))
-    neg = null_space_at(t + np.eye(n), max(delta, PM_ONE_TOL))
-    if 2 * len(planes) + fix.shape[1] + neg.shape[1] != n:
-        raise HypisoError("invariant block bookkeeping failed; refine delta")
-    return _OrthogonalBlocks(planes, fix, neg)
-
-
-def _orthogonal_reverser(
-    blocks: _OrthogonalBlocks, n: int, target_det: Optional[int]
-) -> Optional[np.ndarray]:
-    """Involutive reverser from per-plane reflections; determinant adjusted
-    on the +-1 eigenspaces when a target is requested."""
-    base_det = -1 if blocks.p % 2 else 1
-    flip = False
-    if target_det is not None and base_det != target_det:
-        if blocks.a == 0 and blocks.b == 0:
-            return None
-        flip = True
+def _block_reverser(blocks: frames._OrthogonalBlocks, flips: int) -> np.ndarray:
+    """Involution reversing the orthogonal matrix of ``blocks``: a
+    reflection in every invariant plane, and the identity on the +-1
+    eigenspaces except for ``flips`` sign flips there."""
+    n = 2 * blocks.p + blocks.a + blocks.b
     s = np.zeros((n, n))
     for _, fr in blocks.planes:
         s += np.outer(fr[:, 0], fr[:, 0]) - np.outer(fr[:, 1], fr[:, 1])
     for frame in (blocks.fix_frame, blocks.neg_frame):
         for i in range(frame.shape[1]):
             sign = 1.0
-            if flip:
-                sign, flip = -1.0, False
+            if flips > 0:
+                sign, flips = -1.0, flips - 1
             s += sign * np.outer(frame[:, i], frame[:, i])
+    if flips:
+        raise HypisoError("not enough +-1 eigendirections for the requested flips")
     return s
+
+
+def _orthogonal_reverser(
+    blocks: frames._OrthogonalBlocks, target_det: Optional[int]
+) -> Optional[np.ndarray]:
+    """Involutive reverser from per-plane reflections; determinant adjusted
+    on the +-1 eigenspaces when a target is requested."""
+    base_det = -1 if blocks.p % 2 else 1
+    if target_det is None or base_det == target_det:
+        return _block_reverser(blocks, 0)
+    if blocks.a == 0 and blocks.b == 0:
+        return None
+    return _block_reverser(blocks, 1)
 
 
 def is_real_On(
@@ -175,8 +161,8 @@ def is_real_On(
     t = np.asarray(t, dtype=float)
     if not is_orthogonal(t, eps):
         raise NotOrthogonal("input is not orthogonal within tolerance")
-    blocks = _orthogonal_blocks(t, delta)
-    s = _orthogonal_reverser(blocks, t.shape[0], target_det=None)
+    blocks = frames.invariant_plane_frames(t, delta)
+    s = _orthogonal_reverser(blocks, target_det=None)
     _check_certificate(s, t, None)
     return RealityCertificate(GROUP_O, True, "W", s, True)
 
@@ -187,7 +173,7 @@ def _son_data(t, delta: float, eps: float):
         raise NotOrthogonal("input is not orthogonal within tolerance")
     if np.linalg.det(t) < 0:
         raise NotSpecialOrthogonal("input has determinant -1")
-    return t, _orthogonal_blocks(t, delta)
+    return t, frames.invariant_plane_frames(t, delta)
 
 
 def is_real_SOn(
@@ -206,7 +192,7 @@ def is_real_SOn(
     if not decision:
         return RealityCertificate(GROUP_SO, False, "Thm3.5-mod4", None, False)
     clause = "Thm3.5-mod4" if n % 4 != 2 else "Thm3.5-pm1"
-    s = _orthogonal_reverser(blocks, n, target_det=1)
+    s = _orthogonal_reverser(blocks, target_det=1)
     if s is None:
         raise HypisoError("decision true but construction failed; inconsistent")
     _check_certificate(s, t, None)
@@ -231,7 +217,7 @@ def is_strongly_real_SOn(
         raise HypisoError("strong-reality and reality deciders disagree")
     if not decision:
         return RealityCertificate(GROUP_SO, False, "KN", None, False)
-    s = _orthogonal_reverser(blocks, n, target_det=1)
+    s = _orthogonal_reverser(blocks, target_det=1)
     _check_certificate(s, t, None)
     return RealityCertificate(GROUP_SO, True, "KN", s, True)
 
@@ -255,14 +241,15 @@ def _standard_unipotent(c: float) -> np.ndarray:
     )
 
 
-def _parabolic_frame(t: LorentzMatrix, delta: float = DEFAULT_DELTA) -> tuple[np.ndarray, float]:
+def _parabolic_frame(sp: _LorentzSpectrum) -> tuple[np.ndarray, float]:
     """J-orthonormal frame (f1, f2, f3) of the invariant 3-dim time-like
     block of a parabolic element, in which T restricts to the standard
     unipotent; returns (frame, c)."""
+    t = sp.t
     space = t.space
     j = space.form_signs
     n1 = t.entries - np.eye(space.dim)
-    u = _parabolic_ray(t, delta)
+    u = _parabolic_ray(sp)
     if u[-1] < 0:
         u = -u
     # minimal-norm Jordan chain top: orthogonal to ker((T-I)^2), hence
@@ -302,31 +289,20 @@ class _LorentzStructure:
     special_signs: np.ndarray
     w_frame: np.ndarray
     t_o: np.ndarray  # orthogonal restriction to the space-like complement
-    blocks: _OrthogonalBlocks  # invariant blocks of t_o
-
-    @property
-    def a(self) -> int:
-        return self.blocks.a
-
-    @property
-    def b(self) -> int:
-        return self.blocks.b
-
-    @property
-    def p(self) -> int:
-        return self.blocks.p
+    blocks: frames._OrthogonalBlocks  # invariant blocks of t_o
 
 
-def _lorentz_structure(t: LorentzMatrix, delta: float) -> _LorentzStructure:
-    space = t.space
-    j = space.form_signs
-    cls = fixed_point_class(t, delta)
+def _lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
+    t = sp.t
+    _require_sheet_preserving(t)
+    j = t.space.form_signs
+    cls = _fixed_point_class(sp)
     if cls is FixedPointClass.ELLIPTIC:
-        v = _elliptic_fixed_vector(t, delta)
+        v = _elliptic_fixed_vector(sp)
         special = v[:, None]
         signs = np.array([-1.0])
     elif cls is FixedPointClass.HYPERBOLIC:
-        att, rep = _hyperbolic_rays(t, delta)
+        att, rep = _hyperbolic_rays(sp)
         gamma = frames.j_inner(j, att, rep)
         if gamma >= 0:
             raise HypisoError("fixed rays of a hyperbolic element must pair negatively")
@@ -336,15 +312,15 @@ def _lorentz_structure(t: LorentzMatrix, delta: float) -> _LorentzStructure:
         special = np.column_stack([s_vec, t_vec])
         signs = np.array([1.0, -1.0])
     else:
-        frame, _ = _parabolic_frame(t, delta)
+        frame, _ = _parabolic_frame(sp)
         special = frame
         signs = _UNIPOTENT_SIGNS
     w_frame = frames.spacelike_complement(special, j)
     t_o = frames.restrict_to_frame(t.entries, w_frame, np.ones(w_frame.shape[1]), j)
     blocks = (
-        _orthogonal_blocks(t_o, delta)
+        frames.invariant_plane_frames(t_o, sp.delta)
         if t_o.shape[0]
-        else _OrthogonalBlocks([], np.zeros((0, 0)), np.zeros((0, 0)))
+        else frames._OrthogonalBlocks([], np.zeros((0, 0)), np.zeros((0, 0)))
     )
     return _LorentzStructure(cls, special, signs, w_frame, t_o, blocks)
 
@@ -372,20 +348,8 @@ def _assemble_lorentz_reverser(
         st.special_frame, st.special_signs, j
     )
     w_pinv = frames.frame_pinv(st.w_frame, np.ones(st.w_frame.shape[1]), j)
-    n_o = st.t_o.shape[0]
-    s_o = np.zeros((n_o, n_o))
-    for _, fr in st.blocks.planes:
-        s_o += np.outer(fr[:, 0], fr[:, 0]) - np.outer(fr[:, 1], fr[:, 1])
-    remaining = flip_count
-    for frame in (st.blocks.fix_frame, st.blocks.neg_frame):
-        for i in range(frame.shape[1]):
-            sign = 1.0
-            if remaining > 0:
-                sign, remaining = -1.0, remaining - 1
-            s_o += sign * np.outer(frame[:, i], frame[:, i])
-    if remaining:
-        raise HypisoError("not enough +-1 eigendirections for the requested flips")
-    if n_o:
+    s_o = _block_reverser(st.blocks, flip_count)
+    if s_o.size:
         s = s + st.w_frame @ s_o @ w_pinv
     return s
 
@@ -394,14 +358,14 @@ def _lorentz_reverser_for(
     t: LorentzMatrix, st: _LorentzStructure, det: int, sheet: int
 ) -> Optional[np.ndarray]:
     """A reverser in the requested (determinant, sheet) component, or None."""
-    plane_det = -1 if st.p % 2 else 1
+    plane_det = -1 if st.blocks.p % 2 else 1
     for sp_det, sp_sheet, sp_block in _special_reverser_options(st):
         if sp_sheet != sheet:
             continue
         need = det * sp_det * plane_det  # +1 -> no flip, -1 -> one flip
         if need == 1:
             return _assemble_lorentz_reverser(t, st, sp_block, 0)
-        if st.a + st.b >= 1:
+        if st.blocks.a + st.blocks.b >= 1:
             return _assemble_lorentz_reverser(t, st, sp_block, 1)
     return None
 
@@ -432,8 +396,8 @@ def is_real_SOo_n1(
     """
     if not t.identity_component:
         raise NotInIdentityComponent("element is outside SO_o(n,1)")
-    st = _lorentz_structure(t, delta)
-    decision, clause = _theorem_clause(t.space.n, st.cls, st.a, st.b)
+    st = _lorentz_structure(_LorentzSpectrum.of(t, delta))
+    decision, clause = _theorem_clause(t.space.n, st.cls, st.blocks.a, st.blocks.b)
     if not decision:
         return RealityCertificate(GROUP_SOO, False, clause, None, False)
     s = _lorentz_reverser_for(t, st, det=1, sheet=1)
@@ -489,21 +453,19 @@ class OracleReport:
 
 
 def _exact_orthogonal_enumeration(t: np.ndarray, delta: float):
-    blocks = _orthogonal_blocks(t, delta)
+    blocks = frames.invariant_plane_frames(t, delta)
     base = -1 if blocks.p % 2 else 1
-    achievable = {}
-    s0 = _orthogonal_reverser(blocks, t.shape[0], target_det=None)
-    achievable[(base, 1)] = s0
+    achievable = {(base, 1): _block_reverser(blocks, 0)}
     if blocks.a + blocks.b >= 1:
-        achievable[(-base, 1)] = _orthogonal_reverser(blocks, t.shape[0], target_det=-base)
+        achievable[(-base, 1)] = _block_reverser(blocks, 1)
     return achievable
 
 
-def _exact_lorentz_enumeration(t: LorentzMatrix, delta: float):
-    st = _lorentz_structure(t, delta)
+def _exact_lorentz_enumeration(sp: _LorentzSpectrum):
+    st = _lorentz_structure(sp)
     achievable = {}
     for det, sheet in itertools.product((1, -1), (1, -1)):
-        s = _lorentz_reverser_for(t, st, det, sheet)
+        s = _lorentz_reverser_for(sp.t, st, det, sheet)
         if s is not None:
             achievable[(det, sheet)] = s
     return achievable
@@ -582,19 +544,21 @@ def reverser_oracle(
             raise NotInIdentityComponent("Lorentz oracle needs a validated matrix")
         mat = t.entries
         j = t.space.form_signs
+        sp = _LorentzSpectrum.of(t, delta)
+        ang = _lorentz_angles(sp).angles
     else:
         mat = np.asarray(t, dtype=float)
         if not is_orthogonal(mat):
             raise NotOrthogonal("orthogonal oracle needs an orthogonal matrix")
         j = None
-    ang = rotation_angles(t if lorentzian else mat, delta).angles
-    regular = all(ang[i] - ang[i + 1] > delta for i in range(len(ang) - 1))
+        ang = rotation_angles(mat, delta).angles
+    regular = _distinct(ang, delta)
 
     exact = None
     exact_witnesses: dict = {}
     if regular:
         exact_witnesses = (
-            _exact_lorentz_enumeration(t, delta)
+            _exact_lorentz_enumeration(sp)
             if lorentzian
             else _exact_orthogonal_enumeration(mat, delta)
         )

@@ -15,7 +15,6 @@ their invariants survive canonical rounding bit-exactly.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .classify import poincare_extend
 from .errors import InvalidArg
@@ -39,6 +38,8 @@ def random_special_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def random_soo(rng: np.random.Generator, n: int, scale: float = 0.5) -> np.ndarray:
     """Element of SO_o(n,1) as exp of a random Lie-algebra element."""
+    import scipy.linalg  # only the sampler needs scipy; keep it off the import path
+
     skew = rng.standard_normal((n, n)) * scale
     x = np.zeros((n + 1, n + 1))
     x[:n, :n] = (skew - skew.T) / 2.0

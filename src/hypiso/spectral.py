@@ -16,6 +16,10 @@ Eigenvalues are clustered at radius ``delta`` (default 1e-7, deliberately
 coarser than the membership tolerance because eigenvalues lose roughly half
 the input precision).  Two surviving clusters closer than ``2 * delta``
 raise :class:`ClusterAmbiguity` instead of guessing.
+
+A Lorentz matrix is analysed once per public call (:class:`_LorentzSpectrum`);
+the trichotomy, the angles, the stretch and the fixed data all read that
+one pass.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from . import frames
 from .errors import ClusterAmbiguity, HypisoError, NotOrthogonal, NotRegular
 from .quadspace import LorentzMatrix, is_orthogonal
 
@@ -45,10 +49,6 @@ class EigenCluster:
 class EigenStructure:
     clusters: tuple[EigenCluster, ...]
     dim: int
-
-    def multiplicity_near(self, z: complex, tol: float) -> int:
-        """Total algebraic multiplicity of clusters within tol of z."""
-        return sum(c.algebraic for c in self.clusters if abs(c.value - z) <= tol)
 
 
 @dataclass(frozen=True)
@@ -140,12 +140,51 @@ def _rank_at(m: np.ndarray, threshold: float) -> int:
     return int(np.sum(svals > threshold))
 
 
+def _jordan_ranks(a: np.ndarray, tau: float, svals: np.ndarray) -> tuple[int, int]:
+    """(rank A at tau, rank A^2 at tau^2), given the singular values of A.
+
+    rank A^2 < rank A flags a Jordan block at eigenvalue 0.  The square is
+    ranked at the squared threshold since small singular values square too.
+    """
+    return int(np.sum(svals > tau)), _rank_at(a @ a, tau * tau)
+
+
 def null_space_at(m: np.ndarray, threshold: float) -> np.ndarray:
     """Orthonormal basis of the numerical kernel at an absolute threshold."""
     _, s, vt = np.linalg.svd(m)
     small = np.ones(m.shape[1], dtype=bool)
     small[: len(s)] = s <= threshold
     return vt[small].T
+
+
+@dataclass(frozen=True, eq=False)
+class _LorentzSpectrum:
+    """The one spectral analysis of a Lorentz matrix T that deciders share.
+
+    ``scale`` is max(1, ||T||_2); ranks are read at tau = delta * scale.
+    One SVD of T - I gives its singular values ``svals`` (the
+    Borderline band) and ``kernel``, an orthonormal frame of ker(T - I) at
+    tau.  ``defective`` is rank (T - I)^2 < rank (T - I): a Jordan block at 1.
+    """
+
+    t: LorentzMatrix
+    delta: float
+    scale: float
+    eigvals: np.ndarray
+    svals: np.ndarray
+    kernel: np.ndarray
+    defective: bool
+
+    @classmethod
+    def of(cls, t: LorentzMatrix, delta: float) -> "_LorentzSpectrum":
+        m = t.entries
+        scale = max(1.0, float(np.linalg.norm(m, 2)))
+        tau = delta * scale
+        n1 = m - np.eye(m.shape[0])
+        _, svals, vt = np.linalg.svd(n1)
+        rank1, rank2 = _jordan_ranks(n1, tau, svals)
+        kernel = vt[svals <= tau].T
+        return cls(t, delta, scale, np.linalg.eigvals(m), svals, kernel, rank2 < rank1)
 
 
 def eigen_structure(m, delta: float = DEFAULT_DELTA) -> EigenStructure:
@@ -165,53 +204,26 @@ def eigen_structure(m, delta: float = DEFAULT_DELTA) -> EigenStructure:
 
 
 def is_semisimple(m, delta: float = DEFAULT_DELTA) -> bool:
-    """True when no eigenvalue cluster carries a nontrivial Jordan block.
-
-    Tested as rank(M - cI) == rank((M - cI)^2) per cluster; the squared
-    matrix is ranked at the squared threshold since small singular values
-    square too.
-    """
+    """True when no eigenvalue cluster carries a nontrivial Jordan block,
+    tested as rank(M - cI) == rank((M - cI)^2) per cluster."""
     m = np.asarray(m, dtype=float)
-    structure = eigen_structure(m, delta)
-    scale = max(1.0, float(np.linalg.norm(m, 2)))
-    tau = delta * scale
-    eye = np.eye(m.shape[0])
-    for c in structure.clusters:
-        a = m - c.value.real * eye if abs(c.value.imag) < tau else None
-        if a is None:
-            # complex cluster: work over C
-            a = m - c.value * np.eye(m.shape[0], dtype=complex)
-        if _rank_at(a, tau) != _rank_at(a @ a, tau * tau):
+    vals = np.linalg.eigvals(m)
+    tau = delta * max(1.0, float(np.linalg.norm(m, 2)))
+    for idx in _cluster_eigenvalues(vals, delta):
+        c = complex(np.mean(vals[idx]))
+        if abs(c.imag) < tau:
+            a = m - c.real * np.eye(m.shape[0])
+        else:  # complex cluster: work over C
+            a = m - c * np.eye(m.shape[0], dtype=complex)
+        rank1, rank2 = _jordan_ranks(a, tau, np.linalg.svd(a, compute_uv=False))
+        if rank1 != rank2:
             return False
     return True
 
 
-def _defective_one_scatter(m: np.ndarray, delta: float) -> float:
-    """Radius around 1 polluted by a defective eigenvalue-1 block.
-
-    Eigenvalues of a Jordan block scatter like the cube root of the
-    backward error, so when T - I is rank-defective the computed spectrum
-    near 1 is meaningless inside this radius.
-    """
-    scale = max(1.0, float(np.linalg.norm(m, 2)))
-    tau = delta * scale
-    n1 = m - np.eye(m.shape[0])
-    r1 = int(np.sum(np.linalg.svd(n1, compute_uv=False) > tau))
-    r2 = int(np.sum(np.linalg.svd(n1 @ n1, compute_uv=False) > tau * tau))
-    if r2 < r1:
-        return 10.0 * float((2.3e-16 * scale**3) ** (1.0 / 3.0))
-    return 0.0
-
-
-def _angle_data(m: np.ndarray, delta: float, unit_only: bool):
-    """Shared extraction: (angles desc list, minus-one multiplicity)."""
-    vals = np.linalg.eigvals(m)
-    if unit_only:
-        # drop the meaningless scatter of a defective eigenvalue 1 before
-        # clustering; otherwise its random spread trips the ambiguity check
-        one_fuzz = _defective_one_scatter(m, delta)
-        if one_fuzz > 0.0:
-            vals = vals[np.abs(vals - 1.0) > one_fuzz]
+def _angles_of(vals: np.ndarray, delta: float, unit_only: bool) -> RotationAngles:
+    """Angle multiset of a clustered spectrum; ``unit_only`` skips clusters
+    off the unit circle (the stretch pair of a Lorentz matrix)."""
     clusters = _cluster_eigenvalues(vals, delta)
     angles: list[float] = []
     m_minus = 0
@@ -227,7 +239,22 @@ def _angle_data(m: np.ndarray, delta: float, unit_only: bool):
             angles.extend([theta] * len(idx))
     angles.extend([float(np.pi)] * (m_minus // 2))
     angles.sort(reverse=True)
-    return angles, m_minus
+    return RotationAngles(tuple(angles), reflection=bool(m_minus % 2))
+
+
+def _lorentz_angles(sp: _LorentzSpectrum) -> RotationAngles:
+    """Angles of a Lorentz matrix from its unit-modulus non-real spectrum.
+
+    Eigenvalues of a Jordan block scatter like the cube root of the
+    backward error, so for a defective T - I the computed spectrum near 1
+    is meaningless inside that radius; it is dropped before clustering,
+    otherwise its random spread trips the ambiguity check.
+    """
+    vals = sp.eigvals
+    if sp.defective:
+        one_fuzz = 10.0 * float((2.3e-16 * sp.scale**3) ** (1.0 / 3.0))
+        vals = vals[np.abs(vals - 1.0) > one_fuzz]
+    return _angles_of(vals, sp.delta, unit_only=True)
 
 
 def rotation_angles(
@@ -240,38 +267,21 @@ def rotation_angles(
     space-like part.
     """
     if isinstance(a, LorentzMatrix):
-        m = a.entries
-        unit_only = True
-    else:
-        m = np.asarray(a, dtype=float)
-        if not is_orthogonal(m, eps):
-            raise NotOrthogonal("rotation angles need an orthogonal or Lorentz matrix")
-        unit_only = False
-    angles, m_minus = _angle_data(m, delta, unit_only)
-    return RotationAngles(tuple(angles), reflection=bool(m_minus % 2))
+        return _lorentz_angles(_LorentzSpectrum.of(a, delta))
+    m = np.asarray(a, dtype=float)
+    if not is_orthogonal(m, eps):
+        raise NotOrthogonal("rotation angles need an orthogonal or Lorentz matrix")
+    return _angles_of(np.linalg.eigvals(m), delta, unit_only=False)
+
+
+def _distinct(angles, delta: float) -> bool:
+    """Descending angles pairwise more than delta apart (regularity)."""
+    return all(angles[i] - angles[i + 1] > delta for i in range(len(angles) - 1))
 
 
 def is_regular(a, delta: float = DEFAULT_DELTA, eps: float = 1e-9) -> bool:
     """All rotation angles pairwise distinct, each of pair multiplicity one."""
-    ra = rotation_angles(a, delta, eps)
-    ang = ra.angles
-    return all(ang[i] - ang[i + 1] > delta for i in range(len(ang) - 1))
-
-
-def _plane_frame_for_angle(
-    m: np.ndarray, theta: float, delta: float
-) -> np.ndarray:
-    """Orthonormal 2-frame of the invariant plane for a simple angle pair."""
-    vals, vecs = scipy.linalg.eig(m)
-    target = complex(np.cos(theta), np.sin(theta))
-    i = int(np.argmin(np.abs(vals - target)))
-    v = vecs[:, i]
-    u, w = v.real.copy(), v.imag.copy()
-    frame, _ = np.linalg.qr(np.column_stack([u, w]))
-    # orient so the restriction matrix is B(+theta): positive (2,1) entry
-    if frame[:, 1] @ (m @ frame[:, 0]) < 0:
-        frame = np.column_stack([frame[:, 0], -frame[:, 1]])
-    return frame
+    return _distinct(rotation_angles(a, delta, eps).angles, delta)
 
 
 def plane_decomposition(
@@ -280,36 +290,31 @@ def plane_decomposition(
     """Unique invariant-plane decomposition of a regular orthogonal matrix.
 
     Refused for non-regular input, where the eigenspace decomposition is
-    no longer unique.
+    no longer unique.  The plane of the angle pi is ker(A + I).
     """
     m = np.asarray(a, dtype=float)
     if not is_orthogonal(m, eps):
         raise NotOrthogonal("plane decomposition needs an orthogonal matrix")
-    if not is_regular(m, delta, eps):
+    ra = rotation_angles(m, delta, eps)
+    if not _distinct(ra.angles, delta):
         raise NotRegular(
             "plane decomposition is only canonical for regular rotations"
         )
-    ra = rotation_angles(m, delta, eps)
-    n = m.shape[0]
-    planes = []
-    for theta in ra.angles:  # already descending
-        if abs(theta - np.pi) <= delta:
-            frame = null_space_at(m + np.eye(n), delta * 2.0)
-            if frame.shape[1] != 2:
-                raise HypisoError(
-                    f"expected a 2-dimensional -1 eigenspace, got {frame.shape[1]}"
-                )
-        else:
-            frame = _plane_frame_for_angle(m, theta, delta)
-        planes.append(frame)
-    fixed = null_space_at(m - np.eye(n), delta * 2.0)
-    if 2 * len(planes) + fixed.shape[1] + (1 if ra.reflection else 0) != n:
+    blocks = frames.invariant_plane_frames(m, delta)
+    planes = [frame for _, frame in blocks.planes]
+    if ra.has_pi:
+        if blocks.b != 2:
+            raise HypisoError(
+                f"expected a 2-dimensional -1 eigenspace, got {blocks.b}"
+            )
+        planes.insert(0, blocks.neg_frame)  # pi is the largest angle
+    if len(planes) != ra.k:
         raise HypisoError("plane/fixed dimension bookkeeping failed")
     if ra.reflection:
         raise NotRegular(
             "decomposition with a leftover reflection line is not representable"
         )
-    return PlaneDecomposition(tuple(planes), ra.angles, fixed)
+    return PlaneDecomposition(tuple(planes), ra.angles, blocks.fix_frame)
 
 
 def rotation_matrix(theta: float) -> np.ndarray:

@@ -169,3 +169,48 @@ class TestRandomAndOracle:
         )
         assert code == 0 and out == ""
         assert len(out_path.read_text().strip().splitlines()) == 2
+
+
+def run_subprocess(*argv):
+    """Run ``python -m hypiso.cli`` (or ``python -c`` code) in a fresh interpreter."""
+    import os
+    import subprocess
+    import sys
+
+    import hypiso
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hypiso.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+class TestOverflowingEntries:
+    DOC = '{"n": 2, "matrix": [1e300, 0, 0, 0, 1, 0, 0, 0, 1]}'
+
+    def test_classify_exits_2_without_traceback(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(self.DOC + "\n")
+        proc = run_subprocess("-m", "hypiso.cli", "classify", str(path))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_orthogonal_reality_exits_2_without_traceback(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(self.DOC + "\n")
+        proc = run_subprocess("-m", "hypiso.cli", "reality", "--group", "On", str(path))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+
+def test_import_path_loads_no_scipy():
+    code = (
+        "import sys, hypiso, hypiso.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    proc = run_subprocess("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

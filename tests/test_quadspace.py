@@ -189,3 +189,16 @@ class TestInterchangeFormat:
     def test_malformed_document_raises_value_error(self):
         with pytest.raises(ValueError):
             matrix_from_json('{"n": 2, "matrix": [1, 2, 3]}')
+
+
+class TestOverflowingScale:
+    def test_huge_entry_is_not_orthogonal(self):
+        from hypiso.quadspace import is_orthogonal
+
+        assert is_orthogonal(np.diag([1e300, 1.0])) is False
+
+    def test_huge_entry_is_not_an_isometry(self):
+        m = np.eye(3)
+        m[0, 0] = 1e300
+        with pytest.raises(NotAnIsometry):
+            classify_membership(QuadraticSpace(2), m)
