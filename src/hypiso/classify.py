@@ -198,13 +198,6 @@ def infinity_ray(space: QuadraticSpace) -> np.ndarray:
     return v
 
 
-def zero_ray(space: QuadraticSpace) -> np.ndarray:
-    v = np.zeros(space.dim)
-    v[-2] = 1.0
-    v[-1] = 1.0
-    return v
-
-
 def lift_boundary_point(space: QuadraticSpace, p) -> np.ndarray:
     """Null vector of the ray over p in E^{n}, with l+ component 1."""
     p = np.asarray(p, dtype=float)
@@ -377,6 +370,39 @@ def _spectrum(t: LorentzMatrix, delta: float) -> _LorentzSpectrum:
     """The spectral pass of a sheet-preserving isometry."""
     _require_sheet_preserving(t)
     return _LorentzSpectrum.of(t, delta)
+
+
+def _spectra(ts: list, delta: float) -> list:
+    """:func:`_spectrum` of each entry of ``ts`` (Lorentz matrices of one
+    size), from one stacked pass.
+
+    An entry that is an exception passes through; an entry whose pass
+    fails holds the exception ``_spectrum`` raises for it.  A stacked
+    kernel fails for the whole stack, so then the pass is redone per
+    matrix to find the one at fault.
+    """
+    out = list(ts)
+    live = []
+    for i, t in enumerate(ts):
+        if isinstance(t, Exception):
+            continue
+        try:
+            _require_sheet_preserving(t)
+            live.append(i)
+        except InvalidArg as exc:
+            out[i] = exc
+    try:
+        passes = _LorentzSpectrum.stack([ts[i] for i in live], delta)
+    except (np.linalg.LinAlgError, HypisoError):
+        passes = []
+        for i in live:
+            try:
+                passes.append(_LorentzSpectrum.of(ts[i], delta))
+            except Exception as exc:  # noqa: BLE001 - kept in place of its pass
+                passes.append(exc)
+    for i, sp in zip(live, passes):
+        out[i] = sp
+    return out
 
 
 def _fixed_point_class(sp: _LorentzSpectrum) -> FixedPointClass:

@@ -1,9 +1,12 @@
 """Batch command-line front end.
 
 Matrices travel as JSON documents {"n": int, "matrix": row-major floats};
-every subcommand emits one JSON document per line (streamable).  Exit
-codes: 0 success, 1 malformed input, 2 domain error, 3 refusal to decide
-(borderline tolerance zone, undecided conjugacy, exhausted search budget).
+a file holds any number of them, one after another (JSONL included), and
+``-`` reads standard input.  Every subcommand emits one JSON document per
+line (streamable).  Exit codes: 0 success, 1 malformed input, 2 domain
+error, 3 refusal to decide (borderline tolerance zone, undecided
+conjugacy, exhausted search budget); several documents exit with the
+code of the first one that fails.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import sys
 import numpy as np
 
 from . import classgeom, conjugacy, quadspace, reality, sampling
-from .classify import classify as classify_isometry
+from .classify import _classify, _spectra
 from .errors import HypisoError, RefusedToDecide
 from .spectral import plane_decomposition
 
@@ -25,15 +28,39 @@ EXIT_DOMAIN = 2
 EXIT_UNDECIDED = 3
 
 
-def _read_matrix(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return quadspace.matrix_from_json(text)
+def _documents(path: str):
+    """(space, matrix) of each document of a file, in order, parsed as they
+    are reached; ``-`` is standard input."""
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    if text.startswith("\ufeff"):  # as json.loads refuses it
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    decoder = json.JSONDecoder()
+    skip = json.decoder.WHITESPACE.match
+    pos = skip(text, 0).end()
+    while True:  # at least one document: an empty file fails as json.loads does
+        doc, end = decoder.raw_decode(text, pos)
+        yield quadspace.matrix_from_document(doc)
+        pos = skip(text, end).end()
+        if pos == len(text):
+            return
 
 
-def _read_lorentz(path: str, eps: float) -> quadspace.LorentzMatrix:
-    space, mat = _read_matrix(path)
-    return quadspace.classify_membership(space, mat, eps)
+def _matrices(paths):
+    for path in paths:
+        yield from _documents(path)
+
+
+def _read_one(path: str, eps: float) -> quadspace.LorentzMatrix:
+    docs = list(_documents(path))
+    if len(docs) != 1:
+        raise ValueError(
+            f"{path} holds {len(docs)} matrix documents; conjugacy takes one per file"
+        )
+    return quadspace.classify_membership(*docs[0], eps)
 
 
 def _emit(lines, output):
@@ -46,27 +73,47 @@ def _emit(lines, output):
 
 
 def cmd_classify(args) -> int:
+    """Read every document first, then run membership and the spectral
+    pass once per dimension on the stack of its matrices; reports follow
+    in input order, up to the first document that fails."""
+    docs = []
+    read_error = None
+    try:
+        for doc in _matrices(args.matrix):
+            docs.append(doc)
+    except Exception as exc:  # noqa: BLE001 - raised after the documents before it
+        read_error = exc
+    by_dim: dict[int, list[int]] = {}
+    for i, (space, _) in enumerate(docs):
+        by_dim.setdefault(space.n, []).append(i)
+    spectra: list = [None] * len(docs)
+    for idx in by_dim.values():
+        stack = np.stack([docs[i][1] for i in idx])
+        members = quadspace.classify_membership_many(docs[idx[0]][0], stack, args.eps)
+        for i, sp in zip(idx, _spectra(members, args.delta)):
+            spectra[i] = sp
     lines = []
-    for path in args.matrix:
-        t = _read_lorentz(path, args.eps)
-        report = classify_isometry(t, args.delta)
-        lines.append(json.dumps(report.to_json_dict()))
+    for sp in spectra:
+        if isinstance(sp, Exception):
+            raise sp
+        lines.append(json.dumps(_classify(sp).to_json_dict()))
+    if read_error is not None:
+        raise read_error
     _emit(lines, args.output)
     return EXIT_OK
 
 
 def cmd_reality(args) -> int:
     lines = []
-    for path in args.matrix:
+    for space, mat in _matrices(args.matrix):
         if args.group in ("On", "SOn"):
-            _, mat = _read_matrix(path)
             cert = (
                 reality.is_real_On(mat, args.delta, args.eps)
                 if args.group == "On"
                 else reality.is_real_SOn(mat, args.delta, args.eps)
             )
         else:
-            t = _read_lorentz(path, args.eps)
+            t = quadspace.classify_membership(space, mat, args.eps)
             cert = (
                 reality.is_real_SOo_n1(t, args.delta)
                 if args.group == "SOo"
@@ -78,8 +125,8 @@ def cmd_reality(args) -> int:
 
 
 def cmd_conjugacy(args) -> int:
-    t1 = _read_lorentz(args.matrix1, args.eps)
-    t2 = _read_lorentz(args.matrix2, args.eps)
+    t1 = _read_one(args.matrix1, args.eps)
+    t2 = _read_one(args.matrix2, args.eps)
     if args.group == "Mon":
         answer = conjugacy.conjugate_in_Mon(t1, t2, args.delta)
     else:
@@ -92,8 +139,7 @@ def cmd_conjugacy(args) -> int:
 
 def cmd_decompose(args) -> int:
     lines = []
-    for path in args.matrix:
-        _, mat = _read_matrix(path)
+    for _, mat in _matrices(args.matrix):
         decomp = plane_decomposition(mat, args.delta, args.eps)
         doc = {
             "angles": list(decomp.angles),
@@ -155,13 +201,12 @@ def cmd_random(args) -> int:
 
 def cmd_oracle(args) -> int:
     lines = []
-    for path in args.matrix:
+    for space, mat in _matrices(args.matrix):
         if args.group in ("On", "SOn"):
-            _, mat = _read_matrix(path)
             target = mat
             group = reality.GROUP_O if args.group == "On" else reality.GROUP_SO
         else:
-            target = _read_lorentz(path, args.eps)
+            target = quadspace.classify_membership(space, mat, args.eps)
             group = reality.GROUP_SOO if args.group == "SOo" else reality.GROUP_MO
         rep = reality.reverser_oracle(
             target, group, budget=args.budget, seed=args.seed, delta=args.delta
@@ -181,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, matrices=1):
         if matrices == 1:
-            p.add_argument("matrix", nargs="+", help="matrix document path(s)")
+            p.add_argument("matrix", nargs="+",
+                           help="matrix document file(s), '-' for standard input")
         p.add_argument("--eps", type=float, default=quadspace.DEFAULT_EPS,
                        help="membership tolerance (relative)")
         p.add_argument("--delta", type=float, default=1e-7,

@@ -24,6 +24,7 @@ function, so concurrent use needs no coordination.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -33,6 +34,7 @@ from .errors import (
     AmbiguousComponent,
     DependentBasis,
     DimensionMismatch,
+    HypisoError,
     InvalidArg,
     NotAnIsometry,
     ZeroVector,
@@ -158,10 +160,15 @@ def subspace_type(
     into the trichotomy.
     """
     b = np.column_stack([_as_vector(space, v) for v in basis])
-    scale = max(1.0, float(np.max(np.abs(b))) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = float(_squared_scale(b))
+        gram = b.T @ space.form_matrix @ b
+    if not (np.isfinite(scale) and np.all(np.isfinite(gram))):
+        raise InvalidArg(
+            f"restricted Gram matrix overflows at basis entry {np.max(np.abs(b)):.3e}"
+        )
     if np.linalg.matrix_rank(b, tol=eps * max(1.0, np.linalg.norm(b, 2))) < b.shape[1]:
         raise DependentBasis("basis vectors are linearly dependent")
-    gram = b.T @ space.form_matrix @ b
     if np.max(np.abs(gram)) <= eps * scale:
         return CausalType.LIGHT_LIKE
     eigs = np.linalg.eigvalsh(gram)
@@ -224,11 +231,11 @@ class LorentzMatrix:
         return np.array(self.entries, dtype=dtype)
 
 
-def form_residual(space: QuadraticSpace, m: np.ndarray) -> float:
-    """max-norm of M^T J M - J (inf or nan when the products overflow)."""
+def form_residual(space: QuadraticSpace, m: np.ndarray):
+    """max-norm of M^T J M - J, per matrix of a stack; inf or nan where the
+    products overflow (numpy warns of that unless under ``np.errstate``)."""
     j = space.form_matrix
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.max(np.abs(m.T @ j @ m - j)))
+    return np.abs(np.swapaxes(m, -1, -2) @ j @ m - j).max(axis=(-2, -1))
 
 
 def classify_membership(
@@ -246,32 +253,57 @@ def classify_membership(
         raise DimensionMismatch(
             f"expected {space.dim}x{space.dim} matrix, got shape {m.shape}"
         )
-    if not np.all(np.isfinite(m)):
-        raise NotAnIsometry("matrix entries must be finite")
-    scale = _squared_scale(m)
-    resid = form_residual(space, m)
-    if not (np.isfinite(scale) and np.isfinite(resid)):
-        raise NotAnIsometry(
-            f"form residual overflows at matrix scale {scale:.3e}"
-        )
-    if resid > eps * scale:
-        raise NotAnIsometry(
-            f"form residual {resid:.3e} exceeds tolerance {eps * scale:.3e}"
-        )
-    det = float(np.linalg.det(m))
-    sheet_entry = float(m[-1, -1])
-    if abs(sheet_entry) <= eps * scale:
-        raise AmbiguousComponent(
-            f"sheet entry {sheet_entry:.3e} is indistinguishable from zero"
-        )
-    comp = Component.from_signs(1 if det > 0 else -1, 1 if sheet_entry > 0 else -1)
-    return LorentzMatrix(np.array(m), comp, eps, space)
+    (result,) = classify_membership_many(space, m[None], eps)
+    if isinstance(result, HypisoError):
+        raise result
+    return result
 
 
-def _squared_scale(m: np.ndarray) -> float:
-    """max(1, ||M||_inf^2) as a float; inf when the square overflows."""
-    mx = float(np.max(np.abs(m)))
-    return max(1.0, mx * mx)
+def classify_membership_many(
+    space: QuadraticSpace, ms, eps: float = DEFAULT_EPS
+) -> list[LorentzMatrix | HypisoError]:
+    """:func:`classify_membership` of each matrix of an (N, d, d) stack.
+
+    The checks run vectorized over the stack; each entry of the result is
+    the matrix's ``LorentzMatrix`` or the exception
+    ``classify_membership`` raises for it.
+    """
+    ms = np.asarray(ms, dtype=float)
+    if ms.ndim != 3 or ms.shape[1:] != (space.dim, space.dim):
+        raise DimensionMismatch(
+            f"expected a stack of {space.dim}x{space.dim} matrices, got shape {ms.shape}"
+        )
+    finite = np.isfinite(ms).all(axis=(1, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = _squared_scale(ms)
+        resid = form_residual(space, ms)
+        det = np.linalg.det(ms)  # read only where the residual passes
+    out: list[LorentzMatrix | HypisoError] = []
+    for m, ok, s, r, d in zip(ms, finite, scale.tolist(), resid.tolist(), det.tolist()):
+        sheet_entry = float(m[-1, -1])
+        if not ok:
+            out.append(NotAnIsometry("matrix entries must be finite"))
+        elif not (math.isfinite(s) and math.isfinite(r)):
+            out.append(NotAnIsometry(f"form residual overflows at matrix scale {s:.3e}"))
+        elif r > eps * s:
+            out.append(NotAnIsometry(
+                f"form residual {r:.3e} exceeds tolerance {eps * s:.3e}"
+            ))
+        elif abs(sheet_entry) <= eps * s:
+            out.append(AmbiguousComponent(
+                f"sheet entry {sheet_entry:.3e} is indistinguishable from zero"
+            ))
+        else:
+            comp = Component.from_signs(1 if d > 0 else -1, 1 if sheet_entry > 0 else -1)
+            out.append(LorentzMatrix(np.array(m), comp, eps, space))
+    return out
+
+
+def _squared_scale(m: np.ndarray):
+    """max(1, ||M||_inf^2) per matrix of a stack; inf where the square
+    overflows (call under ``np.errstate(over="ignore")``)."""
+    mx = np.abs(m).max(axis=(-2, -1))
+    return np.maximum(1.0, mx * mx)
 
 
 def is_orthogonal(m: np.ndarray, eps: float = DEFAULT_EPS) -> bool:
@@ -280,8 +312,8 @@ def is_orthogonal(m: np.ndarray, eps: float = DEFAULT_EPS) -> bool:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
-    scale = _squared_scale(m)
     with np.errstate(over="ignore", invalid="ignore"):
+        scale = _squared_scale(m)
         resid = float(np.max(np.abs(m.T @ m - np.eye(m.shape[0]))))
     return bool(np.isfinite(scale) and np.isfinite(resid) and resid <= eps * scale)
 

@@ -28,14 +28,6 @@ def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def random_special_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    q = random_orthogonal(rng, n)
-    if np.linalg.det(q) < 0:
-        q = q.copy()
-        q[:, 0] = -q[:, 0]
-    return q
-
-
 def random_soo(rng: np.random.Generator, n: int, scale: float = 0.5) -> np.ndarray:
     """Element of SO_o(n,1) as exp of a random Lie-algebra element."""
     import scipy.linalg  # only the sampler needs scipy; keep it off the import path

@@ -19,7 +19,8 @@ raise :class:`ClusterAmbiguity` instead of guessing.
 
 A Lorentz matrix is analysed once per public call (:class:`_LorentzSpectrum`);
 the trichotomy, the angles, the stretch and the fixed data all read that
-one pass.
+one pass.  The pass runs stacked over any number of matrices of one size
+(:meth:`_LorentzSpectrum.stack`); a single matrix is the stack of one.
 """
 
 from __future__ import annotations
@@ -29,13 +30,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frames
-from .errors import ClusterAmbiguity, HypisoError, NotOrthogonal, NotRegular
+from .errors import ClusterAmbiguity, HypisoError, InvalidArg, NotOrthogonal, NotRegular
 from .quadspace import LorentzMatrix, is_orthogonal
 
 DEFAULT_DELTA = 1e-7
 
 # |lambda -+ 1| threshold for eigenvalue +-1 detection.
 PM_ONE_TOL = 1e-7
+
+# Smallest delta the Lorentz pass accepts.  It reads rank (T - I)^2 at
+# tau^2 = (delta * scale)^2, and the singular values of (T - I)^2 that are
+# zero in exact arithmetic sit at a rounding floor of about n * u * scale^2
+# (u the unit roundoff), so below about sqrt(n * u) a parabolic's Jordan
+# block goes unseen and it reads as elliptic.  On random_isometry
+# parabolics at n = 3, 5, 9 (conjugator scale 0.5, seed 0) the largest
+# delta one needed was 1.7e-8; 7 of 120 misread at 1e-8 and all at 2e-9,
+# while elliptic and hyperbolic controls stayed right down to 1e-9.
+DELTA_MIN = 3e-8
 
 
 @dataclass(frozen=True)
@@ -140,15 +151,6 @@ def _rank_at(m: np.ndarray, threshold: float) -> int:
     return int(np.sum(svals > threshold))
 
 
-def _jordan_ranks(a: np.ndarray, tau: float, svals: np.ndarray) -> tuple[int, int]:
-    """(rank A at tau, rank A^2 at tau^2), given the singular values of A.
-
-    rank A^2 < rank A flags a Jordan block at eigenvalue 0.  The square is
-    ranked at the squared threshold since small singular values square too.
-    """
-    return int(np.sum(svals > tau)), _rank_at(a @ a, tau * tau)
-
-
 def null_space_at(m: np.ndarray, threshold: float) -> np.ndarray:
     """Orthonormal basis of the numerical kernel at an absolute threshold."""
     _, s, vt = np.linalg.svd(m)
@@ -177,14 +179,43 @@ class _LorentzSpectrum:
 
     @classmethod
     def of(cls, t: LorentzMatrix, delta: float) -> "_LorentzSpectrum":
-        m = t.entries
-        scale = max(1.0, float(np.linalg.norm(m, 2)))
+        return cls.stack([t], delta)[0]
+
+    @classmethod
+    def stack(cls, ts: list[LorentzMatrix], delta: float) -> list["_LorentzSpectrum"]:
+        """The pass of each of ``ts`` (all of one size), in four LAPACK calls
+        on the (N, d, d) stack: the singular values of T, the SVD of T - I,
+        the singular values of (T - I)^2 and the eigenvalues of T.
+
+        numpy runs the same LAPACK routine on each matrix of a stack, so
+        every field is bit-identical to that of a one-matrix stack.  Raises
+        ``InvalidArg`` when delta is below ``DELTA_MIN``.
+        """
+        if not delta >= DELTA_MIN:
+            raise InvalidArg(
+                f"delta {delta:g} is below delta_min = {DELTA_MIN:g}, the floor "
+                "under which the rank of (T - I)^2 is lost to rounding"
+            )
+        if not ts:
+            return []
+        m = np.array([t.entries for t in ts])
+        scale = np.maximum(1.0, np.linalg.svd(m, compute_uv=False)[:, 0])
         tau = delta * scale
-        n1 = m - np.eye(m.shape[0])
+        n1 = m - np.eye(m.shape[-1])
         _, svals, vt = np.linalg.svd(n1)
-        rank1, rank2 = _jordan_ranks(n1, tau, svals)
-        kernel = vt[svals <= tau].T
-        return cls(t, delta, scale, np.linalg.eigvals(m), svals, kernel, rank2 < rank1)
+        rank1 = (svals > tau[:, None]).sum(axis=1)
+        # the square is ranked at tau^2 since small singular values square too
+        rank2 = (np.linalg.svd(n1 @ n1, compute_uv=False) > (tau * tau)[:, None]).sum(axis=1)
+        eigvals = np.linalg.eigvals(m)
+        # as eigvals of one matrix, a real spectrum comes back real
+        real = ~eigvals.imag.any(axis=1)
+        out = []
+        for i, t in enumerate(ts):
+            vals = eigvals[i].real if real[i] else eigvals[i]
+            kernel = vt[i][svals[i] <= tau[i]].T
+            out.append(cls(t, delta, float(scale[i]), vals, svals[i], kernel,
+                           bool(rank2[i] < rank1[i])))
+        return out
 
 
 def eigen_structure(m, delta: float = DEFAULT_DELTA) -> EigenStructure:
@@ -215,8 +246,9 @@ def is_semisimple(m, delta: float = DEFAULT_DELTA) -> bool:
             a = m - c.real * np.eye(m.shape[0])
         else:  # complex cluster: work over C
             a = m - c * np.eye(m.shape[0], dtype=complex)
-        rank1, rank2 = _jordan_ranks(a, tau, np.linalg.svd(a, compute_uv=False))
-        if rank1 != rank2:
+        # a Jordan block drops the rank of the square, read at tau^2 since
+        # small singular values square too (as in the Lorentz pass)
+        if _rank_at(a, tau) != _rank_at(a @ a, tau * tau):
             return False
     return True
 
