@@ -4,7 +4,10 @@ M(n)-conjugacy of sheet-preserving Lorentz matrices is decided from the
 characteristic polynomial together with the fixed-point class (which
 carries the only possible Jordan-structure difference, the size-3 block at
 1 of a parabolic).  When a pair is conjugate, an explicit conjugator is
-composed out of the two normal forms plus a frame-matching block map.
+built from the adapted splitting of each element (the special time-like
+block plus the invariant blocks of the orthogonal part, the same splitting
+the reality deciders use): it maps the frame of one splitting onto the
+other, with a boost matching the unipotent parameters of parabolics.
 
 Whether the M(n)-conjugacy descends to M_o(n) is settled by the
 centralizer: if the found conjugator has determinant -1, some commuting
@@ -26,25 +29,16 @@ import numpy as np
 
 from . import frames
 from .classify import (
-    KRotation,
-    KRotatoryStretch,
-    KRotatoryTranslation,
+    FixedPointClass,
     _fixed_point_class,
-    _normal_form,
+    _stretch,
     classify,
-    poincare_extend,
     reflection_fixing_hyperplane,
 )
 from .errors import HypisoError, NotConjugate, NotInIdentityComponent, Undecided
 from .quadspace import Component, LorentzMatrix, classify_membership
-from .reality import _lorentz_structure
-from .spectral import (
-    DEFAULT_DELTA,
-    _distinct,
-    _LorentzSpectrum,
-    _lorentz_angles,
-    null_space_at,
-)
+from .reality import _lorentz_structure, _LorentzStructure
+from .spectral import DEFAULT_DELTA, _distinct, _LorentzSpectrum
 
 CONJUGATOR_TOL = 1e-8
 CHARPOLY_TOL = 1e-7
@@ -101,154 +95,101 @@ def invariant_tuple(t: LorentzMatrix, delta: float = DEFAULT_DELTA) -> Invariant
     return InvariantTuple(report.fixed_class.value, angles, report.k, stretch)
 
 
-def _char_polys_match(t1: np.ndarray, t2: np.ndarray) -> bool:
-    c1 = np.poly(t1)
-    c2 = np.poly(t2)
+def _char_polys_match(vals1: np.ndarray, vals2: np.ndarray) -> bool:
+    """Characteristic polynomials, from the two spectra, equal within
+    CHARPOLY_TOL relative to their largest coefficient."""
+    c1 = np.poly(vals1)
+    c2 = np.poly(vals2)
     scale = max(1.0, float(np.max(np.abs(c1))), float(np.max(np.abs(c2))))
     return float(np.max(np.abs(c1 - c2))) <= CHARPOLY_TOL * scale
 
 
 # ---------------------------------------------------------------------------
-# frame matching inside O(m)
+# conjugator construction from the adapted splittings
 # ---------------------------------------------------------------------------
 
 
-def _block_frame(a: np.ndarray, delta: float, kernel_first: Optional[np.ndarray] = None):
-    """Orthogonal frame in which `a` is blockdiag(B(t_1),...,B(t_k), I, -I),
-    planes ordered by descending angle.  ``kernel_first`` (a unit vector in
-    ker(a - I)) becomes the first fixed-space column when given.
+def _conjugator_residual(s: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> float:
+    """max-norm of S T1 - T2 S: the conjugacy equation, no inverse formed."""
+    return float(np.max(np.abs(s @ t1 - t2 @ s)))
 
-    Returns (frame, angle list, dim ker(a - I), dim ker(a + I)).
+
+def _adapted_frame(st: _LorentzStructure) -> tuple[np.ndarray, np.ndarray]:
+    """J-orthonormal frame and signs in which T is blockdiag(special block,
+    B(t_1), ..., B(t_p), I, -I), planes by descending angle."""
+    b = st.blocks
+    f = np.column_stack([fr for _, fr in b.planes] + [b.fix_frame, b.neg_frame])
+    frame = np.column_stack([st.special_frame, st.w_frame @ f])
+    return frame, np.concatenate([st.special_signs, np.ones(f.shape[1])])
+
+
+def _special_map(st1: _LorentzStructure, st2: _LorentzStructure) -> np.ndarray:
+    """Map of the special block of T1 onto that of T2, in their frames.
+
+    Fixed points and stretch pairs of equal stretch have equal blocks; the
+    unipotent exp(c1 X) goes to exp(c2 X) under the boost of rapidity
+    log(c2 / c1) in the plane of its null ray.
     """
-    n = a.shape[0]
-    blocks = frames.invariant_plane_frames(a, delta)
-    fix, neg = blocks.fix_frame, blocks.neg_frame
-    if kernel_first is not None and fix.shape[1] > 0:
-        # orthonormal completion of the preferred kernel direction inside
-        # the fixed space (SVD; unpivoted QR can leak spurious columns)
-        g = kernel_first / np.linalg.norm(kernel_first)
-        rest = fix - np.outer(g, g @ fix)
-        u, svals, _ = np.linalg.svd(rest, full_matrices=False)
-        cols = [g] + [u[:, i] for i in range(len(svals)) if svals[i] > 1e-9]
-        fix = np.column_stack(cols)
-        if fix.shape[1] != np.linalg.matrix_rank(
-            np.column_stack([g[:, None], rest]), tol=1e-9
-        ):
-            raise HypisoError("kernel-aligned frame completion lost rank")
-    cols = [fr for _, fr in blocks.planes] + ([fix] if fix.size else []) + (
-        [neg] if neg.size else []
-    )
-    frame = np.column_stack(cols) if cols else np.zeros((n, 0))
-    if frame.shape[1] != n:
-        raise HypisoError("orthogonal block frame is incomplete; refine delta")
-    return frame, [th for th, _ in blocks.planes], fix.shape[1], neg.shape[1]
+    if st1.cls is not FixedPointClass.PARABOLIC:
+        return np.eye(len(st1.special_signs))
+    c1, c2 = st1.unipotent_c, st2.unipotent_c
+    if c1 <= 0 or c2 <= 0:
+        raise HypisoError("unipotent parameter of a parabolic must be positive")
+    rho = np.log(c2 / c1)
+    ch, sh = np.cosh(rho), np.sinh(rho)
+    return np.array([[1.0, 0.0, 0.0], [0.0, ch, sh], [0.0, sh, ch]])
 
 
-def _match_orthogonal(
-    a1: np.ndarray, a2: np.ndarray, delta: float,
-    kernel_first1: Optional[np.ndarray] = None,
-    kernel_first2: Optional[np.ndarray] = None,
+def _mn_conjugator(
+    sp1: _LorentzSpectrum, st1: _LorentzStructure,
+    sp2: _LorentzSpectrum, st2: _LorentzStructure,
 ) -> np.ndarray:
-    """Orthogonal M with M a1 M^-1 = a2, for inputs sharing block data."""
-    f1, ang1, a1fix, a1neg = _block_frame(a1, delta, kernel_first1)
-    f2, ang2, a2fix, a2neg = _block_frame(a2, delta, kernel_first2)
-    if len(ang1) != len(ang2) or a1fix != a2fix or a1neg != a2neg:
-        raise NotConjugate("orthogonal parts have different block data")
-    if ang1 and float(np.max(np.abs(np.array(ang1) - np.array(ang2)))) > 1e-6:
-        raise NotConjugate("orthogonal parts have different rotation angles")
-    return f2 @ f1.T
-
-
-# ---------------------------------------------------------------------------
-# conjugator construction through normal forms
-# ---------------------------------------------------------------------------
-
-
-def _kernel_component(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    kernel = null_space_at(a - np.eye(a.shape[0]), 1e-9)
-    return kernel @ (kernel.T @ b)
-
-
-def _mn_conjugator(sp1: _LorentzSpectrum, sp2: _LorentzSpectrum) -> np.ndarray:
-    """Sheet-preserving S with S T1 S^-1 = T2 for a conjugate pair."""
-    t1, t2, delta = sp1.t, sp2.t, sp1.delta
-    space = t1.space
-    if float(np.max(np.abs(t1.entries - t2.entries))) <= 1e-12:
-        return np.eye(space.dim)
-    nf1, nf2 = _normal_form(sp1), _normal_form(sp2)
-    v1, v2 = nf1.variant, nf2.variant
-    if isinstance(v1, KRotation) and isinstance(v2, KRotation):
-        mo = _match_orthogonal(v1.matrix, v2.matrix, delta)
-        m = np.eye(space.dim)
-        m[:-1, :-1] = mo
-    elif isinstance(v1, KRotatoryStretch) and isinstance(v2, KRotatoryStretch):
-        if abs(v1.stretch - v2.stretch) > 1e-6 * max(1.0, v1.stretch):
+    """Sheet-preserving S with S T1 S^-1 = T2 for a pair of one class:
+    the map of the adapted frame of T1 onto that of T2."""
+    t1, t2 = sp1.t, sp2.t
+    if st1.cls is FixedPointClass.HYPERBOLIC:
+        r1, r2 = _stretch(sp1), _stretch(sp2)
+        if abs(r1 - r2) > 1e-6 * max(1.0, r1):
             raise NotConjugate("stretch factors differ")
-        mo = _match_orthogonal(v1.rotation, v2.rotation, delta)
-        m = np.eye(space.dim)
-        m[:-2, :-2] = mo
-    elif isinstance(v1, KRotatoryTranslation) and isinstance(v2, KRotatoryTranslation):
-        beta1 = _kernel_component(v1.rotation, v1.translation)
-        beta2 = _kernel_component(v2.rotation, v2.translation)
-        n1, n2 = float(np.linalg.norm(beta1)), float(np.linalg.norm(beta2))
-        if n1 <= 1e-12 or n2 <= 1e-12:
-            raise HypisoError("parabolic normal form without a translation part")
-        c = _match_orthogonal(
-            v1.rotation, v2.rotation, delta,
-            kernel_first1=beta1 / n1, kernel_first2=beta2 / n2,
-        )
-        scale = n2 / n1
-        # solve (I - A2) d = b2 - scale * C b1 on the complement of
-        # ker(A2 - I); the cutoff is absolute (singular values of I - A2
-        # are at most 2), else pure-translation cases divide by noise
-        rhs = v2.translation - scale * (c @ v1.translation)
-        a2 = v2.rotation
-        u, svals, vt = np.linalg.svd(np.eye(a2.shape[0]) - a2)
-        inv = np.where(svals > 1e-9, 1.0 / np.maximum(svals, 1e-300), 0.0)
-        d = vt.T @ (inv * (u.T @ rhs))
-        m = np.asarray(poincare_extend(scale, c, d).entries)
-    else:
-        raise NotConjugate("normal forms are of different kinds")
-    w1 = nf1.conjugator.entries
-    w2inv = nf2.conjugator.inverse().entries
-    s = w2inv @ m @ w1
-    resid = float(np.max(np.abs(s @ t1.entries @ np.linalg.inv(s) - t2.entries)))
+    b1, b2 = st1.blocks, st2.blocks
+    if b1.p != b2.p or b1.a != b2.a or b1.b != b2.b:
+        raise NotConjugate("orthogonal parts have different block data")
+    ang1 = np.array([th for th, _ in b1.planes])
+    ang2 = np.array([th for th, _ in b2.planes])
+    if b1.p and float(np.max(np.abs(ang1 - ang2))) > 1e-6:
+        raise NotConjugate("orthogonal parts have different rotation angles")
+    phi1, signs1 = _adapted_frame(st1)
+    phi2, _ = _adapted_frame(st2)
+    m = np.eye(t1.space.dim)
+    k = len(st1.special_signs)
+    m[:k, :k] = _special_map(st1, st2)
+    s = phi2 @ m @ frames.frame_pinv(phi1, signs1, t1.space.form_signs)
+    resid = _conjugator_residual(s, t1.entries, t2.entries)
     if resid > CONJUGATOR_TOL:
         raise HypisoError(f"conjugator residual {resid:.2e} exceeds tolerance")
     return s
 
 
-def _commuting_reflection(sp: _LorentzSpectrum) -> Optional[np.ndarray]:
-    """A determinant -1, sheet-preserving element commuting with T, if the
-    structure provides one (space-like +-1 eigenvector)."""
-    st = _lorentz_structure(sp)
-    g = None
-    if st.blocks.b >= 1:
-        g = st.w_frame @ st.blocks.neg_frame[:, 0]
-    elif st.blocks.a >= 1:
-        g = st.w_frame @ st.blocks.fix_frame[:, 0]
-    if g is None:
-        return None
-    return reflection_fixing_hyperplane(sp.t.space, g)
-
-
 def _refine_to_mo(
-    sp1: _LorentzSpectrum, sp2: _LorentzSpectrum, s: np.ndarray
+    sp1: _LorentzSpectrum, sp2: _LorentzSpectrum, st2: _LorentzStructure,
+    s: np.ndarray,
 ) -> ConjugacyAnswer:
     t1, t2 = sp1.t, sp2.t
     comp = classify_membership(t1.space, s, 1e-7).component
     if comp is Component.SO_o:
         return ConjugacyAnswer(Relation.CONJUGATE_IN_MO, s, "normalform")
-    z = _commuting_reflection(sp2)
-    if z is not None:
-        s2 = z @ s
-        resid = float(np.max(np.abs(s2 @ t1.entries @ np.linalg.inv(s2) - t2.entries)))
-        if resid > CONJUGATOR_TOL:
+    # a space-like +-1 eigenvector g of T2 gives a determinant -1,
+    # sheet-preserving element commuting with T2: the reflection in g-perp
+    blocks = st2.blocks
+    if blocks.b or blocks.a:
+        g = st2.w_frame @ (blocks.neg_frame if blocks.b else blocks.fix_frame)[:, 0]
+        s2 = reflection_fixing_hyperplane(t1.space, g) @ s
+        if _conjugator_residual(s2, t1.entries, t2.entries) > CONJUGATOR_TOL:
             raise HypisoError("conjugator flip failed its residual check")
         if classify_membership(t1.space, s2, 1e-7).component is not Component.SO_o:
             raise HypisoError("conjugator flip left the identity component")
         return ConjugacyAnswer(Relation.CONJUGATE_IN_MO, s2, "reality-clause")
-    if _distinct(_lorentz_angles(sp2).angles, sp2.delta):
+    if _distinct([th for th, _ in blocks.planes], sp2.delta):
         # exact for regular elements: the centralizer splits over the
         # invariant blocks, and without +-1 eigendirections every
         # sheet-preserving commuting element has determinant +1
@@ -270,13 +211,16 @@ def conjugate_in_Mn(
             raise NotInIdentityComponent("conjugacy needs sheet-preserving inputs")
     if t1.space.n != t2.space.n:
         raise NotConjugate("elements act on different spaces")
-    if not _char_polys_match(t1.entries, t2.entries):
-        return ConjugacyAnswer(Relation.NOT_CONJUGATE, None, "kg-thm1.2")
     sp1, sp2 = _LorentzSpectrum.of(t1, delta), _LorentzSpectrum.of(t2, delta)
+    if not _char_polys_match(sp1.eigvals, sp2.eigvals):
+        return ConjugacyAnswer(Relation.NOT_CONJUGATE, None, "kg-thm1.2")
     if _fixed_point_class(sp1) is not _fixed_point_class(sp2):
         return ConjugacyAnswer(Relation.NOT_CONJUGATE, None, "kg-thm1.2")
-    s = _mn_conjugator(sp1, sp2)
-    return _refine_to_mo(sp1, sp2, s)
+    if float(np.max(np.abs(t1.entries - t2.entries))) <= 1e-12:
+        return ConjugacyAnswer(Relation.CONJUGATE_IN_MO, np.eye(t1.space.dim), "normalform")
+    st1, st2 = _lorentz_structure(sp1), _lorentz_structure(sp2)
+    s = _mn_conjugator(sp1, st1, sp2, st2)
+    return _refine_to_mo(sp1, sp2, st2, s)
 
 
 def conjugate_in_Mon(

@@ -245,8 +245,10 @@ def classify_membership(
 
     Raises ``NotAnIsometry`` when the form residual exceeds
     ``eps * max(1, ||M||_inf^2)``, and ``AmbiguousComponent`` when the
-    sheet entry ``M[n, n]`` is too close to zero to carry a sign (which
-    cannot happen for exact group elements, so it signals corrupt input).
+    sheet entry ``M[n, n]`` is too close to zero to carry a sign: its
+    square, which the (n, n) entry of the form residual bounds, is within
+    that tolerance.  Every element of O(n,1) has M[n, n]^2 >= 1, so this
+    signals corrupt input.
     """
     m = np.asarray(m, dtype=float)
     if m.shape != (space.dim, space.dim):
@@ -277,7 +279,10 @@ def classify_membership_many(
     with np.errstate(over="ignore", invalid="ignore"):
         scale = _squared_scale(ms)
         resid = form_residual(space, ms)
-        det = np.linalg.det(ms)  # read only where the residual passes
+        # det M = det(M[:n, :n]) / M[n, n] on O(n,1) (Cramer's rule with
+        # M^-1 = J M^T J); the block's condition number is |M[n, n]|, not
+        # ||M||^2, so its sign survives entries where det M loses it
+        det = np.linalg.det(ms[:, :-1, :-1])  # read only where the residual passes
     out: list[LorentzMatrix | HypisoError] = []
     for m, ok, s, r, d in zip(ms, finite, scale.tolist(), resid.tolist(), det.tolist()):
         sheet_entry = float(m[-1, -1])
@@ -289,12 +294,13 @@ def classify_membership_many(
             out.append(NotAnIsometry(
                 f"form residual {r:.3e} exceeds tolerance {eps * s:.3e}"
             ))
-        elif abs(sheet_entry) <= eps * s:
+        elif sheet_entry * sheet_entry <= eps * s:
             out.append(AmbiguousComponent(
                 f"sheet entry {sheet_entry:.3e} is indistinguishable from zero"
             ))
         else:
-            comp = Component.from_signs(1 if d > 0 else -1, 1 if sheet_entry > 0 else -1)
+            sheet = 1 if sheet_entry > 0 else -1
+            comp = Component.from_signs(1 if d * sheet > 0 else -1, sheet)
             out.append(LorentzMatrix(np.array(m), comp, eps, space))
     return out
 

@@ -290,6 +290,7 @@ class _LorentzStructure:
     w_frame: np.ndarray
     t_o: np.ndarray  # orthogonal restriction to the space-like complement
     blocks: frames._OrthogonalBlocks  # invariant blocks of t_o
+    unipotent_c: Optional[float]  # parabolic only: T is exp(c X) on the special block
 
 
 def _lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
@@ -297,6 +298,7 @@ def _lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
     _require_sheet_preserving(t)
     j = t.space.form_signs
     cls = _fixed_point_class(sp)
+    c = None
     if cls is FixedPointClass.ELLIPTIC:
         v = _elliptic_fixed_vector(sp)
         special = v[:, None]
@@ -312,8 +314,7 @@ def _lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
         special = np.column_stack([s_vec, t_vec])
         signs = np.array([1.0, -1.0])
     else:
-        frame, _ = _parabolic_frame(sp)
-        special = frame
+        special, c = _parabolic_frame(sp)
         signs = _UNIPOTENT_SIGNS
     w_frame = frames.spacelike_complement(special, j)
     t_o = frames.restrict_to_frame(t.entries, w_frame, np.ones(w_frame.shape[1]), j)
@@ -322,7 +323,7 @@ def _lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
         if t_o.shape[0]
         else frames._OrthogonalBlocks([], np.zeros((0, 0)), np.zeros((0, 0)))
     )
-    return _LorentzStructure(cls, special, signs, w_frame, t_o, blocks)
+    return _LorentzStructure(cls, special, signs, w_frame, t_o, blocks, c)
 
 
 def _special_reverser_options(st: _LorentzStructure) -> list[tuple[int, int, np.ndarray]]:

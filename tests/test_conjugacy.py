@@ -10,9 +10,10 @@ from hypiso.conjugacy import (
     find_conjugator,
     invariant_tuple,
 )
-from hypiso.errors import NotConjugate, NotInIdentityComponent
+from hypiso.errors import HypisoError, NotConjugate, NotInIdentityComponent
 from hypiso.quadspace import Component, classify_membership
-from hypiso.sampling import random_isometry, random_soo
+from hypiso.sampling import random_isometry, random_orthogonal, random_soo, standard_isometry
+from hypiso.spectral import _LorentzSpectrum
 
 PI = np.pi
 
@@ -176,3 +177,48 @@ class TestEquivalenceSanity:
         assert conjugate_in_Mn(t, t1).related is Relation.CONJUGATE_IN_MO
         assert conjugate_in_Mn(t1, t2).related is Relation.CONJUGATE_IN_MO
         assert conjugate_in_Mn(t, t2).related is Relation.CONJUGATE_IN_MO
+
+
+def wide_conjugator(rng, n, rapidity):
+    """R1 B(rapidity) R2 with random rotations R1, R2 of space."""
+    out = []
+    for _ in range(2):
+        r = np.eye(n + 1)
+        r[:n, :n] = random_orthogonal(rng, n)
+        out.append(r)
+    return out[0] @ boost_matrix(n, rapidity) @ out[1]
+
+
+class TestIllConditionedPairs:
+    @pytest.mark.parametrize("n", (3, 5, 9))
+    def test_certified_or_refused(self, n):
+        # T conjugated by a wide boost; the answer is a conjugator that
+        # satisfies S T1 = T2 S at the gate, or an exception
+        rng = np.random.default_rng(300 + n)
+        answered = 0
+        for i in range(24):
+            cls = ("elliptic", "parabolic", "hyperbolic")[i % 3]
+            g0 = wide_conjugator(rng, n, (2.5, 3.0, 3.5)[i % 3])
+            t = conjugate(standard_isometry(rng, n, cls), g0)
+            w = random_soo(rng, n, 0.5)
+            if i % 2:
+                w = w @ np.diag([-1.0] + [1.0] * n)
+            t2 = conjugate(t.entries, w)
+            try:
+                ans = conjugate_in_Mn(t, t2)
+            except HypisoError:
+                continue
+            answered += 1
+            assert ans.related is not Relation.NOT_CONJUGATE
+            s = ans.conjugator
+            assert maxabs(s @ t.entries - t2.entries @ s) <= 1e-8
+        assert answered > 0
+
+
+class TestCharacteristicPolynomial:
+    def test_from_the_pass_equals_from_the_matrix(self, rng):
+        for n in (3, 5, 9):
+            for cls in ("elliptic", "parabolic", "hyperbolic"):
+                t = random_isometry(rng, n, cls)
+                sp = _LorentzSpectrum.of(t, 1e-7)
+                assert np.array_equal(np.poly(sp.eigvals), np.poly(t.entries))

@@ -20,7 +20,8 @@ from hypiso.quadspace import (
     q_value,
     subspace_type,
 )
-from hypiso.sampling import random_soo
+from hypiso.reality import _standard_unipotent
+from hypiso.sampling import random_orthogonal, random_soo
 
 
 def basis_vector(dim, i):
@@ -202,3 +203,38 @@ class TestOverflowingScale:
         m[0, 0] = 1e300
         with pytest.raises(NotAnIsometry):
             classify_membership(QuadraticSpace(2), m)
+
+
+class TestSheetEntryGate:
+    """The sheet entry of an element of O(n,1) has square >= 1; the form
+    residual bounds that square, so the square is what is compared."""
+
+    @pytest.mark.parametrize("rotate", (False, True))
+    def test_large_entry_parabolic_is_accepted(self, rotate):
+        # unipotent with sheet entry 1 + c^2/2 = 2e8 in the coordinates
+        # (0, 8, 9), a rotation in (1, 2), and optionally a rotation of
+        # space; the sheet entry is below eps * max|M|^2, and for the
+        # rotated matrix np.linalg.det returns about -0.93, not 1
+        c = 2e4
+        m = np.eye(10)
+        m[np.ix_([0, 8, 9], [0, 8, 9])] = _standard_unipotent(c)
+        m[1:3, 1:3] = block_rotation(0.7)
+        if rotate:
+            q = np.eye(10)
+            q[:9, :9] = random_orthogonal(np.random.default_rng(9), 9)
+            m = q @ m @ q.T
+        assert abs(m[9, 9]) <= 1e-8 * np.max(np.abs(m)) ** 2
+        t = classify_membership(QuadraticSpace(9), m, 1e-8)
+        assert t.component is Component.SO_o
+        flipped = m @ np.diag([-1.0] + [1.0] * 9)
+        assert classify_membership(QuadraticSpace(9), flipped, 1e-8).component is (
+            Component.O_minus_preserving
+        )
+
+    def test_sheet_entry_within_the_bound_is_ambiguous(self):
+        # passes the form check at the default eps (residual 1 against
+        # eps * 1e10), yet its sheet entry squared is far below the bound
+        big = 1e5
+        m = np.array([[np.sqrt(1.0 + big * big), 0.0], [big, 1e-5]])
+        with pytest.raises(AmbiguousComponent, match="indistinguishable from zero"):
+            classify_membership(QuadraticSpace(1), m)

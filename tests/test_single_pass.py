@@ -5,17 +5,21 @@ that recomputes the spectrum, or a caller that re-runs the analysis per
 step, shows up as a higher count.
 """
 
+import importlib
 from unittest.mock import Mock
 
 import numpy as np
 import pytest
 
-from hypiso import spectral
-from hypiso.classify import classify
+from conftest import lorentz
+from hypiso import conjugacy, frames, spectral
+from hypiso.classify import classify, poincare_extend
 from hypiso.conjugacy import Relation, conjugate_in_Mn
-from hypiso.quadspace import QuadraticSpace, classify_membership
+from hypiso.quadspace import Component, QuadraticSpace, classify_membership
 from hypiso.reality import is_real_SOo_n1
-from hypiso.sampling import random_isometry, random_soo
+from hypiso.sampling import random_isometry, random_soo, rotation_with_angles
+
+classify_module = importlib.import_module("hypiso.classify")
 
 CASES = [(n, cls) for n in (3, 5, 9) for cls in ("elliptic", "parabolic", "hyperbolic")]
 
@@ -77,3 +81,78 @@ def test_conjugacy_runs_one_pass_per_input(monkeypatch, n, cls, det):
     assert answer.related is not Relation.NOT_CONJUGATE
     assert answer.conjugator is not None
     assert passes.call_count == 2
+
+
+def partner_of(t, rng, det):
+    """g T g^-1 for a random sheet-preserving g of determinant ``det``."""
+    n = t.space.n
+    w = random_soo(rng, n, 0.5)
+    if det < 0:
+        w = w @ np.diag([-1.0] + [1.0] * n)
+    return lorentz(w @ t.entries @ np.linalg.inv(w))
+
+
+@pytest.mark.parametrize("det", (1, -1))
+@pytest.mark.parametrize("n,cls", CASES)
+def test_conjugacy_builds_one_splitting_per_input(monkeypatch, n, cls, det):
+    # the most rotation planes the class allows, so T is never the identity
+    rng = np.random.default_rng(1000 * n + len(cls))
+    t = random_isometry(rng, n, cls, k=(n - 2 if cls == "parabolic" else n - 1) // 2)
+    partner = partner_of(t, rng, det)
+    structures = spy(monkeypatch, conjugacy, "_lorentz_structure")
+    extractions = spy(monkeypatch, frames, "invariant_plane_frames")
+    normal_forms = spy(monkeypatch, classify_module, "_normal_form")
+    similarity_reads = spy(monkeypatch, classify_module, "read_boundary_similarity")
+    answer = conjugate_in_Mn(t, partner)
+    assert answer.related is not Relation.NOT_CONJUGATE
+    assert [c.args[0].t for c in structures.call_args_list] == [t, partner]
+    assert extractions.call_count == 2
+    assert normal_forms.call_count == 0
+    assert similarity_reads.call_count == 0
+
+
+def elliptic(n, angles):
+    m = np.eye(n + 1)
+    m[:n, :n] = rotation_with_angles(angles, n)
+    return lorentz(m)
+
+
+# (name, element, has a space-like +-1 direction, regular)
+SPECIAL = [
+    ("pure translation, n = 3",
+     lambda: poincare_extend(1.0, np.eye(2), np.array([0.0, 0.8])), True, True),
+    ("pure translation, n = 2",
+     lambda: poincare_extend(1.0, np.eye(1), np.array([1.3])), False, True),
+    ("elliptic, n = 2", lambda: elliptic(2, [1.1]), False, True),
+    ("hyperbolic, n = 2", lambda: poincare_extend(np.exp(0.6), np.eye(1)), True, True),
+    ("repeated angle", lambda: elliptic(4, [0.9, 0.9]), False, False),
+    ("repeated angle, parabolic",
+     lambda: poincare_extend(1.0, rotation_with_angles([0.9, 0.9], 5),
+                             np.array([0.0, 0.0, 0.0, 0.0, 0.7])), False, False),
+    ("angle pi", lambda: elliptic(4, [np.pi, 1.2]), True, True),
+    ("angle pi, hyperbolic",
+     lambda: poincare_extend(np.exp(0.4), rotation_with_angles([np.pi], 2)), True, True),
+]
+
+
+@pytest.mark.parametrize("det", (1, -1))
+@pytest.mark.parametrize(
+    "name,make,has_pm1,regular", SPECIAL, ids=[c[0] for c in SPECIAL]
+)
+def test_conjugate_pairs_of_special_structure(name, make, has_pm1, regular, det):
+    t = make()
+    rng = np.random.default_rng(7)
+    partner = partner_of(t, rng, det)
+    answer = conjugate_in_Mn(t, partner)
+    if det > 0 or has_pm1:
+        want = Relation.CONJUGATE_IN_MO
+    elif regular:
+        want = Relation.CONJUGATE_IN_M_ONLY
+    else:
+        want = Relation.UNDECIDED
+    assert answer.related is want
+    s = answer.conjugator
+    assert float(np.max(np.abs(s @ t.entries - partner.entries @ s))) <= 1e-8
+    comp = classify_membership(t.space, s, 1e-7).component
+    assert comp.sheet_preserving
+    assert (comp is Component.SO_o) == (want is Relation.CONJUGATE_IN_MO)

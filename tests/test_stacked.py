@@ -104,6 +104,14 @@ class TestDeltaFloor:
             assert classify(t).fixed_class.value == "Parabolic"
             assert classify(t, DELTA_MIN).fixed_class.value == "Parabolic"
 
+    def test_non_conjugate_pair_refused_below_the_floor(self):
+        # both passes run before the characteristic polynomials are compared
+        rng = np.random.default_rng(0)
+        t1, t2 = random_isometry(rng, 5, "elliptic"), random_isometry(rng, 5, "hyperbolic")
+        assert conjugate_in_Mn(t1, t2).related.value == "NotConjugate"
+        with pytest.raises(InvalidArg, match="delta_min = 3e-08"):
+            conjugate_in_Mn(t1, t2, 1e-9)
+
     @pytest.mark.parametrize("delta", (1e-9, 0.0, -1.0, float("nan")))
     def test_cli_exits_2(self, tmp_path, capsys, delta):
         rng = np.random.default_rng(0)
