@@ -444,7 +444,15 @@ def _stretch(sp: _LorentzSpectrum) -> float:
     """Modulus of the dominant eigenvalue of a hyperbolic isometry."""
     vals = sp.eigvals
     lam = vals[int(np.argmax(np.abs(vals)))]
-    if abs(lam.imag) > sp.delta * abs(lam) or lam.real <= 0:
+    # a non-real dominant eigenvalue puts the hyperbolic reading itself in
+    # doubt (the scattered spectrum of a Jordan block can pass for a
+    # stretch pair): a refusal, not an internal error
+    if abs(lam.imag) > sp.delta * abs(lam):
+        raise Borderline(
+            f"dominant eigenvalue is not real: |Im lambda| = {abs(lam.imag):.3e} "
+            f"exceeds delta * |lambda| = {sp.delta * abs(lam):.3e}"
+        )
+    if lam.real <= 0:
         raise HypisoError("dominant eigenvalue of a hyperbolic isometry must be real positive")
     return float(abs(lam))
 

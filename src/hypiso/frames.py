@@ -112,7 +112,7 @@ def invariant_plane_frames(m: np.ndarray, delta: float) -> _OrthogonalBlocks:
     clusters = spectral._cluster_eigenvalues(vals, delta)
     planes: list[tuple[float, np.ndarray]] = []
     for idx in clusters:
-        center = complex(np.mean(vals[idx]))
+        center = complex(vals[idx].sum() / len(idx))
         if center.imag <= delta or abs(abs(center) - 1.0) > delta:
             continue
         theta = float(np.arctan2(center.imag, center.real))

@@ -18,7 +18,9 @@ reversing isometries of H^{n+1} are the sheet-preserving matrices of
 determinant -1.  No further restriction is applied.
 
 All values are immutable after construction and every operation is a pure
-function, so concurrent use needs no coordination.
+function, so concurrent use needs no coordination.  (A Lorentz matrix
+stores its analysis on first use, a deterministic function of its
+entries: two threads may both compute it, and store equal results.)
 """
 
 from __future__ import annotations
@@ -189,12 +191,23 @@ class LorentzMatrix:
 
     Construct through :func:`classify_membership`; the constructor itself
     does not re-check the form residual.
+
+    The element carries its own analysis: ``_analyses`` maps delta to the
+    spectral pass (``spectral._LorentzSpectrum``), computed on first use
+    and read by every later decider call, with the adapted splitting
+    (``reality._lorentz_structure``) kept beside it.  The stored pass holds
+    no reference back to the element, so the element is freed by reference
+    counting.  This is sound only because ``entries`` never changes: every
+    construction in the package (``classify_membership``, ``inverse``,
+    ``@``) hands over a freshly built array that no one else holds, and it
+    is made read-only here.
     """
 
     entries: np.ndarray
     component: Component
     tolerance: float
     space: QuadraticSpace = field(repr=False)
+    _analyses: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.entries.setflags(write=False)

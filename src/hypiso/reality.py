@@ -102,18 +102,35 @@ def reversal_residual(s: np.ndarray, t: np.ndarray) -> float:
     return float(np.max(np.abs(s @ t @ np.linalg.inv(s) - np.linalg.inv(t))))
 
 
+def _group_inverse(m: np.ndarray, j: Optional[np.ndarray]) -> np.ndarray:
+    """M^-1 of a group element: M^T, or J M^T J in a Lorentz group (j the
+    form signs)."""
+    return m.T if j is None else (j[:, None] * m.T) * j[None, :]
+
+
+def _group_residual(s: np.ndarray, j: Optional[np.ndarray]) -> float:
+    """max-norm of S^T S - I, or of S^T J S - J in a Lorentz group."""
+    if j is None:
+        return float(np.max(np.abs(s.T @ s - np.eye(s.shape[0]))))
+    jj = np.diag(j)
+    return float(np.max(np.abs(s.T @ jj @ s - jj)))
+
+
+def _group_reversal_residual(s: np.ndarray, t: np.ndarray, j: Optional[np.ndarray]) -> float:
+    """max-norm of S T S^-1 - T^-1 with group inverses in place of
+    ``np.linalg.inv``, whose rounding grows with the condition number;
+    valid once S and T are known to lie in the group."""
+    return float(np.max(np.abs(s @ t @ _group_inverse(s, j) - _group_inverse(t, j))))
+
+
 def _check_certificate(s: np.ndarray, t: np.ndarray, j: Optional[np.ndarray]) -> None:
-    if reversal_residual(s, t) > RESIDUAL_TOL:
+    if _group_residual(s, j) > RESIDUAL_TOL:
+        group = "orthogonal" if j is None else "Lorentz"
+        raise HypisoError(f"constructed reverser left the {group} group")
+    if _group_reversal_residual(s, t, j) > RESIDUAL_TOL:
         raise HypisoError("constructed reverser failed its residual check")
     if float(np.max(np.abs(s @ s - np.eye(s.shape[0])))) > RESIDUAL_TOL:
         raise HypisoError("constructed reverser is not an involution")
-    if j is None:
-        if float(np.max(np.abs(s.T @ s - np.eye(s.shape[0])))) > RESIDUAL_TOL:
-            raise HypisoError("constructed reverser left the orthogonal group")
-    else:
-        jj = np.diag(j)
-        if float(np.max(np.abs(s.T @ jj @ s - jj))) > RESIDUAL_TOL:
-            raise HypisoError("constructed reverser left the Lorentz group")
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +311,15 @@ class _LorentzStructure:
 
 
 def _lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
+    """The adapted splitting of the element of ``sp``, built once and kept
+    with its stored pass."""
+    st = sp.stored.structure
+    if st is None:
+        st = sp.stored.structure = _build_lorentz_structure(sp)
+    return st
+
+
+def _build_lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
     t = sp.t
     _require_sheet_preserving(t)
     j = t.space.form_signs
@@ -563,8 +589,9 @@ def reverser_oracle(
             if lorentzian
             else _exact_orthogonal_enumeration(mat, delta)
         )
-        for key, s in exact_witnesses.items():
-            if reversal_residual(s, mat) > RESIDUAL_TOL:
+        for s in exact_witnesses.values():
+            if (_group_residual(s, j) > RESIDUAL_TOL
+                    or _group_reversal_residual(s, mat, j) > RESIDUAL_TOL):
                 raise HypisoError("exact enumeration produced an invalid witness")
         exact = frozenset(exact_witnesses)
 

@@ -17,15 +17,18 @@ coarser than the membership tolerance because eigenvalues lose roughly half
 the input precision).  Two surviving clusters closer than ``2 * delta``
 raise :class:`ClusterAmbiguity` instead of guessing.
 
-A Lorentz matrix is analysed once per public call (:class:`_LorentzSpectrum`);
-the trichotomy, the angles, the stretch and the fixed data all read that
-one pass.  The pass runs stacked over any number of matrices of one size
-(:meth:`_LorentzSpectrum.stack`); a single matrix is the stack of one.
+A Lorentz matrix is analysed once per element and delta
+(:class:`_LorentzSpectrum`): the pass is stored on the ``LorentzMatrix``,
+and the trichotomy, the angles, the stretch and the fixed data of every
+later call on that element read it.  The pass runs stacked over any
+number of matrices of one size (:meth:`_LorentzSpectrum.stack`); a single
+matrix is the stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -159,6 +162,27 @@ def null_space_at(m: np.ndarray, threshold: float) -> np.ndarray:
     return vt[small].T
 
 
+@dataclass(eq=False, slots=True)
+class _StoredPass:
+    """What the pass computes for one element at one delta, stored on the
+    element (``LorentzMatrix._analyses``).  It holds no reference back to
+    the element, which keeps the element free of reference cycles.  Its
+    arrays are read-only, as every later call on the element reads them.
+    ``structure`` is the element's adapted splitting
+    (``reality._lorentz_structure``), kept here once built."""
+
+    scale: float
+    eigvals: np.ndarray
+    svals: np.ndarray
+    kernel: np.ndarray
+    defective: bool
+    structure: object = None
+
+    def __post_init__(self):
+        for a in (self.eigvals, self.svals, self.kernel):
+            a.setflags(write=False)
+
+
 @dataclass(frozen=True, eq=False)
 class _LorentzSpectrum:
     """The one spectral analysis of a Lorentz matrix T that deciders share.
@@ -167,25 +191,35 @@ class _LorentzSpectrum:
     One SVD of T - I gives its singular values ``svals`` (the
     Borderline band) and ``kernel``, an orthonormal frame of ker(T - I) at
     tau.  ``defective`` is rank (T - I)^2 < rank (T - I): a Jordan block at 1.
+
+    The fields live in ``stored``, the pass kept on ``t``; this object
+    joins it to its element for the deciders.
     """
 
     t: LorentzMatrix
     delta: float
-    scale: float
-    eigvals: np.ndarray
-    svals: np.ndarray
-    kernel: np.ndarray
-    defective: bool
+    stored: _StoredPass
+
+    scale = property(attrgetter("stored.scale"))
+    eigvals = property(attrgetter("stored.eigvals"))
+    svals = property(attrgetter("stored.svals"))
+    kernel = property(attrgetter("stored.kernel"))
+    defective = property(attrgetter("stored.defective"))
 
     @classmethod
     def of(cls, t: LorentzMatrix, delta: float) -> "_LorentzSpectrum":
-        return cls.stack([t], delta)[0]
+        """The pass of t at delta: the stored one, else a new one, stored."""
+        stored = t._analyses.get(delta)
+        if stored is None:
+            return cls.stack([t], delta)[0]
+        return cls(t, delta, stored)
 
     @classmethod
     def stack(cls, ts: list[LorentzMatrix], delta: float) -> list["_LorentzSpectrum"]:
-        """The pass of each of ``ts`` (all of one size), in four LAPACK calls
-        on the (N, d, d) stack: the singular values of T, the SVD of T - I,
-        the singular values of (T - I)^2 and the eigenvalues of T.
+        """The pass of each of ``ts`` (all of one size).  Passes not yet
+        stored are computed, then stored, in four LAPACK calls on their
+        (N, d, d) stack: the singular values of T, the SVD of T - I, the
+        singular values of (T - I)^2 and the eigenvalues of T.
 
         numpy runs the same LAPACK routine on each matrix of a stack, so
         every field is bit-identical to that of a one-matrix stack.  Raises
@@ -196,26 +230,26 @@ class _LorentzSpectrum:
                 f"delta {delta:g} is below delta_min = {DELTA_MIN:g}, the floor "
                 "under which the rank of (T - I)^2 is lost to rounding"
             )
-        if not ts:
-            return []
-        m = np.array([t.entries for t in ts])
-        scale = np.maximum(1.0, np.linalg.svd(m, compute_uv=False)[:, 0])
-        tau = delta * scale
-        n1 = m - np.eye(m.shape[-1])
-        _, svals, vt = np.linalg.svd(n1)
-        rank1 = (svals > tau[:, None]).sum(axis=1)
-        # the square is ranked at tau^2 since small singular values square too
-        rank2 = (np.linalg.svd(n1 @ n1, compute_uv=False) > (tau * tau)[:, None]).sum(axis=1)
-        eigvals = np.linalg.eigvals(m)
-        # as eigvals of one matrix, a real spectrum comes back real
-        real = ~eigvals.imag.any(axis=1)
-        out = []
-        for i, t in enumerate(ts):
-            vals = eigvals[i].real if real[i] else eigvals[i]
-            kernel = vt[i][svals[i] <= tau[i]].T
-            out.append(cls(t, delta, float(scale[i]), vals, svals[i], kernel,
-                           bool(rank2[i] < rank1[i])))
-        return out
+        todo = [t for t in ts if delta not in t._analyses]
+        if todo:
+            m = np.array([t.entries for t in todo])
+            scale = np.maximum(1.0, np.linalg.svd(m, compute_uv=False)[:, 0])
+            tau = delta * scale
+            n1 = m - np.eye(m.shape[-1])
+            _, svals, vt = np.linalg.svd(n1)
+            rank1 = (svals > tau[:, None]).sum(axis=1)
+            # the square is ranked at tau^2 since small singular values square too
+            rank2 = (np.linalg.svd(n1 @ n1, compute_uv=False) > (tau * tau)[:, None]).sum(axis=1)
+            eigvals = np.linalg.eigvals(m)
+            # as eigvals of one matrix, a real spectrum comes back real
+            real = ~eigvals.imag.any(axis=1)
+            for i, t in enumerate(todo):
+                vals = eigvals[i].real if real[i] else eigvals[i]
+                kernel = vt[i][svals[i] <= tau[i]].T
+                t._analyses[delta] = _StoredPass(
+                    float(scale[i]), vals, svals[i], kernel, bool(rank2[i] < rank1[i])
+                )
+        return [cls(t, delta, t._analyses[delta]) for t in ts]
 
 
 def eigen_structure(m, delta: float = DEFAULT_DELTA) -> EigenStructure:
@@ -226,7 +260,7 @@ def eigen_structure(m, delta: float = DEFAULT_DELTA) -> EigenStructure:
     scale = max(1.0, float(np.linalg.norm(m, 2)))
     out = []
     for idx in clusters:
-        center = complex(np.mean(vals[idx]))
+        center = complex(vals[idx].sum() / len(idx))
         alg = len(idx)
         geo = m.shape[0] - _rank_at(m - center * np.eye(m.shape[0]), delta * scale)
         out.append(EigenCluster(center, alg, max(geo, 1)))
@@ -241,7 +275,7 @@ def is_semisimple(m, delta: float = DEFAULT_DELTA) -> bool:
     vals = np.linalg.eigvals(m)
     tau = delta * max(1.0, float(np.linalg.norm(m, 2)))
     for idx in _cluster_eigenvalues(vals, delta):
-        c = complex(np.mean(vals[idx]))
+        c = complex(vals[idx].sum() / len(idx))
         if abs(c.imag) < tau:
             a = m - c.real * np.eye(m.shape[0])
         else:  # complex cluster: work over C
@@ -260,7 +294,7 @@ def _angles_of(vals: np.ndarray, delta: float, unit_only: bool) -> RotationAngle
     angles: list[float] = []
     m_minus = 0
     for idx in clusters:
-        center = complex(np.mean(vals[idx]))
+        center = complex(vals[idx].sum() / len(idx))
         if unit_only and abs(abs(center) - 1.0) > delta:
             continue
         if abs(center - (-1.0)) <= max(delta, PM_ONE_TOL):
