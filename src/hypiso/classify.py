@@ -63,13 +63,8 @@ from .spectral import (
     _distinct,
     _LorentzSpectrum,
     _lorentz_angles,
-    null_space_at,
+    rotation_matrix,
 )
-
-# residual allowed when re-reading boundary parameters off a standard-position
-# matrix; far below the 1e-8 contract, far above accumulated rounding
-_STRUCTURE_TOL = 1e-6
-
 
 class FixedPointClass(Enum):
     ELLIPTIC = "Elliptic"
@@ -191,13 +186,6 @@ class NormalForm:
 # ---------------------------------------------------------------------------
 
 
-def infinity_ray(space: QuadraticSpace) -> np.ndarray:
-    v = np.zeros(space.dim)
-    v[-2] = -1.0
-    v[-1] = 1.0
-    return v
-
-
 def lift_boundary_point(space: QuadraticSpace, p) -> np.ndarray:
     """Null vector of the ray over p in E^{n}, with l+ component 1."""
     p = np.asarray(p, dtype=float)
@@ -216,18 +204,6 @@ def boundary_point_of_ray(space: QuadraticSpace, v, tol: float = 1e-12):
     if abs(lplus) <= tol * max(1.0, float(np.max(np.abs(v)))):
         return None
     return v[:-2] / lplus
-
-
-def _lightcone_change(space: QuadraticSpace) -> tuple[np.ndarray, np.ndarray]:
-    """(C, C^-1) with C mapping (x', pole, time) to (x', l+, l-)."""
-    d = space.dim
-    c = np.eye(d)
-    c[-2, -2], c[-2, -1] = 1.0, 1.0
-    c[-1, -2], c[-1, -1] = -1.0, 1.0
-    cinv = np.eye(d)
-    cinv[-2, -2], cinv[-2, -1] = 0.5, -0.5
-    cinv[-1, -2], cinv[-1, -1] = 0.5, 0.5
-    return c, cinv
 
 
 def _similarity_lightcone(r: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -268,44 +244,15 @@ def poincare_extend(
     b = np.zeros(nb) if b is None else np.asarray(b, dtype=float)
     if b.shape != (nb,):
         raise InvalidArg("translation length does not match the rotation size")
-    space = QuadraticSpace(nb + 1)
-    c, cinv = _lightcone_change(space)
+    c, cinv = np.eye(nb + 2), np.eye(nb + 2)
+    c[nb:, nb:] = [[1.0, 1.0], [-1.0, 1.0]]  # (x', pole, time) -> (x', l+, l-)
+    cinv[nb:, nb:] = c[nb:, nb:].T / 2.0
     ext = cinv @ _similarity_lightcone(float(r), a, b) @ c
-    return classify_membership(space, ext, max(eps, 1e-9))
-
-
-def read_boundary_similarity(space: QuadraticSpace, t: np.ndarray):
-    """Recover (r, A, b) from a matrix fixing the infinity ray.
-
-    The rotation part is polished to exact orthogonality (polar factor);
-    raises when the matrix does not have the stabilizer shape.
-    """
-    nb = space.n - 1
-    c, cinv = _lightcone_change(space)
-    mlc = c @ t @ cinv
-    scale = max(1.0, float(np.max(np.abs(t))))
-    r = float(mlc[-1, -1])
-    if r <= 0:
-        raise HypisoError("matrix does not preserve the forward infinity ray")
-    resid = max(
-        float(np.max(np.abs(mlc[nb, :nb]))),
-        float(np.max(np.abs(mlc[:nb, nb + 1]))),
-        abs(float(mlc[nb, nb + 1])),
-        abs(float(mlc[nb, nb]) - 1.0 / r),
-    )
-    if resid > _STRUCTURE_TOL * scale:
-        raise HypisoError(
-            f"matrix is not in infinity-stabilizer form (residual {resid:.2e})"
-        )
-    a = mlc[:nb, :nb]
-    u, _, vt = np.linalg.svd(a)
-    a = u @ vt
-    b = r * mlc[:nb, nb]
-    return r, a, b
+    return classify_membership(QuadraticSpace(nb + 1), ext, max(eps, 1e-9))
 
 
 # ---------------------------------------------------------------------------
-# reflections / boosts used to move fixed data into standard position
+# reflections
 # ---------------------------------------------------------------------------
 
 
@@ -314,44 +261,6 @@ def reflection_fixing_hyperplane(space: QuadraticSpace, s: np.ndarray) -> np.nda
     j = space.form_signs
     q = frames.j_inner(j, s, s)
     return np.eye(space.dim) - (2.0 / q) * np.outer(s, s * j)
-
-
-def _pole_flip(space: QuadraticSpace) -> np.ndarray:
-    """Reflection negating the pole coordinate; swaps the 0 and infinity rays."""
-    m = np.eye(space.dim)
-    m[-2, -2] = -1.0
-    return m
-
-
-def reflection_to_infinity(space: QuadraticSpace, u: np.ndarray) -> np.ndarray:
-    """Sheet-preserving map sending the forward null ray of u to infinity.
-
-    A single Q-reflection works, but it degenerates as the ray approaches
-    infinity (the reflection vector blows up like 1/<u, inf>), so rays in
-    that hemisphere are first swapped toward zero by the pole flip.  Input
-    must be normalized to time coordinate 1.
-    """
-    if u[-1] <= 0:
-        raise HypisoError("null vector is not forward; normalize time > 0 first")
-    j = space.form_signs
-    target = infinity_ray(space)
-    c = frames.j_inner(j, u, target)  # equals -(1 + pole component), in [-2, 0]
-    if c > -0.5:
-        flip = _pole_flip(space)
-        return reflection_to_infinity(space, flip @ u) @ flip
-    u2 = u * (-2.0 / c)
-    s = (u2 - target) / 2.0
-    return reflection_fixing_hyperplane(space, s)
-
-
-def boost_between(space: QuadraticSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Element of SO_o taking the time-like unit a to the time-like unit b
-    (both on the upper sheet); identity on the common orthocomplement."""
-    if float(np.max(np.abs(a - b))) <= 1e-13:
-        return np.eye(space.dim)
-    rho_a = reflection_fixing_hyperplane(space, a)
-    rho_w = reflection_fixing_hyperplane(space, a + b)
-    return rho_w @ rho_a
 
 
 # ---------------------------------------------------------------------------
@@ -570,69 +479,60 @@ def classify(t: LorentzMatrix, delta: float = DEFAULT_DELTA) -> ClassificationRe
 # ---------------------------------------------------------------------------
 
 
-def _apex(space: QuadraticSpace) -> np.ndarray:
-    v = np.zeros(space.dim)
-    v[-1] = 1.0
-    return v
-
-
 def normal_form(
     t: LorentzMatrix, delta: float = DEFAULT_DELTA
 ) -> NormalForm:
     """Conjugate T into standard position and read the boundary parameters.
 
-    The returned conjugator W is a validated sheet-preserving Lorentz
-    matrix (not necessarily in the identity component) with W T W^-1 in
-    standard position; re-extending the returned parameters and
-    conjugating back reproduces T.
+    W is the stored adapted frame moved to standard position by a fixed
+    signed permutation: a validated sheet-preserving Lorentz matrix (not
+    necessarily in the identity component, and not canonical) with
+    W T W^-1 in standard position.  Re-extending the returned parameters
+    and conjugating back reproduces T.
     """
     return _normal_form(_spectrum(t, delta))
 
 
 def _normal_form(sp: _LorentzSpectrum) -> NormalForm:
+    # reality imports this module, so its splitting is imported at call time
+    from .reality import _lorentz_structure
+
     t = sp.t
     space = t.space
-    j = space.form_signs
-    report = _classify(sp)
-    data = report.fixed_data
-    if report.fixed_class is FixedPointClass.ELLIPTIC:
-        if isinstance(data, EllipticPoint):
-            v = data.point
-        else:
-            v = _elliptic_fixed_vector(sp)
-        w = boost_between(space, v, _apex(space))
-        std = w @ t.entries @ frames.frame_pinv(w, j, j)
-        a = std[:-1, :-1]
-        u, _, vt = np.linalg.svd(a)
-        variant: Union[KRotation, KRotatoryTranslation, KRotatoryStretch]
-        variant = KRotation(matrix=u @ vt, angles=report.angles.angles)
-    elif report.fixed_class is FixedPointClass.PARABOLIC:
-        w = reflection_to_infinity(space, data.point)
-        std = w @ t.entries @ frames.frame_pinv(w, j, j)
-        _, a, b = read_boundary_similarity(space, std)
-        kernel = null_space_at(a - np.eye(a.shape[0]), 1e-8)
-        if float(np.linalg.norm(kernel.T @ b)) <= 1e-10 * max(1.0, float(np.linalg.norm(b))):
-            raise HypisoError(
-                "parabolic normal form lost its translation part; inconsistent input"
-            )
-        variant = KRotatoryTranslation(
-            rotation=a, translation=b, angles=report.angles.angles
-        )
+    d = space.dim
+    st = _lorentz_structure(sp)
+    angles = _lorentz_angles(sp).angles
+    elliptic = st.cls is FixedPointClass.ELLIPTIC
+    parabolic = st.cls is FixedPointClass.PARABOLIC
+    k = len(st.special_signs)
+    # W = P Phi*, P sending the adapted frame to standard position; row i of
+    # W is the frame coordinate that becomes standard coordinate i
+    if elliptic:
+        order = list(range(1, d)) + [0]  # v -> time, the rest -> (x', pole)
     else:
-        w1 = reflection_to_infinity(space, data.attracting)
-        rep_moved = w1 @ data.repelling
-        p = boundary_point_of_ray(space, rep_moved)
-        if p is None:
-            raise HypisoError("repelling ray collided with infinity; corrupt input")
-        w2 = np.asarray(
-            poincare_extend(1.0, np.eye(space.n - 1), -p).entries
-        )
-        w = w2 @ w1
-        std = w @ t.entries @ frames.frame_pinv(w, j, j)
-        r, a, _ = read_boundary_similarity(space, std)
-        if r <= 1.0:
-            raise HypisoError("stretch read-off lost unit normalization")
-        variant = KRotatoryStretch(stretch=r, rotation=a, angles=report.angles.angles)
+        # parabolic f1 -> x'_0; the rest -> x'; s or f2 -> -pole; t or f3 -> time
+        order = [0] * parabolic + list(range(k, d)) + [k - 2, k - 1]
+    w = frames.frame_pinv(st.frame, st.signs, space.form_signs)[order]
+    if not elliptic:
+        w[-2] = -w[-2]
+    b = st.blocks
+    rot = np.diag([1.0] * (d - k + parabolic - b.b) + [-1.0] * b.b)
+    for i, (theta, _) in enumerate(b.planes):
+        at = parabolic + 2 * i
+        rot[at : at + 2, at : at + 2] = rotation_matrix(theta)
+    variant: Union[KRotation, KRotatoryTranslation, KRotatoryStretch]
+    if elliptic:
+        variant = KRotation(matrix=rot, angles=angles)
+    elif parabolic:
+        # the mean of the four entries +-c of the unipotent block: one alone
+        # (``unipotent_c``) errs more on wide input, and c^2/2 magnifies it
+        u = frames.restrict_to_frame(t.entries, st.special_frame, st.special_signs, space.form_signs)
+        c = (u[1, 0] + u[2, 0] - u[0, 1] + u[0, 2]) / 4.0
+        if c <= 0:
+            raise HypisoError("unipotent parameter of a parabolic must be positive")
+        variant = KRotatoryTranslation(rotation=rot, translation=c * np.eye(d - 2)[0], angles=angles)
+    else:
+        variant = KRotatoryStretch(stretch=_stretch(sp), rotation=rot, angles=angles)
     conj = classify_membership(space, w, max(t.tolerance, 1e-9))
     return NormalForm(variant=variant, conjugator=conj)
 

@@ -35,7 +35,7 @@ from .classify import (
     classify,
     reflection_fixing_hyperplane,
 )
-from .errors import HypisoError, NotConjugate, NotInIdentityComponent, Undecided
+from .errors import HypisoError, InvalidArg, NotConjugate, NotInIdentityComponent, Undecided
 from .quadspace import Component, LorentzMatrix, classify_membership
 from .reality import _lorentz_structure, _LorentzStructure
 from .spectral import DEFAULT_DELTA, _distinct, _LorentzSpectrum
@@ -114,15 +114,6 @@ def _conjugator_residual(s: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> float
     return float(np.max(np.abs(s @ t1 - t2 @ s)))
 
 
-def _adapted_frame(st: _LorentzStructure) -> tuple[np.ndarray, np.ndarray]:
-    """J-orthonormal frame and signs in which T is blockdiag(special block,
-    B(t_1), ..., B(t_p), I, -I), planes by descending angle."""
-    b = st.blocks
-    f = np.column_stack([fr for _, fr in b.planes] + [b.fix_frame, b.neg_frame])
-    frame = np.column_stack([st.special_frame, st.w_frame @ f])
-    return frame, np.concatenate([st.special_signs, np.ones(f.shape[1])])
-
-
 def _special_map(st1: _LorentzStructure, st2: _LorentzStructure) -> np.ndarray:
     """Map of the special block of T1 onto that of T2, in their frames.
 
@@ -158,12 +149,10 @@ def _mn_conjugator(
     ang2 = np.array([th for th, _ in b2.planes])
     if b1.p and float(np.max(np.abs(ang1 - ang2))) > 1e-6:
         raise NotConjugate("orthogonal parts have different rotation angles")
-    phi1, signs1 = _adapted_frame(st1)
-    phi2, _ = _adapted_frame(st2)
     m = np.eye(t1.space.dim)
     k = len(st1.special_signs)
     m[:k, :k] = _special_map(st1, st2)
-    s = phi2 @ m @ frames.frame_pinv(phi1, signs1, t1.space.form_signs)
+    s = st2.frame @ m @ frames.frame_pinv(st1.frame, st1.signs, t1.space.form_signs)
     resid = _conjugator_residual(s, t1.entries, t2.entries)
     if resid > CONJUGATOR_TOL:
         raise HypisoError(f"conjugator residual {resid:.2e} exceeds tolerance")
@@ -241,17 +230,18 @@ def find_conjugator(
 ) -> np.ndarray:
     """Explicit verified conjugator in the requested group ("Mn" or "Mon").
 
-    Raises ``NotConjugate`` when the pair is not conjugate and
-    ``Undecided`` when a Mon conjugator is requested but the component
-    question cannot be settled.
+    Raises ``InvalidArg`` for any other group, before any analysis,
+    ``NotConjugate`` when the pair is not conjugate and ``Undecided`` when
+    a Mon conjugator is requested but the component question cannot be
+    settled.
     """
+    if group not in ("Mn", "Mon"):
+        raise InvalidArg(f"unknown group {group!r}")
     answer = conjugate_in_Mn(t1, t2, delta)
     if answer.related is Relation.NOT_CONJUGATE:
         raise NotConjugate("pair is not conjugate")
     if group == "Mn":
         return answer.conjugator
-    if group != "Mon":
-        raise HypisoError(f"unknown group {group!r}")
     if answer.related is Relation.CONJUGATE_IN_MO:
         return answer.conjugator
     if answer.related is Relation.CONJUGATE_IN_M_ONLY:

@@ -46,6 +46,7 @@ from .classify import (
 from .errors import (
     BudgetExhausted,
     HypisoError,
+    InvalidArg,
     NotInIdentityComponent,
     NotOrthogonal,
     NotSpecialOrthogonal,
@@ -103,9 +104,10 @@ def reversal_residual(s: np.ndarray, t: np.ndarray) -> float:
 
 
 def _group_inverse(m: np.ndarray, j: Optional[np.ndarray]) -> np.ndarray:
-    """M^-1 of a group element: M^T, or J M^T J in a Lorentz group (j the
-    form signs)."""
-    return m.T if j is None else (j[:, None] * m.T) * j[None, :]
+    """M^-1 of a group element (or of each of a stack): M^T, or J M^T J in
+    a Lorentz group (j the form signs)."""
+    mt = np.swapaxes(m, -1, -2)
+    return mt if j is None else (j[:, None] * mt) * j[None, :]
 
 
 def _group_residual(s: np.ndarray, j: Optional[np.ndarray]) -> float:
@@ -299,15 +301,26 @@ def _parabolic_frame(sp: _LorentzSpectrum) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True, eq=False)
 class _LorentzStructure:
-    """Adapted splitting: special time-like block + space-like complement."""
+    """Adapted splitting: special time-like block + space-like complement.
+
+    ``frame`` is the square J-orthonormal frame Phi in which T is
+    blockdiag(special block, B(t_1), ..., B(t_p), I_a, -I_b), and ``signs``
+    its Q-signs.  Its columns, in order: the special frame (elliptic: the
+    fixed time-like unit v, sign -1; hyperbolic: s, t with att = s + t the
+    r-eigenray, signs +1, -1; parabolic: f1, f2, f3 of the standard
+    unipotent, signs +1, +1, -1), then ``w_frame`` times the plane frames
+    by descending angle, ker(T_o - I) and ker(T_o + I), all sign +1, T_o
+    being the orthogonal restriction of T to the space-like complement.
+    """
 
     cls: FixedPointClass
     special_frame: np.ndarray
     special_signs: np.ndarray
     w_frame: np.ndarray
-    t_o: np.ndarray  # orthogonal restriction to the space-like complement
-    blocks: frames._OrthogonalBlocks  # invariant blocks of t_o
+    blocks: frames._OrthogonalBlocks  # invariant blocks of T on w_frame
     unipotent_c: Optional[float]  # parabolic only: T is exp(c X) on the special block
+    frame: np.ndarray
+    signs: np.ndarray
 
 
 def _lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
@@ -349,7 +362,10 @@ def _build_lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
         if t_o.shape[0]
         else frames._OrthogonalBlocks([], np.zeros((0, 0)), np.zeros((0, 0)))
     )
-    return _LorentzStructure(cls, special, signs, w_frame, t_o, blocks, c)
+    f = np.column_stack([fr for _, fr in blocks.planes] + [blocks.fix_frame, blocks.neg_frame])
+    frame = np.column_stack([special, w_frame @ f])
+    frame_signs = np.concatenate([signs, np.ones(f.shape[1])])
+    return _LorentzStructure(cls, special, signs, w_frame, blocks, c, frame, frame_signs)
 
 
 def _special_reverser_options(st: _LorentzStructure) -> list[tuple[int, int, np.ndarray]]:
@@ -565,6 +581,8 @@ def reverser_oracle(
     With ``require``, raises :class:`BudgetExhausted` if sampling ends
     before every required component was seen (mode (a) hits are counted).
     """
+    if group not in (GROUP_O, GROUP_SO, GROUP_SOO, GROUP_MO):
+        raise InvalidArg(f"unknown group {group!r}")
     lorentzian = group in (GROUP_SOO, GROUP_MO)
     if lorentzian:
         if not isinstance(t, LorentzMatrix):
@@ -595,14 +613,13 @@ def reverser_oracle(
                 raise HypisoError("exact enumeration produced an invalid witness")
         exact = frozenset(exact_witnesses)
 
-    rng = np.random.default_rng(seed)
-    basis = _reverser_solution_basis(mat)
     found: dict = {}
     used = 0
-    dim = mat.shape[0]
-    jd = np.diag(j) if j is not None else np.eye(dim)
-    tinv = np.linalg.inv(mat)
+    basis = _reverser_solution_basis(mat) if budget > 0 else np.zeros((0, 0))
     if basis.shape[1] > 0:
+        rng = np.random.default_rng(seed)
+        dim = mat.shape[0]
+        tinv = _group_inverse(mat, j)
         batch = 512
         while used < budget:
             take = min(batch, budget - used)
@@ -620,9 +637,8 @@ def reverser_oracle(
             ss = ss[finite]
             if ss.shape[0] == 0:
                 continue
-            st = np.transpose(ss, (0, 2, 1))
-            grp = np.abs(st @ (jd @ ss) - jd).max(axis=(1, 2))
-            sinv = st if j is None else jd @ st @ jd
+            sinv = _group_inverse(ss, j)
+            grp = np.abs(sinv @ ss - np.eye(dim)).max(axis=(1, 2))
             rev = np.abs(ss @ mat @ sinv - tinv).max(axis=(1, 2))
             ok = (grp <= 1e-9) & (rev <= RESIDUAL_TOL)
             for s in ss[ok]:

@@ -19,6 +19,7 @@ from hypiso.classify import (
     normal_form,
     poincare_extend,
     reconstruct_from_normal_form,
+    standard_position_matrix,
     stretch_factor,
 )
 from hypiso.errors import Borderline, NonpositiveScale, NotHyperbolic, NotOrthogonal
@@ -231,13 +232,17 @@ class TestPoincareExtend:
 class TestNormalForm:
     def test_standard_hyperbolic_reads_off(self):
         # standard position = the extension of x -> rAx (attracting at
-        # infinity), where the conjugator is the identity
+        # infinity), where the conjugator commutes with T: it is not
+        # canonical, and may turn inside the rotation plane
         t = poincare_extend(np.exp(0.7), block_rotation(1.2))
         nf = normal_form(t)
         assert isinstance(nf.variant, KRotatoryStretch)
         assert nf.variant.stretch == pytest.approx(np.exp(0.7))
         assert maxabs(nf.variant.rotation - block_rotation(1.2)) < 1e-9
-        assert maxabs(nf.conjugator.entries - np.eye(4)) < 1e-8
+        w, tm = nf.conjugator.entries, t.entries
+        assert maxabs(w @ tm - tm @ w) <= 1e-12
+        std = standard_position_matrix(t.space, nf.variant)
+        assert maxabs(w @ tm @ nf.conjugator.inverse().entries - std) <= 1e-12
 
     def test_identity_is_empty_rotation(self):
         nf = normal_form(lorentz(np.eye(4)))

@@ -214,3 +214,20 @@ def test_import_path_loads_no_scipy():
     proc = run_subprocess("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_sampler_runs_without_scipy():
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "from hypiso.cli import main\n"
+        "from hypiso.sampling import random_isometry\n"
+        "rng = np.random.default_rng(3)\n"
+        "for n in range(2, 10):\n"
+        "    for cls in ('elliptic', 'parabolic', 'hyperbolic'):\n"
+        "        random_isometry(rng, n, cls)\n"
+        "sys.exit(main(['random', '--group', 'SOo', '--n', '5']))\n"
+    )
+    proc = run_subprocess("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[0])["n"] == 5

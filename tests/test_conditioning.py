@@ -10,7 +10,6 @@ from hypiso.classify import classify
 from hypiso.errors import Borderline, HypisoError
 from hypiso.quadspace import Component, QuadraticSpace, classify_membership, matrix_to_json
 from hypiso.reality import _check_certificate, is_real_SOo_n1
-from hypiso.sampling import random_isometry
 from test_cli import run_subprocess
 
 # A parabolic of SO_o(3,1) conjugated by a boost of rapidity 3.5 between
@@ -61,12 +60,21 @@ class TestReverserCheck:
             _check_certificate(s, t, signs)
 
 
+# A parabolic of SO_o(3,1) under a wide conjugator whose computed spectrum,
+# read at delta = 3e-8, passes for a stretch pair with a non-real dominant
+# eigenvalue: draw 12 of random_isometry(default_rng(0), 3, "parabolic",
+# conj_scale=1.5) when the sampler's exponential was scipy.linalg.expm,
+# frozen because any other exponential rounds every draw differently.
+STRETCH_BORDERLINE = np.array([
+    [0.9722360603672702, -0.04613983674426688, 0.3289103925862597, -0.23569872287416987],
+    [0.18920934346463322, 0.8156882270313885, -0.5768808630979367, 0.18422537713524634],
+    [-0.4565851666604151, 0.9058393464589475, 0.8532192463450753, 0.8700563305562791],
+    [-0.43533107762614587, 0.6985850627130806, 0.4110433783598348, 1.3588564662562372],
+])
+
+
 def stretch_borderline_element():
-    """A parabolic under a wide conjugator whose computed spectrum, read at
-    delta = 3e-8, passes for a stretch pair with a non-real dominant
-    eigenvalue."""
-    rng = np.random.default_rng(0)
-    return [random_isometry(rng, 3, "parabolic", conj_scale=1.5) for _ in range(40)][12]
+    return classify_membership(QuadraticSpace(3), STRETCH_BORDERLINE, 1e-8)
 
 
 class TestStretchBorderline:

@@ -1,3 +1,5 @@
+from unittest.mock import Mock
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from hypiso.conjugacy import (
     find_conjugator,
     invariant_tuple,
 )
-from hypiso.errors import HypisoError, NotConjugate, NotInIdentityComponent
+from hypiso.errors import HypisoError, InvalidArg, NotConjugate, NotInIdentityComponent
 from hypiso.quadspace import Component, classify_membership
 from hypiso.sampling import random_isometry, random_orthogonal, random_soo, standard_isometry
 from hypiso.spectral import _LorentzSpectrum
@@ -165,6 +167,14 @@ class TestFindConjugator:
         u = poincare_extend(1.0, np.eye(1), np.array([1.0]))
         with pytest.raises(NotConjugate):
             find_conjugator(u, u.inverse(), group="Mon")
+
+    def test_unknown_group_is_invalid_before_any_analysis(self, rng, monkeypatch):
+        t = random_isometry(rng, 4)
+        analyse = Mock(wraps=_LorentzSpectrum.of)
+        monkeypatch.setattr(_LorentzSpectrum, "of", analyse)
+        with pytest.raises(InvalidArg, match="unknown group 'Mo'"):
+            find_conjugator(t, t, group="Mo")
+        assert analyse.call_count == 0
 
 
 class TestEquivalenceSanity:

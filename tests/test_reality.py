@@ -1,10 +1,14 @@
+from unittest.mock import Mock
+
 import numpy as np
 import pytest
 
 from conftest import block_rotation, boost_matrix, lorentz, maxabs
+from hypiso import reality
 from hypiso.classify import poincare_extend
 from hypiso.errors import (
     BudgetExhausted,
+    InvalidArg,
     NotInIdentityComponent,
     NotOrthogonal,
     NotSpecialOrthogonal,
@@ -276,3 +280,18 @@ class TestOracle:
         assert (1, 1) in rep.sampled  # real in SO(4)
         s = rep.sampled_witnesses[(1, 1)]
         assert reversal_residual(s, t) <= 1e-8
+
+    def test_budget_zero_builds_no_sampling_data(self, rng, monkeypatch):
+        t = random_isometry(rng, 9, "hyperbolic")
+        basis = Mock(wraps=reality._reverser_solution_basis)
+        inv = Mock(wraps=np.linalg.inv)
+        monkeypatch.setattr(reality, "_reverser_solution_basis", basis)
+        monkeypatch.setattr(np.linalg, "inv", inv)
+        rep = reverser_oracle(t, GROUP_SOO, budget=0)
+        assert rep.regular and rep.exact and rep.samples_used == 0
+        assert basis.call_count == 0 and inv.call_count == 0
+
+    def test_unknown_group_is_invalid(self, rng):
+        t = random_isometry(rng, 3, "elliptic")
+        with pytest.raises(InvalidArg, match="unknown group 'SOo'"):
+            reverser_oracle(t, "SOo", budget=0)

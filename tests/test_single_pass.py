@@ -11,9 +11,18 @@ from unittest.mock import Mock
 import numpy as np
 import pytest
 
-from conftest import lorentz
-from hypiso import conjugacy, frames, spectral
-from hypiso.classify import classify, poincare_extend
+from conftest import lorentz, maxabs
+from hypiso import conjugacy, frames, reality, spectral
+from hypiso.classify import (
+    FixedPointClass,
+    KRotation,
+    KRotatoryStretch,
+    KRotatoryTranslation,
+    classify,
+    normal_form,
+    poincare_extend,
+    reconstruct_from_normal_form,
+)
 from hypiso.conjugacy import Relation, conjugate_in_Mn
 from hypiso.quadspace import Component, QuadraticSpace, classify_membership
 from hypiso.reality import is_real_SOo_n1
@@ -102,13 +111,11 @@ def test_conjugacy_builds_one_splitting_per_input(monkeypatch, n, cls, det):
     structures = spy(monkeypatch, conjugacy, "_lorentz_structure")
     extractions = spy(monkeypatch, frames, "invariant_plane_frames")
     normal_forms = spy(monkeypatch, classify_module, "_normal_form")
-    similarity_reads = spy(monkeypatch, classify_module, "read_boundary_similarity")
     answer = conjugate_in_Mn(t, partner)
     assert answer.related is not Relation.NOT_CONJUGATE
     assert [c.args[0].t for c in structures.call_args_list] == [t, partner]
     assert extractions.call_count == 2
     assert normal_forms.call_count == 0
-    assert similarity_reads.call_count == 0
 
 
 def elliptic(n, angles):
@@ -156,3 +163,46 @@ def test_conjugate_pairs_of_special_structure(name, make, has_pm1, regular, det)
     comp = classify_membership(t.space, s, 1e-7).component
     assert comp.sheet_preserving
     assert (comp is Component.SO_o) == (want is Relation.CONJUGATE_IN_MO)
+
+
+@pytest.mark.parametrize("n,cls", CASES)
+def test_normal_form_reads_the_stored_splitting(monkeypatch, n, cls):
+    t, _ = element(n, cls)
+    reality._lorentz_structure(spectral._LorentzSpectrum.of(t, spectral.DEFAULT_DELTA))
+    reports = spy(monkeypatch, classify_module, "_classify")
+    extensions = spy(monkeypatch, classify_module, "poincare_extend")
+    svds = spy(monkeypatch, np.linalg, "svd")
+    normal_form(t)
+    assert reports.call_count == extensions.call_count == svds.call_count == 0
+
+
+VARIANTS = {
+    FixedPointClass.ELLIPTIC: KRotation,
+    FixedPointClass.PARABOLIC: KRotatoryTranslation,
+    FixedPointClass.HYPERBOLIC: KRotatoryStretch,
+}
+
+
+def check_normal_form(t):
+    nf = normal_form(t)
+    report = classify(t)
+    assert maxabs(reconstruct_from_normal_form(nf) - t.entries) <= 1e-8
+    assert type(nf.variant) is VARIANTS[report.fixed_class]
+    assert nf.variant.angles == report.angles.angles
+    if report.stretch is not None:
+        assert nf.variant.stretch == report.stretch
+
+
+NORMAL_FORM_INPUTS = [(name, make) for name, make, _, _ in SPECIAL] + [
+    (f"{cls}, n = 9", lambda cls=cls: random_isometry(np.random.default_rng(9), 9, cls))
+    for cls in ("elliptic", "parabolic", "hyperbolic")
+]
+
+
+@pytest.mark.parametrize(
+    "name,make", NORMAL_FORM_INPUTS, ids=[c[0] for c in NORMAL_FORM_INPUTS]
+)
+def test_normal_form_matches_classify(name, make):
+    t = make()
+    check_normal_form(t)
+    check_normal_form(partner_of(t, np.random.default_rng(7), -1))
