@@ -252,18 +252,6 @@ def poincare_extend(
 
 
 # ---------------------------------------------------------------------------
-# reflections
-# ---------------------------------------------------------------------------
-
-
-def reflection_fixing_hyperplane(space: QuadraticSpace, s: np.ndarray) -> np.ndarray:
-    """Q-reflection in the hyperplane orthogonal to a non-null vector s."""
-    j = space.form_signs
-    q = frames.j_inner(j, s, s)
-    return np.eye(space.dim) - (2.0 / q) * np.outer(s, s * j)
-
-
-# ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
 
@@ -504,7 +492,7 @@ def _normal_form(sp: _LorentzSpectrum) -> NormalForm:
     angles = _lorentz_angles(sp).angles
     elliptic = st.cls is FixedPointClass.ELLIPTIC
     parabolic = st.cls is FixedPointClass.PARABOLIC
-    k = len(st.special_signs)
+    k = st.special_dim
     # W = P Phi*, P sending the adapted frame to standard position; row i of
     # W is the frame coordinate that becomes standard coordinate i
     if elliptic:
@@ -524,10 +512,7 @@ def _normal_form(sp: _LorentzSpectrum) -> NormalForm:
     if elliptic:
         variant = KRotation(matrix=rot, angles=angles)
     elif parabolic:
-        # the mean of the four entries +-c of the unipotent block: one alone
-        # (``unipotent_c``) errs more on wide input, and c^2/2 magnifies it
-        u = frames.restrict_to_frame(t.entries, st.special_frame, st.special_signs, space.form_signs)
-        c = (u[1, 0] + u[2, 0] - u[0, 1] + u[0, 2]) / 4.0
+        c = st.unipotent_c
         if c <= 0:
             raise HypisoError("unipotent parameter of a parabolic must be positive")
         variant = KRotatoryTranslation(rotation=rot, translation=c * np.eye(d - 2)[0], angles=angles)

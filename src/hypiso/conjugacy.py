@@ -4,15 +4,18 @@ M(n)-conjugacy of sheet-preserving Lorentz matrices is decided from the
 characteristic polynomial together with the fixed-point class (which
 carries the only possible Jordan-structure difference, the size-3 block at
 1 of a parabolic).  When a pair is conjugate, an explicit conjugator is
-built from the adapted splitting of each element (the special time-like
-block plus the invariant blocks of the orthogonal part, the same splitting
-the reality deciders use): it maps the frame of one splitting onto the
-other, with a boost matching the unipotent parameters of parabolics.
+read from the adapted frame of each element (the special time-like block
+plus the invariant blocks of the orthogonal part, the frame the reality
+deciders read their reversers from): the one frame map Phi_2 M Phi_1*,
+with M the identity but for a boost matching the unipotent parameters of
+parabolics.
 
 Whether the M(n)-conjugacy descends to M_o(n) is settled by the
 centralizer: if the found conjugator has determinant -1, some commuting
 element of determinant -1 must be spliced in.  Such an element exists
-exactly when T has a space-like +-1 eigenvector; for regular elements
+exactly when T has a space-like +-1 eigenvector, and then the fix-up is a
+sign in the same map, Phi_2 E M Phi_1* with E = -1 on the first +-1
+column of Phi_2 and +1 elsewhere; for regular elements
 without one, block enumeration shows the centralizer meets only the
 identity component, so the answer is ConjugateInMOnly.  For non-regular
 elements without +-1 the implemented criteria cannot settle the question
@@ -33,7 +36,6 @@ from .classify import (
     _fixed_point_class,
     _stretch,
     classify,
-    reflection_fixing_hyperplane,
 )
 from .errors import HypisoError, InvalidArg, NotConjugate, NotInIdentityComponent, Undecided
 from .quadspace import Component, LorentzMatrix, classify_membership
@@ -122,7 +124,7 @@ def _special_map(st1: _LorentzStructure, st2: _LorentzStructure) -> np.ndarray:
     log(c2 / c1) in the plane of its null ray.
     """
     if st1.cls is not FixedPointClass.PARABOLIC:
-        return np.eye(len(st1.special_signs))
+        return np.eye(st1.special_dim)
     c1, c2 = st1.unipotent_c, st2.unipotent_c
     if c1 <= 0 or c2 <= 0:
         raise HypisoError("unipotent parameter of a parabolic must be positive")
@@ -134,9 +136,10 @@ def _special_map(st1: _LorentzStructure, st2: _LorentzStructure) -> np.ndarray:
 def _mn_conjugator(
     sp1: _LorentzSpectrum, st1: _LorentzStructure,
     sp2: _LorentzSpectrum, st2: _LorentzStructure,
-) -> np.ndarray:
-    """Sheet-preserving S with S T1 S^-1 = T2 for a pair of one class:
-    the map of the adapted frame of T1 onto that of T2."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sheet-preserving S = Phi_2 M Phi_1* with S T1 S^-1 = T2 for a pair
+    of one class, M the special map and the identity on the orthogonal
+    blocks; returns (S, M)."""
     t1, t2 = sp1.t, sp2.t
     if st1.cls is FixedPointClass.HYPERBOLIC:
         r1, r2 = _stretch(sp1), _stretch(sp2)
@@ -150,29 +153,33 @@ def _mn_conjugator(
     if b1.p and float(np.max(np.abs(ang1 - ang2))) > 1e-6:
         raise NotConjugate("orthogonal parts have different rotation angles")
     m = np.eye(t1.space.dim)
-    k = len(st1.special_signs)
+    k = st1.special_dim
     m[:k, :k] = _special_map(st1, st2)
-    s = st2.frame @ m @ frames.frame_pinv(st1.frame, st1.signs, t1.space.form_signs)
+    s = frames.frame_map(st2.frame, m, st1.frame, st1.signs, t1.space.form_signs)
     resid = _conjugator_residual(s, t1.entries, t2.entries)
     if resid > CONJUGATOR_TOL:
         raise HypisoError(f"conjugator residual {resid:.2e} exceeds tolerance")
-    return s
+    return s, m
 
 
 def _refine_to_mo(
-    sp1: _LorentzSpectrum, sp2: _LorentzSpectrum, st2: _LorentzStructure,
-    s: np.ndarray,
+    sp1: _LorentzSpectrum, st1: _LorentzStructure,
+    sp2: _LorentzSpectrum, st2: _LorentzStructure,
+    s: np.ndarray, m: np.ndarray,
 ) -> ConjugacyAnswer:
     t1, t2 = sp1.t, sp2.t
     comp = classify_membership(t1.space, s, 1e-7).component
     if comp is Component.SO_o:
         return ConjugacyAnswer(Relation.CONJUGATE_IN_MO, s, "normalform")
-    # a space-like +-1 eigenvector g of T2 gives a determinant -1,
-    # sheet-preserving element commuting with T2: the reflection in g-perp
+    # a -1 on a space-like +-1 column of Phi_2 (E) commutes with the blocks
+    # of T2 and with M, which is the identity there: Phi_2 E M Phi_1* is a
+    # conjugator of the other determinant
     blocks = st2.blocks
     if blocks.b or blocks.a:
-        g = st2.w_frame @ (blocks.neg_frame if blocks.b else blocks.fix_frame)[:, 0]
-        s2 = reflection_fixing_hyperplane(t1.space, g) @ s
+        em = m.copy()
+        i = st2.special_dim + 2 * blocks.p  # the first +-1 column
+        em[i, i] = -1.0
+        s2 = frames.frame_map(st2.frame, em, st1.frame, st1.signs, t1.space.form_signs)
         if _conjugator_residual(s2, t1.entries, t2.entries) > CONJUGATOR_TOL:
             raise HypisoError("conjugator flip failed its residual check")
         if classify_membership(t1.space, s2, 1e-7).component is not Component.SO_o:
@@ -208,8 +215,8 @@ def conjugate_in_Mn(
     if float(np.max(np.abs(t1.entries - t2.entries))) <= 1e-12:
         return ConjugacyAnswer(Relation.CONJUGATE_IN_MO, np.eye(t1.space.dim), "normalform")
     st1, st2 = _lorentz_structure(sp1), _lorentz_structure(sp2)
-    s = _mn_conjugator(sp1, st1, sp2, st2)
-    return _refine_to_mo(sp1, sp2, st2, s)
+    s, m = _mn_conjugator(sp1, st1, sp2, st2)
+    return _refine_to_mo(sp1, st1, sp2, st2, s, m)
 
 
 def conjugate_in_Mon(

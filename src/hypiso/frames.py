@@ -2,8 +2,9 @@
 
 A *frame* is a matrix whose columns are J-orthonormal vectors; ``signs``
 records Q(f_j) = +-1 per column.  For a full J-orthonormal system the
-pseudo-inverse of a frame is ``diag(signs) @ F.T @ J``, which lets block
-operators be assembled without solving linear systems.
+pseudo-inverse of a frame is ``F* = diag(signs) @ F.T @ J``, which lets
+block operators be assembled without solving linear systems: every
+reverser and conjugator is one frame map ``F_out @ M @ F_in*``.
 
 The frame helpers take ``j`` as a vector of form signs so the same code
 serves the Euclidean case (all ones) and the Lorentzian case.  The
@@ -39,6 +40,14 @@ def j_inner(j: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
 def frame_pinv(frame: np.ndarray, signs: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Left inverse of a J-orthonormal frame: diag(signs) F^T J."""
     return (signs[:, None] * frame.T) * j[None, :]
+
+
+def frame_map(
+    out: np.ndarray, m: np.ndarray, inp: np.ndarray, signs: np.ndarray, j: np.ndarray
+) -> np.ndarray:
+    """The operator F_out M F_in*: M in frame coordinates, read from the
+    frame ``inp`` (Q-signs ``signs``) and written to the frame ``out``."""
+    return out @ m @ frame_pinv(inp, signs, j)
 
 
 def restrict_to_frame(
@@ -82,6 +91,12 @@ class _OrthogonalBlocks:
     planes: list  # (angle, frame) with angle in (0, pi), descending
     fix_frame: np.ndarray  # ker(A - I)
     neg_frame: np.ndarray  # ker(A + I)
+
+    @property
+    def frame(self) -> np.ndarray:
+        """The square frame: plane frames by descending angle, then
+        ker(A - I), then ker(A + I); A is block diagonal in it."""
+        return np.column_stack([fr for _, fr in self.planes] + [self.fix_frame, self.neg_frame])
 
     @property
     def p(self) -> int:

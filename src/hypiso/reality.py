@@ -7,7 +7,11 @@ the Moebius identity component M_o(n) = SO_o(n+1,1).
 
 Every positive decision ships a verified reverser; all constructions here
 produce involutions, so reality and strong reality coincide on everything
-this module emits (which is also what the theory guarantees).
+this module emits (which is also what the theory guarantees).  Each
+reverser, in every group and in the oracle's exact mode, is one frame map
+Phi D Phi*: Phi the square frame of the invariant blocks (for Lorentz
+elements the stored adapted frame, Phi* = diag(signs) Phi^T J; for O(n),
+Phi^T) and D a +-1 diagonal chosen by :func:`_reverser`.
 
 Decision logic, uniform across classes: a reverser is forced to act with
 determinant -1 on every invariant rotation plane with angle in (0, pi),
@@ -140,38 +144,6 @@ def _check_certificate(s: np.ndarray, t: np.ndarray, j: Optional[np.ndarray]) ->
 # ---------------------------------------------------------------------------
 
 
-def _block_reverser(blocks: frames._OrthogonalBlocks, flips: int) -> np.ndarray:
-    """Involution reversing the orthogonal matrix of ``blocks``: a
-    reflection in every invariant plane, and the identity on the +-1
-    eigenspaces except for ``flips`` sign flips there."""
-    n = 2 * blocks.p + blocks.a + blocks.b
-    s = np.zeros((n, n))
-    for _, fr in blocks.planes:
-        s += np.outer(fr[:, 0], fr[:, 0]) - np.outer(fr[:, 1], fr[:, 1])
-    for frame in (blocks.fix_frame, blocks.neg_frame):
-        for i in range(frame.shape[1]):
-            sign = 1.0
-            if flips > 0:
-                sign, flips = -1.0, flips - 1
-            s += sign * np.outer(frame[:, i], frame[:, i])
-    if flips:
-        raise HypisoError("not enough +-1 eigendirections for the requested flips")
-    return s
-
-
-def _orthogonal_reverser(
-    blocks: frames._OrthogonalBlocks, target_det: Optional[int]
-) -> Optional[np.ndarray]:
-    """Involutive reverser from per-plane reflections; determinant adjusted
-    on the +-1 eigenspaces when a target is requested."""
-    base_det = -1 if blocks.p % 2 else 1
-    if target_det is None or base_det == target_det:
-        return _block_reverser(blocks, 0)
-    if blocks.a == 0 and blocks.b == 0:
-        return None
-    return _block_reverser(blocks, 1)
-
-
 def is_real_On(
     t, delta: float = DEFAULT_DELTA, eps: float = 1e-9
 ) -> RealityCertificate:
@@ -181,7 +153,7 @@ def is_real_On(
     if not is_orthogonal(t, eps):
         raise NotOrthogonal("input is not orthogonal within tolerance")
     blocks = frames.invariant_plane_frames(t, delta)
-    s = _orthogonal_reverser(blocks, target_det=None)
+    s = _reverser(blocks, (-1) ** blocks.p)
     _check_certificate(s, t, None)
     return RealityCertificate(GROUP_O, True, "W", s, True)
 
@@ -211,7 +183,7 @@ def is_real_SOn(
     if not decision:
         return RealityCertificate(GROUP_SO, False, "Thm3.5-mod4", None, False)
     clause = "Thm3.5-mod4" if n % 4 != 2 else "Thm3.5-pm1"
-    s = _orthogonal_reverser(blocks, target_det=1)
+    s = _reverser(blocks, 1)
     if s is None:
         raise HypisoError("decision true but construction failed; inconsistent")
     _check_certificate(s, t, None)
@@ -236,7 +208,7 @@ def is_strongly_real_SOn(
         raise HypisoError("strong-reality and reality deciders disagree")
     if not decision:
         return RealityCertificate(GROUP_SO, False, "KN", None, False)
-    s = _orthogonal_reverser(blocks, target_det=1)
+    s = _reverser(blocks, 1)
     _check_certificate(s, t, None)
     return RealityCertificate(GROUP_SO, True, "KN", s, True)
 
@@ -293,7 +265,9 @@ def _parabolic_frame(sp: _LorentzSpectrum) -> tuple[np.ndarray, float]:
     f1 = y / np.sqrt(qy)
     frame = np.column_stack([f1, f2, f3])
     block = frames.restrict_to_frame(t.entries, frame, _UNIPOTENT_SIGNS, j)
-    c = float(block[1, 0])
+    # the mean of the four entries +-c: one alone errs more on wide input,
+    # and the c^2/2 entries magnify that error
+    c = float((block[1, 0] + block[2, 0] - block[0, 1] + block[0, 2]) / 4.0)
     if float(np.max(np.abs(block - _standard_unipotent(c)))) > 1e-7:
         raise HypisoError("parabolic block did not reduce to the standard unipotent")
     return frame, c
@@ -305,22 +279,27 @@ class _LorentzStructure:
 
     ``frame`` is the square J-orthonormal frame Phi in which T is
     blockdiag(special block, B(t_1), ..., B(t_p), I_a, -I_b), and ``signs``
-    its Q-signs.  Its columns, in order: the special frame (elliptic: the
-    fixed time-like unit v, sign -1; hyperbolic: s, t with att = s + t the
-    r-eigenray, signs +1, -1; parabolic: f1, f2, f3 of the standard
-    unipotent, signs +1, +1, -1), then ``w_frame`` times the plane frames
-    by descending angle, ker(T_o - I) and ker(T_o + I), all sign +1, T_o
-    being the orthogonal restriction of T to the space-like complement.
+    its Q-signs; Phi* = diag(signs) Phi^T J is its inverse, and every
+    reverser Phi D Phi* and conjugator Phi_2 M Phi_1* is read from it.
+    Its columns, in order: the ``special_dim`` special columns (elliptic:
+    the fixed time-like unit v, sign -1; hyperbolic: s, t with att = s + t
+    the r-eigenray, signs +1, -1; parabolic: f1, f2, f3 of the standard
+    unipotent exp(c X), c = ``unipotent_c``, signs +1, +1, -1), then the
+    frame of ``blocks`` carried to the space-like complement: the plane
+    frames by descending angle, ker(T_o - I) and ker(T_o + I), all sign
+    +1, T_o being the orthogonal restriction of T to that complement.
     """
 
     cls: FixedPointClass
-    special_frame: np.ndarray
-    special_signs: np.ndarray
-    w_frame: np.ndarray
-    blocks: frames._OrthogonalBlocks  # invariant blocks of T on w_frame
-    unipotent_c: Optional[float]  # parabolic only: T is exp(c X) on the special block
+    blocks: frames._OrthogonalBlocks  # invariant blocks of T_o
+    unipotent_c: Optional[float]  # parabolic only
     frame: np.ndarray
     signs: np.ndarray
+
+    @property
+    def special_dim(self) -> int:
+        b = self.blocks
+        return len(self.signs) - 2 * b.p - b.a - b.b
 
 
 def _lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
@@ -362,54 +341,50 @@ def _build_lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
         if t_o.shape[0]
         else frames._OrthogonalBlocks([], np.zeros((0, 0)), np.zeros((0, 0)))
     )
-    f = np.column_stack([fr for _, fr in blocks.planes] + [blocks.fix_frame, blocks.neg_frame])
-    frame = np.column_stack([special, w_frame @ f])
-    frame_signs = np.concatenate([signs, np.ones(f.shape[1])])
-    return _LorentzStructure(cls, special, signs, w_frame, blocks, c, frame, frame_signs)
+    frame = np.column_stack([special, w_frame @ blocks.frame])
+    frame_signs = np.concatenate([signs, np.ones(t_o.shape[0])])
+    return _LorentzStructure(cls, blocks, c, frame, frame_signs)
 
 
-def _special_reverser_options(st: _LorentzStructure) -> list[tuple[int, int, np.ndarray]]:
-    """(det, sheet, block) choices for the time-like special block."""
-    if st.cls is FixedPointClass.ELLIPTIC:
-        return [(1, 1, np.array([[1.0]])), (-1, -1, np.array([[-1.0]]))]
-    if st.cls is FixedPointClass.HYPERBOLIC:
-        return [(-1, 1, np.diag([-1.0, 1.0])), (-1, -1, np.diag([1.0, -1.0]))]
-    sigma = np.diag([-1.0, 1.0, 1.0])
-    return [(-1, 1, sigma), (1, -1, -sigma)]
+# (det, sheet, signs) choices of a reverser on the special block of each class
+_SPECIAL_REVERSERS = {
+    FixedPointClass.ELLIPTIC: [(1, 1, [1.0]), (-1, -1, [-1.0])],
+    FixedPointClass.HYPERBOLIC: [(-1, 1, [-1.0, 1.0]), (-1, -1, [1.0, -1.0])],
+    FixedPointClass.PARABOLIC: [(-1, 1, [-1.0, 1.0, 1.0]), (1, -1, [1.0, -1.0, -1.0])],
+}
 
 
-def _assemble_lorentz_reverser(
-    t: LorentzMatrix,
-    st: _LorentzStructure,
-    special_block: np.ndarray,
-    flip_count: int,
-) -> np.ndarray:
-    """Global reverser from a special-block choice, forced per-plane
-    reflections and ``flip_count`` sign flips on the +-1 eigenspaces."""
-    j = t.space.form_signs
-    s = st.special_frame @ special_block @ frames.frame_pinv(
-        st.special_frame, st.special_signs, j
-    )
-    w_pinv = frames.frame_pinv(st.w_frame, np.ones(st.w_frame.shape[1]), j)
-    s_o = _block_reverser(st.blocks, flip_count)
-    if s_o.size:
-        s = s + st.w_frame @ s_o @ w_pinv
-    return s
-
-
-def _lorentz_reverser_for(
-    t: LorentzMatrix, st: _LorentzStructure, det: int, sheet: int
+def _reverser(
+    blocks: frames._OrthogonalBlocks,
+    det: int,
+    sheet: int = 1,
+    st: Optional[_LorentzStructure] = None,
+    j: Optional[np.ndarray] = None,
 ) -> Optional[np.ndarray]:
-    """A reverser in the requested (determinant, sheet) component, or None."""
-    plane_det = -1 if st.blocks.p % 2 else 1
-    for sp_det, sp_sheet, sp_block in _special_reverser_options(st):
+    """The involutive reverser Phi D Phi* with determinant ``det`` on
+    ``sheet``, or None when that component has none.
+
+    Phi is the adapted frame of ``st`` (j the form signs) or, without
+    ``st``, the square frame of the orthogonal ``blocks`` (Phi* = Phi^T).
+    D is +-1: the special-block signs of the requested sheet (none for
+    O(n) and SO(n)), (1, -1) on each plane, and +1 on the +-1
+    eigenspaces, with one flip on the first of their columns where the
+    determinant parity needs it.
+    """
+    options = [(1, 1, [])] if st is None else _SPECIAL_REVERSERS[st.cls]
+    for sp_det, sp_sheet, special in options:
         if sp_sheet != sheet:
             continue
-        need = det * sp_det * plane_det  # +1 -> no flip, -1 -> one flip
-        if need == 1:
-            return _assemble_lorentz_reverser(t, st, sp_block, 0)
-        if st.blocks.a + st.blocks.b >= 1:
-            return _assemble_lorentz_reverser(t, st, sp_block, 1)
+        pm = np.ones(blocks.a + blocks.b)
+        if det * sp_det * (-1) ** blocks.p == -1:
+            if not pm.size:
+                return None
+            pm[0] = -1.0
+        d = np.diag(np.concatenate([special, np.tile([1.0, -1.0], blocks.p), pm]))
+        if st is None:
+            ones = np.ones(len(d))
+            return frames.frame_map(blocks.frame, d, blocks.frame, ones, ones)
+        return frames.frame_map(st.frame, d, st.frame, st.signs, j)
     return None
 
 
@@ -443,7 +418,7 @@ def is_real_SOo_n1(
     decision, clause = _theorem_clause(t.space.n, st.cls, st.blocks.a, st.blocks.b)
     if not decision:
         return RealityCertificate(GROUP_SOO, False, clause, None, False)
-    s = _lorentz_reverser_for(t, st, det=1, sheet=1)
+    s = _reverser(st.blocks, det=1, sheet=1, st=st, j=t.space.form_signs)
     if s is None:
         raise HypisoError("positive decision without achievable reverser; inconsistent")
     _check_certificate(s, t.entries, t.space.form_signs)
@@ -493,25 +468,6 @@ class OracleReport:
             "samples_used": self.samples_used,
             "exhausted": self.exhausted,
         }
-
-
-def _exact_orthogonal_enumeration(t: np.ndarray, delta: float):
-    blocks = frames.invariant_plane_frames(t, delta)
-    base = -1 if blocks.p % 2 else 1
-    achievable = {(base, 1): _block_reverser(blocks, 0)}
-    if blocks.a + blocks.b >= 1:
-        achievable[(-base, 1)] = _block_reverser(blocks, 1)
-    return achievable
-
-
-def _exact_lorentz_enumeration(sp: _LorentzSpectrum):
-    st = _lorentz_structure(sp)
-    achievable = {}
-    for det, sheet in itertools.product((1, -1), (1, -1)):
-        s = _lorentz_reverser_for(sp.t, st, det, sheet)
-        if s is not None:
-            achievable[(det, sheet)] = s
-    return achievable
 
 
 def _reverser_solution_basis(t: np.ndarray) -> np.ndarray:
@@ -602,11 +558,12 @@ def reverser_oracle(
     exact = None
     exact_witnesses: dict = {}
     if regular:
-        exact_witnesses = (
-            _exact_lorentz_enumeration(sp)
-            if lorentzian
-            else _exact_orthogonal_enumeration(mat, delta)
-        )
+        st = _lorentz_structure(sp) if lorentzian else None
+        blocks = st.blocks if lorentzian else frames.invariant_plane_frames(mat, delta)
+        for det, sheet in itertools.product((1, -1), (1, -1)):
+            s = _reverser(blocks, det, sheet, st, j)
+            if s is not None:
+                exact_witnesses[(det, sheet)] = s
         for s in exact_witnesses.values():
             if (_group_residual(s, j) > RESIDUAL_TOL
                     or _group_reversal_residual(s, mat, j) > RESIDUAL_TOL):

@@ -1,3 +1,5 @@
+from unittest.mock import Mock
+
 import numpy as np
 import pytest
 
@@ -34,3 +36,10 @@ def lorentz(mat, eps=1e-8):
 
 def maxabs(x):
     return float(np.max(np.abs(x)))
+
+
+def spy(monkeypatch, owner, name):
+    """Replace owner.name with a mock that counts calls and forwards them."""
+    mock = Mock(wraps=getattr(owner, name))
+    monkeypatch.setattr(owner, name, mock)
+    return mock

@@ -8,11 +8,11 @@ splittings that are built (``reality._build_lorentz_structure``).
 import gc
 import json
 import weakref
-from unittest.mock import Mock
 
 import numpy as np
 import pytest
 
+from conftest import spy
 from hypiso import reality
 from hypiso.classify import classify, normal_form
 from hypiso.conjugacy import conjugate_in_Mn, invariant_tuple
@@ -23,12 +23,6 @@ from hypiso.sampling import random_isometry, random_soo
 from hypiso.spectral import DELTA_MIN, _LorentzSpectrum
 
 CASES = [(n, cls) for n in (3, 5) for cls in ("elliptic", "parabolic", "hyperbolic")]
-
-
-def spy(monkeypatch, owner, name):
-    mock = Mock(wraps=getattr(owner, name))
-    monkeypatch.setattr(owner, name, mock)
-    return mock
 
 
 def pair(n, cls, seed=0):

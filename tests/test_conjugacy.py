@@ -12,7 +12,13 @@ from hypiso.conjugacy import (
     find_conjugator,
     invariant_tuple,
 )
-from hypiso.errors import HypisoError, InvalidArg, NotConjugate, NotInIdentityComponent
+from hypiso.errors import (
+    HypisoError,
+    InvalidArg,
+    NotConjugate,
+    NotInIdentityComponent,
+    RefusedToDecide,
+)
 from hypiso.quadspace import Component, classify_membership
 from hypiso.sampling import random_isometry, random_orthogonal, random_soo, standard_isometry
 from hypiso.spectral import _LorentzSpectrum
@@ -203,7 +209,9 @@ class TestIllConditionedPairs:
     @pytest.mark.parametrize("n", (3, 5, 9))
     def test_certified_or_refused(self, n):
         # T conjugated by a wide boost; the answer is a conjugator that
-        # satisfies S T1 = T2 S at the gate, or an exception
+        # satisfies S T1 = T2 S at the gate, a refusal, or the build's
+        # residual gate: the det -1 fix-up and the unipotent reading of a
+        # parabolic must not fail here
         rng = np.random.default_rng(300 + n)
         answered = 0
         for i in range(24):
@@ -216,7 +224,10 @@ class TestIllConditionedPairs:
             t2 = conjugate(t.entries, w)
             try:
                 ans = conjugate_in_Mn(t, t2)
-            except HypisoError:
+            except RefusedToDecide:
+                continue
+            except HypisoError as exc:
+                assert str(exc).startswith("conjugator residual"), str(exc)
                 continue
             answered += 1
             assert ans.related is not Relation.NOT_CONJUGATE

@@ -6,12 +6,11 @@ step, shows up as a higher count.
 """
 
 import importlib
-from unittest.mock import Mock
 
 import numpy as np
 import pytest
 
-from conftest import lorentz, maxabs
+from conftest import lorentz, maxabs, spy
 from hypiso import conjugacy, frames, reality, spectral
 from hypiso.classify import (
     FixedPointClass,
@@ -36,13 +35,6 @@ CASES = [(n, cls) for n in (3, 5, 9) for cls in ("elliptic", "parabolic", "hyper
 def element(n, cls):
     rng = np.random.default_rng(1000 * n + len(cls))
     return random_isometry(rng, n, cls), rng
-
-
-def spy(monkeypatch, owner, name):
-    """Replace owner.name with a mock that counts calls and forwards them."""
-    mock = Mock(wraps=getattr(owner, name))
-    monkeypatch.setattr(owner, name, mock)
-    return mock
 
 
 def two_norm_calls(norm):

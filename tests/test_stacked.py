@@ -62,19 +62,6 @@ class TestStackedMembership:
 
 
 class TestStackedPass:
-    @pytest.mark.parametrize("n", (3, 5, 9))
-    def test_fields_equal_one_matrix_pass(self, n):
-        ts = sample(n)
-        for delta in (1e-7, 1e-6):
-            stacked = _LorentzSpectrum.stack(ts, delta)
-            for t, got in zip(ts, stacked):
-                want = _LorentzSpectrum.of(t, delta)
-                assert got.t is t and got.scale == want.scale
-                assert got.defective == want.defective
-                for field in ("eigvals", "svals", "kernel"):
-                    a, b = getattr(got, field), getattr(want, field)
-                    assert a.dtype == b.dtype and np.array_equal(a, b)
-
     def test_empty_stack(self):
         assert _LorentzSpectrum.stack([], 1e-7) == []
 
