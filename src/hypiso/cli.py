@@ -4,9 +4,9 @@ Matrices travel as JSON documents {"n": int, "matrix": row-major floats};
 a file holds any number of them, one after another (JSONL included), and
 ``-`` reads standard input.  Every subcommand emits one JSON document per
 line (streamable).  Exit codes: 0 success, 1 malformed input, 2 domain
-error, 3 refusal to decide (borderline tolerance zone, undecided
-conjugacy, exhausted search budget); several documents exit with the
-code of the first one that fails.
+error or numerical failure, 3 refusal to decide (borderline tolerance
+zone, undecided conjugacy, exhausted search budget); several documents
+exit with the code of the first one that fails.
 """
 
 from __future__ import annotations
@@ -224,10 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, matrices=1):
-        if matrices == 1:
-            p.add_argument("matrix", nargs="+",
-                           help="matrix document file(s), '-' for standard input")
+    def common(p):
+        p.add_argument("matrix", nargs="+",
+                       help="matrix document file(s), '-' for standard input")
         p.add_argument("--eps", type=float, default=quadspace.DEFAULT_EPS,
                        help="membership tolerance (relative)")
         p.add_argument("--delta", type=float, default=1e-7,
@@ -306,6 +305,9 @@ def main(argv=None) -> int:
         return EXIT_UNDECIDED
     except HypisoError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return EXIT_DOMAIN
+    except np.linalg.LinAlgError as exc:  # a ValueError, but not the input's fault
+        sys.stderr.write(f"error: numerical failure: {exc}\n")
         return EXIT_DOMAIN
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"malformed input: {exc}\n")

@@ -99,6 +99,11 @@ class _OrthogonalBlocks:
         return np.column_stack([fr for _, fr in self.planes] + [self.fix_frame, self.neg_frame])
 
     @property
+    def angles(self) -> "spectral.RotationAngles":
+        """The angle multiset, from the same reading as the blocks."""
+        return spectral._angle_multiset([theta for theta, _ in self.planes], self.b)
+
+    @property
     def p(self) -> int:
         return len(self.planes)
 
@@ -114,45 +119,33 @@ class _OrthogonalBlocks:
 def invariant_plane_frames(m: np.ndarray, delta: float) -> _OrthogonalBlocks:
     """Invariant 2-planes and +-1 eigenspaces of an orthogonal matrix.
 
-    One (angle, frame) pair per eigenvalue pair with angle in (0, pi), one
-    frame per pair multiplicity, frames orthonormal and oriented so the
-    restriction of m is B(+angle).  For repeated angles the split into
-    planes is an arbitrary (non-canonical) choice, which is all the
-    reverser and conjugator constructions need.  The +-1 eigenspaces are
-    read at max(delta, PM_ONE_TOL); raises when the blocks do not add up
-    to the dimension.
+    The spectrum is read once, by :func:`spectral._unit_circle` at radius
+    delta.  One (angle, frame) pair per member of each rotation cluster,
+    frames orthonormal and oriented so the restriction of m is B(+angle).
+    For repeated angles the split into planes is an arbitrary
+    (non-canonical) choice, which is all the reverser and conjugator
+    constructions need.  ker(A - I) and ker(A + I) are the right singular
+    vectors of A -+ I for the smallest singular values, as many as the
+    reading counts +1 and -1, so the blocks add up to the dimension.
     """
     n = m.shape[0]
     vals, vecs = np.linalg.eig(m)
-    clusters = spectral._cluster_eigenvalues(vals, delta)
+    pairs, plus, minus = spectral._unit_circle(vals, delta)
     planes: list[tuple[float, np.ndarray]] = []
-    for idx in clusters:
-        center = complex(vals[idx].sum() / len(idx))
-        if center.imag <= delta or abs(abs(center) - 1.0) > delta:
-            continue
-        theta = float(np.arctan2(center.imag, center.real))
-        if theta >= np.pi - delta:
-            continue
-        basis = vecs[:, idx]
-        # Hermitian Gram-Schmidt inside the cluster
-        ortho: list[np.ndarray] = []
-        for i in range(basis.shape[1]):
-            v = basis[:, i].copy()
+    for theta, idx in pairs:
+        ortho: list[np.ndarray] = []  # Hermitian Gram-Schmidt inside the cluster
+        for v in vecs[:, idx].T:
             for u in ortho:
                 v = v - np.dot(np.conj(u), v) * u
             nrm = np.real(np.dot(np.conj(v), v))
             if nrm <= 0:
                 raise HypisoError("rotation eigenvectors are linearly dependent")
             ortho.append(v / np.sqrt(nrm))
-        for v in ortho:
-            frame = np.sqrt(2.0) * np.column_stack([v.real, v.imag])
+            frame = np.sqrt(2.0) * np.column_stack([ortho[-1].real, ortho[-1].imag])
             if frame[:, 1] @ m @ frame[:, 0] < 0:
-                frame = np.column_stack([frame[:, 0], -frame[:, 1]])
+                frame[:, 1] = -frame[:, 1]
             planes.append((theta, frame))
     planes.sort(key=lambda t: -t[0])
-    tol = max(delta, spectral.PM_ONE_TOL)
-    fix = spectral.null_space_at(m - np.eye(n), tol)
-    neg = spectral.null_space_at(m + np.eye(n), tol)
-    if 2 * len(planes) + fix.shape[1] + neg.shape[1] != n:
-        raise HypisoError("invariant block bookkeeping failed; refine delta")
+    fix = np.linalg.svd(m - np.eye(n))[2][n - plus :].T
+    neg = np.linalg.svd(m + np.eye(n))[2][n - minus :].T
     return _OrthogonalBlocks(planes, fix, neg)

@@ -66,7 +66,6 @@ from .spectral import (
     _distinct,
     _LorentzSpectrum,
     _lorentz_angles,
-    rotation_angles,
 )
 
 RESIDUAL_TOL = 1e-8
@@ -144,27 +143,24 @@ def _check_certificate(s: np.ndarray, t: np.ndarray, j: Optional[np.ndarray]) ->
 # ---------------------------------------------------------------------------
 
 
+def _orthogonal_data(t, delta: float, eps: float, special: bool = True):
+    t = np.asarray(t, dtype=float)
+    if not is_orthogonal(t, eps):
+        raise NotOrthogonal("input is not orthogonal within tolerance")
+    if special and np.linalg.det(t) < 0:
+        raise NotSpecialOrthogonal("input has determinant -1")
+    return t, frames.invariant_plane_frames(t, delta)
+
+
 def is_real_On(
     t, delta: float = DEFAULT_DELTA, eps: float = 1e-9
 ) -> RealityCertificate:
     """Every orthogonal element is (strongly) real; returns an involutive
     reverser built from per-plane reflections."""
-    t = np.asarray(t, dtype=float)
-    if not is_orthogonal(t, eps):
-        raise NotOrthogonal("input is not orthogonal within tolerance")
-    blocks = frames.invariant_plane_frames(t, delta)
+    t, blocks = _orthogonal_data(t, delta, eps, special=False)
     s = _reverser(blocks, (-1) ** blocks.p)
     _check_certificate(s, t, None)
     return RealityCertificate(GROUP_O, True, "W", s, True)
-
-
-def _son_data(t, delta: float, eps: float):
-    t = np.asarray(t, dtype=float)
-    if not is_orthogonal(t, eps):
-        raise NotOrthogonal("input is not orthogonal within tolerance")
-    if np.linalg.det(t) < 0:
-        raise NotSpecialOrthogonal("input has determinant -1")
-    return t, frames.invariant_plane_frames(t, delta)
 
 
 def is_real_SOn(
@@ -176,7 +172,7 @@ def is_real_SOn(
     obstruction (n = 2 mod 4 with no +-1 eigenvalue forces every
     orthogonal reverser to have determinant -1).
     """
-    t, blocks = _son_data(t, delta, eps)
+    t, blocks = _orthogonal_data(t, delta, eps)
     n = t.shape[0]
     has_pm1 = blocks.a + blocks.b >= 1
     decision = (n % 4 != 2) or has_pm1
@@ -197,15 +193,13 @@ def is_strongly_real_SOn(
     orthogonally indecomposable invariant summand is odd-dimensional
     (equivalently, T has an eigenvalue +-1).
 
-    The decision provably equals :func:`is_real_SOn`'s; this is asserted,
-    not assumed.
+    The decision provably equals :func:`is_real_SOn`'s, as the agreement
+    test in ``tests/test_reality.py`` checks; it is not re-derived here.
     """
-    t, blocks = _son_data(t, delta, eps)
+    t, blocks = _orthogonal_data(t, delta, eps)
     n = t.shape[0]
     odd_summand = blocks.a + blocks.b >= 1  # +-1 eigenspaces split into lines
     decision = (n % 4 != 2) or odd_summand
-    if decision != is_real_SOn(t, delta, eps).decision:
-        raise HypisoError("strong-reality and reality deciders disagree")
     if not decision:
         return RealityCertificate(GROUP_SO, False, "KN", None, False)
     s = _reverser(blocks, 1)
@@ -336,11 +330,7 @@ def _build_lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
         signs = _UNIPOTENT_SIGNS
     w_frame = frames.spacelike_complement(special, j)
     t_o = frames.restrict_to_frame(t.entries, w_frame, np.ones(w_frame.shape[1]), j)
-    blocks = (
-        frames.invariant_plane_frames(t_o, sp.delta)
-        if t_o.shape[0]
-        else frames._OrthogonalBlocks([], np.zeros((0, 0)), np.zeros((0, 0)))
-    )
+    blocks = frames.invariant_plane_frames(t_o, sp.delta)
     frame = np.column_stack([special, w_frame @ blocks.frame])
     frame_signs = np.concatenate([signs, np.ones(t_o.shape[0])])
     return _LorentzStructure(cls, blocks, c, frame, frame_signs)
@@ -551,15 +541,19 @@ def reverser_oracle(
         mat = np.asarray(t, dtype=float)
         if not is_orthogonal(mat):
             raise NotOrthogonal("orthogonal oracle needs an orthogonal matrix")
+        if group == GROUP_SO and np.linalg.det(mat) < 0:
+            raise NotSpecialOrthogonal("input has determinant -1")
         j = None
-        ang = rotation_angles(mat, delta).angles
+        blocks = frames.invariant_plane_frames(mat, delta)
+        ang = blocks.angles.angles
     regular = _distinct(ang, delta)
 
     exact = None
     exact_witnesses: dict = {}
     if regular:
         st = _lorentz_structure(sp) if lorentzian else None
-        blocks = st.blocks if lorentzian else frames.invariant_plane_frames(mat, delta)
+        if lorentzian:
+            blocks = st.blocks
         for det, sheet in itertools.product((1, -1), (1, -1)):
             s = _reverser(blocks, det, sheet, st, j)
             if s is not None:

@@ -15,7 +15,8 @@ multiset, and the multiset is a conjugation invariant.
 Eigenvalues are clustered at radius ``delta`` (default 1e-7, deliberately
 coarser than the membership tolerance because eigenvalues lose roughly half
 the input precision).  Two surviving clusters closer than ``2 * delta``
-raise :class:`ClusterAmbiguity` instead of guessing.
+raise :class:`ClusterAmbiguity` instead of guessing.  The angles and the
+invariant blocks are both read from the clusters by :func:`_unit_circle`.
 
 A Lorentz matrix is analysed once per element and delta
 (:class:`_LorentzSpectrum`): the pass is stored on the ``LorentzMatrix``,
@@ -33,13 +34,10 @@ from operator import attrgetter
 import numpy as np
 
 from . import frames
-from .errors import ClusterAmbiguity, HypisoError, InvalidArg, NotOrthogonal, NotRegular
+from .errors import ClusterAmbiguity, InvalidArg, NotOrthogonal, NotRegular
 from .quadspace import LorentzMatrix, is_orthogonal
 
 DEFAULT_DELTA = 1e-7
-
-# |lambda -+ 1| threshold for eigenvalue +-1 detection.
-PM_ONE_TOL = 1e-7
 
 # Smallest delta the Lorentz pass accepts.  It reads rank (T - I)^2 at
 # tau^2 = (delta * scale)^2, and the singular values of (T - I)^2 that are
@@ -287,25 +285,44 @@ def is_semisimple(m, delta: float = DEFAULT_DELTA) -> bool:
     return True
 
 
-def _angles_of(vals: np.ndarray, delta: float, unit_only: bool) -> RotationAngles:
-    """Angle multiset of a clustered spectrum; ``unit_only`` skips clusters
-    off the unit circle (the stretch pair of a Lorentz matrix)."""
-    clusters = _cluster_eigenvalues(vals, delta)
-    angles: list[float] = []
-    m_minus = 0
-    for idx in clusters:
+def _unit_circle(vals: np.ndarray, delta: float, unit_only: bool = False):
+    """The one reading of a clustered spectrum on the unit circle: by its
+    center c, at radius delta alone, each cluster of ``vals`` is the upper
+    member of a rotation pair (Im c > delta, angle arg c), the lower one
+    (Im c < -delta, skipped), or else +1 or -1 by the sign of Re c.
+    ``unit_only`` skips clusters off the unit circle (a Lorentz stretch
+    pair).  Returns (pairs, plus, minus): (angle, member indices) per
+    rotation cluster and the multiplicities of +1 and -1, which for an
+    orthogonal matrix add up to its dimension (pairs counted twice)."""
+    pairs: list[tuple[float, list[int]]] = []
+    plus = minus = 0
+    for idx in _cluster_eigenvalues(vals, delta):
         center = complex(vals[idx].sum() / len(idx))
         if unit_only and abs(abs(center) - 1.0) > delta:
             continue
-        if abs(center - (-1.0)) <= max(delta, PM_ONE_TOL):
-            m_minus = len(idx)
-            continue
         if center.imag > delta:
-            theta = float(np.arctan2(center.imag, center.real))
-            angles.extend([theta] * len(idx))
-    angles.extend([float(np.pi)] * (m_minus // 2))
+            pairs.append((float(np.arctan2(center.imag, center.real)), idx))
+        elif center.imag < -delta:
+            continue
+        elif center.real > 0:
+            plus += len(idx)
+        else:
+            minus += len(idx)
+    return pairs, plus, minus
+
+
+def _angle_multiset(thetas, minus: int) -> RotationAngles:
+    """The angles (0, pi) of the rotation pairs, with pi once per two -1
+    eigenvalues and a leftover odd -1 as ``reflection``."""
+    angles = list(thetas) + [float(np.pi)] * (minus // 2)
     angles.sort(reverse=True)
-    return RotationAngles(tuple(angles), reflection=bool(m_minus % 2))
+    return RotationAngles(tuple(angles), reflection=bool(minus % 2))
+
+
+def _angles_of(vals: np.ndarray, delta: float, unit_only: bool) -> RotationAngles:
+    """Angle multiset of a clustered spectrum, read by :func:`_unit_circle`."""
+    pairs, _, minus = _unit_circle(vals, delta, unit_only)
+    return _angle_multiset([theta for theta, idx in pairs for _ in idx], minus)
 
 
 def _lorentz_angles(sp: _LorentzSpectrum) -> RotationAngles:
@@ -361,25 +378,15 @@ def plane_decomposition(
     m = np.asarray(a, dtype=float)
     if not is_orthogonal(m, eps):
         raise NotOrthogonal("plane decomposition needs an orthogonal matrix")
-    ra = rotation_angles(m, delta, eps)
-    if not _distinct(ra.angles, delta):
-        raise NotRegular(
-            "plane decomposition is only canonical for regular rotations"
-        )
     blocks = frames.invariant_plane_frames(m, delta)
-    planes = [frame for _, frame in blocks.planes]
-    if ra.has_pi:
-        if blocks.b != 2:
-            raise HypisoError(
-                f"expected a 2-dimensional -1 eigenspace, got {blocks.b}"
-            )
-        planes.insert(0, blocks.neg_frame)  # pi is the largest angle
-    if len(planes) != ra.k:
-        raise HypisoError("plane/fixed dimension bookkeeping failed")
+    ra = blocks.angles
+    if not _distinct(ra.angles, delta):
+        raise NotRegular("plane decomposition is only canonical for regular rotations")
     if ra.reflection:
-        raise NotRegular(
-            "decomposition with a leftover reflection line is not representable"
-        )
+        raise NotRegular("decomposition with a leftover reflection line is not representable")
+    planes = [frame for _, frame in blocks.planes]
+    if blocks.b:  # b = 2 here: the plane of pi, the largest angle
+        planes.insert(0, blocks.neg_frame)
     return PlaneDecomposition(tuple(planes), ra.angles, blocks.fix_frame)
 
 

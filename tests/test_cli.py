@@ -1,10 +1,13 @@
 import json
 
 import numpy as np
+import pytest
 
 from conftest import block_rotation, boost_matrix
 from hypiso.cli import main
 from hypiso.quadspace import QuadraticSpace, classify_membership, matrix_to_json
+from hypiso.sampling import random_orthogonal
+from hypiso.spectral import rotation_matrix
 
 
 def write_matrix(tmp_path, name, mat):
@@ -169,6 +172,53 @@ class TestRandomAndOracle:
         )
         assert code == 0 and out == ""
         assert len(out_path.read_text().strip().splitlines()) == 2
+
+
+class TestOneRadius:
+    """An SO_o(3,1) rotation by pi - 8e-8 at --delta 5e-8: its pair lies
+    8e-8 from -1, so at that delta it is a rotation plane, not -1."""
+
+    def element(self, tmp_path):
+        m = np.eye(5)
+        m[:2, :2] = rotation_matrix(np.pi - 8e-8)
+        return write_matrix(tmp_path, "near_pi.json", m)
+
+    def test_classify_reads_one_angle(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "classify", self.element(tmp_path), "--delta", "5e-8")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["k"] == 1 and doc["angles"] == [np.pi - 8e-8]
+
+    def test_reality_answers(self, tmp_path, capsys):
+        path = self.element(tmp_path)
+        code, out, err = run(capsys, "reality", path, "--group", "SOo", "--delta", "5e-8")
+        assert code == 0, err
+        assert json.loads(out)["decision"] is True
+
+
+class TestNumericalFailure:
+    """LinAlgError is a ValueError, but a LAPACK routine that does not
+    converge is no fault of the input: exit 2, not 1."""
+
+    @pytest.fixture(autouse=True)
+    def failing_svd(self, monkeypatch):
+        def svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+
+    def test_oracle(self, tmp_path, capsys):
+        m = random_orthogonal(np.random.default_rng(11), 11)
+        path = write_matrix(tmp_path, "o.json", m)
+        code, out, err = run(capsys, "oracle", path, "--group", "On", "--budget", "32")
+        assert code == 2 and out == ""
+        assert err == "error: numerical failure: SVD did not converge\n"
+
+    def test_classify(self, tmp_path, capsys):
+        path = write_matrix(tmp_path, "b.json", boost_matrix(3, 0.5))
+        code, out, err = run(capsys, "classify", path)
+        assert code == 2 and out == ""
+        assert err == "error: numerical failure: SVD did not converge\n"
 
 
 def run_subprocess(*argv):

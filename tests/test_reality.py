@@ -291,6 +291,14 @@ class TestOracle:
         assert rep.regular and rep.exact and rep.samples_used == 0
         assert basis.call_count == 0 and inv.call_count == 0
 
+    def test_so_oracle_rejects_det_minus_one(self, monkeypatch):
+        eig = Mock(wraps=np.linalg.eig)
+        monkeypatch.setattr(np.linalg, "eig", eig)
+        with pytest.raises(NotSpecialOrthogonal):
+            reverser_oracle(np.diag([-1.0, 1.0, 1.0]), GROUP_SO, budget=0)
+        assert eig.call_count == 0  # refused before any analysis
+        assert reverser_oracle(np.diag([-1.0, 1.0, 1.0]), GROUP_O, budget=0).exact
+
     def test_unknown_group_is_invalid(self, rng):
         t = random_isometry(rng, 3, "elliptic")
         with pytest.raises(InvalidArg, match="unknown group 'SOo'"):

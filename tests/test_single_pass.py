@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import lorentz, maxabs, spy
-from hypiso import conjugacy, frames, reality, spectral
+from hypiso import classgeom, conjugacy, frames, reality, spectral
 from hypiso.classify import (
     FixedPointClass,
     KRotation,
@@ -25,7 +25,12 @@ from hypiso.classify import (
 from hypiso.conjugacy import Relation, conjugate_in_Mn
 from hypiso.quadspace import Component, QuadraticSpace, classify_membership
 from hypiso.reality import is_real_SOo_n1
-from hypiso.sampling import random_isometry, random_soo, rotation_with_angles
+from hypiso.sampling import (
+    random_isometry,
+    random_regular_special_orthogonal,
+    random_soo,
+    rotation_with_angles,
+)
 
 classify_module = importlib.import_module("hypiso.classify")
 
@@ -198,3 +203,26 @@ def test_normal_form_matches_classify(name, make):
     t = make()
     check_normal_form(t)
     check_normal_form(partner_of(t, np.random.default_rng(7), -1))
+
+
+ORTHOGONAL_CALLS = {
+    "plane_decomposition": spectral.plane_decomposition,
+    "is_real_On": reality.is_real_On,
+    "is_real_SOn": reality.is_real_SOn,
+    "is_strongly_real_SOn": reality.is_strongly_real_SOn,
+    "oracle O": lambda a: reality.reverser_oracle(a, reality.GROUP_O, budget=0),
+    "oracle SO": lambda a: reality.reverser_oracle(a, reality.GROUP_SO, budget=0),
+    "projection": classgeom.projection,
+}
+
+
+@pytest.mark.parametrize("n", (2, 5, 6))
+@pytest.mark.parametrize("name", ORTHOGONAL_CALLS)
+def test_orthogonal_call_reads_the_spectrum_once(monkeypatch, name, n):
+    a = random_regular_special_orthogonal(np.random.default_rng(n), n)
+    clusterings = spy(monkeypatch, spectral, "_cluster_eigenvalues")
+    eig = spy(monkeypatch, np.linalg, "eig")
+    eigvals = spy(monkeypatch, np.linalg, "eigvals")
+    ORTHOGONAL_CALLS[name](a)
+    assert clusterings.call_count == 1
+    assert eig.call_count + eigvals.call_count == 1

@@ -11,6 +11,7 @@ from hypiso.spectral import (
     is_semisimple,
     plane_decomposition,
     rotation_angles,
+    rotation_matrix,
 )
 
 PI = np.pi
@@ -210,3 +211,17 @@ class TestPlaneDecomposition:
         d = plane_decomposition(a)
         cols = np.column_stack(list(d.planes) + [d.fixed_subspace])
         assert maxabs(cols.T @ cols - np.eye(7)) < 1e-9
+
+
+class TestOneRadius:
+    """Angles and blocks are read at delta alone, even far below 1e-7."""
+
+    def test_near_pi_rotation_at_small_delta(self):
+        # e^{+-i(pi - 5e-8)} lie 5e-8 from -1: a rotation pair at 1e-9
+        a = rotation_matrix(PI - 5e-8)
+        ra = rotation_angles(a, 1e-9)
+        assert ra.k == 1 and not ra.reflection
+        assert ra.angles[0] == pytest.approx(PI - 5e-8, abs=1e-15)
+        d = plane_decomposition(a, 1e-9)
+        assert d.angles == ra.angles
+        assert d.k == 1 and d.fixed_subspace.shape == (2, 0)

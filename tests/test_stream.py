@@ -181,7 +181,7 @@ class TestFailureOrder:
         fine = write(tmp_path, "fine.jsonl", np.eye(4), boost_matrix(3, 0.2))
         flaky_doc = write(tmp_path, "flaky.json", marker)
         code, out, err = run(capsys, "classify", fine, flaky_doc, fine)
-        assert (code, out) == (1, "")
-        assert err == "malformed input: Eigenvalues did not converge\n"
+        assert (code, out) == (2, "")
+        assert err == "error: numerical failure: Eigenvalues did not converge\n"
         alone = run(capsys, "classify", paths["non_isometry"])
         assert run(capsys, "classify", fine, paths["non_isometry"], flaky_doc) == alone
