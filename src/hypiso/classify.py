@@ -303,19 +303,17 @@ def _spectra(ts: list, delta: float) -> list:
 
 
 def _fixed_point_class(sp: _LorentzSpectrum) -> FixedPointClass:
-    tau = sp.delta * sp.scale
-    if np.any((sp.svals > tau / 2.0) & (sp.svals < 2.0 * tau)):
+    if sp.band:
         raise Borderline(
             "kernel of T - I is threshold-ambiguous; semisimplicity marginal"
         )
     if sp.defective:
         return FixedPointClass.PARABOLIC
-    rmax = float(np.max(np.abs(sp.eigvals)))
-    if rmax > 1.0 + sp.delta:
+    if sp.rmax > 1.0 + sp.delta:
         return FixedPointClass.HYPERBOLIC
-    if rmax > 1.0 + sp.delta / 4.0:
+    if sp.rmax > 1.0 + sp.delta / 4.0:
         raise Borderline(
-            f"dominant eigenvalue modulus {rmax} is inside the tolerance gap"
+            f"dominant eigenvalue modulus {sp.rmax} is inside the tolerance gap"
         )
     return FixedPointClass.ELLIPTIC
 
@@ -339,11 +337,12 @@ def fixed_point_class(
 
 def _stretch(sp: _LorentzSpectrum) -> float:
     """Modulus of the dominant eigenvalue of a hyperbolic isometry."""
-    vals = sp.eigvals
-    lam = vals[int(np.argmax(np.abs(vals)))]
+    lam = sp.lam
     # a non-real dominant eigenvalue puts the hyperbolic reading itself in
     # doubt (the scattered spectrum of a Jordan block can pass for a
     # stretch pair): a refusal, not an internal error
+    # |lam| of the scalar, not rmax: numpy's complex abs over an array may
+    # round the last bit differently
     if abs(lam.imag) > sp.delta * abs(lam):
         raise Borderline(
             f"dominant eigenvalue is not real: |Im lambda| = {abs(lam.imag):.3e} "
@@ -362,12 +361,53 @@ def stretch_factor(t: LorentzMatrix, delta: float = DEFAULT_DELTA) -> float:
     return _stretch(sp)
 
 
+def _fixed_stage(hyperbolic: list, forms: list) -> None:
+    """The LAPACK work of the fixed-point data of passes of one size, run
+    stacked over the passes that do not yet store it, and stored on each.
+
+    One SVD of the (2H, d, d) stack [T - r I; T - r^-1 I] over the H passes
+    of ``hyperbolic`` (each with a real positive dominant eigenvalue r)
+    gives each its ``rays``: the right singular vectors of the smallest
+    singular values, the null eigenvectors for r and 1/r.  One ``eigh``
+    per kernel width over the Gram matrices K^T J K of ker(T - I) of the
+    passes of ``forms`` gives each its ``form`` (w, e), the eigen-
+    decomposition of Q on its fixed space; empty kernels are skipped.
+
+    numpy runs the same LAPACK routine on each matrix of a stack, so each
+    result is bit-identical to that of a stack of one.  A stacked call
+    that fails raises and stores nothing for its stack; each reader runs
+    the stage on its own pass alone, which then redoes only what is missing.
+    """
+    hyperbolic = [sp for sp in hyperbolic if sp.stored.rays is None]
+    if hyperbolic:
+        h = len(hyperbolic)
+        m = np.array([sp.t.entries for sp in hyperbolic] * 2)
+        r = np.array([_stretch(sp) for sp in hyperbolic])
+        lam = np.concatenate([r, 1.0 / r])
+        vt = np.linalg.svd(m - lam[:, None, None] * np.eye(m.shape[-1]))[2]
+        for i, sp in enumerate(hyperbolic):
+            rays = vt[[i, h + i], -1]
+            rays.setflags(write=False)
+            sp.stored.rays = rays
+    by_width: dict[int, list] = {}
+    for sp in forms:
+        if sp.stored.form is None and sp.kernel.shape[1]:
+            by_width.setdefault(sp.kernel.shape[1], []).append(sp)
+    for group in by_width.values():
+        j = group[0].t.space.form_signs
+        w, e = np.linalg.eigh(np.array([sp.kernel.T @ (j[:, None] * sp.kernel) for sp in group]))
+        for sp, wi, ei in zip(group, w, e):
+            wi.setflags(write=False)
+            ei.setflags(write=False)
+            sp.stored.form = (wi, ei)
+
+
 def _hyperbolic_rays(sp: _LorentzSpectrum) -> tuple[np.ndarray, np.ndarray]:
     """Null eigenvectors for (r, 1/r), each normalized to time coordinate 1."""
-    r = _stretch(sp)
+    _stretch(sp)
+    _fixed_stage([sp], [])
     out = []
-    for lam in (r, 1.0 / r):
-        v = frames.eigvec_min_singular(sp.t.entries, lam)
+    for v in sp.stored.rays:
         if abs(v[-1]) < 1e-10:
             raise HypisoError("null eigenvector has vanishing time coordinate")
         out.append(v / v[-1])
@@ -379,8 +419,8 @@ def _fixed_space_form(sp: _LorentzSpectrum, kind: str):
     kernel = sp.kernel
     if kernel.shape[1] == 0:
         raise HypisoError(f"{kind} isometry with empty fixed space")
-    j = sp.t.space.form_signs
-    w, e = np.linalg.eigh(kernel.T @ (j[:, None] * kernel))
+    _fixed_stage([], [sp])
+    w, e = sp.stored.form
     return kernel, w, e
 
 
@@ -436,25 +476,80 @@ def boundary_fixed_points(
     return _boundary_fixed_points(sp, _fixed_point_class(sp))
 
 
-def _classify(sp: _LorentzSpectrum) -> ClassificationReport:
+def _report_head(sp: _LorentzSpectrum) -> tuple:
+    """Class, angles and stretch: the part of a report read from the pass."""
     cls = _fixed_point_class(sp)
     ang = _lorentz_angles(sp)
-    k = ang.k
     stretch = _stretch(sp) if cls is FixedPointClass.HYPERBOLIC else None
-    boundary_dim = sp.t.space.n - 1
-    if cls is FixedPointClass.ELLIPTIC and 2 * k == boundary_dim + 1:
+    return cls, ang, stretch
+
+
+def _full_rotation(sp: _LorentzSpectrum, cls: FixedPointClass, ang: RotationAngles) -> bool:
+    """An elliptic rotating every space-like direction: its fixed data is
+    the time-like fixed vector."""
+    return cls is FixedPointClass.ELLIPTIC and 2 * ang.k == sp.t.space.n
+
+
+def _report(sp: _LorentzSpectrum, cls, ang, stretch) -> ClassificationReport:
+    if _full_rotation(sp, cls, ang):
         fixed: FixedPointData = EllipticPoint(_elliptic_fixed_vector(sp))
     else:
         fixed = _boundary_fixed_points(sp, cls)
     return ClassificationReport(
         fixed_class=cls,
-        k=k,
+        k=ang.k,
         angles=ang,
         regular=_distinct(ang.angles, sp.delta),
         stretch=stretch,
         fixed_data=fixed,
-        boundary_dim=boundary_dim,
+        boundary_dim=sp.t.space.n - 1,
     )
+
+
+def _classify_stack(passes: list) -> list:
+    """The report of each entry of ``passes`` (passes of one size), or the
+    exception its classification raises; an entry that is an exception
+    passes through.
+
+    Class, angles and stretch are read from each pass; then one
+    :func:`_fixed_stage` covers every pass whose fixed data needs LAPACK
+    work (hyperbolic, parabolic, full-rotation elliptic), and each report
+    reads its stored result.  A failing stacked call stores nothing, so the
+    reports of that stack redo the stage one pass at a time and each meets
+    its own exception, as with the stacked pass (:func:`_spectra`).
+    """
+    out = list(passes)
+    heads = {}
+    for i, sp in enumerate(passes):
+        if isinstance(sp, Exception):
+            continue
+        try:
+            heads[i] = _report_head(sp)
+        except Exception as exc:  # noqa: BLE001 - kept in place of its report
+            out[i] = exc
+    hyperbolic = [passes[i] for i, (cls, _, _) in heads.items() if cls is FixedPointClass.HYPERBOLIC]
+    forms = [
+        passes[i] for i, (cls, ang, _) in heads.items()
+        if cls is FixedPointClass.PARABOLIC or _full_rotation(passes[i], cls, ang)
+    ]
+    try:
+        _fixed_stage(hyperbolic, forms)
+    except np.linalg.LinAlgError:
+        pass  # redone per pass by the reports below
+    for i, head in heads.items():
+        try:
+            out[i] = _report(passes[i], *head)
+        except Exception as exc:  # noqa: BLE001 - kept in place of its report
+            out[i] = exc
+    return out
+
+
+def _classify(sp: _LorentzSpectrum) -> ClassificationReport:
+    """The report of one pass: the stack of one."""
+    report = _classify_stack([sp])[0]
+    if isinstance(report, Exception):
+        raise report
+    return report
 
 
 def classify(t: LorentzMatrix, delta: float = DEFAULT_DELTA) -> ClassificationReport:

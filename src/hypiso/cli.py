@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import classgeom, conjugacy, quadspace, reality, sampling
-from .classify import _classify, _spectra
+from .classify import _classify_stack, _spectra
 from .errors import HypisoError, RefusedToDecide
 from .spectral import plane_decomposition
 
@@ -73,9 +73,10 @@ def _emit(lines, output):
 
 
 def cmd_classify(args) -> int:
-    """Read every document first, then run membership and the spectral
-    pass once per dimension on the stack of its matrices; reports follow
-    in input order, up to the first document that fails."""
+    """Read every document first, then run membership, the spectral pass
+    and the fixed-data stage once per dimension on the stack of its
+    matrices; reports follow in input order, up to the first document that
+    fails."""
     docs = []
     read_error = None
     try:
@@ -86,17 +87,17 @@ def cmd_classify(args) -> int:
     by_dim: dict[int, list[int]] = {}
     for i, (space, _) in enumerate(docs):
         by_dim.setdefault(space.n, []).append(i)
-    spectra: list = [None] * len(docs)
+    reports: list = [None] * len(docs)
     for idx in by_dim.values():
         stack = np.stack([docs[i][1] for i in idx])
         members = quadspace.classify_membership_many(docs[idx[0]][0], stack, args.eps)
-        for i, sp in zip(idx, _spectra(members, args.delta)):
-            spectra[i] = sp
+        for i, report in zip(idx, _classify_stack(_spectra(members, args.delta))):
+            reports[i] = report
     lines = []
-    for sp in spectra:
-        if isinstance(sp, Exception):
-            raise sp
-        lines.append(json.dumps(_classify(sp).to_json_dict()))
+    for report in reports:
+        if isinstance(report, Exception):
+            raise report
+        lines.append(json.dumps(report.to_json_dict()))
     if read_error is not None:
         raise read_error
     _emit(lines, args.output)

@@ -22,16 +22,6 @@ from . import spectral
 from .errors import HypisoError
 
 
-def eigvec_min_singular(m: np.ndarray, lam: float) -> np.ndarray:
-    """Right singular vector for the smallest singular value of M - lam*I.
-
-    Robust eigenvector extraction for a simple (well separated) real
-    eigenvalue.
-    """
-    _, _, vt = np.linalg.svd(m - lam * np.eye(m.shape[0]))
-    return vt[-1]
-
-
 def j_inner(j: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     """Polarized form x^T J y for real vectors."""
     return float(np.dot(x * j, y))
@@ -126,7 +116,8 @@ def invariant_plane_frames(m: np.ndarray, delta: float) -> _OrthogonalBlocks:
     (non-canonical) choice, which is all the reverser and conjugator
     constructions need.  ker(A - I) and ker(A + I) are the right singular
     vectors of A -+ I for the smallest singular values, as many as the
-    reading counts +1 and -1, so the blocks add up to the dimension.
+    reading counts +1 and -1, so the blocks add up to the dimension; an
+    eigenvalue the reading does not count gets an (n, 0) frame and no SVD.
     """
     n = m.shape[0]
     vals, vecs = np.linalg.eig(m)
@@ -146,6 +137,8 @@ def invariant_plane_frames(m: np.ndarray, delta: float) -> _OrthogonalBlocks:
                 frame[:, 1] = -frame[:, 1]
             planes.append((theta, frame))
     planes.sort(key=lambda t: -t[0])
-    fix = np.linalg.svd(m - np.eye(n))[2][n - plus :].T
-    neg = np.linalg.svd(m + np.eye(n))[2][n - minus :].T
-    return _OrthogonalBlocks(planes, fix, neg)
+
+    def kernel(shifted, count):
+        return np.linalg.svd(shifted)[2][n - count :].T if count else np.empty((n, 0))
+
+    return _OrthogonalBlocks(planes, kernel(m - np.eye(n), plus), kernel(m + np.eye(n), minus))

@@ -357,7 +357,9 @@ def matrix_to_json(m) -> str:
 
 def matrix_from_document(doc: dict) -> tuple[QuadraticSpace, np.ndarray]:
     try:
-        n = int(doc["n"])
+        n = doc["n"]
+        if type(n) is not int:  # a JSON integer; bool is an int subclass
+            raise TypeError(f"n must be an integer, got {n!r}")
         flat = np.asarray(doc["matrix"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed matrix document: {exc}") from exc

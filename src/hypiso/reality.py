@@ -526,6 +526,9 @@ def reverser_oracle(
 
     With ``require``, raises :class:`BudgetExhausted` if sampling ends
     before every required component was seen (mode (a) hits are counted).
+    The Lorentz groups take elements of the identity component only, as
+    :func:`is_real_SOo_n1` does, and raise ``NotInIdentityComponent``
+    before any analysis otherwise.
     """
     if group not in (GROUP_O, GROUP_SO, GROUP_SOO, GROUP_MO):
         raise InvalidArg(f"unknown group {group!r}")
@@ -533,6 +536,8 @@ def reverser_oracle(
     if lorentzian:
         if not isinstance(t, LorentzMatrix):
             raise NotInIdentityComponent("Lorentz oracle needs a validated matrix")
+        if not t.identity_component:
+            raise NotInIdentityComponent("element is outside SO_o(n,1)")
         mat = t.entries
         j = t.space.form_signs
         sp = _LorentzSpectrum.of(t, delta)

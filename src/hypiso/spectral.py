@@ -21,9 +21,13 @@ invariant blocks are both read from the clusters by :func:`_unit_circle`.
 A Lorentz matrix is analysed once per element and delta
 (:class:`_LorentzSpectrum`): the pass is stored on the ``LorentzMatrix``,
 and the trichotomy, the angles, the stretch and the fixed data of every
-later call on that element read it.  The pass runs stacked over any
-number of matrices of one size (:meth:`_LorentzSpectrum.stack`); a single
-matrix is the stack of one.
+later call on that element read it.  Besides the spectrum and the kernel
+of T - I, the pass stores the three facts the trichotomy and the stretch
+read: the dominant eigenvalue, its modulus and the kernel-band flag.  The
+pass runs stacked over any number of matrices of one size
+(:meth:`_LorentzSpectrum.stack`); a single matrix is the stack of one.
+The LAPACK work of the fixed-point data (``classify._fixed_stage``) is
+stored on the same pass.
 """
 
 from __future__ import annotations
@@ -166,14 +170,21 @@ class _StoredPass:
     element (``LorentzMatrix._analyses``).  It holds no reference back to
     the element, which keeps the element free of reference cycles.  Its
     arrays are read-only, as every later call on the element reads them.
-    ``structure`` is the element's adapted splitting
-    (``reality._lorentz_structure``), kept here once built."""
+    ``rays`` and ``form`` are the results of the fixed-data stage
+    (``classify._fixed_stage``), and ``structure`` the element's adapted
+    splitting (``reality._lorentz_structure``), each kept here once
+    computed."""
 
     scale: float
     eigvals: np.ndarray
     svals: np.ndarray
     kernel: np.ndarray
     defective: bool
+    lam: object  # np.float64, or np.complex128 for a non-real spectrum
+    rmax: float
+    band: bool
+    rays: np.ndarray = None
+    form: tuple = None
     structure: object = None
 
     def __post_init__(self):
@@ -186,9 +197,12 @@ class _LorentzSpectrum:
     """The one spectral analysis of a Lorentz matrix T that deciders share.
 
     ``scale`` is max(1, ||T||_2); ranks are read at tau = delta * scale.
-    One SVD of T - I gives its singular values ``svals`` (the
-    Borderline band) and ``kernel``, an orthonormal frame of ker(T - I) at
-    tau.  ``defective`` is rank (T - I)^2 < rank (T - I): a Jordan block at 1.
+    One SVD of T - I gives its singular values ``svals`` and ``kernel``,
+    an orthonormal frame of ker(T - I) at tau; ``band`` is some singular
+    value inside (tau/2, 2 tau), where the kernel is threshold-ambiguous.
+    ``defective`` is rank (T - I)^2 < rank (T - I): a Jordan block at 1.
+    ``lam`` is the dominant eigenvalue (the first of largest modulus) and
+    ``rmax`` = |lam|, the largest modulus of the spectrum.
 
     The fields live in ``stored``, the pass kept on ``t``; this object
     joins it to its element for the deciders.
@@ -203,6 +217,9 @@ class _LorentzSpectrum:
     svals = property(attrgetter("stored.svals"))
     kernel = property(attrgetter("stored.kernel"))
     defective = property(attrgetter("stored.defective"))
+    lam = property(attrgetter("stored.lam"))
+    rmax = property(attrgetter("stored.rmax"))
+    band = property(attrgetter("stored.band"))
 
     @classmethod
     def of(cls, t: LorentzMatrix, delta: float) -> "_LorentzSpectrum":
@@ -217,11 +234,14 @@ class _LorentzSpectrum:
         """The pass of each of ``ts`` (all of one size).  Passes not yet
         stored are computed, then stored, in four LAPACK calls on their
         (N, d, d) stack: the singular values of T, the SVD of T - I, the
-        singular values of (T - I)^2 and the eigenvalues of T.
+        singular values of (T - I)^2 and the eigenvalues of T.  The facts
+        read by the trichotomy and the stretch (``band``, ``lam`` and
+        ``rmax``) are reduced over the same stack.
 
-        numpy runs the same LAPACK routine on each matrix of a stack, so
-        every field is bit-identical to that of a one-matrix stack.  Raises
-        ``InvalidArg`` when delta is below ``DELTA_MIN``.
+        numpy runs the same LAPACK routine on each matrix of a stack, and
+        the same elementwise loop on each row, so every field is
+        bit-identical to that of a one-matrix stack.  Raises ``InvalidArg``
+        when delta is below ``DELTA_MIN``.
         """
         if not delta >= DELTA_MIN:
             raise InvalidArg(
@@ -238,14 +258,19 @@ class _LorentzSpectrum:
             rank1 = (svals > tau[:, None]).sum(axis=1)
             # the square is ranked at tau^2 since small singular values square too
             rank2 = (np.linalg.svd(n1 @ n1, compute_uv=False) > (tau * tau)[:, None]).sum(axis=1)
+            band = ((svals > (tau / 2.0)[:, None]) & (svals < (2.0 * tau)[:, None])).any(axis=1)
             eigvals = np.linalg.eigvals(m)
             # as eigvals of one matrix, a real spectrum comes back real
             real = ~eigvals.imag.any(axis=1)
+            modulus = np.abs(eigvals)
+            top = modulus.argmax(axis=1)
+            rmax = modulus.max(axis=1)
             for i, t in enumerate(todo):
                 vals = eigvals[i].real if real[i] else eigvals[i]
                 kernel = vt[i][svals[i] <= tau[i]].T
                 t._analyses[delta] = _StoredPass(
-                    float(scale[i]), vals, svals[i], kernel, bool(rank2[i] < rank1[i])
+                    float(scale[i]), vals, svals[i], kernel, bool(rank2[i] < rank1[i]),
+                    vals[top[i]], float(rmax[i]), bool(band[i]),
                 )
         return [cls(t, delta, t._analyses[delta]) for t in ts]
 

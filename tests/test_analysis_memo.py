@@ -105,12 +105,12 @@ def test_failed_pass_raises_again():
 
 
 def test_failed_structure_is_not_stored():
-    # the oracle reaches the splitting of a sheet-swapping element, which
-    # the splitting refuses; the pass itself succeeds and is kept
+    # the splitting of a sheet-swapping element is refused; the pass itself
+    # succeeds and is kept
     swap = classify_membership(QuadraticSpace(3), np.diag([1.0, 1.0, -1.0, -1.0]))
     for _ in range(2):
         with pytest.raises(InvalidArg, match="sheet-preserving"):
-            reverser_oracle(swap, GROUP_SOO, budget=0)
+            reality._lorentz_structure(_LorentzSpectrum.of(swap, 1e-7))
     assert swap._analyses[1e-7].structure is None
 
 

@@ -174,6 +174,37 @@ class TestRandomAndOracle:
         assert len(out_path.read_text().strip().splitlines()) == 2
 
 
+class TestOracleComponent:
+    """The Lorentz oracle takes identity-component elements only, as the
+    SO_o reality decider does."""
+
+    @pytest.mark.parametrize("group", ("SOo", "Mo"))
+    def test_outside_the_identity_component_exits_2(self, tmp_path, capsys, group):
+        m = np.diag([-1.0, 1.0, 1.0, 1.0])
+        m[1:3, 1:3] = rotation_matrix(1.0)
+        path = write_matrix(tmp_path, "flip.json", m)
+        for command in ("oracle", "reality"):
+            argv = [command, path, "--group", group] + ["--budget", "0"] * (command == "oracle")
+            assert run(capsys, *argv) == (2, "", "error: element is outside SO_o(n,1)\n")
+
+
+class TestDocumentN:
+    """"n" must be a JSON integer: anything else is malformed input."""
+
+    @pytest.mark.parametrize("n", ("3.7", "3.0", "true", '"3"', "null", "[3]"))
+    def test_non_integer_n_exits_1(self, tmp_path, capsys, n):
+        path = tmp_path / "n.json"
+        path.write_text('{"n": %s, "matrix": %s}' % (n, json.dumps(np.eye(4).ravel().tolist())))
+        code, out, err = run(capsys, "classify", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("malformed input: malformed matrix document:")
+
+    def test_integer_n_is_read(self, tmp_path, capsys):
+        path = tmp_path / "n.json"
+        path.write_text('{"n": 3, "matrix": %s}' % json.dumps(np.eye(4).ravel().tolist()))
+        assert run(capsys, "classify", str(path))[0] == 0
+
+
 class TestOneRadius:
     """An SO_o(3,1) rotation by pi - 8e-8 at --delta 5e-8: its pair lies
     8e-8 from -1, so at that delta it is a rotation plane, not -1."""

@@ -15,6 +15,7 @@ from hypiso.errors import (
 )
 from hypiso.quadspace import form_residual
 from hypiso.reality import (
+    GROUP_MO,
     GROUP_O,
     GROUP_SO,
     GROUP_SOO,
@@ -298,6 +299,15 @@ class TestOracle:
             reverser_oracle(np.diag([-1.0, 1.0, 1.0]), GROUP_SO, budget=0)
         assert eig.call_count == 0  # refused before any analysis
         assert reverser_oracle(np.diag([-1.0, 1.0, 1.0]), GROUP_O, budget=0).exact
+
+    @pytest.mark.parametrize("group", (GROUP_SOO, GROUP_MO))
+    def test_lorentz_oracle_rejects_other_components(self, group):
+        m = np.diag([-1.0, 1.0, 1.0, 1.0])
+        m[1:3, 1:3] = block_rotation(1.0)
+        t = lorentz(m)
+        with pytest.raises(NotInIdentityComponent, match="outside SO_o"):
+            reverser_oracle(t, group, budget=0)
+        assert not t._analyses  # refused before any analysis
 
     def test_unknown_group_is_invalid(self, rng):
         t = random_isometry(rng, 3, "elliptic")
