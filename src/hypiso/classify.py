@@ -256,7 +256,9 @@ def poincare_extend(
 # ---------------------------------------------------------------------------
 
 
-def _require_sheet_preserving(t: LorentzMatrix):
+def _require_sheet_preserving(t):
+    """Refuse an element, or the record of its pass, off the
+    sheet-preserving components."""
     if not t.sheet_preserving:
         raise InvalidArg(
             "classification is defined for sheet-preserving isometries only"
@@ -378,28 +380,28 @@ def _fixed_stage(hyperbolic: list, forms: list) -> None:
     that fails raises and stores nothing for its stack; each reader runs
     the stage on its own pass alone, which then redoes only what is missing.
     """
-    hyperbolic = [sp for sp in hyperbolic if sp.stored.rays is None]
+    hyperbolic = [sp for sp in hyperbolic if sp.rays is None]
     if hyperbolic:
         h = len(hyperbolic)
-        m = np.array([sp.t.entries for sp in hyperbolic] * 2)
+        m = np.array([sp.entries for sp in hyperbolic] * 2)
         r = np.array([_stretch(sp) for sp in hyperbolic])
         lam = np.concatenate([r, 1.0 / r])
         vt = np.linalg.svd(m - lam[:, None, None] * np.eye(m.shape[-1]))[2]
         for i, sp in enumerate(hyperbolic):
             rays = vt[[i, h + i], -1]
             rays.setflags(write=False)
-            sp.stored.rays = rays
+            sp.rays = rays
     by_width: dict[int, list] = {}
     for sp in forms:
-        if sp.stored.form is None and sp.kernel.shape[1]:
+        if sp.form is None and sp.kernel.shape[1]:
             by_width.setdefault(sp.kernel.shape[1], []).append(sp)
     for group in by_width.values():
-        j = group[0].t.space.form_signs
+        j = group[0].space.form_signs
         w, e = np.linalg.eigh(np.array([sp.kernel.T @ (j[:, None] * sp.kernel) for sp in group]))
         for sp, wi, ei in zip(group, w, e):
             wi.setflags(write=False)
             ei.setflags(write=False)
-            sp.stored.form = (wi, ei)
+            sp.form = (wi, ei)
 
 
 def _hyperbolic_rays(sp: _LorentzSpectrum) -> tuple[np.ndarray, np.ndarray]:
@@ -407,7 +409,7 @@ def _hyperbolic_rays(sp: _LorentzSpectrum) -> tuple[np.ndarray, np.ndarray]:
     _stretch(sp)
     _fixed_stage([sp], [])
     out = []
-    for v in sp.stored.rays:
+    for v in sp.rays:
         if abs(v[-1]) < 1e-10:
             raise HypisoError("null eigenvector has vanishing time coordinate")
         out.append(v / v[-1])
@@ -420,7 +422,7 @@ def _fixed_space_form(sp: _LorentzSpectrum, kind: str):
     if kernel.shape[1] == 0:
         raise HypisoError(f"{kind} isometry with empty fixed space")
     _fixed_stage([], [sp])
-    w, e = sp.stored.form
+    w, e = sp.form
     return kernel, w, e
 
 
@@ -447,7 +449,7 @@ def _elliptic_fixed_vector(sp: _LorentzSpectrum) -> np.ndarray:
     if w[0] >= 0:
         raise HypisoError("fixed space of an elliptic isometry must be time-like")
     v = kernel @ e[:, 0]
-    j = sp.t.space.form_signs
+    j = sp.space.form_signs
     v = v / np.sqrt(-frames.j_inner(j, v, v))
     return v if v[-1] > 0 else -v
 
@@ -487,7 +489,7 @@ def _report_head(sp: _LorentzSpectrum) -> tuple:
 def _full_rotation(sp: _LorentzSpectrum, cls: FixedPointClass, ang: RotationAngles) -> bool:
     """An elliptic rotating every space-like direction: its fixed data is
     the time-like fixed vector."""
-    return cls is FixedPointClass.ELLIPTIC and 2 * ang.k == sp.t.space.n
+    return cls is FixedPointClass.ELLIPTIC and 2 * ang.k == sp.space.n
 
 
 def _report(sp: _LorentzSpectrum, cls, ang, stretch) -> ClassificationReport:
@@ -502,7 +504,7 @@ def _report(sp: _LorentzSpectrum, cls, ang, stretch) -> ClassificationReport:
         regular=_distinct(ang.angles, sp.delta),
         stretch=stretch,
         fixed_data=fixed,
-        boundary_dim=sp.t.space.n - 1,
+        boundary_dim=sp.space.n - 1,
     )
 
 
@@ -573,15 +575,14 @@ def normal_form(
     W T W^-1 in standard position.  Re-extending the returned parameters
     and conjugating back reproduces T.
     """
-    return _normal_form(_spectrum(t, delta))
+    return _normal_form(_spectrum(t, delta), t.tolerance)
 
 
-def _normal_form(sp: _LorentzSpectrum) -> NormalForm:
+def _normal_form(sp: _LorentzSpectrum, tolerance: float) -> NormalForm:
     # reality imports this module, so its splitting is imported at call time
     from .reality import _lorentz_structure
 
-    t = sp.t
-    space = t.space
+    space = sp.space
     d = space.dim
     st = _lorentz_structure(sp)
     angles = _lorentz_angles(sp).angles
@@ -613,7 +614,7 @@ def _normal_form(sp: _LorentzSpectrum) -> NormalForm:
         variant = KRotatoryTranslation(rotation=rot, translation=c * np.eye(d - 2)[0], angles=angles)
     else:
         variant = KRotatoryStretch(stretch=_stretch(sp), rotation=rot, angles=angles)
-    conj = classify_membership(space, w, max(t.tolerance, 1e-9))
+    conj = classify_membership(space, w, max(tolerance, 1e-9))
     return NormalForm(variant=variant, conjugator=conj)
 
 

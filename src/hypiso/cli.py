@@ -20,7 +20,7 @@ import numpy as np
 from . import classgeom, conjugacy, quadspace, reality, sampling
 from .classify import _classify_stack, _spectra
 from .errors import HypisoError, RefusedToDecide
-from .spectral import plane_decomposition
+from .spectral import DEFAULT_DELTA, plane_decomposition
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="matrix document file(s), '-' for standard input")
         p.add_argument("--eps", type=float, default=quadspace.DEFAULT_EPS,
                        help="membership tolerance (relative)")
-        p.add_argument("--delta", type=float, default=1e-7,
+        p.add_argument("--delta", type=float, default=DEFAULT_DELTA,
                        help="eigenvalue clustering tolerance")
         p.add_argument("--output", default=None, help="write documents here")
 
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix2")
     p.add_argument("--group", default="Mn", choices=["Mn", "Mon"])
     p.add_argument("--eps", type=float, default=quadspace.DEFAULT_EPS)
-    p.add_argument("--delta", type=float, default=1e-7)
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_conjugacy)
 
@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--angles", required=True, help="comma-separated angles in (0, pi]")
     p.add_argument("--has-pi", action="store_true")
-    p.add_argument("--delta", type=float, default=1e-7)
+    p.add_argument("--delta", type=float, default=DEFAULT_DELTA)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_enumerate)
 

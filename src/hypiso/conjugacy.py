@@ -140,7 +140,6 @@ def _mn_conjugator(
     """Sheet-preserving S = Phi_2 M Phi_1* with S T1 S^-1 = T2 for a pair
     of one class, M the special map and the identity on the orthogonal
     blocks; returns (S, M)."""
-    t1, t2 = sp1.t, sp2.t
     if st1.cls is FixedPointClass.HYPERBOLIC:
         r1, r2 = _stretch(sp1), _stretch(sp2)
         if abs(r1 - r2) > 1e-6 * max(1.0, r1):
@@ -152,11 +151,11 @@ def _mn_conjugator(
     ang2 = np.array([th for th, _ in b2.planes])
     if b1.p and float(np.max(np.abs(ang1 - ang2))) > 1e-6:
         raise NotConjugate("orthogonal parts have different rotation angles")
-    m = np.eye(t1.space.dim)
+    m = np.eye(sp1.space.dim)
     k = st1.special_dim
     m[:k, :k] = _special_map(st1, st2)
-    s = frames.frame_map(st2.frame, m, st1.frame, st1.signs, t1.space.form_signs)
-    resid = _conjugator_residual(s, t1.entries, t2.entries)
+    s = frames.frame_map(st2.frame, m, st1.frame, st1.signs, sp1.space.form_signs)
+    resid = _conjugator_residual(s, sp1.entries, sp2.entries)
     if resid > CONJUGATOR_TOL:
         raise HypisoError(f"conjugator residual {resid:.2e} exceeds tolerance")
     return s, m
@@ -167,8 +166,8 @@ def _refine_to_mo(
     sp2: _LorentzSpectrum, st2: _LorentzStructure,
     s: np.ndarray, m: np.ndarray,
 ) -> ConjugacyAnswer:
-    t1, t2 = sp1.t, sp2.t
-    comp = classify_membership(t1.space, s, 1e-7).component
+    space = sp1.space
+    comp = classify_membership(space, s, 1e-7).component
     if comp is Component.SO_o:
         return ConjugacyAnswer(Relation.CONJUGATE_IN_MO, s, "normalform")
     # a -1 on a space-like +-1 column of Phi_2 (E) commutes with the blocks
@@ -179,10 +178,10 @@ def _refine_to_mo(
         em = m.copy()
         i = st2.special_dim + 2 * blocks.p  # the first +-1 column
         em[i, i] = -1.0
-        s2 = frames.frame_map(st2.frame, em, st1.frame, st1.signs, t1.space.form_signs)
-        if _conjugator_residual(s2, t1.entries, t2.entries) > CONJUGATOR_TOL:
+        s2 = frames.frame_map(st2.frame, em, st1.frame, st1.signs, space.form_signs)
+        if _conjugator_residual(s2, sp1.entries, sp2.entries) > CONJUGATOR_TOL:
             raise HypisoError("conjugator flip failed its residual check")
-        if classify_membership(t1.space, s2, 1e-7).component is not Component.SO_o:
+        if classify_membership(space, s2, 1e-7).component is not Component.SO_o:
             raise HypisoError("conjugator flip left the identity component")
         return ConjugacyAnswer(Relation.CONJUGATE_IN_MO, s2, "reality-clause")
     if _distinct([th for th, _ in blocks.planes], sp2.delta):

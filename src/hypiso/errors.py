@@ -2,8 +2,9 @@
 
 Every domain failure raises a subclass of ``HypisoError`` so callers (and the
 CLI) can map failures to exit codes without string matching.  ``Borderline``
-and ``Undecided`` form their own branch: they signal an honest refusal to
-decide, not invalid input.
+(with its case ``ClusterAmbiguity``), ``Undecided`` and ``BudgetExhausted``
+form their own branch, ``RefusedToDecide``: they signal an honest refusal
+to decide, not invalid input.
 """
 
 
@@ -43,11 +44,6 @@ class NotInIdentityComponent(HypisoError):
     """Lorentz matrix lies outside the identity component."""
 
 
-class ClusterAmbiguity(HypisoError):
-    """Two eigenvalue clusters sit between delta and 2*delta apart; the
-    caller must refine delta."""
-
-
 class NotRegular(HypisoError):
     """Operation defined only for regular elements (distinct rotation
     angles, each of pair multiplicity one)."""
@@ -83,6 +79,11 @@ class RefusedToDecide(HypisoError):
 
 class Borderline(RefusedToDecide):
     """Input sits inside a tolerance gray zone; no decision emitted."""
+
+
+class ClusterAmbiguity(Borderline):
+    """Two eigenvalue clusters sit between delta and 2*delta apart; the
+    caller must refine delta."""
 
 
 class Undecided(RefusedToDecide):

@@ -193,14 +193,14 @@ class LorentzMatrix:
     does not re-check the form residual.
 
     The element carries its own analysis: ``_analyses`` maps delta to the
-    spectral pass (``spectral._LorentzSpectrum``), computed on first use
-    and read by every later decider call, with the adapted splitting
-    (``reality._lorentz_structure``) kept beside it.  The stored pass holds
-    no reference back to the element, so the element is freed by reference
-    counting.  This is sound only because ``entries`` never changes: every
-    construction in the package (``classify_membership``, ``inverse``,
-    ``@``) hands over a freshly built array that no one else holds, and it
-    is made read-only here.
+    record of its spectral pass (``spectral._LorentzSpectrum``), computed
+    on first use and read by every later decider call, which also keeps
+    the adapted splitting (``reality._lorentz_structure``).  The record
+    shares ``entries`` but holds no reference back to the element, so the
+    element is freed by reference counting.  This is sound only because
+    ``entries`` never changes: every construction in the package
+    (``classify_membership``, ``inverse``, ``@``) hands over a freshly
+    built array that no one else holds, and it is made read-only here.
     """
 
     entries: np.ndarray

@@ -33,7 +33,7 @@ is exact for regular elements.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -194,17 +194,11 @@ def is_strongly_real_SOn(
     (equivalently, T has an eigenvalue +-1).
 
     The decision provably equals :func:`is_real_SOn`'s, as the agreement
-    test in ``tests/test_reality.py`` checks; it is not re-derived here.
+    test in ``tests/test_reality.py`` checks, so it is that certificate
+    under the clause tag "KN": the +-1 eigenspaces split into lines, the
+    odd-dimensional summands.
     """
-    t, blocks = _orthogonal_data(t, delta, eps)
-    n = t.shape[0]
-    odd_summand = blocks.a + blocks.b >= 1  # +-1 eigenspaces split into lines
-    decision = (n % 4 != 2) or odd_summand
-    if not decision:
-        return RealityCertificate(GROUP_SO, False, "KN", None, False)
-    s = _reverser(blocks, 1)
-    _check_certificate(s, t, None)
-    return RealityCertificate(GROUP_SO, True, "KN", s, True)
+    return replace(is_real_SOn(t, delta, eps), clause="KN")
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +224,9 @@ def _parabolic_frame(sp: _LorentzSpectrum) -> tuple[np.ndarray, float]:
     """J-orthonormal frame (f1, f2, f3) of the invariant 3-dim time-like
     block of a parabolic element, in which T restricts to the standard
     unipotent; returns (frame, c)."""
-    t = sp.t
-    space = t.space
+    space = sp.space
     j = space.form_signs
-    n1 = t.entries - np.eye(space.dim)
+    n1 = sp.entries - np.eye(space.dim)
     u = _parabolic_ray(sp)
     if u[-1] < 0:
         u = -u
@@ -258,7 +251,7 @@ def _parabolic_frame(sp: _LorentzSpectrum) -> tuple[np.ndarray, float]:
         raise HypisoError("unipotent block frame is not space-like where expected")
     f1 = y / np.sqrt(qy)
     frame = np.column_stack([f1, f2, f3])
-    block = frames.restrict_to_frame(t.entries, frame, _UNIPOTENT_SIGNS, j)
+    block = frames.restrict_to_frame(sp.entries, frame, _UNIPOTENT_SIGNS, j)
     # the mean of the four entries +-c: one alone errs more on wide input,
     # and the c^2/2 entries magnify that error
     c = float((block[1, 0] + block[2, 0] - block[0, 1] + block[0, 2]) / 4.0)
@@ -298,17 +291,16 @@ class _LorentzStructure:
 
 def _lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
     """The adapted splitting of the element of ``sp``, built once and kept
-    with its stored pass."""
-    st = sp.stored.structure
+    on that record."""
+    st = sp.structure
     if st is None:
-        st = sp.stored.structure = _build_lorentz_structure(sp)
+        st = sp.structure = _build_lorentz_structure(sp)
     return st
 
 
 def _build_lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
-    t = sp.t
-    _require_sheet_preserving(t)
-    j = t.space.form_signs
+    _require_sheet_preserving(sp)
+    j = sp.space.form_signs
     cls = _fixed_point_class(sp)
     c = None
     if cls is FixedPointClass.ELLIPTIC:
@@ -329,7 +321,7 @@ def _build_lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
         special, c = _parabolic_frame(sp)
         signs = _UNIPOTENT_SIGNS
     w_frame = frames.spacelike_complement(special, j)
-    t_o = frames.restrict_to_frame(t.entries, w_frame, np.ones(w_frame.shape[1]), j)
+    t_o = frames.restrict_to_frame(sp.entries, w_frame, np.ones(w_frame.shape[1]), j)
     blocks = frames.invariant_plane_frames(t_o, sp.delta)
     frame = np.column_stack([special, w_frame @ blocks.frame])
     frame_signs = np.concatenate([signs, np.ones(t_o.shape[0])])

@@ -18,28 +18,29 @@ the input precision).  Two surviving clusters closer than ``2 * delta``
 raise :class:`ClusterAmbiguity` instead of guessing.  The angles and the
 invariant blocks are both read from the clusters by :func:`_unit_circle`.
 
-A Lorentz matrix is analysed once per element and delta
-(:class:`_LorentzSpectrum`): the pass is stored on the ``LorentzMatrix``,
-and the trichotomy, the angles, the stretch and the fixed data of every
-later call on that element read it.  Besides the spectrum and the kernel
-of T - I, the pass stores the three facts the trichotomy and the stretch
-read: the dominant eigenvalue, its modulus and the kernel-band flag.  The
+A Lorentz matrix is analysed once per element and delta: the record of
+the pass (:class:`_LorentzSpectrum`) is stored on the ``LorentzMatrix``,
+and every decider receives that record itself, so the trichotomy, the
+angles, the stretch and the fixed data of every later call on that
+element read it.  Besides the spectrum and the kernel of T - I, the
+record holds the three facts the trichotomy and the stretch read (the
+dominant eigenvalue, its modulus and the kernel-band flag) and what the
+deciders read of the element (its entries, space and sheet flag).  The
 pass runs stacked over any number of matrices of one size
 (:meth:`_LorentzSpectrum.stack`); a single matrix is the stack of one.
-The LAPACK work of the fixed-point data (``classify._fixed_stage``) is
-stored on the same pass.
+The LAPACK work of the fixed-point data (``classify._fixed_stage``) and
+the adapted splitting are stored on the same record.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
 from . import frames
 from .errors import ClusterAmbiguity, InvalidArg, NotOrthogonal, NotRegular
-from .quadspace import LorentzMatrix, is_orthogonal
+from .quadspace import LorentzMatrix, QuadraticSpace, is_orthogonal
 
 DEFAULT_DELTA = 1e-7
 
@@ -165,16 +166,31 @@ def null_space_at(m: np.ndarray, threshold: float) -> np.ndarray:
 
 
 @dataclass(eq=False, slots=True)
-class _StoredPass:
-    """What the pass computes for one element at one delta, stored on the
-    element (``LorentzMatrix._analyses``).  It holds no reference back to
-    the element, which keeps the element free of reference cycles.  Its
-    arrays are read-only, as every later call on the element reads them.
-    ``rays`` and ``form`` are the results of the fixed-data stage
-    (``classify._fixed_stage``), and ``structure`` the element's adapted
-    splitting (``reality._lorentz_structure``), each kept here once
-    computed."""
+class _LorentzSpectrum:
+    """The one spectral analysis of a Lorentz matrix T that deciders share,
+    stored on T (``LorentzMatrix._analyses``) per delta.
 
+    ``scale`` is max(1, ||T||_2); ranks are read at tau = delta * scale.
+    One SVD of T - I gives its singular values ``svals`` and ``kernel``,
+    an orthonormal frame of ker(T - I) at tau; ``band`` is some singular
+    value inside (tau/2, 2 tau), where the kernel is threshold-ambiguous.
+    ``defective`` is rank (T - I)^2 < rank (T - I): a Jordan block at 1.
+    ``lam`` is the dominant eigenvalue (the first of largest modulus) and
+    ``rmax`` = |lam|, the largest modulus of the spectrum.  ``rays`` and
+    ``form`` are the results of the fixed-data stage
+    (``classify._fixed_stage``), and ``structure`` the adapted splitting
+    (``reality._lorentz_structure``), each kept here once computed.
+
+    ``entries`` is T's own read-only array, and ``space`` and
+    ``sheet_preserving`` are T's; the record holds no reference back to
+    T, which keeps T free of reference cycles.  Its arrays are read-only,
+    as every later call on T reads them.
+    """
+
+    entries: np.ndarray
+    space: QuadraticSpace
+    delta: float
+    sheet_preserving: bool
     scale: float
     eigvals: np.ndarray
     svals: np.ndarray
@@ -191,43 +207,11 @@ class _StoredPass:
         for a in (self.eigvals, self.svals, self.kernel):
             a.setflags(write=False)
 
-
-@dataclass(frozen=True, eq=False)
-class _LorentzSpectrum:
-    """The one spectral analysis of a Lorentz matrix T that deciders share.
-
-    ``scale`` is max(1, ||T||_2); ranks are read at tau = delta * scale.
-    One SVD of T - I gives its singular values ``svals`` and ``kernel``,
-    an orthonormal frame of ker(T - I) at tau; ``band`` is some singular
-    value inside (tau/2, 2 tau), where the kernel is threshold-ambiguous.
-    ``defective`` is rank (T - I)^2 < rank (T - I): a Jordan block at 1.
-    ``lam`` is the dominant eigenvalue (the first of largest modulus) and
-    ``rmax`` = |lam|, the largest modulus of the spectrum.
-
-    The fields live in ``stored``, the pass kept on ``t``; this object
-    joins it to its element for the deciders.
-    """
-
-    t: LorentzMatrix
-    delta: float
-    stored: _StoredPass
-
-    scale = property(attrgetter("stored.scale"))
-    eigvals = property(attrgetter("stored.eigvals"))
-    svals = property(attrgetter("stored.svals"))
-    kernel = property(attrgetter("stored.kernel"))
-    defective = property(attrgetter("stored.defective"))
-    lam = property(attrgetter("stored.lam"))
-    rmax = property(attrgetter("stored.rmax"))
-    band = property(attrgetter("stored.band"))
-
     @classmethod
     def of(cls, t: LorentzMatrix, delta: float) -> "_LorentzSpectrum":
         """The pass of t at delta: the stored one, else a new one, stored."""
-        stored = t._analyses.get(delta)
-        if stored is None:
-            return cls.stack([t], delta)[0]
-        return cls(t, delta, stored)
+        sp = t._analyses.get(delta)
+        return cls.stack([t], delta)[0] if sp is None else sp
 
     @classmethod
     def stack(cls, ts: list[LorentzMatrix], delta: float) -> list["_LorentzSpectrum"]:
@@ -268,11 +252,12 @@ class _LorentzSpectrum:
             for i, t in enumerate(todo):
                 vals = eigvals[i].real if real[i] else eigvals[i]
                 kernel = vt[i][svals[i] <= tau[i]].T
-                t._analyses[delta] = _StoredPass(
+                t._analyses[delta] = cls(
+                    t.entries, t.space, delta, t.sheet_preserving,
                     float(scale[i]), vals, svals[i], kernel, bool(rank2[i] < rank1[i]),
                     vals[top[i]], float(rmax[i]), bool(band[i]),
                 )
-        return [cls(t, delta, t._analyses[delta]) for t in ts]
+        return [t._analyses[delta] for t in ts]
 
 
 def eigen_structure(m, delta: float = DEFAULT_DELTA) -> EigenStructure:

@@ -48,7 +48,7 @@ def test_conjugacy_after_reality_analyses_the_partner_only(monkeypatch, n, cls):
     conjugate_in_Mn(t, partner)
     assert [c.args[0] for c in stack.call_args_list] == [[partner]]
     assert eigvals.call_count == 1
-    assert [c.args[0].t for c in builds.call_args_list] == [partner]
+    assert [c.args[0] for c in builds.call_args_list] == [partner._analyses[1e-7]]
 
 
 @pytest.mark.parametrize("n,cls", CASES)
@@ -70,7 +70,7 @@ def test_second_delta_computes_a_second_pass(monkeypatch):
     assert eigvals.call_count == 1
     assert sorted(t._analyses) == [1e-7, 1e-6]
     a, b = _LorentzSpectrum.of(t, 1e-7), _LorentzSpectrum.of(t, 1e-6)
-    assert a.stored is not b.stored and a.delta == 1e-7 and b.delta == 1e-6
+    assert a is t._analyses[1e-7] and b is t._analyses[1e-6] and a.delta == 1e-7 and b.delta == 1e-6
 
 
 def test_two_memberships_of_one_matrix_share_nothing(monkeypatch):
@@ -129,7 +129,7 @@ def test_stacked_passes_equal_the_pass_of_a_fresh_element(n, delta):
     ts = stack_sample(n)
     stacked = _LorentzSpectrum.stack(ts, delta)
     for t, got in zip(ts, stacked):
-        assert got.t is t and _LorentzSpectrum.of(t, delta).stored is got.stored
+        assert got is t._analyses[delta] and _LorentzSpectrum.of(t, delta) is got
         want = _LorentzSpectrum.of(fresh(t), delta)
         assert got.scale == want.scale and got.defective == want.defective
         for field in ("eigvals", "svals", "kernel"):

@@ -97,6 +97,14 @@ def test_mixed_stack_equals_a_stack_of_one_per_element():
     assert len(messages) == len(REFUSALS)
 
 
+@pytest.mark.parametrize("name", REFUSALS)
+def test_refusals_exit_3_from_the_cli(tmp_path, capsys, name):
+    # every check of the table refuses to decide, the cluster check included
+    path = write(tmp_path, "refused.json", [REFUSALS[name]])
+    code, out, err = main(["classify", path, "--delta", str(DELTA)]), *capsys.readouterr()
+    assert (code, out) == (3, "") and err.startswith("undecided: ")
+
+
 def test_stage_results_are_those_of_a_fresh_element():
     ts = [t for cls in ("parabolic", "hyperbolic") for t in elements(5, cls, 4)] + full_rotations(4, 2)
     reports = {}

@@ -110,7 +110,7 @@ def test_conjugacy_builds_one_splitting_per_input(monkeypatch, n, cls, det):
     normal_forms = spy(monkeypatch, classify_module, "_normal_form")
     answer = conjugate_in_Mn(t, partner)
     assert answer.related is not Relation.NOT_CONJUGATE
-    assert [c.args[0].t for c in structures.call_args_list] == [t, partner]
+    assert [c.args[0] for c in structures.call_args_list] == [t._analyses[1e-7], partner._analyses[1e-7]]
     assert extractions.call_count == 2
     assert normal_forms.call_count == 0
 

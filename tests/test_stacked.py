@@ -70,10 +70,10 @@ class TestStackedPass:
         swap = classify_membership(QuadraticSpace(3), np.diag([1.0, 1.0, 1.0, -1.0]))
         err = ValueError("unreadable")
         out = _spectra([ts[0], swap, err, ts[1]], 1e-7)
-        assert isinstance(out[0], _LorentzSpectrum) and out[0].t is ts[0]
+        assert out[0] is ts[0]._analyses[1e-7]
         assert isinstance(out[1], InvalidArg)
         assert out[2] is err
-        assert isinstance(out[3], _LorentzSpectrum) and out[3].t is ts[1]
+        assert out[3] is ts[1]._analyses[1e-7]
 
 
 class TestDeltaFloor:

@@ -81,7 +81,8 @@ class TestStackedClassify:
                    "--output", path)[0] == 0
         code, out, _ = run(capsys, "classify", path)
         assert code == 0
-        docs = [json.loads(line) for line in open(path)]
+        with open(path) as fh:
+            docs = [json.loads(line) for line in fh]
         want = [expected_line(np.reshape(d["matrix"], (6, 6))) for d in docs]
         assert out.splitlines() == want
 
