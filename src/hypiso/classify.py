@@ -309,6 +309,11 @@ def _fixed_point_class(sp: _LorentzSpectrum) -> FixedPointClass:
         raise Borderline(
             "kernel of T - I is threshold-ambiguous; semisimplicity marginal"
         )
+    if sp.square_band:
+        raise Borderline(
+            "a singular value of (T - I)^2 lies just under tau^2; the rank that "
+            "finds a Jordan block at 1 is threshold-ambiguous"
+        )
     if sp.defective:
         return FixedPointClass.PARABOLIC
     if sp.rmax > 1.0 + sp.delta:
@@ -332,7 +337,7 @@ def fixed_point_class(
     real eigenvalue is simple and well conditioned, so modulus > 1 + delta
     decides hyperbolic.  ``Borderline`` is raised when the dominant
     modulus falls inside (1 + delta/4, 1 + delta] or when the kernel of
-    T - I is itself threshold-ambiguous.
+    T - I, or the rank of (T - I)^2, is itself threshold-ambiguous.
     """
     return _fixed_point_class(_spectrum(t, delta))
 

@@ -37,9 +37,16 @@ from .classify import (
     _stretch,
     classify,
 )
-from .errors import HypisoError, InvalidArg, NotConjugate, NotInIdentityComponent, Undecided
+from .errors import (
+    Borderline,
+    HypisoError,
+    InvalidArg,
+    NotConjugate,
+    NotInIdentityComponent,
+    Undecided,
+)
 from .quadspace import Component, LorentzMatrix, classify_membership
-from .reality import _lorentz_structure, _LorentzStructure
+from .reality import _certificate_failure, _lorentz_structure, _LorentzStructure
 from .spectral import DEFAULT_DELTA, _distinct, _LorentzSpectrum
 
 CONJUGATOR_TOL = 1e-8
@@ -140,25 +147,37 @@ def _mn_conjugator(
     """Sheet-preserving S = Phi_2 M Phi_1* with S T1 S^-1 = T2 for a pair
     of one class, M the special map and the identity on the orthogonal
     blocks; returns (S, M)."""
-    if st1.cls is FixedPointClass.HYPERBOLIC:
-        r1, r2 = _stretch(sp1), _stretch(sp2)
-        if abs(r1 - r2) > 1e-6 * max(1.0, r1):
-            raise NotConjugate("stretch factors differ")
+    hyperbolic = st1.cls is FixedPointClass.HYPERBOLIC
+    r1, r2 = (_stretch(sp1), _stretch(sp2)) if hyperbolic else (None, None)
     b1, b2 = st1.blocks, st2.blocks
-    if b1.p != b2.p or b1.a != b2.a or b1.b != b2.b:
-        raise NotConjugate("orthogonal parts have different block data")
     ang1 = np.array([th for th, _ in b1.planes])
     ang2 = np.array([th for th, _ in b2.planes])
-    if b1.p and float(np.max(np.abs(ang1 - ang2))) > 1e-6:
-        raise NotConjugate("orthogonal parts have different rotation angles")
+    # the characteristic polynomials and the classes agree, so a difference
+    # here is one of the readings, not of the pair
+    if ((b1.p, b1.a, b1.b) != (b2.p, b2.a, b2.b)
+            or (hyperbolic and abs(r1 - r2) > 1e-6 * max(1.0, r1))
+            or (b1.p and float(np.max(np.abs(ang1 - ang2))) > 1e-6)):
+        raise Borderline(
+            f"the two readings differ: {_reading(r1, b1)} against {_reading(r2, b2)}"
+        )
     m = np.eye(sp1.space.dim)
     k = st1.special_dim
     m[:k, :k] = _special_map(st1, st2)
     s = frames.frame_map(st2.frame, m, st1.frame, st1.signs, sp1.space.form_signs)
     resid = _conjugator_residual(s, sp1.entries, sp2.entries)
     if resid > CONJUGATOR_TOL:
-        raise HypisoError(f"conjugator residual {resid:.2e} exceeds tolerance")
+        raise _certificate_failure(
+            f"conjugator residual {resid:.2e} exceeds tolerance", sp1.delta, st2, st1,
+            gate=CONJUGATOR_TOL,
+        )
     return s, m
+
+
+def _reading(stretch: Optional[float], blocks: frames._OrthogonalBlocks) -> str:
+    """What the conjugator reads of one element, for a refusal message."""
+    angles = ", ".join(f"{th:.9g}" for th, _ in blocks.planes)
+    head = "" if stretch is None else f"stretch {stretch:.9g}, "
+    return f"{head}angles ({angles}), +1 x {blocks.a}, -1 x {blocks.b}"
 
 
 def _refine_to_mo(
@@ -180,7 +199,10 @@ def _refine_to_mo(
         em[i, i] = -1.0
         s2 = frames.frame_map(st2.frame, em, st1.frame, st1.signs, space.form_signs)
         if _conjugator_residual(s2, sp1.entries, sp2.entries) > CONJUGATOR_TOL:
-            raise HypisoError("conjugator flip failed its residual check")
+            raise _certificate_failure(
+                "conjugator flip failed its residual check", sp2.delta, st2, st1,
+                gate=CONJUGATOR_TOL,
+            )
         if classify_membership(space, s2, 1e-7).component is not Component.SO_o:
             raise HypisoError("conjugator flip left the identity component")
         return ConjugacyAnswer(Relation.CONJUGATE_IN_MO, s2, "reality-clause")
@@ -198,8 +220,11 @@ def conjugate_in_Mn(
     """Conjugacy in M(n), refined with the M_o(n) component information.
 
     NotConjugate is certified by differing characteristic polynomials or
-    differing Jordan structure; a positive answer always carries a
-    verified conjugator.
+    differing fixed-point classes (the Jordan structure), the only way
+    this answer is given; a positive answer always carries a verified
+    conjugator.  Once those agree, any difference the conjugator meets
+    (stretch, block counts or angles) is one of the readings, so it
+    raises ``Borderline`` naming both.
     """
     for t in (t1, t2):
         if not t.sheet_preserving:

@@ -9,7 +9,9 @@ reverser and conjugator is one frame map ``F_out @ M @ F_in*``.
 The frame helpers take ``j`` as a vector of form signs so the same code
 serves the Euclidean case (all ones) and the Lorentzian case.  The
 invariant-plane extractor is Euclidean-only: it splits an orthogonal
-matrix, such as the rotation part of a Lorentz element.
+matrix, such as the rotation part of a Lorentz element, with one ``eig``
+(the reading), one SVD (the polar factor of the planes, whose complement
+is the +-1 eigenspaces) and at most one ``eigh`` (to split +1 from -1).
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ class _OrthogonalBlocks:
     planes: list  # (angle, frame) with angle in (0, pi), descending
     fix_frame: np.ndarray  # ker(A - I)
     neg_frame: np.ndarray  # ker(A + I)
+    near_pm_one: float  # largest |Im lambda| the reading counted as +-1
 
     @property
     def frame(self) -> np.ndarray:
@@ -110,35 +113,32 @@ def invariant_plane_frames(m: np.ndarray, delta: float) -> _OrthogonalBlocks:
     """Invariant 2-planes and +-1 eigenspaces of an orthogonal matrix.
 
     The spectrum is read once, by :func:`spectral._unit_circle` at radius
-    delta.  One (angle, frame) pair per member of each rotation cluster,
-    frames orthonormal and oriented so the restriction of m is B(+angle).
-    For repeated angles the split into planes is an arbitrary
-    (non-canonical) choice, which is all the reverser and conjugator
-    constructions need.  ker(A - I) and ker(A + I) are the right singular
-    vectors of A -+ I for the smallest singular values, as many as the
-    reading counts +1 and -1, so the blocks add up to the dimension; an
-    eigenvalue the reading does not count gets an (n, 0) frame and no SVD.
+    delta.  Each member u of a rotation cluster at e^{i angle} gives the
+    columns (Re u, -Im u), in which m is B(+angle), by descending angle.
+    Their polar factor U[:, :2p] Vt (one SVD) is orthonormal, and as their
+    Gram commutes with every block the planes stay invariant (for repeated
+    angles the split into planes is arbitrary, as the constructions allow).
+    The other columns of U are the +-1 eigenspaces as the reading counts
+    them, so the frame fills the dimension, orthonormal to rounding.  With
+    two or more, one ``eigh`` of the symmetric part of m splits +1 from -1,
+    each ordered from the eigenvalue farthest from +-1: the first +-1
+    column, which a det fix-up flips, then lies in the plane of any
+    rotation pair the reading counted as +-1.
     """
-    n = m.shape[0]
     vals, vecs = np.linalg.eig(m)
     pairs, plus, minus = spectral._unit_circle(vals, delta)
-    planes: list[tuple[float, np.ndarray]] = []
-    for theta, idx in pairs:
-        ortho: list[np.ndarray] = []  # Hermitian Gram-Schmidt inside the cluster
-        for v in vecs[:, idx].T:
-            for u in ortho:
-                v = v - np.dot(np.conj(u), v) * u
-            nrm = np.real(np.dot(np.conj(v), v))
-            if nrm <= 0:
-                raise HypisoError("rotation eigenvectors are linearly dependent")
-            ortho.append(v / np.sqrt(nrm))
-            frame = np.sqrt(2.0) * np.column_stack([ortho[-1].real, ortho[-1].imag])
-            if frame[:, 1] @ m @ frame[:, 0] < 0:
-                frame[:, 1] = -frame[:, 1]
-            planes.append((theta, frame))
-    planes.sort(key=lambda t: -t[0])
-
-    def kernel(shifted, count):
-        return np.linalg.svd(shifted)[2][n - count :].T if count else np.empty((n, 0))
-
-    return _OrthogonalBlocks(planes, kernel(m - np.eye(n), plus), kernel(m + np.eye(n), minus))
+    near = float(np.abs(vals[plus + minus].imag).max(initial=0.0))
+    a, b = len(plus), len(minus)
+    pairs.sort(key=lambda t: -t[0])
+    thetas = [theta for theta, idx in pairs for _ in idx]
+    u = vecs[:, [i for _, idx in pairs for i in idx]]
+    q = 2 * len(thetas)
+    cols = np.empty((m.shape[0], q))
+    cols[:, 0::2], cols[:, 1::2] = u.real, -u.imag
+    left, _, vt = np.linalg.svd(cols)
+    polar, rest = left[:, :q] @ vt, left[:, q:]
+    if a + b > 1:
+        e = np.linalg.eigh(rest.T @ (m + m.T) @ rest)[1]  # ascending, -1 ones first
+        rest = rest @ np.column_stack([e[:, b:], e[:, :b][:, ::-1]])
+    planes = [(theta, polar[:, 2 * i : 2 * i + 2]) for i, theta in enumerate(thetas)]
+    return _OrthogonalBlocks(planes, rest[:, :a], rest[:, a:], near)

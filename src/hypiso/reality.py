@@ -48,6 +48,7 @@ from .classify import (
     _require_sheet_preserving,
 )
 from .errors import (
+    Borderline,
     BudgetExhausted,
     HypisoError,
     InvalidArg,
@@ -128,14 +129,52 @@ def _group_reversal_residual(s: np.ndarray, t: np.ndarray, j: Optional[np.ndarra
     return float(np.max(np.abs(s @ t @ _group_inverse(s, j) - _group_inverse(t, j))))
 
 
-def _check_certificate(s: np.ndarray, t: np.ndarray, j: Optional[np.ndarray]) -> None:
+def _certificate_failure(
+    message: str, delta: float, out, inp=None, gate: float = RESIDUAL_TOL
+) -> HypisoError:
+    """The error for a certificate that missed its gate, built on the
+    frames of ``out`` and ``inp`` (each invariant blocks, whose frame is
+    orthonormal, or an adapted splitting; ``inp`` defaults to ``out``).
+
+    A rotation by theta <= delta is read as +-1, and the construction then
+    fixes its plane pointwise.  In frame coordinates that leaves a residual
+    near 2 theta, which the +-1 columns of the two frames carry over with a
+    gain of at most the product of their 2-norms.  When that exceeds the
+    gate, the miss is a refusal naming theta, delta and the gate; any other
+    miss is an internal error.
+    """
+    theta, gain = 0.0, 1.0
+    for side in (out, out if inp is None else inp):
+        blocks = side.blocks if isinstance(side, _LorentzStructure) else side
+        theta = max(theta, blocks.near_pm_one)
+        if isinstance(side, _LorentzStructure) and blocks.a + blocks.b:
+            gain *= float(np.linalg.norm(side.frame[:, side.special_dim + 2 * blocks.p :], 2))
+    if 2.0 * theta * gain > gate:
+        return Borderline(
+            f"{message}: a rotation by {theta:.3e}, within delta = {delta:g} of +-1, "
+            f"was read as +-1, which leaves a residual up to {2.0 * theta * gain:.1e}, "
+            f"over the gate {gate:g}"
+        )
+    return HypisoError(message)
+
+
+def _check_certificate(
+    s: np.ndarray, t: np.ndarray, j: Optional[np.ndarray],
+    delta: Optional[float] = None, side=None,
+) -> None:
+    """Raise unless S is an involutive reverser of T in its group; ``side``,
+    the blocks or splitting S was built on, and delta name the refusals of
+    :func:`_certificate_failure`."""
     if _group_residual(s, j) > RESIDUAL_TOL:
         group = "orthogonal" if j is None else "Lorentz"
-        raise HypisoError(f"constructed reverser left the {group} group")
-    if _group_reversal_residual(s, t, j) > RESIDUAL_TOL:
-        raise HypisoError("constructed reverser failed its residual check")
-    if float(np.max(np.abs(s @ s - np.eye(s.shape[0])))) > RESIDUAL_TOL:
-        raise HypisoError("constructed reverser is not an involution")
+        message = f"constructed reverser left the {group} group"
+    elif _group_reversal_residual(s, t, j) > RESIDUAL_TOL:
+        message = "constructed reverser failed its residual check"
+    elif float(np.max(np.abs(s @ s - np.eye(s.shape[0])))) > RESIDUAL_TOL:
+        message = "constructed reverser is not an involution"
+    else:
+        return
+    raise HypisoError(message) if side is None else _certificate_failure(message, delta, side)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +198,7 @@ def is_real_On(
     reverser built from per-plane reflections."""
     t, blocks = _orthogonal_data(t, delta, eps, special=False)
     s = _reverser(blocks, (-1) ** blocks.p)
-    _check_certificate(s, t, None)
+    _check_certificate(s, t, None, delta, blocks)
     return RealityCertificate(GROUP_O, True, "W", s, True)
 
 
@@ -182,7 +221,7 @@ def is_real_SOn(
     s = _reverser(blocks, 1)
     if s is None:
         raise HypisoError("decision true but construction failed; inconsistent")
-    _check_certificate(s, t, None)
+    _check_certificate(s, t, None, delta, blocks)
     return RealityCertificate(GROUP_SO, True, clause, s, True)
 
 
@@ -323,6 +362,14 @@ def _build_lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
     w_frame = frames.spacelike_complement(special, j)
     t_o = frames.restrict_to_frame(sp.entries, w_frame, np.ones(w_frame.shape[1]), j)
     blocks = frames.invariant_plane_frames(t_o, sp.delta)
+    # ker(T - I) at tau is T_o's +1 eigenspace, plus the fixed time-like
+    # vector or null ray of an elliptic or parabolic: one kernel, read twice
+    width = blocks.a + (cls is not FixedPointClass.HYPERBOLIC)
+    if sp.kernel.shape[1] != width:
+        raise Borderline(
+            f"ker(T - I) at tau = {sp.delta * sp.scale:.3e} has width "
+            f"{sp.kernel.shape[1]}, the reading of the spectrum counts {width}"
+        )
     frame = np.column_stack([special, w_frame @ blocks.frame])
     frame_signs = np.concatenate([signs, np.ones(t_o.shape[0])])
     return _LorentzStructure(cls, blocks, c, frame, frame_signs)
@@ -403,7 +450,7 @@ def is_real_SOo_n1(
     s = _reverser(st.blocks, det=1, sheet=1, st=st, j=t.space.form_signs)
     if s is None:
         raise HypisoError("positive decision without achievable reverser; inconsistent")
-    _check_certificate(s, t.entries, t.space.form_signs)
+    _check_certificate(s, t.entries, t.space.form_signs, delta, st)
     comp = classify_membership(t.space, s, 1e-8).component
     if comp is not Component.SO_o:
         raise HypisoError("constructed reverser left the identity component")
@@ -558,7 +605,10 @@ def reverser_oracle(
         for s in exact_witnesses.values():
             if (_group_residual(s, j) > RESIDUAL_TOL
                     or _group_reversal_residual(s, mat, j) > RESIDUAL_TOL):
-                raise HypisoError("exact enumeration produced an invalid witness")
+                raise _certificate_failure(
+                    "exact enumeration produced an invalid witness", delta,
+                    st if lorentzian else blocks,
+                )
         exact = frozenset(exact_witnesses)
 
     found: dict = {}

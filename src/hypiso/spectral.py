@@ -23,8 +23,8 @@ the pass (:class:`_LorentzSpectrum`) is stored on the ``LorentzMatrix``,
 and every decider receives that record itself, so the trichotomy, the
 angles, the stretch and the fixed data of every later call on that
 element read it.  Besides the spectrum and the kernel of T - I, the
-record holds the three facts the trichotomy and the stretch read (the
-dominant eigenvalue, its modulus and the kernel-band flag) and what the
+record holds the facts the trichotomy and the stretch read (the dominant
+eigenvalue, its modulus and the two band flags) and what the
 deciders read of the element (its entries, space and sheet flag).  The
 pass runs stacked over any number of matrices of one size
 (:meth:`_LorentzSpectrum.stack`); a single matrix is the stack of one.
@@ -34,6 +34,7 @@ the adapted splitting are stored on the same record.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,8 @@ DEFAULT_DELTA = 1e-7
 # delta one needed was 1.7e-8; 7 of 120 misread at 1e-8 and all at 2e-9,
 # while elliptic and hyperbolic controls stayed right down to 1e-9.
 DELTA_MIN = 3e-8
+
+EPS = sys.float_info.epsilon  # machine epsilon, 2.2e-16
 
 
 @dataclass(frozen=True)
@@ -174,7 +177,11 @@ class _LorentzSpectrum:
     One SVD of T - I gives its singular values ``svals`` and ``kernel``,
     an orthonormal frame of ker(T - I) at tau; ``band`` is some singular
     value inside (tau/2, 2 tau), where the kernel is threshold-ambiguous.
-    ``defective`` is rank (T - I)^2 < rank (T - I): a Jordan block at 1.
+    ``defective`` is rank (T - I)^2 < rank (T - I): a Jordan block at 1,
+    and ``square_band`` is some singular value of (T - I)^2 inside
+    (max(tau^2/4, d EPS scale^2), tau^2], counted as zero by that rank but
+    above its rounding floor (d the size), where the Jordan block is
+    threshold-ambiguous.
     ``lam`` is the dominant eigenvalue (the first of largest modulus) and
     ``rmax`` = |lam|, the largest modulus of the spectrum.  ``rays`` and
     ``form`` are the results of the fixed-data stage
@@ -199,6 +206,7 @@ class _LorentzSpectrum:
     lam: object  # np.float64, or np.complex128 for a non-real spectrum
     rmax: float
     band: bool
+    square_band: bool
     rays: np.ndarray = None
     form: tuple = None
     structure: object = None
@@ -220,7 +228,8 @@ class _LorentzSpectrum:
         (N, d, d) stack: the singular values of T, the SVD of T - I, the
         singular values of (T - I)^2 and the eigenvalues of T.  The facts
         read by the trichotomy and the stretch (``band``, ``lam`` and
-        ``rmax``) are reduced over the same stack.
+        ``rmax``) are reduced over the same stack; ``square_band`` is read
+        per matrix from the sorted singular values of its square.
 
         numpy runs the same LAPACK routine on each matrix of a stack, and
         the same elementwise loop on each row, so every field is
@@ -241,7 +250,9 @@ class _LorentzSpectrum:
             _, svals, vt = np.linalg.svd(n1)
             rank1 = (svals > tau[:, None]).sum(axis=1)
             # the square is ranked at tau^2 since small singular values square too
-            rank2 = (np.linalg.svd(n1 @ n1, compute_uv=False) > (tau * tau)[:, None]).sum(axis=1)
+            d = m.shape[-1]
+            sq = np.linalg.svd(n1 @ n1, compute_uv=False)
+            rank2 = (sq > (tau * tau)[:, None]).sum(axis=1)
             band = ((svals > (tau / 2.0)[:, None]) & (svals < (2.0 * tau)[:, None])).any(axis=1)
             eigvals = np.linalg.eigvals(m)
             # as eigvals of one matrix, a real spectrum comes back real
@@ -252,10 +263,15 @@ class _LorentzSpectrum:
             for i, t in enumerate(todo):
                 vals = eigvals[i].real if real[i] else eigvals[i]
                 kernel = vt[i][svals[i] <= tau[i]].T
+                # singular values come sorted, so the largest one the rank
+                # of the square reads as zero decides its band
+                t2 = float(tau[i]) * float(tau[i])
+                zero = float(sq[i][rank2[i]]) if rank2[i] < d else 0.0
+                square_band = zero > max(t2 / 4.0, d * EPS * float(scale[i]) ** 2)
                 t._analyses[delta] = cls(
                     t.entries, t.space, delta, t.sheet_preserving,
                     float(scale[i]), vals, svals[i], kernel, bool(rank2[i] < rank1[i]),
-                    vals[top[i]], float(rmax[i]), bool(band[i]),
+                    vals[top[i]], float(rmax[i]), bool(band[i]), square_band,
                 )
         return [t._analyses[delta] for t in ts]
 
@@ -302,10 +318,12 @@ def _unit_circle(vals: np.ndarray, delta: float, unit_only: bool = False):
     (Im c < -delta, skipped), or else +1 or -1 by the sign of Re c.
     ``unit_only`` skips clusters off the unit circle (a Lorentz stretch
     pair).  Returns (pairs, plus, minus): (angle, member indices) per
-    rotation cluster and the multiplicities of +1 and -1, which for an
-    orthogonal matrix add up to its dimension (pairs counted twice)."""
+    rotation cluster and the indices of the members read as +1 and as -1,
+    whose counts for an orthogonal matrix add up to its dimension (pairs
+    counted twice)."""
     pairs: list[tuple[float, list[int]]] = []
-    plus = minus = 0
+    plus: list[int] = []
+    minus: list[int] = []
     for idx in _cluster_eigenvalues(vals, delta):
         center = complex(vals[idx].sum() / len(idx))
         if unit_only and abs(abs(center) - 1.0) > delta:
@@ -315,9 +333,9 @@ def _unit_circle(vals: np.ndarray, delta: float, unit_only: bool = False):
         elif center.imag < -delta:
             continue
         elif center.real > 0:
-            plus += len(idx)
+            plus += idx
         else:
-            minus += len(idx)
+            minus += idx
     return pairs, plus, minus
 
 
@@ -332,7 +350,7 @@ def _angle_multiset(thetas, minus: int) -> RotationAngles:
 def _angles_of(vals: np.ndarray, delta: float, unit_only: bool) -> RotationAngles:
     """Angle multiset of a clustered spectrum, read by :func:`_unit_circle`."""
     pairs, _, minus = _unit_circle(vals, delta, unit_only)
-    return _angle_multiset([theta for theta, idx in pairs for _ in idx], minus)
+    return _angle_multiset([theta for theta, idx in pairs for _ in idx], len(minus))
 
 
 def _lorentz_angles(sp: _LorentzSpectrum) -> RotationAngles:

@@ -158,15 +158,16 @@ def test_failing_stacked_svd_is_found_per_document(tmp_path, capsys, monkeypatch
 
 
 class TestPlusMinusOneFrames:
-    @pytest.mark.parametrize("angles,n,svds", (
+    @pytest.mark.parametrize("angles,n,eighs", (
         ((0.7, 1.9), 4, 0),  # no +1, no -1
-        ((0.7,), 3, 1),  # +1 only
-        ((0.7, np.pi), 5, 2),  # both
+        ((0.7,), 3, 0),  # one +1 column: nothing to split
+        ((0.7, np.pi), 5, 1),  # +1 and -1
+        ((0.7,), 5, 1),  # three +1 columns, ordered by one eigh
     ))
-    def test_svd_only_for_a_counted_eigenvalue(self, monkeypatch, angles, n, svds):
+    def test_one_eig_one_svd_and_an_eigh_for_two_pm_one_columns(self, monkeypatch, angles, n, eighs):
         a = rotation_with_angles(list(angles), n)
-        spied = spy(monkeypatch, np.linalg, "svd")
+        calls = [spy(monkeypatch, np.linalg, name) for name in ("eig", "svd", "eigh")]
         blocks = frames.invariant_plane_frames(a, 1e-7)
-        assert spied.call_count == svds
+        assert [c.call_count for c in calls] == [1, 1, eighs]
         assert 2 * blocks.p + blocks.a + blocks.b == n
         assert blocks.frame.shape == (n, n)

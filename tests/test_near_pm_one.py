@@ -53,4 +53,4 @@ def test_blocks_read_the_spectrum_as_the_angles_do(case):
     assert blocks.angles.reflection == ra.reflection
     assert 2 * blocks.p + blocks.a + blocks.b == a.shape[0]
     f = blocks.frame
-    assert maxabs(f.T @ f - np.eye(a.shape[0])) <= 1e-6
+    assert maxabs(f.T @ f - np.eye(a.shape[0])) <= 1e-12
