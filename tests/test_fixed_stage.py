@@ -171,3 +171,21 @@ class TestPlusMinusOneFrames:
         assert [c.call_count for c in calls] == [1, 1, eighs]
         assert 2 * blocks.p + blocks.a + blocks.b == n
         assert blocks.frame.shape == (n, n)
+
+    @pytest.mark.parametrize("angles,n,counted", (
+        ((0.7, 1.9), 4, 0),  # no +1, no -1
+        ((0.7,), 3, 1),  # +1 only
+        ((0.7, np.pi), 5, 2),  # both
+    ))
+    def test_svd_only_for_a_counted_eigenvalue(self, monkeypatch, angles, n, counted):
+        # The counted +-1 eigenspaces are the left singular vectors beyond
+        # the plane columns, from the one SVD of those columns: no SVD of A -+ I.
+        a = rotation_with_angles(list(angles), n)
+        svd = spy(monkeypatch, np.linalg, "svd")
+        blocks = frames.invariant_plane_frames(a, 1e-7)
+        assert svd.call_count == 1
+        assert svd.call_args.args[0].shape == (n, 2 * blocks.p)
+        assert (blocks.a > 0) + (blocks.b > 0) == counted
+        assert np.allclose(a @ blocks.fix_frame, blocks.fix_frame, atol=1e-12)
+        assert np.allclose(a @ blocks.neg_frame, -blocks.neg_frame, atol=1e-12)
+        assert 2 * blocks.p + blocks.a + blocks.b == n
