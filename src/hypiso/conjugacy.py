@@ -104,13 +104,53 @@ def invariant_tuple(t: LorentzMatrix, delta: float = DEFAULT_DELTA) -> Invariant
     return InvariantTuple(report.fixed_class.value, angles, report.k, stretch)
 
 
-def _char_polys_match(vals1: np.ndarray, vals2: np.ndarray) -> bool:
+def _char_poly(vals: np.ndarray) -> list:
+    """Coefficients of prod (x - lambda) over the spectrum ``vals``, the
+    leading 1 first, by Vieta's recurrence on Python scalars."""
+    c = [1.0]
+    for lam in vals.tolist():
+        c = [a - lam * b for a, b in zip(c + [0.0], [0.0] + c)]
+    return c
+
+
+def _reciprocity_defect(c: list, det_sign: int) -> float:
+    """max |c_k - sigma c_(d-k)|, sigma = (-1)^d det T.  The spectrum of an
+    element of O(n,1) is closed under inversion, so its characteristic
+    polynomial is self-reciprocal, c_(d-k) = sigma c_k, and the defect of
+    the computed coefficients from that symmetry estimates their rounding."""
+    sigma = (-1) ** (len(c) - 1) * det_sign
+    return max(abs(a - sigma * b) for a, b in zip(c, reversed(c)))
+
+
+def _char_polys_match(
+    t1: LorentzMatrix, sp1: _LorentzSpectrum, t2: LorentzMatrix, sp2: _LorentzSpectrum
+) -> bool:
     """Characteristic polynomials, from the two spectra, equal within
-    CHARPOLY_TOL relative to their largest coefficient."""
-    c1 = np.poly(vals1)
-    c2 = np.poly(vals2)
-    scale = max(1.0, float(np.max(np.abs(c1))), float(np.max(np.abs(c2))))
-    return float(np.max(np.abs(c1 - c2))) <= CHARPOLY_TOL * scale
+    CHARPOLY_TOL relative to their largest coefficient.
+
+    A difference over that tolerance certifies that the pair is not
+    conjugate only when it also clears the rounding of the coefficients:
+    d times the sum of the two reciprocity defects, d the degree, as each
+    coefficient sums up to d eigenvalue errors of the size the defect
+    shows.  Under that floor (a stretch near 1e10 loses the spectrum to
+    rounding) it raises ``Borderline`` naming both numbers.
+    """
+    c1, c2 = _char_poly(sp1.eigvals), _char_poly(sp2.eigvals)
+    scale = max(1.0, max(map(abs, c1)), max(map(abs, c2)))
+    diff = max(abs(a - b) for a, b in zip(c1, c2))
+    if diff <= CHARPOLY_TOL * scale:
+        return True
+    floor = (len(c1) - 1) * (
+        _reciprocity_defect(c1, t1.component.det_sign)
+        + _reciprocity_defect(c2, t2.component.det_sign)
+    )
+    if diff <= floor:
+        raise Borderline(
+            f"characteristic polynomials differ by {diff / scale:.1e} (relative), "
+            f"under their rounding floor {floor / scale:.1e}, read from the defect "
+            "of each from self-reciprocity"
+        )
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +205,7 @@ def _mn_conjugator(
     m[:k, :k] = _special_map(st1, st2)
     s = frames.frame_map(st2.frame, m, st1.frame, st1.signs, sp1.space.form_signs)
     resid = _conjugator_residual(s, sp1.entries, sp2.entries)
-    if resid > CONJUGATOR_TOL:
+    if not resid <= CONJUGATOR_TOL:  # a NaN residual fails too
         raise _certificate_failure(
             f"conjugator residual {resid:.2e} exceeds tolerance", sp1.delta, st2, st1,
             gate=CONJUGATOR_TOL,
@@ -198,7 +238,7 @@ def _refine_to_mo(
         i = st2.special_dim + 2 * blocks.p  # the first +-1 column
         em[i, i] = -1.0
         s2 = frames.frame_map(st2.frame, em, st1.frame, st1.signs, space.form_signs)
-        if _conjugator_residual(s2, sp1.entries, sp2.entries) > CONJUGATOR_TOL:
+        if not _conjugator_residual(s2, sp1.entries, sp2.entries) <= CONJUGATOR_TOL:
             raise _certificate_failure(
                 "conjugator flip failed its residual check", sp2.delta, st2, st1,
                 gate=CONJUGATOR_TOL,
@@ -221,8 +261,9 @@ def conjugate_in_Mn(
 
     NotConjugate is certified by differing characteristic polynomials or
     differing fixed-point classes (the Jordan structure), the only way
-    this answer is given; a positive answer always carries a verified
-    conjugator.  Once those agree, any difference the conjugator meets
+    this answer is given; polynomials that differ only within their
+    rounding floor raise ``Borderline``.  A positive answer always carries
+    a verified conjugator.  Once those agree, any difference the conjugator meets
     (stretch, block counts or angles) is one of the readings, so it
     raises ``Borderline`` naming both.
     """
@@ -232,7 +273,7 @@ def conjugate_in_Mn(
     if t1.space.n != t2.space.n:
         raise NotConjugate("elements act on different spaces")
     sp1, sp2 = _LorentzSpectrum.of(t1, delta), _LorentzSpectrum.of(t2, delta)
-    if not _char_polys_match(sp1.eigvals, sp2.eigvals):
+    if not _char_polys_match(t1, sp1, t2, sp2):
         return ConjugacyAnswer(Relation.NOT_CONJUGATE, None, "kg-thm1.2")
     if _fixed_point_class(sp1) is not _fixed_point_class(sp2):
         return ConjugacyAnswer(Relation.NOT_CONJUGATE, None, "kg-thm1.2")

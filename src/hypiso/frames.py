@@ -58,7 +58,7 @@ def orthonormalize_spacelike(basis: np.ndarray, j: np.ndarray) -> np.ndarray:
     w, e = np.linalg.eigh(gram)
     if np.any(w <= 0):
         raise HypisoError("subspace is not space-like; cannot orthonormalize")
-    return basis @ e @ np.diag(1.0 / np.sqrt(w)) @ e.T
+    return (basis @ e) * (1.0 / np.sqrt(w)) @ e.T
 
 
 def spacelike_complement(

@@ -29,6 +29,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -107,16 +108,19 @@ class QuadraticSpace:
     def dim(self) -> int:
         return self.n + 1
 
-    @property
-    def form_matrix(self) -> np.ndarray:
-        j = np.ones(self.dim)
-        j[-1] = -1.0
-        return np.diag(j)
-
-    @property
+    @cached_property
     def form_signs(self) -> np.ndarray:
+        """diag(J) = (1, ..., 1, -1), built once per space, read-only."""
         j = np.ones(self.dim)
         j[-1] = -1.0
+        j.setflags(write=False)
+        return j
+
+    @cached_property
+    def form_matrix(self) -> np.ndarray:
+        """J, built once per space, read-only."""
+        j = np.diag(self.form_signs)
+        j.setflags(write=False)
         return j
 
 
@@ -312,10 +316,15 @@ def classify_membership_many(
                 f"sheet entry {sheet_entry:.3e} is indistinguishable from zero"
             ))
         else:
-            sheet = 1 if sheet_entry > 0 else -1
-            comp = Component.from_signs(1 if d * sheet > 0 else -1, sheet)
-            out.append(LorentzMatrix(np.array(m), comp, eps, space))
+            out.append(LorentzMatrix(np.array(m), _component(sheet_entry, d), eps, space))
     return out
+
+
+def _component(sheet_entry: float, block_det: float) -> Component:
+    """The component of an element M of O(n,1) from M[n, n] and
+    det(M[:n, :n]), whose quotient is det M."""
+    sheet = 1 if sheet_entry > 0 else -1
+    return Component.from_signs(1 if block_det * sheet > 0 else -1, sheet)
 
 
 def _squared_scale(m: np.ndarray):

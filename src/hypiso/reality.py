@@ -56,12 +56,7 @@ from .errors import (
     NotOrthogonal,
     NotSpecialOrthogonal,
 )
-from .quadspace import (
-    Component,
-    LorentzMatrix,
-    classify_membership,
-    is_orthogonal,
-)
+from .quadspace import Component, LorentzMatrix, _component, is_orthogonal
 from .spectral import (
     DEFAULT_DELTA,
     _distinct,
@@ -165,12 +160,13 @@ def _check_certificate(
     """Raise unless S is an involutive reverser of T in its group; ``side``,
     the blocks or splitting S was built on, and delta name the refusals of
     :func:`_certificate_failure`."""
-    if _group_residual(s, j) > RESIDUAL_TOL:
+    # written "not r <= gate" so that a NaN residual fails its gate
+    if not _group_residual(s, j) <= RESIDUAL_TOL:
         group = "orthogonal" if j is None else "Lorentz"
         message = f"constructed reverser left the {group} group"
-    elif _group_reversal_residual(s, t, j) > RESIDUAL_TOL:
+    elif not _group_reversal_residual(s, t, j) <= RESIDUAL_TOL:
         message = "constructed reverser failed its residual check"
-    elif float(np.max(np.abs(s @ s - np.eye(s.shape[0])))) > RESIDUAL_TOL:
+    elif not float(np.max(np.abs(s @ s - np.eye(s.shape[0])))) <= RESIDUAL_TOL:
         message = "constructed reverser is not an involution"
     else:
         return
@@ -451,8 +447,9 @@ def is_real_SOo_n1(
     if s is None:
         raise HypisoError("positive decision without achievable reverser; inconsistent")
     _check_certificate(s, t.entries, t.space.form_signs, delta, st)
-    comp = classify_membership(t.space, s, 1e-8).component
-    if comp is not Component.SO_o:
+    # the check just passed puts S in O(n,1) to 1e-8, so its component is
+    # read from its entries, as classify_membership would read it
+    if _component(s[-1, -1], np.linalg.det(s[:-1, :-1])) is not Component.SO_o:
         raise HypisoError("constructed reverser left the identity component")
     return RealityCertificate(GROUP_SOO, True, clause, s, True)
 
@@ -603,8 +600,8 @@ def reverser_oracle(
             if s is not None:
                 exact_witnesses[(det, sheet)] = s
         for s in exact_witnesses.values():
-            if (_group_residual(s, j) > RESIDUAL_TOL
-                    or _group_reversal_residual(s, mat, j) > RESIDUAL_TOL):
+            if not (_group_residual(s, j) <= RESIDUAL_TOL
+                    and _group_reversal_residual(s, mat, j) <= RESIDUAL_TOL):
                 raise _certificate_failure(
                     "exact enumeration produced an invalid witness", delta,
                     st if lorentzian else blocks,

@@ -121,7 +121,12 @@ class PlaneDecomposition:
 
 
 def _cluster_eigenvalues(vals: np.ndarray, delta: float) -> list[list[int]]:
-    """Union-find clustering of eigenvalues at merge radius delta."""
+    """Union-find clustering of eigenvalues at merge radius delta.
+
+    The distances are taken on Python scalars (``vals.tolist()``), whose
+    complex ``abs`` rounds as numpy's does, at a fraction of the cost.
+    """
+    vals = vals.tolist()
     m = len(vals)
     parent = list(range(m))
 
@@ -173,7 +178,8 @@ class _LorentzSpectrum:
     """The one spectral analysis of a Lorentz matrix T that deciders share,
     stored on T (``LorentzMatrix._analyses``) per delta.
 
-    ``scale`` is max(1, ||T||_2); ranks are read at tau = delta * scale.
+    ``scale`` is max(1, ||T||_2), read from the corner entry T[n, n];
+    ranks are read at tau = delta * scale.
     One SVD of T - I gives its singular values ``svals`` and ``kernel``,
     an orthonormal frame of ker(T - I) at tau; ``band`` is some singular
     value inside (tau/2, 2 tau), where the kernel is threshold-ambiguous.
@@ -224,12 +230,25 @@ class _LorentzSpectrum:
     @classmethod
     def stack(cls, ts: list[LorentzMatrix], delta: float) -> list["_LorentzSpectrum"]:
         """The pass of each of ``ts`` (all of one size).  Passes not yet
-        stored are computed, then stored, in four LAPACK calls on their
-        (N, d, d) stack: the singular values of T, the SVD of T - I, the
-        singular values of (T - I)^2 and the eigenvalues of T.  The facts
-        read by the trichotomy and the stretch (``band``, ``lam`` and
-        ``rmax``) are reduced over the same stack; ``square_band`` is read
-        per matrix from the sorted singular values of its square.
+        stored are computed, then stored, in three LAPACK calls on their
+        (N, d, d) stack: the SVD of T - I, the singular values of (T - I)^2
+        and the eigenvalues of T.  The facts read by the trichotomy and the
+        stretch (``band``, ``lam`` and ``rmax``) are reduced over the same
+        stack; ``square_band`` is read per matrix from the sorted singular
+        values of its square.
+
+        The scale needs no SVD.  T in O(n,1) is K1 B(s) K2 with K1, K2
+        orthogonal and B(s) a boost (the Cartan form), so with
+        c = |T[n, n]| = cosh s, ||T||_2 = e^s = c + sqrt(c - 1) sqrt(c + 1),
+        and c <= 1 (rounding) gives 1.  It differs from the top singular
+        value by the rounding of T[n, n] over sinh s: about 1e-14 relative
+        on the benchmark's elements, and up to about 1e-7 where c is within
+        rounding of 1.  So tau moves by a small fraction of itself, and a
+        rank read at it differs from one read at the top singular value
+        only for a singular value of T - I that close to tau, inside the
+        ``band`` (tau/2, 2 tau), or one of (T - I)^2 that close to tau^2,
+        which ``square_band`` flags on the side that counts it as zero
+        (above the rounding floor); either refuses.
 
         numpy runs the same LAPACK routine on each matrix of a stack, and
         the same elementwise loop on each row, so every field is
@@ -244,7 +263,8 @@ class _LorentzSpectrum:
         todo = [t for t in ts if delta not in t._analyses]
         if todo:
             m = np.array([t.entries for t in todo])
-            scale = np.maximum(1.0, np.linalg.svd(m, compute_uv=False)[:, 0])
+            c = np.abs(m[:, -1, -1])
+            scale = np.maximum(1.0, c + np.sqrt(np.maximum(c - 1.0, 0.0)) * np.sqrt(c + 1.0))
             tau = delta * scale
             n1 = m - np.eye(m.shape[-1])
             _, svals, vt = np.linalg.svd(n1)

@@ -58,3 +58,41 @@ def test_centres_equal_np_mean():
 
 def test_empty_spectrum():
     assert _cluster_eigenvalues(np.zeros(0, dtype=complex), 1e-7) == []
+
+
+def numpy_scalar_clusters(vals, delta):
+    """The clustering as it read distances before: numpy scalars."""
+    m = len(vals)
+    parent = list(range(m))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(m):
+        for j in range(i + 1, m):
+            if abs(vals[i] - vals[j]) <= delta:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups = {}
+    for i in range(m):
+        groups.setdefault(find(i), []).append(i)
+    clusters = list(groups.values())
+    for a in range(len(clusters)):
+        for b in range(a + 1, len(clusters)):
+            d = min(abs(vals[i] - vals[j]) for i in clusters[a] for j in clusters[b])
+            if d < 2 * delta:
+                raise ClusterAmbiguity(
+                    f"clusters separated by {d:.3e}, inside [delta, 2*delta); refine delta"
+                )
+    return clusters
+
+
+def test_python_scalars_read_as_numpy_scalars():
+    for vals, delta in CASES:
+        assert outcome(_cluster_eigenvalues, vals, delta) == outcome(
+            numpy_scalar_clusters, vals, delta
+        )

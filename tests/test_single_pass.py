@@ -60,7 +60,7 @@ def test_classify_reads_the_spectrum_once(monkeypatch, n, cls):
     report = classify(t)
     assert report.fixed_class.value.lower() == cls
     assert eigvals.call_count == 1
-    assert svds.call_count + two_norm_calls(norms) <= 5
+    assert svds.call_count + two_norm_calls(norms) <= 4
     assert passes.call_count == 1
 
 
