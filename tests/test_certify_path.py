@@ -159,7 +159,6 @@ class TestNanGates:
             return s if len(maps) == 1 else np.full_like(s, np.nan)
 
         monkeypatch.setattr(frames, "frame_map", second_is_nan)
-        t1, t2 = lorentz(t1.entries), lorentz(t2.entries)
         with pytest.raises(HypisoError, match="flip failed its residual check") as info:
             conjugate_in_Mn(t1, t2)
         assert type(info.value) is HypisoError and len(maps) == 2

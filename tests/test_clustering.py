@@ -61,7 +61,7 @@ def test_empty_spectrum():
 
 
 def numpy_scalar_clusters(vals, delta):
-    """The clustering as it read distances before: numpy scalars."""
+    """Reference: the same clustering, its distances on numpy scalars."""
     m = len(vals)
     parent = list(range(m))
 
