@@ -14,8 +14,14 @@ from conftest import boost_matrix, lorentz, spy
 from hypiso import frames, quadspace
 from hypiso.conjugacy import Relation, _char_poly, _reciprocity_defect, conjugate_in_Mn
 from hypiso.errors import Borderline, HypisoError
-from hypiso.quadspace import Component, QuadraticSpace, classify_membership, matrix_to_json
-from hypiso.reality import _component, is_real_SOo_n1
+from hypiso.quadspace import (
+    Component,
+    QuadraticSpace,
+    _component,
+    classify_membership,
+    matrix_to_json,
+)
+from hypiso.reality import is_real_SOo_n1
 from hypiso.sampling import random_orthogonal, standard_isometry
 from hypiso.spectral import _LorentzSpectrum
 from test_cli import run_subprocess
