@@ -7,19 +7,8 @@ boundary n-sphere is identified with the sheet-preserving part of
 O(n+1,1), with identity component M_o(n) = SO_o(n+1,1).
 """
 
-from .classgeom import (
-    BoundaryPair,
-    FibrationDescriptor,
-    alpha,
-    class_descriptor,
-    d0,
-    descriptor_for,
-    dim_decomposition_space,
-    dim_rotation_class,
-    dim_spaces,
-    enumerate_fiber,
-    projection,
-)
+from importlib import import_module
+
 from .classify import (
     ClassificationReport,
     FixedPointClass,
@@ -31,15 +20,6 @@ from .classify import (
     poincare_extend,
     reconstruct_from_normal_form,
     stretch_factor,
-)
-from .conjugacy import (
-    ConjugacyAnswer,
-    InvariantTuple,
-    Relation,
-    conjugate_in_Mn,
-    conjugate_in_Mon,
-    find_conjugator,
-    invariant_tuple,
 )
 from .quadspace import (
     CausalType,
@@ -53,16 +33,6 @@ from .quadspace import (
     q_value,
     subspace_type,
 )
-from .reality import (
-    OracleReport,
-    RealityCertificate,
-    is_real_Mo,
-    is_real_On,
-    is_real_SOn,
-    is_real_SOo_n1,
-    is_strongly_real_SOn,
-    reverser_oracle,
-)
 from .spectral import (
     EigenStructure,
     PlaneDecomposition,
@@ -73,6 +43,28 @@ from .spectral import (
     plane_decomposition,
     rotation_angles,
 )
+
+# The public names of the reality, conjugacy and fibration modules are
+# resolved on first use (PEP 562, ``__getattr__`` below), so importing the
+# package, or classifying, does not load them.  ``classify`` stays eager:
+# it names both a submodule and a function, and the function must win.
+_LAZY = {
+    "classgeom": (
+        "BoundaryPair", "FibrationDescriptor", "alpha", "class_descriptor",
+        "d0", "descriptor_for", "dim_decomposition_space", "dim_rotation_class",
+        "dim_spaces", "enumerate_fiber", "projection",
+    ),
+    "conjugacy": (
+        "ConjugacyAnswer", "InvariantTuple", "Relation", "conjugate_in_Mn",
+        "conjugate_in_Mon", "find_conjugator", "invariant_tuple",
+    ),
+    "reality": (
+        "OracleReport", "RealityCertificate", "is_real_Mo", "is_real_On",
+        "is_real_SOn", "is_real_SOo_n1", "is_strongly_real_SOn",
+        "reverser_oracle",
+    ),
+}
+_ORIGIN = {name: module for module, names in _LAZY.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -132,3 +124,21 @@ __all__ = [
     "stretch_factor",
     "subspace_type",
 ]
+
+
+def __getattr__(name):
+    """A public name of a module in ``_LAZY``: the module is imported on
+    first use, and the name cached in the package globals.  The modules
+    themselves resolve too, as when the package imported them eagerly."""
+    if name in _LAZY:
+        return import_module(f"{__name__}.{name}")
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY) | set(_ORIGIN))

@@ -484,10 +484,12 @@ def boundary_fixed_points(
 
 
 def _report_head(sp: _LorentzSpectrum) -> tuple:
-    """Class, angles and stretch: the part of a report read from the pass."""
+    """Class, angles and stretch: the part of a report read from the pass.
+    The stretch is read before the angles, so a non-real dominant
+    eigenvalue is refused as such before its rotation pairs are read."""
     cls = _fixed_point_class(sp)
-    ang = _lorentz_angles(sp)
     stretch = _stretch(sp) if cls is FixedPointClass.HYPERBOLIC else None
+    ang = _lorentz_angles(sp)
     return cls, ang, stretch
 
 

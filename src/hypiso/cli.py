@@ -7,6 +7,9 @@ line (streamable).  Exit codes: 0 success, 1 malformed input, 2 domain
 error or numerical failure, 3 refusal to decide (borderline tolerance
 zone, undecided conjugacy, exhausted search budget); several documents
 exit with the code of the first one that fails.
+
+The reality, conjugacy, fibration and sampling modules are imported by
+the commands that use them, so ``classify`` starts without them.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import classgeom, conjugacy, quadspace, reality, sampling
+from . import quadspace
 from .classify import _classify_stack, _spectra
 from .errors import HypisoError, RefusedToDecide
 from .spectral import DEFAULT_DELTA, plane_decomposition
@@ -105,6 +108,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_reality(args) -> int:
+    from . import reality
+
     lines = []
     for space, mat in _matrices(args.matrix):
         if args.group in ("On", "SOn"):
@@ -126,6 +131,8 @@ def cmd_reality(args) -> int:
 
 
 def cmd_conjugacy(args) -> int:
+    from . import conjugacy
+
     t1 = _read_one(args.matrix1, args.eps)
     t2 = _read_one(args.matrix2, args.eps)
     if args.group == "Mon":
@@ -153,6 +160,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_dims(args) -> int:
+    from . import classgeom
+
     desc = classgeom.descriptor_for(
         args.klass, args.k, args.n, args.has_pi, fix_stretch=not args.all_stretches
     )
@@ -161,6 +170,8 @@ def cmd_dims(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from . import classgeom, sampling
+
     angles = [float(a) for a in args.angles.split(",") if a.strip()]
     if args.has_pi and not any(abs(a - np.pi) <= 1e-9 for a in angles):
         angles = [float(np.pi)] + angles
@@ -182,6 +193,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_random(args) -> int:
+    from . import sampling
+
     rng = np.random.default_rng(args.seed)
     lines = []
     for _ in range(args.count):
@@ -201,6 +214,8 @@ def cmd_random(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from . import reality
+
     lines = []
     for space, mat in _matrices(args.matrix):
         if args.group in ("On", "SOn"):

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import frames
-from .errors import ClusterAmbiguity, InvalidArg, NotOrthogonal, NotRegular
+from .errors import Borderline, ClusterAmbiguity, InvalidArg, NotOrthogonal, NotRegular
 from .quadspace import LorentzMatrix, QuadraticSpace, is_orthogonal
 
 DEFAULT_DELTA = 1e-7
@@ -123,8 +123,12 @@ class PlaneDecomposition:
 def _cluster_eigenvalues(vals: np.ndarray, delta: float) -> list[list[int]]:
     """Union-find clustering of eigenvalues at merge radius delta.
 
-    The distances are taken on Python scalars (``vals.tolist()``), whose
-    complex ``abs`` rounds as numpy's does, at a fraction of the cost.
+    Each pairwise distance is taken once, on Python scalars
+    (``vals.tolist()``), whose complex ``abs`` rounds as numpy's does, at a
+    fraction of the cost.  A pair at most delta apart is merged; a pair
+    inside (delta, 2 delta) is kept, and if one ends in two clusters, those
+    nearly touch and the call refuses.  Clusters come in the order of their
+    first member, each listing its members in order.
     """
     vals = vals.tolist()
     m = len(vals)
@@ -136,27 +140,38 @@ def _cluster_eigenvalues(vals: np.ndarray, delta: float) -> list[list[int]]:
             i = parent[i]
         return i
 
+    two = 2 * delta
+    near = []
     for i in range(m):
+        vi = vals[i]
         for j in range(i + 1, m):
-            if abs(vals[i] - vals[j]) <= delta:
+            d = abs(vi - vals[j])
+            if d <= delta:
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj
+            elif d < two:
+                near.append((i, j, d))
     groups: dict[int, list[int]] = {}
     for i in range(m):
         groups.setdefault(find(i), []).append(i)
     clusters = list(groups.values())
-    # refuse to decide when two surviving clusters nearly touch
-    for a in range(len(clusters)):
-        for b in range(a + 1, len(clusters)):
-            d = min(
-                abs(vals[i] - vals[j]) for i in clusters[a] for j in clusters[b]
+    if near:
+        label = [0] * m
+        for c, idx in enumerate(clusters):
+            for i in idx:
+                label[i] = c
+        # the first pair of clusters that nearly touch, and their distance
+        cross = [
+            (min(label[i], label[j]), max(label[i], label[j]), d)
+            for i, j, d in near
+            if label[i] != label[j]
+        ]
+        if cross:
+            raise ClusterAmbiguity(
+                f"clusters separated by {min(cross)[2]:.3e}, inside [delta, 2*delta); "
+                "refine delta"
             )
-            if d < 2 * delta:
-                raise ClusterAmbiguity(
-                    f"clusters separated by {d:.3e}, inside [delta, 2*delta); "
-                    "refine delta"
-                )
     return clusters
 
 
@@ -336,17 +351,31 @@ def _unit_circle(vals: np.ndarray, delta: float, unit_only: bool = False):
     center c, at radius delta alone, each cluster of ``vals`` is the upper
     member of a rotation pair (Im c > delta, angle arg c), the lower one
     (Im c < -delta, skipped), or else +1 or -1 by the sign of Re c.
-    ``unit_only`` skips clusters off the unit circle (a Lorentz stretch
-    pair).  Returns (pairs, plus, minus): (angle, member indices) per
-    rotation cluster and the indices of the members read as +1 and as -1,
-    whose counts for an orthogonal matrix add up to its dimension (pairs
-    counted twice)."""
+    ``unit_only`` skips real clusters off the unit circle (a Lorentz
+    stretch pair) and raises ``Borderline`` for a non-real one, a rotation
+    pair whose modulus rounding has pushed more than delta off 1.  Returns
+    (pairs, plus, minus): (angle, member indices) per rotation cluster and
+    the indices of the members read as +1 and as -1, whose counts for an
+    orthogonal matrix add up to its dimension (pairs counted twice).
+
+    A one-member cluster's center is its member, read from the Python
+    scalar; a larger one's is ``vals[idx].sum() / len(idx)``."""
     pairs: list[tuple[float, list[int]]] = []
     plus: list[int] = []
     minus: list[int] = []
+    scalars = vals.tolist()
     for idx in _cluster_eigenvalues(vals, delta):
-        center = complex(vals[idx].sum() / len(idx))
+        if len(idx) == 1:
+            center = complex(scalars[idx[0]])
+        else:
+            center = complex(vals[idx].sum() / len(idx))
         if unit_only and abs(abs(center) - 1.0) > delta:
+            if abs(center.imag) > delta:
+                raise Borderline(
+                    f"non-real eigenvalue of modulus {abs(center):.12g} is off the "
+                    f"unit circle by more than delta = {delta:g}; its rotation "
+                    "angle is lost to rounding"
+                )
             continue
         if center.imag > delta:
             pairs.append((float(np.arctan2(center.imag, center.real)), idx))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import boost_matrix, lorentz, spy
-from hypiso import frames, quadspace
+from hypiso import classify, frames, quadspace
 from hypiso.conjugacy import Relation, _char_poly, _reciprocity_defect, conjugate_in_Mn
 from hypiso.errors import Borderline, HypisoError
 from hypiso.quadspace import (
@@ -187,8 +187,8 @@ def rotation(n, i, k, theta):
     return m
 
 
-def wide_stretch_pair():
-    t = boost(3, 0, 25.0) @ rotation(3, 1, 2, 1.0)
+def wide_stretch_pair(rapidity=25.0):
+    t = boost(3, 0, rapidity) @ rotation(3, 1, 2, 1.0)
     g = boost(3, 1, 0.3) @ rotation(3, 0, 1, 0.7)
     return t, g @ t @ j_transpose(g)
 
@@ -227,3 +227,32 @@ class TestCharPolyGate:
         t2 = lorentz(boost(3, 0, 20.0) @ rotation(3, 1, 2, 1.0))
         answer = conjugate_in_Mn(t1, t2)
         assert answer.related is Relation.NOT_CONJUGATE and answer.method == "kg-thm1.2"
+
+
+class TestWideStretchAngles:
+    """The pair above over its rapidity r: up to r = 22 both elements read
+    the one rotation angle 1.0; from r = 25 the partner's rotation pair
+    comes back off the unit circle by more than delta, and its reading is
+    refused rather than dropped (T itself keeps k = 1).  At r = 16 both
+    are refused earlier, at the threshold-ambiguous kernel of T - I."""
+
+    @pytest.mark.parametrize("r", (10.0, 12.0, 14.0, 18.0, 20.0, 22.0))
+    def test_both_read_one_angle(self, r):
+        for m in wide_stretch_pair(r):
+            report = classify(lorentz(m))
+            assert report.k == 1 and abs(report.angles.angles[0] - 1.0) <= 1e-7
+
+    @pytest.mark.parametrize("r", (25.0, 28.0, 30.0))
+    def test_partner_is_refused(self, r):
+        t1, t2 = (lorentz(m) for m in wide_stretch_pair(r))
+        assert classify(t1).k == 1
+        with pytest.raises(Borderline, match="off the unit circle"):
+            classify(t2)
+
+    def test_partner_exits_3(self, tmp_path):
+        path = tmp_path / "t2.json"
+        path.write_text(matrix_to_json(wide_stretch_pair(25.0)[1]))
+        proc = run_subprocess("-m", "hypiso.cli", "classify", str(path))
+        assert proc.returncode == 3, proc.stdout + proc.stderr
+        assert proc.stderr.startswith("undecided:") and "off the unit circle" in proc.stderr
+        assert proc.stdout == ""

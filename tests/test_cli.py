@@ -312,3 +312,63 @@ def test_sampler_runs_without_scipy():
     proc = run_subprocess("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[0])["n"] == 5
+
+
+class TestImportGraph:
+    """``import hypiso`` and ``hypiso classify`` load only the classify path;
+    the public names of the other modules resolve on first use."""
+
+    LATE = ("hypiso.reality", "hypiso.conjugacy", "hypiso.classgeom", "hypiso.sampling")
+
+    def test_classify_loads_no_other_module(self, tmp_path):
+        path = write_matrix(tmp_path, "t.json", boost_matrix(3, 0.5))
+        proc = run_subprocess("-X", "importtime", "-m", "hypiso.cli", "classify", path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["class"] == "Hyperbolic"
+        loaded = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert "hypiso.classify" in loaded
+        assert loaded.isdisjoint(self.LATE)
+
+    def test_import_hypiso_loads_no_other_module(self):
+        code = "import json, sys, hypiso; print(json.dumps(list(sys.modules)))"
+        proc = run_subprocess("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout))
+        assert "hypiso.classify" in loaded
+        assert loaded.isdisjoint(self.LATE)
+
+    @pytest.mark.parametrize("first", ("hypiso.cli", "hypiso.conjugacy"))
+    def test_classify_is_the_function(self, first):
+        code = f"import inspect, {first}, hypiso; print(inspect.isfunction(hypiso.classify))"
+        proc = run_subprocess("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
+
+    def test_every_public_name_resolves(self):
+        code = (
+            "import json, hypiso\n"
+            "names = hypiso.__all__\n"
+            "listed = [n for n in names if n in dir(hypiso)]\n"
+            "modules = [hypiso.reality.__name__, hypiso.conjugacy.__name__]\n"
+            "got = [n for n in names if getattr(hypiso, n) is not None]\n"
+            "scope = {}\n"
+            "exec('from hypiso import *', scope)\n"
+            "bound = [n for n in names if scope.get(n) is getattr(hypiso, n)]\n"
+            "print(json.dumps([len(names), len(got), len(listed), len(bound), modules]))\n"
+        )
+        proc = run_subprocess("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        total, got, listed, bound, modules = json.loads(proc.stdout)
+        assert total == got == listed == bound > 50
+        assert modules == ["hypiso.reality", "hypiso.conjugacy"]
+
+    def test_unknown_name_raises_attribute_error(self):
+        import hypiso
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            hypiso.no_such_name
+        assert not hasattr(hypiso, "no_such_name")

@@ -1,7 +1,13 @@
 """Eigenvalue clusters and their centres: ``vals[idx].sum() / len(idx)``
-is bit-identical to ``np.mean(vals[idx])``, which it replaced."""
+is bit-identical to ``np.mean(vals[idx])``, which it replaced, and so is
+a one-member cluster's member read as a Python scalar.  The one-pass
+clustering returns the clusters and the refusal of the two-pass one
+(merge, then scan every pair of clusters), kept here as the reference."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from hypiso.errors import ClusterAmbiguity
 from hypiso.spectral import _cluster_eigenvalues
 
@@ -54,14 +60,18 @@ def test_centres_equal_np_mean():
             centre = vals[idx].sum() / len(idx)
             want = np.mean(vals[idx])
             assert centre.dtype == want.dtype and centre.tobytes() == want.tobytes()
+            if len(idx) == 1:
+                scalar = np.asarray(vals.tolist()[idx[0]], dtype=want.dtype)
+                assert scalar.tobytes() == want.tobytes()
 
 
 def test_empty_spectrum():
     assert _cluster_eigenvalues(np.zeros(0, dtype=complex), 1e-7) == []
 
 
-def numpy_scalar_clusters(vals, delta):
-    """Reference: the same clustering, its distances on numpy scalars."""
+def two_pass_clusters(vals, delta):
+    """Reference: merge every pair at most delta apart, then scan every pair
+    of clusters for a distance under 2 delta; ``vals`` is a sequence."""
     m = len(vals)
     parent = list(range(m))
 
@@ -91,8 +101,56 @@ def numpy_scalar_clusters(vals, delta):
     return clusters
 
 
+def numpy_scalar_clusters(vals, delta):
+    """Reference: the two-pass clustering, its distances on numpy scalars."""
+    return two_pass_clusters(list(vals), delta)
+
+
+def python_scalar_clusters(vals, delta):
+    """Reference: the two-pass clustering on Python scalars."""
+    return two_pass_clusters(vals.tolist(), delta)
+
+
 def test_python_scalars_read_as_numpy_scalars():
     for vals, delta in CASES:
         assert outcome(_cluster_eigenvalues, vals, delta) == outcome(
             numpy_scalar_clusters, vals, delta
         )
+
+
+def test_one_pass_matches_two_passes():
+    for vals, delta in CASES:
+        assert outcome(_cluster_eigenvalues, vals, delta) == outcome(
+            python_scalar_clusters, vals, delta
+        )
+
+
+SPACINGS = (0.3, 0.999, 1.0, 1.001, 1.5, 1.999, 2.0, 2.001, 3.0)
+
+
+@st.composite
+def near_edge_spectra(draw):
+    """(vals, delta): up to 10 points, each a spacing of SPACINGS times
+    delta (jittered by up to 1e-3 of itself) from an earlier point, so
+    gaps sit at the merge radius delta and at the refusal edge 2 delta;
+    on the real line or in the plane."""
+    delta = draw(st.sampled_from((3e-8, 1e-7, 1e-6)))
+    real = draw(st.booleans())
+    m = draw(st.integers(1, 10))
+    base = draw(st.floats(-1.0, 1.0))
+    points = [complex(base) if real else complex(base, draw(st.floats(-1.0, 1.0)))]
+    for k in range(1, m):
+        step = draw(st.sampled_from(SPACINGS)) * (1.0 + draw(st.floats(-1e-3, 1e-3)))
+        turn = draw(st.sampled_from((0.0, np.pi))) if real else draw(st.floats(0.0, 2 * np.pi))
+        points.append(points[draw(st.integers(0, k - 1))] + step * delta * np.exp(1j * turn))
+    vals = np.array(points)
+    return (vals.real.copy() if real else vals), delta
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(near_edge_spectra())
+def test_one_pass_matches_two_passes_near_the_edges(case):
+    vals, delta = case
+    assert outcome(_cluster_eigenvalues, vals, delta) == outcome(
+        python_scalar_clusters, vals, delta
+    )
