@@ -389,18 +389,18 @@ def _fixed_stage(hyperbolic: list, forms: list) -> None:
     if hyperbolic:
         h = len(hyperbolic)
         m = np.array([sp.entries for sp in hyperbolic] * 2)
-        r = np.array([_stretch(sp) for sp in hyperbolic])
-        lam = np.concatenate([r, 1.0 / r])
-        vt = np.linalg.svd(m - lam[:, None, None] * np.eye(m.shape[-1]))[2]
+        r = [_stretch(sp) for sp in hyperbolic]
+        lam = np.array(r + [1.0 / x for x in r])
+        vt = np.linalg.svd(m - lam[:, None, None] * hyperbolic[0].space.identity)[2]
         for i, sp in enumerate(hyperbolic):
             rays = vt[[i, h + i], -1]
             rays.setflags(write=False)
             sp.rays = rays
-    by_width: dict[int, list] = {}
-    for sp in forms:
-        if sp.form is None and sp.kernel.shape[1]:
-            by_width.setdefault(sp.kernel.shape[1], []).append(sp)
-    for group in by_width.values():
+    forms = [sp for sp in forms if sp.form is None and sp.kernel.shape[1]]
+    while forms:  # one group per kernel width, in order of first appearance
+        width = forms[0].kernel.shape[1]
+        group = [sp for sp in forms if sp.kernel.shape[1] == width]
+        forms = [sp for sp in forms if sp.kernel.shape[1] != width]
         j = group[0].space.form_signs
         w, e = np.linalg.eigh(np.array([sp.kernel.T @ (j[:, None] * sp.kernel) for sp in group]))
         for sp, wi, ei in zip(group, w, e):

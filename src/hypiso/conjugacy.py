@@ -160,18 +160,15 @@ def _char_polys_match(
 
 def _conjugator_residual(s: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> float:
     """max-norm of S T1 - T2 S: the conjugacy equation, no inverse formed."""
-    return float(np.max(np.abs(s @ t1 - t2 @ s)))
+    return float(np.abs(s @ t1 - t2 @ s).max())
 
 
 def _special_map(st1: _LorentzStructure, st2: _LorentzStructure) -> np.ndarray:
-    """Map of the special block of T1 onto that of T2, in their frames.
-
-    Fixed points and stretch pairs of equal stretch have equal blocks; the
-    unipotent exp(c1 X) goes to exp(c2 X) under the boost of rapidity
-    log(c2 / c1) in the plane of its null ray.
+    """Map of the special block of a parabolic T1 onto that of T2, in their
+    frames: the unipotent exp(c1 X) goes to exp(c2 X) under the boost of
+    rapidity log(c2 / c1) in the plane of its null ray.  (Fixed points and
+    stretch pairs of equal stretch have equal blocks, mapped by I.)
     """
-    if st1.cls is not FixedPointClass.PARABOLIC:
-        return np.eye(st1.special_dim)
     c1, c2 = st1.unipotent_c, st2.unipotent_c
     if c1 <= 0 or c2 <= 0:
         raise HypisoError("unipotent parameter of a parabolic must be positive")
@@ -190,19 +187,18 @@ def _mn_conjugator(
     hyperbolic = st1.cls is FixedPointClass.HYPERBOLIC
     r1, r2 = (_stretch(sp1), _stretch(sp2)) if hyperbolic else (None, None)
     b1, b2 = st1.blocks, st2.blocks
-    ang1 = np.array([th for th, _ in b1.planes])
-    ang2 = np.array([th for th, _ in b2.planes])
     # the characteristic polynomials and the classes agree, so a difference
     # here is one of the readings, not of the pair
     if ((b1.p, b1.a, b1.b) != (b2.p, b2.a, b2.b)
             or (hyperbolic and abs(r1 - r2) > 1e-6 * max(1.0, r1))
-            or (b1.p and float(np.max(np.abs(ang1 - ang2))) > 1e-6)):
+            or (b1.p and max(abs(x - y) for (x, _), (y, _) in zip(b1.planes, b2.planes)) > 1e-6)):
         raise Borderline(
             f"the two readings differ: {_reading(r1, b1)} against {_reading(r2, b2)}"
         )
-    m = np.eye(sp1.space.dim)
-    k = st1.special_dim
-    m[:k, :k] = _special_map(st1, st2)
+    m = sp1.space.identity
+    if st1.cls is FixedPointClass.PARABOLIC:
+        m = m.copy()
+        m[:3, :3] = _special_map(st1, st2)
     s = frames.frame_map(st2.frame, m, st1.frame, st1.signs, sp1.space.form_signs)
     resid = _conjugator_residual(s, sp1.entries, sp2.entries)
     if not resid <= CONJUGATOR_TOL:  # a NaN residual fails too
@@ -277,7 +273,7 @@ def conjugate_in_Mn(
         return ConjugacyAnswer(Relation.NOT_CONJUGATE, None, "kg-thm1.2")
     if _fixed_point_class(sp1) is not _fixed_point_class(sp2):
         return ConjugacyAnswer(Relation.NOT_CONJUGATE, None, "kg-thm1.2")
-    if float(np.max(np.abs(t1.entries - t2.entries))) <= 1e-12:
+    if float(np.abs(t1.entries - t2.entries).max()) <= 1e-12:
         return ConjugacyAnswer(Relation.CONJUGATE_IN_MO, np.eye(t1.space.dim), "normalform")
     st1, st2 = _lorentz_structure(sp1), _lorentz_structure(sp2)
     s, m = _mn_conjugator(sp1, st1, sp2, st2)

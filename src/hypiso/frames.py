@@ -17,6 +17,7 @@ is the +-1 eigenspaces) and at most one ``eigh`` (to split +1 from -1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,8 +39,15 @@ def frame_map(
     out: np.ndarray, m: np.ndarray, inp: np.ndarray, signs: np.ndarray, j: np.ndarray
 ) -> np.ndarray:
     """The operator F_out M F_in*: M in frame coordinates, read from the
-    frame ``inp`` (Q-signs ``signs``) and written to the frame ``out``."""
-    return out @ m @ frame_pinv(inp, signs, j)
+    frame ``inp`` (Q-signs ``signs``) and written to the frame ``out``.
+
+    A diagonal M may be given as its diagonal, a vector or a list: F_out M
+    is then F_out with its columns scaled, which for entries +-1 is exact
+    and equal to the product."""
+    pinv = frame_pinv(inp, signs, j)
+    if isinstance(m, list) or m.ndim == 1:
+        return (out * m) @ pinv
+    return out @ m @ pinv
 
 
 def restrict_to_frame(
@@ -56,7 +64,7 @@ def orthonormalize_spacelike(basis: np.ndarray, j: np.ndarray) -> np.ndarray:
     """
     gram = basis.T @ (j[:, None] * basis)
     w, e = np.linalg.eigh(gram)
-    if np.any(w <= 0):
+    if any(x <= 0 for x in w.tolist()):
         raise HypisoError("subspace is not space-like; cannot orthonormalize")
     return (basis @ e) * (1.0 / np.sqrt(w)) @ e.T
 
@@ -85,11 +93,12 @@ class _OrthogonalBlocks:
     neg_frame: np.ndarray  # ker(A + I)
     near_pm_one: float  # largest |Im lambda| the reading counted as +-1
 
-    @property
+    @cached_property
     def frame(self) -> np.ndarray:
         """The square frame: plane frames by descending angle, then
-        ker(A - I), then ker(A + I); A is block diagonal in it."""
-        return np.column_stack([fr for _, fr in self.planes] + [self.fix_frame, self.neg_frame])
+        ker(A - I), then ker(A + I); A is block diagonal in it.  Built on
+        first use and kept."""
+        return np.concatenate([fr for _, fr in self.planes] + [self.fix_frame, self.neg_frame], axis=1)
 
     @property
     def angles(self) -> "spectral.RotationAngles":
@@ -127,7 +136,8 @@ def invariant_plane_frames(m: np.ndarray, delta: float) -> _OrthogonalBlocks:
     """
     vals, vecs = np.linalg.eig(m)
     pairs, plus, minus = spectral._unit_circle(vals, delta)
-    near = float(np.abs(vals[plus + minus].imag).max(initial=0.0))
+    scalars = vals.tolist()
+    near = max((abs(scalars[i].imag) for i in plus + minus), default=0.0)
     a, b = len(plus), len(minus)
     pairs.sort(key=lambda t: -t[0])
     thetas = [theta for theta, idx in pairs for _ in idx]
@@ -139,6 +149,6 @@ def invariant_plane_frames(m: np.ndarray, delta: float) -> _OrthogonalBlocks:
     polar, rest = left[:, :q] @ vt, left[:, q:]
     if a + b > 1:
         e = np.linalg.eigh(rest.T @ (m + m.T) @ rest)[1]  # ascending, -1 ones first
-        rest = rest @ np.column_stack([e[:, b:], e[:, :b][:, ::-1]])
+        rest = rest @ np.concatenate([e[:, b:], e[:, :b][:, ::-1]], axis=1)
     planes = [(theta, polar[:, 2 * i : 2 * i + 2]) for i, theta in enumerate(thetas)]
     return _OrthogonalBlocks(planes, rest[:, :a], rest[:, a:], near)

@@ -29,7 +29,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -82,16 +82,19 @@ class Component(Enum):
 
     @staticmethod
     def from_signs(det_sign: int, sheet_sign: int) -> "Component":
-        for c in Component:
-            if c.det_sign == det_sign and c.sheet_sign == sheet_sign:
-                return c
-        raise ValueError(f"no component for signs ({det_sign}, {sheet_sign})")
+        try:
+            return _COMPONENTS[det_sign, sheet_sign]
+        except KeyError:
+            raise ValueError(f"no component for signs ({det_sign}, {sheet_sign})") from None
 
     def compose(self, other: "Component") -> "Component":
         """Component of a product, i.e. the Klein four-group law."""
         return Component.from_signs(
             self.det_sign * other.det_sign, self.sheet_sign * other.sheet_sign
         )
+
+
+_COMPONENTS = {(c.det_sign, c.sheet_sign): c for c in Component}
 
 
 @dataclass(frozen=True)
@@ -108,20 +111,40 @@ class QuadraticSpace:
     def dim(self) -> int:
         return self.n + 1
 
+    # the constant arrays below are read-only, built once per dimension and
+    # shared by every space of it
+
     @cached_property
     def form_signs(self) -> np.ndarray:
-        """diag(J) = (1, ..., 1, -1), built once per space, read-only."""
-        j = np.ones(self.dim)
-        j[-1] = -1.0
-        j.setflags(write=False)
-        return j
+        """diag(J) = (1, ..., 1, -1)."""
+        return _constants(self.dim)[0]
 
     @cached_property
     def form_matrix(self) -> np.ndarray:
-        """J, built once per space, read-only."""
-        j = np.diag(self.form_signs)
-        j.setflags(write=False)
-        return j
+        """J."""
+        return _constants(self.dim)[1]
+
+    @cached_property
+    def identity(self) -> np.ndarray:
+        """I."""
+        return _constants(self.dim)[2]
+
+    @cached_property
+    def ones(self) -> np.ndarray:
+        """A vector of dim ones."""
+        return _constants(self.dim)[3]
+
+
+@cache
+def _constants(dim: int) -> tuple:
+    """(diag(J), J, I, ones) of R^dim, read-only."""
+    ones = np.ones(dim)
+    signs = ones.copy()
+    signs[-1] = -1.0
+    out = (signs, np.diag(signs), np.eye(dim), ones)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def _as_vector(space: QuadraticSpace, v) -> np.ndarray:
@@ -250,9 +273,12 @@ class LorentzMatrix:
 
 def form_residual(space: QuadraticSpace, m: np.ndarray):
     """max-norm of M^T J M - J, per matrix of a stack; inf or nan where the
-    products overflow (numpy warns of that unless under ``np.errstate``)."""
-    j = space.form_matrix
-    return np.abs(np.swapaxes(m, -1, -2) @ j @ m - j).max(axis=(-2, -1))
+    products overflow (numpy warns of that unless under ``np.errstate``).
+    M^T J is M^T with its columns signed, in C order, as the product
+    M^T @ J would leave it: then (M^T J) @ M is that product's BLAS call,
+    bit for bit."""
+    mtj = np.multiply(np.swapaxes(m, -1, -2), space.form_signs, order="C")
+    return np.abs(mtj @ m - space.form_matrix).max(axis=(-2, -1))
 
 
 def classify_membership(
@@ -292,18 +318,20 @@ def classify_membership_many(
         raise DimensionMismatch(
             f"expected a stack of {space.dim}x{space.dim} matrices, got shape {ms.shape}"
         )
-    finite = np.isfinite(ms).all(axis=(1, 2))
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = _squared_scale(ms)
+        # NaN and inf propagate through the max, so it also decides
+        # whether the entries are finite
+        top = np.abs(ms).max(axis=(1, 2))
         resid = form_residual(space, ms)
         # det M = det(M[:n, :n]) / M[n, n] on O(n,1) (Cramer's rule with
         # M^-1 = J M^T J); the block's condition number is |M[n, n]|, not
         # ||M||^2, so its sign survives entries where det M loses it
         det = np.linalg.det(ms[:, :-1, :-1])  # read only where the residual passes
     out: list[LorentzMatrix | HypisoError] = []
-    for m, ok, s, r, d in zip(ms, finite, scale.tolist(), resid.tolist(), det.tolist()):
-        sheet_entry = float(m[-1, -1])
-        if not ok:
+    rows = zip(ms, top.tolist(), resid.tolist(), det.tolist(), ms[:, -1, -1].tolist())
+    for m, mx, r, d, sheet_entry in rows:
+        s = max(1.0, mx * mx)  # max(1, ||M||_inf^2), inf where the square overflows
+        if not math.isfinite(mx):
             out.append(NotAnIsometry("matrix entries must be finite"))
         elif not (math.isfinite(s) and math.isfinite(r)):
             out.append(NotAnIsometry(f"form residual overflows at matrix scale {s:.3e}"))
@@ -342,7 +370,7 @@ def is_orthogonal(m: np.ndarray, eps: float = DEFAULT_EPS) -> bool:
         return False
     with np.errstate(over="ignore", invalid="ignore"):
         scale = _squared_scale(m)
-        resid = float(np.max(np.abs(m.T @ m - np.eye(m.shape[0]))))
+        resid = float(np.abs(m.T @ m - np.eye(m.shape[0])).max())
     return bool(np.isfinite(scale) and np.isfinite(resid) and resid <= eps * scale)
 
 
@@ -364,13 +392,27 @@ def matrix_to_json(m) -> str:
     return json.dumps(matrix_to_document(m))
 
 
+_JSON_NUMBERS = frozenset((int, float))
+
+
 def matrix_from_document(doc: dict) -> tuple[QuadraticSpace, np.ndarray]:
+    """The space and matrix of a document: ``n`` a JSON integer, ``matrix``
+    a flat list of JSON numbers (strings, booleans and nested lists are
+    malformed; ``ValueError`` names the problem)."""
     try:
         n = doc["n"]
         if type(n) is not int:  # a JSON integer; bool is an int subclass
             raise TypeError(f"n must be an integer, got {n!r}")
-        flat = np.asarray(doc["matrix"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        flat = doc["matrix"]
+        if type(flat) is not list:
+            raise TypeError(f"matrix must be a list of numbers, got {type(flat).__name__}")
+        # one C-level pass over the entries; bool is not a JSON number
+        kinds = set(map(type, flat))
+        if not kinds <= _JSON_NUMBERS:
+            names = ", ".join(sorted(k.__name__ for k in kinds - _JSON_NUMBERS))
+            raise TypeError(f"matrix entries must be JSON numbers, got {names}")
+        flat = np.array(flat, dtype=float)  # OverflowError: an integer past the doubles
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix document: {exc}") from exc
     dim = n + 1
     if flat.shape != (dim * dim,):

@@ -99,7 +99,7 @@ class RealityCertificate:
 def reversal_residual(s: np.ndarray, t: np.ndarray) -> float:
     """max-norm of S T S^-1 - T^-1, with both inverses formed explicitly
     by ``np.linalg.inv``."""
-    return float(np.max(np.abs(s @ t @ np.linalg.inv(s) - np.linalg.inv(t))))
+    return float(np.abs(s @ t @ np.linalg.inv(s) - np.linalg.inv(t)).max())
 
 
 def _group_inverse(m: np.ndarray, j: Optional[np.ndarray]) -> np.ndarray:
@@ -109,19 +109,26 @@ def _group_inverse(m: np.ndarray, j: Optional[np.ndarray]) -> np.ndarray:
     return mt if j is None else (j[:, None] * mt) * j[None, :]
 
 
+def _diagonal_residual(g: np.ndarray, diag) -> float:
+    """max-norm of G - diag(diag), diag a scalar or a vector, with G a fresh
+    square product that is changed in place."""
+    g.flat[:: len(g) + 1] -= diag
+    return float(np.abs(g).max())
+
+
 def _group_residual(s: np.ndarray, j: Optional[np.ndarray]) -> float:
-    """max-norm of S^T S - I, or of S^T J S - J in a Lorentz group."""
+    """max-norm of S^T S - I, or of S^T J S - J in a Lorentz group, with
+    S^T J formed as in ``quadspace.form_residual``."""
     if j is None:
-        return float(np.max(np.abs(s.T @ s - np.eye(s.shape[0]))))
-    jj = np.diag(j)
-    return float(np.max(np.abs(s.T @ jj @ s - jj)))
+        return _diagonal_residual(s.T @ s, 1.0)
+    return _diagonal_residual(np.multiply(s.T, j, order="C") @ s, j)
 
 
 def _group_reversal_residual(s: np.ndarray, t: np.ndarray, j: Optional[np.ndarray]) -> float:
     """max-norm of S T S^-1 - T^-1 with group inverses in place of
     ``np.linalg.inv``, whose rounding grows with the condition number;
     valid once S and T are known to lie in the group."""
-    return float(np.max(np.abs(s @ t @ _group_inverse(s, j) - _group_inverse(t, j))))
+    return float(np.abs(s @ t @ _group_inverse(s, j) - _group_inverse(t, j)).max())
 
 
 def _certificate_failure(
@@ -166,7 +173,7 @@ def _check_certificate(
         message = f"constructed reverser left the {group} group"
     elif not _group_reversal_residual(s, t, j) <= RESIDUAL_TOL:
         message = "constructed reverser failed its residual check"
-    elif not float(np.max(np.abs(s @ s - np.eye(s.shape[0])))) <= RESIDUAL_TOL:
+    elif not _diagonal_residual(s @ s, 1.0) <= RESIDUAL_TOL:
         message = "constructed reverser is not an involution"
     else:
         return
@@ -261,7 +268,7 @@ def _parabolic_frame(sp: _LorentzSpectrum) -> tuple[np.ndarray, float]:
     unipotent; returns (frame, c)."""
     space = sp.space
     j = space.form_signs
-    n1 = sp.entries - np.eye(space.dim)
+    n1 = sp.entries - space.identity
     u = _parabolic_ray(sp)
     if u[-1] < 0:
         u = -u
@@ -290,7 +297,7 @@ def _parabolic_frame(sp: _LorentzSpectrum) -> tuple[np.ndarray, float]:
     # the mean of the four entries +-c: one alone errs more on wide input,
     # and the c^2/2 entries magnify that error
     c = float((block[1, 0] + block[2, 0] - block[0, 1] + block[0, 2]) / 4.0)
-    if float(np.max(np.abs(block - _standard_unipotent(c)))) > 1e-7:
+    if float(np.abs(block - _standard_unipotent(c)).max()) > 1e-7:
         raise HypisoError("parabolic block did not reduce to the standard unipotent")
     return frame, c
 
@@ -341,7 +348,7 @@ def _build_lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
     if cls is FixedPointClass.ELLIPTIC:
         v = _elliptic_fixed_vector(sp)
         special = v[:, None]
-        signs = np.array([-1.0])
+        signs = [-1.0]
     elif cls is FixedPointClass.HYPERBOLIC:
         att, rep = _hyperbolic_rays(sp)
         gamma = frames.j_inner(j, att, rep)
@@ -351,12 +358,13 @@ def _build_lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
         s_vec = (att - rep2) / 2.0
         t_vec = (att + rep2) / 2.0
         special = np.column_stack([s_vec, t_vec])
-        signs = np.array([1.0, -1.0])
+        signs = [1.0, -1.0]
     else:
         special, c = _parabolic_frame(sp)
-        signs = _UNIPOTENT_SIGNS
+        signs = _UNIPOTENT_SIGNS.tolist()
     w_frame = frames.spacelike_complement(special, j)
-    t_o = frames.restrict_to_frame(sp.entries, w_frame, np.ones(w_frame.shape[1]), j)
+    ones = sp.space.ones[: w_frame.shape[1]]
+    t_o = frames.restrict_to_frame(sp.entries, w_frame, ones, j)
     blocks = frames.invariant_plane_frames(t_o, sp.delta)
     # ker(T - I) at tau is T_o's +1 eigenspace, plus the fixed time-like
     # vector or null ray of an elliptic or parabolic: one kernel, read twice
@@ -366,8 +374,8 @@ def _build_lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
             f"ker(T - I) at tau = {sp.delta * sp.scale:.3e} has width "
             f"{sp.kernel.shape[1]}, the reading of the spectrum counts {width}"
         )
-    frame = np.column_stack([special, w_frame @ blocks.frame])
-    frame_signs = np.concatenate([signs, np.ones(t_o.shape[0])])
+    frame = np.concatenate([special, w_frame @ blocks.frame], axis=1)
+    frame_signs = np.array(signs + [1.0] * len(ones))
     return _LorentzStructure(cls, blocks, c, frame, frame_signs)
 
 
@@ -394,18 +402,19 @@ def _reverser(
     D is +-1: the special-block signs of the requested sheet (none for
     O(n) and SO(n)), (1, -1) on each plane, and +1 on the +-1
     eigenspaces, with one flip on the first of their columns where the
-    determinant parity needs it.
+    determinant parity needs it.  D goes to the frame map as its diagonal,
+    a list.
     """
     options = [(1, 1, [])] if st is None else _SPECIAL_REVERSERS[st.cls]
     for sp_det, sp_sheet, special in options:
         if sp_sheet != sheet:
             continue
-        pm = np.ones(blocks.a + blocks.b)
+        pm = [1.0] * (blocks.a + blocks.b)
         if det * sp_det * (-1) ** blocks.p == -1:
-            if not pm.size:
+            if not pm:
                 return None
             pm[0] = -1.0
-        d = np.diag(np.concatenate([special, np.tile([1.0, -1.0], blocks.p), pm]))
+        d = special + [1.0, -1.0] * blocks.p + pm
         if st is None:
             ones = np.ones(len(d))
             return frames.frame_map(blocks.frame, d, blocks.frame, ones, ones)

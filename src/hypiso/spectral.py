@@ -34,7 +34,9 @@ the adapted splitting are stored on the same record.
 
 from __future__ import annotations
 
+import math
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,11 +183,11 @@ def _rank_at(m: np.ndarray, threshold: float) -> int:
 
 
 def null_space_at(m: np.ndarray, threshold: float) -> np.ndarray:
-    """Orthonormal basis of the numerical kernel at an absolute threshold."""
+    """Orthonormal basis of the numerical kernel at an absolute threshold:
+    the rows of vt past the rank, as the singular values come sorted."""
     _, s, vt = np.linalg.svd(m)
-    small = np.ones(m.shape[1], dtype=bool)
-    small[: len(s)] = s <= threshold
-    return vt[small].T
+    rank = sum(x > threshold for x in s.tolist())
+    return vt[rank:].T
 
 
 @dataclass(eq=False, slots=True)
@@ -224,7 +226,7 @@ class _LorentzSpectrum:
     svals: np.ndarray
     kernel: np.ndarray
     defective: bool
-    lam: object  # np.float64, or np.complex128 for a non-real spectrum
+    lam: object  # float, or complex for a non-real spectrum
     rmax: float
     band: bool
     square_band: bool
@@ -247,10 +249,11 @@ class _LorentzSpectrum:
         """The pass of each of ``ts`` (all of one size).  Passes not yet
         stored are computed, then stored, in three LAPACK calls on their
         (N, d, d) stack: the SVD of T - I, the singular values of (T - I)^2
-        and the eigenvalues of T.  The facts read by the trichotomy and the
-        stretch (``band``, ``lam`` and ``rmax``) are reduced over the same
-        stack; ``square_band`` is read per matrix from the sorted singular
-        values of its square.
+        and the eigenvalues of T, whose moduli are taken over the stack too.
+        The rest is at most d^2 numbers per matrix, read from their Python
+        scalars (``tolist``): the scale, the two ranks (counts of the sorted
+        singular values), ``band``, ``square_band``, ``lam`` and ``rmax``;
+        they are Python floats and bools, and ``lam`` a float or a complex.
 
         The scale needs no SVD.  T in O(n,1) is K1 B(s) K2 with K1, K2
         orthogonal and B(s) a boost (the Cartan form), so with
@@ -277,36 +280,44 @@ class _LorentzSpectrum:
             )
         todo = [t for t in ts if delta not in t._analyses]
         if todo:
+            space = todo[0].space
             m = np.array([t.entries for t in todo])
-            c = np.abs(m[:, -1, -1])
-            scale = np.maximum(1.0, c + np.sqrt(np.maximum(c - 1.0, 0.0)) * np.sqrt(c + 1.0))
-            tau = delta * scale
-            n1 = m - np.eye(m.shape[-1])
-            _, svals, vt = np.linalg.svd(n1)
-            rank1 = (svals > tau[:, None]).sum(axis=1)
-            # the square is ranked at tau^2 since small singular values square too
             d = m.shape[-1]
+            n1 = m - space.identity
+            _, svals, vt = np.linalg.svd(n1)
             sq = np.linalg.svd(n1 @ n1, compute_uv=False)
-            rank2 = (sq > (tau * tau)[:, None]).sum(axis=1)
-            band = ((svals > (tau / 2.0)[:, None]) & (svals < (2.0 * tau)[:, None])).any(axis=1)
             eigvals = np.linalg.eigvals(m)
-            # as eigvals of one matrix, a real spectrum comes back real
-            real = ~eigvals.imag.any(axis=1)
             modulus = np.abs(eigvals)
-            top = modulus.argmax(axis=1)
-            rmax = modulus.max(axis=1)
-            for i, t in enumerate(todo):
-                vals = eigvals[i].real if real[i] else eigvals[i]
-                kernel = vt[i][svals[i] <= tau[i]].T
-                # singular values come sorted, so the largest one the rank
-                # of the square reads as zero decides its band
-                t2 = float(tau[i]) * float(tau[i])
-                zero = float(sq[i][rank2[i]]) if rank2[i] < d else 0.0
-                square_band = zero > max(t2 / 4.0, d * EPS * float(scale[i]) ** 2)
+            # singular values come sorted (descending); read ascending, each
+            # rank and the band are counts by bisection, and the kernel is
+            # the last rows of vt
+            rows = zip(
+                todo, m[:, -1, -1].tolist(), svals[:, ::-1].tolist(), sq[:, ::-1].tolist(),
+                eigvals.tolist(), modulus.tolist(),
+            )
+            for i, (t, corner, up, sq_up, ev, mod) in enumerate(rows):
+                c = abs(corner)
+                scale = max(1.0, c + math.sqrt(max(c - 1.0, 0.0)) * math.sqrt(c + 1.0))
+                tau = delta * scale
+                rank1 = d - bisect_right(up, tau)
+                band = bisect_left(up, 2.0 * tau) > bisect_right(up, tau / 2.0)
+                # the square is ranked at tau^2 since small singular values
+                # square too; the largest one it reads as zero decides its band
+                t2 = tau * tau
+                zeros = bisect_right(sq_up, t2)
+                rank2 = d - zeros
+                zero = sq_up[zeros - 1] if zeros else 0.0
+                square_band = zero > max(t2 / 4.0, d * EPS * scale**2)
+                # as eigvals of one matrix, a real spectrum comes back real
+                rmax = max(mod)
+                lam = ev[mod.index(rmax)]
+                if any(v.imag for v in ev):
+                    vals = eigvals[i]
+                else:
+                    vals, lam = eigvals[i].real, lam.real
                 t._analyses[delta] = cls(
-                    t.entries, t.space, delta, t.sheet_preserving,
-                    float(scale[i]), vals, svals[i], kernel, bool(rank2[i] < rank1[i]),
-                    vals[top[i]], float(rmax[i]), bool(band[i]), square_band,
+                    t.entries, t.space, delta, t.sheet_preserving, scale, vals,
+                    svals[i], vt[i, rank1:].T, rank2 < rank1, lam, rmax, band, square_band,
                 )
         return [t._analyses[delta] for t in ts]
 

@@ -135,6 +135,13 @@ def test_stacked_passes_equal_the_pass_of_a_fresh_element(n, delta):
         for field in ("eigvals", "svals", "kernel"):
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype and np.array_equal(a, b)
+        # the scalar facts are Python scalars, read per matrix: equal in
+        # type and in every bit
+        for field in ("band", "square_band", "rmax", "lam"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert type(a) is type(b) and np.array(a).tobytes() == np.array(b).tobytes()
+        assert type(got.lam) is (float if got.eigvals.dtype == float else complex)
+        assert (type(got.band), type(got.square_band), type(got.rmax)) == (bool, bool, float)
 
 
 DECIDERS = {

@@ -105,6 +105,25 @@ def certify_reversers():
     return out
 
 
+def test_diagonal_frame_map_equals_the_dense_product(monkeypatch):
+    # a reverser's +-1 diagonal D goes to frame_map as a list, which scales
+    # the frame's columns: bit for bit the product by np.diag(D), signed
+    # zeros included
+    maps = spy(monkeypatch, frames, "frame_map")
+    seen = 0
+    for item in gen.certify_items(7):
+        maps.reset_mock()
+        cert = is_real_SOo_n1(classify_membership(QuadraticSpace(item.n), item.matrix))
+        if not cert.decision:
+            continue
+        ((out, d, inp, signs, j),) = [c.args for c in maps.call_args_list]
+        assert isinstance(d, list) and set(d) <= {1.0, -1.0}
+        dense = out @ np.diag(d) @ frames.frame_pinv(inp, signs, j)
+        assert cert.reverser.tobytes() == dense.tobytes()
+        seen += 1
+    assert seen > 500
+
+
 class TestReverserComponent:
     def test_component_read_equals_membership(self, certify_reversers):
         assert len(certify_reversers) > 500

@@ -205,6 +205,33 @@ class TestDocumentN:
         assert run(capsys, "classify", str(path))[0] == 0
 
 
+class TestDocumentMatrix:
+    """"matrix" must be a flat list of JSON numbers: strings, booleans,
+    nested rows and integers past the doubles are malformed input."""
+
+    @pytest.mark.parametrize("matrix,problem", (
+        ('["1", "0", "0", "1"]', "matrix entries must be JSON numbers, got str"),
+        ("[true, false, false, true]", "matrix entries must be JSON numbers, got bool"),
+        ("[[1, 0], [0, 1]]", "matrix entries must be JSON numbers, got list"),
+        ('[1, "0", true, 1]', "matrix entries must be JSON numbers, got bool, str"),
+        ("5", "matrix must be a list of numbers, got int"),
+        ("[1, 0, 0, 1%s]" % ("0" * 400), "int too large to convert to float"),
+    ))
+    def test_non_numeric_entries_exit_1(self, tmp_path, capsys, matrix, problem):
+        path = tmp_path / "m.json"
+        path.write_text('{"n": 1, "matrix": %s}' % matrix)
+        assert run(capsys, "classify", str(path)) == (
+            1, "", f"malformed input: malformed matrix document: {problem}\n"
+        )
+
+    def test_integers_and_floats_are_read_alike(self, tmp_path, capsys):
+        ints, floats = tmp_path / "i.json", tmp_path / "f.json"
+        ints.write_text('{"n": 1, "matrix": [1, 0, 0, 1]}')
+        floats.write_text('{"n": 1, "matrix": [1.0, 0.0, 0.0, 1.0]}')
+        got = run(capsys, "classify", str(ints))
+        assert got[0] == 0 and got == run(capsys, "classify", str(floats))
+
+
 class TestOneRadius:
     """An SO_o(3,1) rotation by pi - 8e-8 at --delta 5e-8: its pair lies
     8e-8 from -1, so at that delta it is a rotation plane, not -1."""

@@ -9,7 +9,7 @@ import pytest
 from hypiso.classify import _spectra, classify
 from hypiso.cli import main
 from hypiso.conjugacy import conjugate_in_Mn
-from hypiso.errors import HypisoError, InvalidArg
+from hypiso.errors import HypisoError, InvalidArg, NotAnIsometry
 from hypiso.quadspace import (
     QuadraticSpace,
     classify_membership,
@@ -55,6 +55,31 @@ class TestStackedMembership:
             else:
                 assert np.array_equal(got.entries, want.entries)
                 assert got.component is want.component and got.tolerance == want.tolerance
+
+    @pytest.mark.parametrize("n", (3, 5))
+    def test_non_finite_and_overflowing_entries(self, n):
+        # one abs-max decides finiteness and the scale: inf, -inf and a NaN
+        # in the sheet entry propagate through it; 1e200 is finite, but its
+        # square overflows the scale
+        good = np.array(sample(n, 1)[2].entries)
+        cases = {
+            (0, 1, np.inf): "matrix entries must be finite",
+            (1, 0, -np.inf): "matrix entries must be finite",
+            (n, n, np.nan): "matrix entries must be finite",
+            (0, n, 1e200): "form residual overflows at matrix scale inf",
+        }
+        stack = []
+        for i, j, value in cases:
+            m = good.copy()
+            m[i, j] = value
+            stack.append(m)
+        space = QuadraticSpace(n)
+        batch = classify_membership_many(space, np.array(stack + [good]))
+        assert not isinstance(batch[-1], Exception)
+        for m, got, message in zip(stack, batch, cases.values()):
+            want = outcome(classify_membership, space, m)
+            assert type(got) is type(want) is NotAnIsometry
+            assert str(got) == str(want) == message
 
     def test_stack_shape_is_checked(self):
         with pytest.raises(HypisoError):
