@@ -251,9 +251,10 @@ class _LorentzSpectrum:
         (N, d, d) stack: the SVD of T - I, the singular values of (T - I)^2
         and the eigenvalues of T, whose moduli are taken over the stack too.
         The rest is at most d^2 numbers per matrix, read from their Python
-        scalars (``tolist``): the scale, the two ranks (counts of the sorted
-        singular values), ``band``, ``square_band``, ``lam`` and ``rmax``;
-        they are Python floats and bools, and ``lam`` a float or a complex.
+        scalars (``tolist``): the scale, the two ranks and ``band`` (by
+        bisection on the sorted singular values), ``square_band``, ``lam``
+        and ``rmax``; they are Python floats and bools, and ``lam`` a float
+        or a complex.
 
         The scale needs no SVD.  T in O(n,1) is K1 B(s) K2 with K1, K2
         orthogonal and B(s) a boost (the Cartan form), so with
@@ -280,10 +281,9 @@ class _LorentzSpectrum:
             )
         todo = [t for t in ts if delta not in t._analyses]
         if todo:
-            space = todo[0].space
             m = np.array([t.entries for t in todo])
             d = m.shape[-1]
-            n1 = m - space.identity
+            n1 = m - todo[0].space.identity
             _, svals, vt = np.linalg.svd(n1)
             sq = np.linalg.svd(n1 @ n1, compute_uv=False)
             eigvals = np.linalg.eigvals(m)

@@ -3,10 +3,10 @@ n = 3, 5 and 9.
 
 A spy on every public function of ``numpy.linalg`` counts the calls that
 ``is_real_SOo_n1(T)`` and ``conjugate_in_Mn(T, T2)`` make on fresh
-elements (their membership calls are made before the spies go in).  The
-counts are those of the code before its glue (the per-call numpy work
-around the kernels) was cut, so a cheaper op is cheaper glue, not
-skipped kernels.
+elements (their membership calls are made before the spies go in).  A
+change that makes the op cheaper keeps these counts, so its saving is in
+the glue around the kernels (per-call numpy work on a few numbers), not
+in skipped kernels.
 """
 
 import inspect
