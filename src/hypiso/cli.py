@@ -22,7 +22,7 @@ import numpy as np
 
 from . import quadspace
 from .classify import _classify_stack, _spectra
-from .errors import HypisoError, RefusedToDecide
+from .errors import HypisoError, OutOfRange, RefusedToDecide
 from .spectral import DEFAULT_DELTA, plane_decomposition
 
 EXIT_OK = 0
@@ -172,7 +172,12 @@ def cmd_dims(args) -> int:
 def cmd_enumerate(args) -> int:
     from . import classgeom, sampling
 
+    if args.k < 1:
+        raise OutOfRange(f"--k must be at least 1, got {args.k}")
     angles = [float(a) for a in args.angles.split(",") if a.strip()]
+    for a in angles:
+        if not 0.0 < a <= np.pi:  # NaN fails too
+            raise OutOfRange(f"angle {a} is not in (0, pi]")
     if args.has_pi and not any(abs(a - np.pi) <= 1e-9 for a in angles):
         angles = [float(np.pi)] + angles
     k = len(angles)
@@ -180,11 +185,16 @@ def cmd_enumerate(args) -> int:
         raise HypisoError(f"--k {args.k} does not match {k} angles")
     std = sampling.rotation_with_angles(sorted(angles, reverse=True), 2 * k)
     decomp = plane_decomposition(std, args.delta)
+    if len(decomp.angles) < k:
+        raise OutOfRange(
+            f"the decomposition reads {len(decomp.angles)} of the {k} angles: "
+            f"an angle within delta = {args.delta:g} of 0 is read as 0"
+        )
     elements = classgeom.enumerate_fiber(decomp, decomp.angles)
     doc = {
         "k": k,
         "angles": list(decomp.angles),
-        "has_pi": bool(args.has_pi),
+        "has_pi": any(abs(a - np.pi) <= 1e-9 for a in decomp.angles),
         "count": len(elements),
         "elements": [[float(x) for x in m.ravel()] for m in elements],
     }

@@ -6,20 +6,21 @@ carries the only possible Jordan-structure difference, the size-3 block at
 1 of a parabolic).  When a pair is conjugate, an explicit conjugator is
 read from the adapted frame of each element (the special time-like block
 plus the invariant blocks of the orthogonal part, the frame the reality
-deciders read their reversers from): the one frame map Phi_2 M Phi_1*,
+deciders read their reversers from): the one frame map Phi_2 E M Phi_1*,
 with M the identity but for a boost matching the unipotent parameters of
-parabolics.
+parabolics, and E a sign chosen before the map is assembled.
 
 Whether the M(n)-conjugacy descends to M_o(n) is settled by the
-centralizer: if the found conjugator has determinant -1, some commuting
-element of determinant -1 must be spliced in.  Such an element exists
-exactly when T has a space-like +-1 eigenvector, and then the fix-up is a
-sign in the same map, Phi_2 E M Phi_1* with E = -1 on the first +-1
-column of Phi_2 and +1 elsewhere; for regular elements
-without one, block enumeration shows the centralizer meets only the
-identity component, so the answer is ConjugateInMOnly.  For non-regular
-elements without +-1 the implemented criteria cannot settle the question
-and the honest answer is Undecided, with the M(n) conjugator attached.
+centralizer.  det M = 1, so the map has the determinant of E times the
+signs of det Phi_2 and det Phi_1, the orientations of the two frames.
+When they differ, a commuting element of determinant -1 must be spliced
+in.  Such an element exists exactly when T2 has a space-like +-1
+eigenvector, and then it is E = -1 on the first +-1 column of Phi_2 and
++1 elsewhere; for regular elements without one, block enumeration shows
+the centralizer meets only the identity component, so the answer is
+ConjugateInMOnly.  For non-regular elements without +-1 the implemented
+criteria cannot settle the question and the honest answer is Undecided,
+with the M(n) conjugator attached.
 """
 
 from __future__ import annotations
@@ -180,10 +181,12 @@ def _special_map(st1: _LorentzStructure, st2: _LorentzStructure) -> np.ndarray:
 def _mn_conjugator(
     sp1: _LorentzSpectrum, st1: _LorentzStructure,
     sp2: _LorentzSpectrum, st2: _LorentzStructure,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sheet-preserving S = Phi_2 M Phi_1* with S T1 S^-1 = T2 for a pair
-    of one class, M the special map and the identity on the orthogonal
-    blocks; returns (S, M)."""
+) -> ConjugacyAnswer:
+    """The answer for a pair of one class, read from its one conjugator
+    S = Phi_2 E M Phi_1* with S T1 S^-1 = T2: M the special map and the
+    identity on the orthogonal blocks, E the -1 on the first +-1 column
+    of Phi_2 (it commutes with the blocks of T2 and with M) exactly when
+    the orientations of the two frames differ and T2 has such a column."""
     hyperbolic = st1.cls is FixedPointClass.HYPERBOLIC
     r1, r2 = (_stretch(sp1), _stretch(sp2)) if hyperbolic else (None, None)
     b1, b2 = st1.blocks, st2.blocks
@@ -195,18 +198,35 @@ def _mn_conjugator(
         raise Borderline(
             f"the two readings differ: {_reading(r1, b1)} against {_reading(r2, b2)}"
         )
-    m = sp1.space.identity
+    space = sp1.space
+    differ = st1.orientation is not st2.orientation
+    flip = differ and b2.a + b2.b > 0
+    m = space.identity.copy()
     if st1.cls is FixedPointClass.PARABOLIC:
-        m = m.copy()
         m[:3, :3] = _special_map(st1, st2)
-    s = frames.frame_map(st2.frame, m, st1.frame, st1.signs, sp1.space.form_signs)
+    if flip:
+        i = st2.special_dim + 2 * b2.p  # the first +-1 column
+        m[i, i] = -1.0
+    s = frames.frame_map(st2.frame, m, st1.frame, st1.signs, space.form_signs)
     resid = _conjugator_residual(s, sp1.entries, sp2.entries)
     if not resid <= CONJUGATOR_TOL:  # a NaN residual fails too
         raise _certificate_failure(
             f"conjugator residual {resid:.2e} exceeds tolerance", sp1.delta, st2, st1,
             gate=CONJUGATOR_TOL,
         )
-    return s, m
+    expected = Component.O_minus_preserving if differ and not flip else Component.SO_o
+    if classify_membership(space, s, 1e-7).component is not expected:
+        raise HypisoError("conjugator left the identity component")
+    if expected is Component.SO_o:
+        return ConjugacyAnswer(
+            Relation.CONJUGATE_IN_MO, s, "reality-clause" if flip else "normalform"
+        )
+    if _distinct([th for th, _ in b2.planes], sp2.delta):
+        # exact for regular elements: the centralizer splits over the
+        # invariant blocks, and without +-1 eigendirections every
+        # sheet-preserving commuting element has determinant +1
+        return ConjugacyAnswer(Relation.CONJUGATE_IN_M_ONLY, s, "centralizer-enum")
+    return ConjugacyAnswer(Relation.UNDECIDED, s, "normalform")
 
 
 def _reading(stretch: Optional[float], blocks: frames._OrthogonalBlocks) -> str:
@@ -214,40 +234,6 @@ def _reading(stretch: Optional[float], blocks: frames._OrthogonalBlocks) -> str:
     angles = ", ".join(f"{th:.9g}" for th, _ in blocks.planes)
     head = "" if stretch is None else f"stretch {stretch:.9g}, "
     return f"{head}angles ({angles}), +1 x {blocks.a}, -1 x {blocks.b}"
-
-
-def _refine_to_mo(
-    sp1: _LorentzSpectrum, st1: _LorentzStructure,
-    sp2: _LorentzSpectrum, st2: _LorentzStructure,
-    s: np.ndarray, m: np.ndarray,
-) -> ConjugacyAnswer:
-    space = sp1.space
-    comp = classify_membership(space, s, 1e-7).component
-    if comp is Component.SO_o:
-        return ConjugacyAnswer(Relation.CONJUGATE_IN_MO, s, "normalform")
-    # a -1 on a space-like +-1 column of Phi_2 (E) commutes with the blocks
-    # of T2 and with M, which is the identity there: Phi_2 E M Phi_1* is a
-    # conjugator of the other determinant
-    blocks = st2.blocks
-    if blocks.b or blocks.a:
-        em = m.copy()
-        i = st2.special_dim + 2 * blocks.p  # the first +-1 column
-        em[i, i] = -1.0
-        s2 = frames.frame_map(st2.frame, em, st1.frame, st1.signs, space.form_signs)
-        if not _conjugator_residual(s2, sp1.entries, sp2.entries) <= CONJUGATOR_TOL:
-            raise _certificate_failure(
-                "conjugator flip failed its residual check", sp2.delta, st2, st1,
-                gate=CONJUGATOR_TOL,
-            )
-        if classify_membership(space, s2, 1e-7).component is not Component.SO_o:
-            raise HypisoError("conjugator flip left the identity component")
-        return ConjugacyAnswer(Relation.CONJUGATE_IN_MO, s2, "reality-clause")
-    if _distinct([th for th, _ in blocks.planes], sp2.delta):
-        # exact for regular elements: the centralizer splits over the
-        # invariant blocks, and without +-1 eigendirections every
-        # sheet-preserving commuting element has determinant +1
-        return ConjugacyAnswer(Relation.CONJUGATE_IN_M_ONLY, s, "centralizer-enum")
-    return ConjugacyAnswer(Relation.UNDECIDED, s, "normalform")
 
 
 def conjugate_in_Mn(
@@ -275,9 +261,7 @@ def conjugate_in_Mn(
         return ConjugacyAnswer(Relation.NOT_CONJUGATE, None, "kg-thm1.2")
     if float(np.abs(t1.entries - t2.entries).max()) <= 1e-12:
         return ConjugacyAnswer(Relation.CONJUGATE_IN_MO, np.eye(t1.space.dim), "normalform")
-    st1, st2 = _lorentz_structure(sp1), _lorentz_structure(sp2)
-    s, m = _mn_conjugator(sp1, st1, sp2, st2)
-    return _refine_to_mo(sp1, st1, sp2, st2, s, m)
+    return _mn_conjugator(sp1, _lorentz_structure(sp1), sp2, _lorentz_structure(sp2))
 
 
 def conjugate_in_Mon(

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -309,7 +310,7 @@ class _LorentzStructure:
     ``frame`` is the square J-orthonormal frame Phi in which T is
     blockdiag(special block, B(t_1), ..., B(t_p), I_a, -I_b), and ``signs``
     its Q-signs; Phi* = diag(signs) Phi^T J is its inverse, and every
-    reverser Phi D Phi* and conjugator Phi_2 M Phi_1* is read from it.
+    reverser Phi D Phi* and conjugator Phi_2 E M Phi_1* is read from it.
     Its columns, in order: the ``special_dim`` special columns (elliptic:
     the fixed time-like unit v, sign -1; hyperbolic: s, t with att = s + t
     the r-eigenray, signs +1, -1; parabolic: f1, f2, f3 of the standard
@@ -329,6 +330,11 @@ class _LorentzStructure:
     def special_dim(self) -> int:
         b = self.blocks
         return len(self.signs) - 2 * b.p - b.a - b.b
+
+    @cached_property
+    def orientation(self) -> bool:
+        """det Phi > 0, read on first use."""
+        return bool(np.linalg.det(self.frame) > 0)
 
 
 def _lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
@@ -573,10 +579,13 @@ def reverser_oracle(
     before every required component was seen (mode (a) hits are counted).
     The Lorentz groups take elements of the identity component only, as
     :func:`is_real_SOo_n1` does, and raise ``NotInIdentityComponent``
-    before any analysis otherwise.
+    before any analysis otherwise; an unknown group or a negative budget
+    raises ``InvalidArg`` first.
     """
     if group not in (GROUP_O, GROUP_SO, GROUP_SOO, GROUP_MO):
         raise InvalidArg(f"unknown group {group!r}")
+    if budget < 0:
+        raise InvalidArg(f"negative budget {budget}")
     lorentzian = group in (GROUP_SOO, GROUP_MO)
     if lorentzian:
         if not isinstance(t, LorentzMatrix):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,28 @@ class TestEnumerate:
         doc = json.loads(out)
         assert doc["count"] == 4 and doc["has_pi"] is True
 
+    def test_has_pi_is_read_from_the_angles(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--k", "2", "--angles", "3.14159265358979,1")
+        doc = json.loads(out)
+        assert code == 0 and doc["has_pi"] is True and doc["angles"][0] == np.pi
+
+    @pytest.mark.parametrize("k,angles,named", [
+        ("1", "0", "angle 0.0 is not in (0, pi]"),
+        ("1", "4.0", "angle 4.0 is not in (0, pi]"),
+        ("1", "7", "angle 7.0 is not in (0, pi]"),
+        ("1", "-1", "angle -1.0 is not in (0, pi]"),
+        ("1", "inf", "angle inf is not in (0, pi]"),
+        ("1", "nan", "angle nan is not in (0, pi]"),
+        ("0", ",", "--k must be at least 1, got 0"),
+        ("-2", "1.0", "--k must be at least 1, got -2"),
+        ("1", "1e-9", "the decomposition reads 0 of the 1 angles"),
+    ])
+    def test_out_of_range_is_refused_by_name(self, capsys, k, angles, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # refused before numpy sees the value
+            code, out, err = run(capsys, "enumerate", f"--k={k}", f"--angles={angles}")
+        assert code == 2 and out == "" and err.startswith(f"error: {named}")
+
 
 class TestRandomAndOracle:
     def test_determinism(self, tmp_path, capsys):
@@ -155,6 +178,11 @@ class TestRandomAndOracle:
         assert code == 0
         doc = json.loads(out)
         assert doc["exact"] == [[-1, 1]]
+
+    def test_negative_budget_is_refused(self, tmp_path, capsys):
+        path = write_matrix(tmp_path, "u.json", block_rotation(np.pi / 2))
+        code, out, err = run(capsys, "oracle", path, "--group", "On", "--budget", "-5")
+        assert code == 2 and out == "" and err == "error: negative budget -5\n"
 
     def test_seeded_oracle_deterministic(self, tmp_path, capsys):
         path = write_matrix(tmp_path, "u.json", block_rotation(0.8, 0.8))

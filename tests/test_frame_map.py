@@ -1,8 +1,9 @@
 """Every reverser and conjugator is one frame map F_out M F_in*.
 
 A spy on ``frames.frame_map`` counts the assemblies a public call makes:
-one per certificate, one per achievable oracle component, and a second
-one only where conjugacy fixes up a conjugator of determinant -1.
+one per certificate, one per conjugator and one per achievable oracle
+component.  A conjugator's determinant is chosen before its one
+assembly, from the orientations of the two frames.
 """
 
 import numpy as np
@@ -91,22 +92,27 @@ def test_conjugator_assembles_once_or_twice(monkeypatch, n, cls, det):
     maps = spy(monkeypatch, frames, "frame_map")
     answer = conjugate_in_Mn(t, partner)
     assert answer.related is not Relation.NOT_CONJUGATE
-    fixed_up = answer.method == "reality-clause"
-    assert maps.call_count == (2 if fixed_up else 1)
-    if fixed_up:
-        # the fix-up differs from the first map by one sign on a +-1 column
-        first, second = maps.call_args_list
-        e = second.args[1] - first.args[1]
-        assert np.count_nonzero(e) == 1 and e[np.nonzero(e)] == -2.0
+    assert maps.call_count == 1
+    # M is the identity off the parabolic block, but for one -1 on the
+    # first +-1 column of Phi_2 where the answer needs the other sign
+    st2 = _lorentz_structure(_LorentzSpectrum.of(partner, DEFAULT_DELTA))
+    e = maps.call_args.args[1] - np.eye(t.space.dim)
+    if cls == "parabolic":
+        e[:3, :3] = 0.0
+    if answer.method == "reality-clause":
+        i = st2.special_dim + 2 * st2.blocks.p
+        assert np.count_nonzero(e) == 1 and e[i, i] == -2.0
+    else:
+        assert not e.any()
 
 
 def test_both_conjugator_kinds_are_seen(monkeypatch):
-    counts = set()
+    methods = set()
     for n, cls in CASES:
         t, rng = element(n, cls, seed=1)
         w = random_soo(rng, n, 0.5) @ np.diag([-1.0] + [1.0] * n)
         maps = spy(monkeypatch, frames, "frame_map")
-        conjugate_in_Mn(t, lorentz(w @ t.entries @ np.linalg.inv(w)))
-        counts.add(maps.call_count)
+        methods.add(conjugate_in_Mn(t, lorentz(w @ t.entries @ np.linalg.inv(w))).method)
+        assert maps.call_count == 1
         monkeypatch.undo()
-    assert counts == {1, 2}
+    assert {"normalform", "reality-clause"} <= methods

@@ -24,21 +24,21 @@ from hypiso.reality import is_real_SOo_n1
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import gen  # noqa: E402  (the benchmark's numpy-only input generator)
 
-ELLIPTIC = {"det": 2, "eig": 2, "eigh": 4, "eigvals": 2, "svd": 8}
-PARABOLIC = {"det": 3, "eig": 2, "eigh": 4, "eigvals": 2, "lstsq": 2, "svd": 8}
-HYPERBOLIC = {"det": 2, "eig": 2, "eigh": 2, "eigvals": 2, "svd": 10}
+ELLIPTIC = {"det": 4, "eig": 2, "eigh": 4, "eigvals": 2, "svd": 8}
+PARABOLIC = {"det": 4, "eig": 2, "eigh": 4, "eigvals": 2, "lstsq": 2, "svd": 8}
+HYPERBOLIC = {"det": 4, "eig": 2, "eigh": 2, "eigvals": 2, "svd": 10}
 
 # (n, class) -> (linalg calls by name, reality decision, relation, method)
 EXPECTED = {
     (3, "elliptic"): (ELLIPTIC, True, "ConjugateInMo", "normalform"),
     (3, "parabolic"): (PARABOLIC, True, "ConjugateInMo", "reality-clause"),
     (3, "hyperbolic"): (HYPERBOLIC, True, "ConjugateInMOnly", "centralizer-enum"),
-    (5, "elliptic"): (dict(ELLIPTIC, det=3), True, "ConjugateInMo", "reality-clause"),
+    (5, "elliptic"): (ELLIPTIC, True, "ConjugateInMo", "reality-clause"),
     (5, "parabolic"): (PARABOLIC, True, "ConjugateInMo", "reality-clause"),
-    (5, "hyperbolic"): (dict(HYPERBOLIC, det=1), False, "ConjugateInMOnly", "centralizer-enum"),
+    (5, "hyperbolic"): (dict(HYPERBOLIC, det=3), False, "ConjugateInMOnly", "centralizer-enum"),
     (9, "elliptic"): (ELLIPTIC, True, "ConjugateInMo", "normalform"),
     (9, "parabolic"): (PARABOLIC, True, "ConjugateInMo", "reality-clause"),
-    (9, "hyperbolic"): (dict(HYPERBOLIC, det=1), False, "ConjugateInMOnly", "centralizer-enum"),
+    (9, "hyperbolic"): (dict(HYPERBOLIC, det=3), False, "ConjugateInMOnly", "centralizer-enum"),
 }
 
 

@@ -313,3 +313,12 @@ class TestOracle:
         t = random_isometry(rng, 3, "elliptic")
         with pytest.raises(InvalidArg, match="unknown group 'SOo'"):
             reverser_oracle(t, "SOo", budget=0)
+
+    def test_negative_budget_is_invalid_before_any_analysis(self, rng, monkeypatch):
+        t = random_isometry(rng, 3, "elliptic")
+        eig = Mock(wraps=np.linalg.eig)
+        monkeypatch.setattr(np.linalg, "eig", eig)
+        for x, group in ((t, GROUP_SOO), (np.eye(3), GROUP_O)):
+            with pytest.raises(InvalidArg, match="negative budget -5"):
+                reverser_oracle(x, group, budget=-5)
+        assert eig.call_count == 0 and not t._analyses
