@@ -368,17 +368,17 @@ def stretch_factor(t: LorentzMatrix, delta: float = DEFAULT_DELTA) -> float:
     return _stretch(sp)
 
 
-def _fixed_stage(hyperbolic: list, forms: list) -> None:
-    """The LAPACK work of the fixed-point data of passes of one size, run
-    stacked over the passes that do not yet store it, and stored on each.
+def _fixed_stage(hyperbolic: list) -> None:
+    """The LAPACK work of the fixed-point data of hyperbolic passes of one
+    size, run stacked over the passes that do not yet store it, and stored
+    on each.
 
     One SVD of the (2H, d, d) stack [T - r I; T - r^-1 I] over the H passes
     of ``hyperbolic`` (each with a real positive dominant eigenvalue r)
     gives each its ``rays``: the right singular vectors of the smallest
-    singular values, the null eigenvectors for r and 1/r.  One ``eigh``
-    per kernel width over the Gram matrices K^T J K of ker(T - I) of the
-    passes of ``forms`` gives each its ``form`` (w, e), the eigen-
-    decomposition of Q on its fixed space; empty kernels are skipped.
+    singular values, the null eigenvectors for r and 1/r.  The fixed data
+    of a parabolic or an elliptic needs no LAPACK call of its own: it is
+    read from the stored kernel in closed form (:func:`_fixed_axis`).
 
     numpy runs the same LAPACK routine on each matrix of a stack, so each
     result is bit-identical to that of a stack of one.  A stacked call
@@ -396,23 +396,12 @@ def _fixed_stage(hyperbolic: list, forms: list) -> None:
             rays = vt[[i, h + i], -1]
             rays.setflags(write=False)
             sp.rays = rays
-    forms = [sp for sp in forms if sp.form is None and sp.kernel.shape[1]]
-    while forms:  # one group per kernel width, in order of first appearance
-        width = forms[0].kernel.shape[1]
-        group = [sp for sp in forms if sp.kernel.shape[1] == width]
-        forms = [sp for sp in forms if sp.kernel.shape[1] != width]
-        j = group[0].space.form_signs
-        w, e = np.linalg.eigh(np.array([sp.kernel.T @ (j[:, None] * sp.kernel) for sp in group]))
-        for sp, wi, ei in zip(group, w, e):
-            wi.setflags(write=False)
-            ei.setflags(write=False)
-            sp.form = (wi, ei)
 
 
 def _hyperbolic_rays(sp: _LorentzSpectrum) -> tuple[np.ndarray, np.ndarray]:
     """Null eigenvectors for (r, 1/r), each normalized to time coordinate 1."""
     _stretch(sp)
-    _fixed_stage([sp], [])
+    _fixed_stage([sp])
     out = []
     for v in sp.rays:
         if abs(v[-1]) < 1e-10:
@@ -421,14 +410,20 @@ def _hyperbolic_rays(sp: _LorentzSpectrum) -> tuple[np.ndarray, np.ndarray]:
     return out[0], out[1]
 
 
-def _fixed_space_form(sp: _LorentzSpectrum, kind: str):
-    """(kernel, w, e): ker(T - I) and the eigen-decomposition w, e of Q on it."""
+def _fixed_axis(sp: _LorentzSpectrum, kind: str) -> tuple[np.ndarray, float]:
+    """(K z, g): the one direction of ker(T - I) on which Q is not 1, and
+    the value g of Q on its unit vector K z / |z|.
+
+    The kernel K has Euclidean-orthonormal columns (rows of an SVD's vt),
+    so with J = diag(1, ..., 1, -1) its Gram K^T J K is I - 2 z z^T, z the
+    time row of K: eigenvalue g = 1 - 2 |z|^2 along z, and exactly 1 on the
+    rest of the fixed space.  (K z)[n] = |z|^2 is never negative.
+    """
     kernel = sp.kernel
     if kernel.shape[1] == 0:
         raise HypisoError(f"{kind} isometry with empty fixed space")
-    _fixed_stage([], [sp])
-    w, e = sp.form
-    return kernel, w, e
+    z = kernel[-1]
+    return kernel @ z, 1.0 - 2.0 * float(z @ z)
 
 
 def _parabolic_ray(sp: _LorentzSpectrum) -> np.ndarray:
@@ -436,27 +431,21 @@ def _parabolic_ray(sp: _LorentzSpectrum) -> np.ndarray:
 
     ker(T - I) of a parabolic splits as (null line) + (space-like part),
     so the restricted Gram is positive semidefinite with a one-dimensional
-    kernel, which is the fixed ray.
+    kernel, which is the fixed ray: the axis K z, where g vanishes.
     """
-    kernel, w, e = _fixed_space_form(sp, "parabolic")
-    order = np.argsort(np.abs(w))
-    if abs(w[order[0]]) > 1e-8 or (len(w) > 1 and abs(w[order[1]]) < 1e-8):
+    u, g = _fixed_axis(sp, "parabolic")
+    if not abs(g) <= 1e-8:  # a NaN fails too
         raise HypisoError("fixed space of a parabolic must have a 1-dim radical")
-    u = kernel @ e[:, order[0]]
-    if abs(u[-1]) < 1e-10:
-        raise HypisoError("parabolic fixed ray has vanishing time coordinate")
     return u / u[-1]
 
 
 def _elliptic_fixed_vector(sp: _LorentzSpectrum) -> np.ndarray:
-    """Time-like unit 1-eigenvector on the upper sheet."""
-    kernel, w, e = _fixed_space_form(sp, "elliptic")
-    if w[0] >= 0:
+    """Time-like unit 1-eigenvector on the upper sheet: the axis K z, on
+    which Q is negative."""
+    v, g = _fixed_axis(sp, "elliptic")
+    if not g < 0:
         raise HypisoError("fixed space of an elliptic isometry must be time-like")
-    v = kernel @ e[:, 0]
-    j = sp.space.form_signs
-    v = v / np.sqrt(-frames.j_inner(j, v, v))
-    return v if v[-1] > 0 else -v
+    return v / np.sqrt(-frames.j_inner(sp.space.form_signs, v, v))
 
 
 def _boundary_fixed_points(
@@ -521,11 +510,12 @@ def _classify_stack(passes: list) -> list:
     passes through.
 
     Class, angles and stretch are read from each pass; then one
-    :func:`_fixed_stage` covers every pass whose fixed data needs LAPACK
-    work (hyperbolic, parabolic, full-rotation elliptic), and each report
-    reads its stored result.  A failing stacked call stores nothing, so the
-    reports of that stack redo the stage one pass at a time and each meets
-    its own exception, as with the stacked pass (:func:`_spectra`).
+    :func:`_fixed_stage` covers every hyperbolic, the only class whose
+    fixed data needs LAPACK work, and each report reads its stored result
+    (the others read theirs from the kernel).  A failing stacked call
+    stores nothing, so the reports of that stack redo the stage one pass at
+    a time and each meets its own exception, as with the stacked pass
+    (:func:`_spectra`).
     """
     out = list(passes)
     heads = {}
@@ -537,12 +527,8 @@ def _classify_stack(passes: list) -> list:
         except Exception as exc:  # noqa: BLE001 - kept in place of its report
             out[i] = exc
     hyperbolic = [passes[i] for i, (cls, _, _) in heads.items() if cls is FixedPointClass.HYPERBOLIC]
-    forms = [
-        passes[i] for i, (cls, ang, _) in heads.items()
-        if cls is FixedPointClass.PARABOLIC or _full_rotation(passes[i], cls, ang)
-    ]
     try:
-        _fixed_stage(hyperbolic, forms)
+        _fixed_stage(hyperbolic)
     except np.linalg.LinAlgError:
         pass  # redone per pass by the reports below
     for i, head in heads.items():

@@ -23,7 +23,7 @@ import numpy as np
 from . import quadspace
 from .classify import _classify_stack, _spectra
 from .errors import HypisoError, OutOfRange, RefusedToDecide
-from .spectral import DEFAULT_DELTA, plane_decomposition
+from .spectral import DEFAULT_DELTA, plane_decomposition, rotation_matrix
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -169,6 +169,12 @@ def cmd_dims(args) -> int:
     return EXIT_OK
 
 
+def _reads_pi(angle: float, delta: float) -> bool:
+    """Whether the plane decomposition reads the rotation by ``angle`` as
+    the plane of pi."""
+    return plane_decomposition(rotation_matrix(angle), delta).angles == (np.pi,)
+
+
 def cmd_enumerate(args) -> int:
     from . import classgeom, sampling
 
@@ -178,7 +184,9 @@ def cmd_enumerate(args) -> int:
     for a in angles:
         if not 0.0 < a <= np.pi:  # NaN fails too
             raise OutOfRange(f"angle {a} is not in (0, pi]")
-    if args.has_pi and not any(abs(a - np.pi) <= 1e-9 for a in angles):
+    # the plane of pi is added unless the decomposition reads a given angle
+    # as pi (its pair e^{+-i a} within delta of -1)
+    if args.has_pi and not any(_reads_pi(a, args.delta) for a in angles):
         angles = [float(np.pi)] + angles
     k = len(angles)
     if k != args.k:
@@ -194,7 +202,7 @@ def cmd_enumerate(args) -> int:
     doc = {
         "k": k,
         "angles": list(decomp.angles),
-        "has_pi": any(abs(a - np.pi) <= 1e-9 for a in decomp.angles),
+        "has_pi": np.pi in decomp.angles,
         "count": len(elements),
         "elements": [[float(x) for x in m.ravel()] for m in elements],
     }

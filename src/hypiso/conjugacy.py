@@ -46,11 +46,12 @@ from .errors import (
     NotInIdentityComponent,
     Undecided,
 )
-from .quadspace import Component, LorentzMatrix, classify_membership
+from .quadspace import Component, LorentzMatrix, _component, form_residual
 from .reality import _certificate_failure, _lorentz_structure, _LorentzStructure
 from .spectral import DEFAULT_DELTA, _distinct, _LorentzSpectrum
 
 CONJUGATOR_TOL = 1e-8
+CONJUGATOR_MEMBERSHIP_TOL = 1e-7  # relative to max(1, max|S|^2)
 CHARPOLY_TOL = 1e-7
 
 ANGLE_DECIMALS = 6
@@ -186,7 +187,13 @@ def _mn_conjugator(
     S = Phi_2 E M Phi_1* with S T1 S^-1 = T2: M the special map and the
     identity on the orthogonal blocks, E the -1 on the first +-1 column
     of Phi_2 (it commutes with the blocks of T2 and with M) exactly when
-    the orientations of the two frames differ and T2 has such a column."""
+    the orientations of the two frames differ and T2 has such a column.
+
+    The +-1 columns of each frame (``U[:, q:]`` of an SVD, or I) carry
+    arbitrary signs, so the orientations, and with them the ``method`` of
+    a ``ConjugateInMo`` answer (``normalform`` or ``reality-clause``), may
+    flip under a change at the rounding level while the relation stays:
+    the method names the construction taken, not a property of the pair."""
     hyperbolic = st1.cls is FixedPointClass.HYPERBOLIC
     r1, r2 = (_stretch(sp1), _stretch(sp2)) if hyperbolic else (None, None)
     b1, b2 = st1.blocks, st2.blocks
@@ -214,8 +221,15 @@ def _mn_conjugator(
             f"conjugator residual {resid:.2e} exceeds tolerance", sp1.delta, st2, st1,
             gate=CONJUGATOR_TOL,
         )
+    # S is checked as a group element at the conjugator membership gate; it
+    # then lies in O(n,1), and its component is read from its entries, as
+    # is_real_SOo_n1 reads its reverser's
+    form = float(form_residual(space, s))
+    gate = CONJUGATOR_MEMBERSHIP_TOL * max(1.0, float(np.abs(s).max()) ** 2)
+    if not form <= gate:  # a NaN residual fails too
+        raise HypisoError(f"conjugator form residual {form:.3e} exceeds its gate {gate:.3e}")
     expected = Component.O_minus_preserving if differ and not flip else Component.SO_o
-    if classify_membership(space, s, 1e-7).component is not expected:
+    if _component(s[-1, -1], np.linalg.det(s[:-1, :-1])) is not expected:
         raise HypisoError("conjugator left the identity component")
     if expected is Component.SO_o:
         return ConjugacyAnswer(

@@ -8,14 +8,19 @@ reverser and conjugator is one frame map ``F_out @ M @ F_in*``.
 
 The frame helpers take ``j`` as a vector of form signs so the same code
 serves the Euclidean case (all ones) and the Lorentzian case.  The
-invariant-plane extractor is Euclidean-only: it splits an orthogonal
-matrix, such as the rotation part of a Lorentz element, with one ``eig``
-(the reading), one SVD (the polar factor of the planes, whose complement
-is the +-1 eigenspaces) and at most one ``eigh`` (to split +1 from -1).
+space-like complement needs no eigensolve: its basis has Euclidean-
+orthonormal columns, so with J = diag(1, ..., 1, -1) its Gram is
+I - 2 z z^T (z the basis's time row), whose inverse square root is read
+in closed form.  The invariant-plane extractor is Euclidean-only: it
+splits an orthogonal matrix, such as the rotation part of a Lorentz
+element, with one ``eig`` (the reading), one SVD when there is a rotation
+pair (the polar factor of the planes, whose complement is the +-1
+eigenspaces) and at most one ``eigh`` (to split +1 from -1).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,31 +62,27 @@ def restrict_to_frame(
     return frame_pinv(frame, signs, j) @ m @ frame
 
 
-def orthonormalize_spacelike(basis: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """J-orthonormalize a basis of a space-like subspace (symmetric style).
-
-    The restricted Gram must be positive definite; raises otherwise.
-    """
-    gram = basis.T @ (j[:, None] * basis)
-    w, e = np.linalg.eigh(gram)
-    if any(x <= 0 for x in w.tolist()):
-        raise HypisoError("subspace is not space-like; cannot orthonormalize")
-    return (basis @ e) * (1.0 / np.sqrt(w)) @ e.T
-
-
 def spacelike_complement(
     frame: np.ndarray, j: np.ndarray, threshold: float = 1e-10
 ) -> np.ndarray:
     """J-orthonormal frame of the J-orthocomplement of span(frame).
 
     Only valid when the complement is space-like (the time direction sits
-    inside ``frame``).
+    inside ``frame``).  The kernel basis B from the SVD has Euclidean-
+    orthonormal columns, so its J-Gram is G = I - 2 z z^T, z the time row
+    of B: the eigenvalue g = 1 - 2 |z|^2 along z and 1 across it.  Then
+    B G^(-1/2) = B + (B z)(c z)^T with c = (g^(-1/2) - 1) / |z|^2, written
+    as 2 / (sqrt(g) (1 + sqrt(g))) (as 1 - g = 2 |z|^2), which stays defined
+    at z = 0.  Raises unless g > 0, that is unless the complement is
+    space-like.
     """
-    a = frame.T * j[None, :]
-    basis = spectral.null_space_at(a, threshold)
-    if basis.shape[1] == 0:
-        return basis
-    return orthonormalize_spacelike(basis, j)
+    basis = spectral.null_space_at(frame.T * j[None, :], threshold)
+    z = basis[-1]
+    g = 1.0 - 2.0 * float(z @ z)
+    if not g > 0:  # a NaN fails too
+        raise HypisoError("subspace is not space-like; cannot orthonormalize")
+    root = math.sqrt(g)
+    return basis + (basis @ z)[:, None] * ((2.0 / (root * (1.0 + root))) * z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,10 +130,11 @@ def invariant_plane_frames(m: np.ndarray, delta: float) -> _OrthogonalBlocks:
     angles the split into planes is arbitrary, as the constructions allow).
     The other columns of U are the +-1 eigenspaces as the reading counts
     them, so the frame fills the dimension, orthonormal to rounding.  With
-    two or more, one ``eigh`` of the symmetric part of m splits +1 from -1,
-    each ordered from the eigenvalue farthest from +-1: the first +-1
-    column, which a det fix-up flips, then lies in the plane of any
-    rotation pair the reading counted as +-1.
+    no rotation pair there is no SVD: U is then I, as numpy returns it for
+    an n x 0 matrix.  With two or more +-1 columns, one ``eigh`` of the
+    symmetric part of m splits +1 from -1, each ordered from the eigenvalue
+    farthest from +-1: the first +-1 column, which a det fix-up flips, then
+    lies in the plane of any rotation pair the reading counted as +-1.
     """
     vals, vecs = np.linalg.eig(m)
     pairs, plus, minus = spectral._unit_circle(vals, delta)
@@ -145,8 +147,11 @@ def invariant_plane_frames(m: np.ndarray, delta: float) -> _OrthogonalBlocks:
     q = 2 * len(thetas)
     cols = np.empty((m.shape[0], q))
     cols[:, 0::2], cols[:, 1::2] = u.real, -u.imag
-    left, _, vt = np.linalg.svd(cols)
-    polar, rest = left[:, :q] @ vt, left[:, q:]
+    if q:
+        left, _, vt = np.linalg.svd(cols)
+        polar, rest = left[:, :q] @ vt, left[:, q:]
+    else:  # numpy's U for an n x 0 frame
+        polar, rest = cols, np.eye(m.shape[0])
     if a + b > 1:
         e = np.linalg.eigh(rest.T @ (m + m.T) @ rest)[1]  # ascending, -1 ones first
         rest = rest @ np.concatenate([e[:, b:], e[:, :b][:, ::-1]], axis=1)

@@ -270,9 +270,7 @@ def _parabolic_frame(sp: _LorentzSpectrum) -> tuple[np.ndarray, float]:
     space = sp.space
     j = space.form_signs
     n1 = sp.entries - space.identity
-    u = _parabolic_ray(sp)
-    if u[-1] < 0:
-        u = -u
+    u = _parabolic_ray(sp)  # time coordinate 1
     # minimal-norm Jordan chain top: orthogonal to ker((T-I)^2), hence
     # free of rotation-plane components
     w, *_ = np.linalg.lstsq(n1 @ n1, u, rcond=1e-9)
@@ -551,14 +549,6 @@ def _project_lorentz_batch(
     return ys
 
 
-def _component_key(s: np.ndarray, j: Optional[np.ndarray]) -> tuple[int, int]:
-    det = 1 if np.linalg.det(s) > 0 else -1
-    if j is None:
-        return det, 1
-    sheet = 1 if s[-1, -1] > 0 else -1
-    return det, sheet
-
-
 def reverser_oracle(
     t,
     group: str,
@@ -653,9 +643,13 @@ def reverser_oracle(
             sinv = _group_inverse(ss, j)
             grp = np.abs(sinv @ ss - np.eye(dim)).max(axis=(1, 2))
             rev = np.abs(ss @ mat @ sinv - tinv).max(axis=(1, 2))
-            ok = (grp <= 1e-9) & (rev <= RESIDUAL_TOL)
-            for s in ss[ok]:
-                found.setdefault(_component_key(s, j), s)
+            ss = ss[(grp <= 1e-9) & (rev <= RESIDUAL_TOL)]
+            # (det, sheet) of each verified witness, from one stacked det;
+            # the sheet is +1 in an orthogonal group
+            dets = np.where(np.linalg.det(ss) > 0, 1, -1).tolist()
+            sheets = [1] * len(ss) if j is None else np.where(ss[:, -1, -1] > 0, 1, -1).tolist()
+            for s, key in zip(ss, zip(dets, sheets)):
+                found.setdefault(key, s)
             if require is not None and require <= (set(found) | set(exact_witnesses)):
                 break
     exhausted = used >= budget

@@ -28,8 +28,11 @@ eigenvalue, its modulus and the two band flags) and what the
 deciders read of the element (its entries, space and sheet flag).  The
 pass runs stacked over any number of matrices of one size
 (:meth:`_LorentzSpectrum.stack`); a single matrix is the stack of one.
-The LAPACK work of the fixed-point data (``classify._fixed_stage``) and
-the adapted splitting are stored on the same record.
+The null eigenrays of a hyperbolic (``classify._fixed_stage``) and the
+adapted splitting are stored on the same record.  The kernel of T - I has
+Euclidean-orthonormal columns, so its J-Gram is I - 2 z z^T (z its time
+row), and the fixed data of an elliptic or a parabolic is read from it in
+closed form, with no eigensolve.
 """
 
 from __future__ import annotations
@@ -206,10 +209,13 @@ class _LorentzSpectrum:
     above its rounding floor (d the size), where the Jordan block is
     threshold-ambiguous.
     ``lam`` is the dominant eigenvalue (the first of largest modulus) and
-    ``rmax`` = |lam|, the largest modulus of the spectrum.  ``rays`` and
-    ``form`` are the results of the fixed-data stage
+    ``rmax`` = |lam|, the largest modulus of the spectrum.  ``rays``, a
+    hyperbolic's null eigenrays, is the result of the fixed-data stage
     (``classify._fixed_stage``), and ``structure`` the adapted splitting
-    (``reality._lorentz_structure``), each kept here once computed.
+    (``reality._lorentz_structure``), each kept here once computed.  The
+    fixed data of an elliptic or a parabolic is read from ``kernel``
+    itself: its J-Gram is I - 2 z z^T, z the time row of ``kernel``, with
+    the eigenvalue g = 1 - 2 |z|^2 along z and 1 across it.
 
     ``entries`` is T's own read-only array, and ``space`` and
     ``sheet_preserving`` are T's; the record holds no reference back to
@@ -231,7 +237,6 @@ class _LorentzSpectrum:
     band: bool
     square_band: bool
     rays: np.ndarray = None
-    form: tuple = None
     structure: object = None
 
     def __post_init__(self):

@@ -3,6 +3,7 @@ component read from its own certificate check, certificate gates that a
 NaN residual cannot pass, and the characteristic-polynomial gate, which
 refuses where both spectra are lost to rounding."""
 
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 from conftest import boost_matrix, lorentz, spy
-from hypiso import classify, frames, quadspace
+from hypiso import classify, frames, quadspace, spectral
+from hypiso.classify import FixedPointClass, _elliptic_fixed_vector, _parabolic_ray
 from hypiso.conjugacy import Relation, _char_poly, _reciprocity_defect, conjugate_in_Mn
 from hypiso.errors import Borderline, HypisoError
 from hypiso.quadspace import (
@@ -21,7 +23,7 @@ from hypiso.quadspace import (
     classify_membership,
     matrix_to_json,
 )
-from hypiso.reality import is_real_SOo_n1
+from hypiso.reality import _lorentz_structure, is_real_SOo_n1
 from hypiso.sampling import random_orthogonal, standard_isometry
 from hypiso.spectral import _LorentzSpectrum
 from test_cli import run_subprocess
@@ -81,17 +83,101 @@ class TestScale:
             assert _LorentzSpectrum.of(lorentz(t), 1e-7).scale == 1.0
 
 
-def test_column_scaling_equals_the_diagonal_product():
-    # orthonormalize_spacelike scales columns in place of multiplying by
-    # diag(1 / sqrt(w)): the same products, so the same bits
-    rng = np.random.default_rng(6)
-    for n in (3, 5, 9):
-        basis = rng.standard_normal((n + 1, n - 1))
-        basis[-1] *= 0.1
-        j = QuadraticSpace(n).form_signs
-        w, e = np.linalg.eigh(basis.T @ (j[:, None] * basis))
-        want = basis @ e @ np.diag(1.0 / np.sqrt(w)) @ e.T
-        assert np.array_equal(frames.orthonormalize_spacelike(basis, j), want)
+def eigh_orthonormalization(basis, j):
+    """B e diag(w^(-1/2)) e^T from the eigensolve of the J-Gram: the
+    reference the closed form of spacelike_complement replaces."""
+    w, e = np.linalg.eigh(basis.T @ (j[:, None] * basis))
+    return basis @ e @ np.diag(1.0 / np.sqrt(w)) @ e.T
+
+
+def eigh_fixed_axis(kernel, j):
+    """The fixed vector (elliptic) or ray (parabolic) from the eigensolve
+    of the kernel's J-Gram: its eigenvector of least |eigenvalue|, the one
+    the closed form reads as K z."""
+    w, e = np.linalg.eigh(kernel.T @ (j[:, None] * kernel))
+    return kernel @ e[:, np.argmin(np.abs(w))], w
+
+
+def svd_path_blocks(m):
+    """The +-1 frames of an orthogonal m with no rotation pair as the SVD
+    path built them: U of the n x 0 plane frame, split by one eigh."""
+    vals = np.linalg.eigvals(m).real
+    a, b = int(np.sum(vals > 0)), int(np.sum(vals < 0))
+    rest = np.linalg.svd(np.empty((len(m), 0)))[0]
+    if a + b > 1:
+        e = np.linalg.eigh(rest.T @ (m + m.T) @ rest)[1]
+        rest = rest @ np.concatenate([e[:, b:], e[:, :b][:, ::-1]], axis=1)
+    return rest[:, :a], rest[:, a:]
+
+
+@pytest.fixture(scope="module")
+def certify_splittings():
+    """(pass, splitting) of every element of the benchmark's certify items."""
+    out = []
+    for item in gen.certify_items(7):
+        sp = _LorentzSpectrum.of(classify_membership(QuadraticSpace(item.n), item.matrix), 1e-7)
+        out.append((sp, _lorentz_structure(sp)))
+    return out
+
+
+class TestClosedFormGrams:
+    """Every J-Gram of a Euclidean-orthonormal basis is I - 2 z z^T, z its
+    time row, so the complement and the fixed data are read in closed form;
+    on the certify items they match the eigensolve they replace."""
+
+    def test_complements(self, certify_splittings):
+        for sp, st in certify_splittings:
+            j = sp.space.form_signs
+            special = st.frame[:, : st.special_dim]
+            got = frames.spacelike_complement(special, j)
+            gram = got.T @ (j[:, None] * got)
+            assert np.abs(gram - np.eye(len(gram))).max() <= 1e-13
+            want = eigh_orthonormalization(spectral.null_space_at(special.T * j, 1e-10), j)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_kernels(self, certify_splittings):
+        seen = set()
+        for sp, st in certify_splittings:
+            if st.cls is FixedPointClass.HYPERBOLIC:  # its kernel is empty
+                continue
+            j = sp.space.form_signs
+            want, w = eigh_fixed_axis(sp.kernel, j)
+            # every eigenvalue of the Gram but g is 1
+            assert np.sort(np.abs(w - 1.0))[:-1].max(initial=0.0) <= 1e-13
+            if st.cls is FixedPointClass.ELLIPTIC:
+                got = _elliptic_fixed_vector(sp)
+                want = want / np.sqrt(-frames.j_inner(j, want, want))
+                want = want if want[-1] > 0 else -want
+            else:
+                got, want = _parabolic_ray(sp), want / want[-1]
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            seen.add(st.cls)
+        assert len(seen) == 2
+
+    def test_a_time_like_complement_raises(self):
+        # the complement of a space-like line holds the time direction
+        j = QuadraticSpace(3).form_signs
+        with pytest.raises(HypisoError, match="not space-like") as info:
+            frames.spacelike_complement(np.eye(4)[:, :1], j)
+        assert type(info.value) is HypisoError
+
+    def test_no_rotation_pair_equals_the_svd_path(self, monkeypatch, certify_splittings):
+        svd = spy(monkeypatch, np.linalg, "svd")
+        seen = 0
+        for sp, st in certify_splittings:
+            if st.blocks.p:
+                continue
+            j = sp.space.form_signs
+            w_frame = frames.spacelike_complement(st.frame[:, : st.special_dim], j)
+            t_o = frames.restrict_to_frame(sp.entries, w_frame, np.ones(w_frame.shape[1]), j)
+            svd.reset_mock()
+            blocks = frames.invariant_plane_frames(t_o, sp.delta)
+            assert svd.call_count == 0
+            fix, neg = svd_path_blocks(t_o)
+            assert blocks.fix_frame.tobytes() == fix.tobytes()
+            assert blocks.neg_frame.tobytes() == neg.tobytes()
+            seen += 1
+        assert seen > 50
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +271,28 @@ class TestNanGates:
         with pytest.raises(HypisoError, match="conjugator residual nan") as info:
             conjugate_in_Mn(t1, t2)
         assert type(info.value) is HypisoError and len(maps) == 1
+
+    def test_conjugator_off_the_group(self, monkeypatch):
+        # 1.001 S still conjugates T1 to T2 within the residual gate, but
+        # misses the group: an internal error naming the form residual and
+        # its gate, not the input-validation NotAnIsometry
+        frame_map = frames.frame_map
+        monkeypatch.setattr(frames, "frame_map", lambda *args: 1.001 * frame_map(*args))
+        failed = 0
+        for item in gen.certify_items(7)[:60]:
+            space = QuadraticSpace(item.n)
+            t1, t2 = classify_membership(space, item.matrix), classify_membership(space, item.partner)
+            try:
+                answer = conjugate_in_Mn(t1, t2)
+            except HypisoError as exc:
+                assert type(exc) is HypisoError
+                assert re.fullmatch(
+                    r"conjugator form residual 2\.0\d\de-03 exceeds its gate \d\.\d{3}e-0[67]", str(exc)
+                ), str(exc)
+                failed += 1
+            else:
+                assert answer.related is Relation.NOT_CONJUGATE
+        assert failed >= 55
 
 
 # T = boost(e0, rapidity 25) rotation(e1 e2, 1.0) in SO_o(3,1), and T2 =

@@ -133,6 +133,24 @@ class TestEnumerate:
         doc = json.loads(out)
         assert code == 0 and doc["has_pi"] is True and doc["angles"][0] == np.pi
 
+    @pytest.mark.parametrize("angles,delta", (("3.14159264,1", "1e-7"), ("3.1415,1", "1e-3")))
+    def test_pi_flag_reads_pi_as_the_decomposition_does(self, capsys, angles, delta):
+        # the first angle is within delta of pi, so the decomposition reads
+        # its plane as the plane of pi and the flag adds no other
+        argv = ["enumerate", "--k", "2", "--angles", angles, "--delta", delta]
+        flagged, plain = run(capsys, *argv, "--has-pi"), run(capsys, *argv)
+        assert flagged == plain and plain[0] == 0 and plain[2] == ""
+        doc = json.loads(plain[1])
+        assert doc["has_pi"] is True and doc["angles"] == [np.pi, 1.0] and doc["count"] == 4
+
+    def test_an_angle_read_as_a_rotation_is_not_pi(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--k", "2", "--angles", "3.1415,1")
+        doc = json.loads(out)
+        assert code == 0 and doc["has_pi"] is False and doc["angles"] == [3.1415, 1.0]
+        code, out, _ = run(capsys, "enumerate", "--k", "3", "--angles", "3.1415,1", "--has-pi")
+        doc = json.loads(out)
+        assert code == 0 and doc["has_pi"] is True and doc["angles"] == [np.pi, 3.1415, 1.0]
+
     @pytest.mark.parametrize("k,angles,named", [
         ("1", "0", "angle 0.0 is not in (0, pi]"),
         ("1", "4.0", "angle 4.0 is not in (0, pi]"),

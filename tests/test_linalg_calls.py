@@ -4,9 +4,17 @@ n = 3, 5 and 9.
 A spy on every public function of ``numpy.linalg`` counts the calls that
 ``is_real_SOo_n1(T)`` and ``conjugate_in_Mn(T, T2)`` make on fresh
 elements (their membership calls are made before the spies go in).  A
-change that makes the op cheaper keeps these counts, so its saving is in
-the glue around the kernels (per-call numpy work on a few numbers), not
-in skipped kernels.
+change that makes the op cheaper either keeps these counts, when its
+saving is in the glue around the kernels (per-call numpy work on a few
+numbers), or lowers them, when it skips a kernel that does no work: no
+``eigh`` is left, as every J-Gram of an orthonormal basis is read in
+closed form, and the splitting of an element with no rotation plane
+(n = 3, parabolic) makes no SVD of its empty plane frame.
+
+The ``method`` of a ``ConjugateInMo`` answer follows the orientations of
+the two frames, whose +-1 columns carry arbitrary signs, so a change at
+the rounding level may flip it between ``normalform`` and
+``reality-clause`` with the relation unchanged.
 """
 
 import inspect
@@ -24,19 +32,19 @@ from hypiso.reality import is_real_SOo_n1
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import gen  # noqa: E402  (the benchmark's numpy-only input generator)
 
-ELLIPTIC = {"det": 4, "eig": 2, "eigh": 4, "eigvals": 2, "svd": 8}
-PARABOLIC = {"det": 4, "eig": 2, "eigh": 4, "eigvals": 2, "lstsq": 2, "svd": 8}
-HYPERBOLIC = {"det": 4, "eig": 2, "eigh": 2, "eigvals": 2, "svd": 10}
+ELLIPTIC = {"det": 4, "eig": 2, "eigvals": 2, "svd": 8}
+PARABOLIC = {"det": 4, "eig": 2, "eigvals": 2, "lstsq": 2, "svd": 8}
+HYPERBOLIC = {"det": 4, "eig": 2, "eigvals": 2, "svd": 10}
 
 # (n, class) -> (linalg calls by name, reality decision, relation, method)
 EXPECTED = {
     (3, "elliptic"): (ELLIPTIC, True, "ConjugateInMo", "normalform"),
-    (3, "parabolic"): (PARABOLIC, True, "ConjugateInMo", "reality-clause"),
+    (3, "parabolic"): (dict(PARABOLIC, svd=6), True, "ConjugateInMo", "normalform"),
     (3, "hyperbolic"): (HYPERBOLIC, True, "ConjugateInMOnly", "centralizer-enum"),
     (5, "elliptic"): (ELLIPTIC, True, "ConjugateInMo", "reality-clause"),
     (5, "parabolic"): (PARABOLIC, True, "ConjugateInMo", "reality-clause"),
     (5, "hyperbolic"): (dict(HYPERBOLIC, det=3), False, "ConjugateInMOnly", "centralizer-enum"),
-    (9, "elliptic"): (ELLIPTIC, True, "ConjugateInMo", "normalform"),
+    (9, "elliptic"): (ELLIPTIC, True, "ConjugateInMo", "reality-clause"),
     (9, "parabolic"): (PARABOLIC, True, "ConjugateInMo", "reality-clause"),
     (9, "hyperbolic"): (dict(HYPERBOLIC, det=3), False, "ConjugateInMOnly", "centralizer-enum"),
 }
