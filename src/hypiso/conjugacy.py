@@ -6,21 +6,21 @@ carries the only possible Jordan-structure difference, the size-3 block at
 1 of a parabolic).  When a pair is conjugate, an explicit conjugator is
 read from the adapted frame of each element (the special time-like block
 plus the invariant blocks of the orthogonal part, the frame the reality
-deciders read their reversers from): the one frame map Phi_2 E M Phi_1*,
+deciders read their reversers from): the one frame map Phi_2 M Phi_1*,
 with M the identity but for a boost matching the unipotent parameters of
-parabolics, and E a sign chosen before the map is assembled.
+parabolics.
 
 Whether the M(n)-conjugacy descends to M_o(n) is settled by the
-centralizer.  det M = 1, so the map has the determinant of E times the
-signs of det Phi_2 and det Phi_1, the orientations of the two frames.
-When they differ, a commuting element of determinant -1 must be spliced
-in.  Such an element exists exactly when T2 has a space-like +-1
-eigenvector, and then it is E = -1 on the first +-1 column of Phi_2 and
-+1 elsewhere; for regular elements without one, block enumeration shows
-the centralizer meets only the identity component, so the answer is
-ConjugateInMOnly.  For non-regular elements without +-1 the implemented
-criteria cannot settle the question and the honest answer is Undecided,
-with the M(n) conjugator attached.
+centralizer.  det M = 1, so the map has the sign of det Phi_2 det Phi_1,
+the orientations of the two frames.  A commuting element of determinant
+-1 exists when T2 has a space-like +-1 eigenvector: a -1 on that line.
+The splitting applies it where it orients a frame, negating the first
++-1 column of a frame with det Phi < 0, so the orientations of a pair
+differ only for elements without one.  For regular elements without one, block enumeration shows the centralizer meets only
+the identity component, so the answer is ConjugateInMOnly.  For
+non-regular elements without +-1 the implemented criteria cannot settle
+the question and the honest answer is Undecided, with the M(n)
+conjugator attached.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .errors import (
     NotInIdentityComponent,
     Undecided,
 )
-from .quadspace import Component, LorentzMatrix, _component, form_residual
+from .quadspace import Component, LorentzMatrix, _component, form_residual, matrix_to_document
 from .reality import _certificate_failure, _lorentz_structure, _LorentzStructure
 from .spectral import DEFAULT_DELTA, _distinct, _LorentzSpectrum
 
@@ -83,15 +83,9 @@ class ConjugacyAnswer:
     method: str
 
     def to_json_dict(self) -> dict:
-        conj = None
-        if self.conjugator is not None:
-            conj = {
-                "n": self.conjugator.shape[0] - 1,
-                "matrix": [float(x) for x in self.conjugator.ravel()],
-            }
         return {
             "related": self.related.value,
-            "conjugator": conj,
+            "conjugator": None if self.conjugator is None else matrix_to_document(self.conjugator),
             "method": self.method,
         }
 
@@ -184,16 +178,10 @@ def _mn_conjugator(
     sp2: _LorentzSpectrum, st2: _LorentzStructure,
 ) -> ConjugacyAnswer:
     """The answer for a pair of one class, read from its one conjugator
-    S = Phi_2 E M Phi_1* with S T1 S^-1 = T2: M the special map and the
-    identity on the orthogonal blocks, E the -1 on the first +-1 column
-    of Phi_2 (it commutes with the blocks of T2 and with M) exactly when
-    the orientations of the two frames differ and T2 has such a column.
-
-    The +-1 columns of each frame (``U[:, q:]`` of an SVD, or I) carry
-    arbitrary signs, so the orientations, and with them the ``method`` of
-    a ``ConjugateInMo`` answer (``normalform`` or ``reality-clause``), may
-    flip under a change at the rounding level while the relation stays:
-    the method names the construction taken, not a property of the pair."""
+    S = Phi_2 M Phi_1* with S T1 S^-1 = T2: M the special map and the
+    identity on the orthogonal blocks.  Its component is predicted by the
+    orientations of the two frames, which differ only when neither has a
+    +-1 column (each frame with one is oriented to det Phi > 0)."""
     hyperbolic = st1.cls is FixedPointClass.HYPERBOLIC
     r1, r2 = (_stretch(sp1), _stretch(sp2)) if hyperbolic else (None, None)
     b1, b2 = st1.blocks, st2.blocks
@@ -206,14 +194,10 @@ def _mn_conjugator(
             f"the two readings differ: {_reading(r1, b1)} against {_reading(r2, b2)}"
         )
     space = sp1.space
-    differ = st1.orientation is not st2.orientation
-    flip = differ and b2.a + b2.b > 0
-    m = space.identity.copy()
+    m = space.identity
     if st1.cls is FixedPointClass.PARABOLIC:
+        m = m.copy()
         m[:3, :3] = _special_map(st1, st2)
-    if flip:
-        i = st2.special_dim + 2 * b2.p  # the first +-1 column
-        m[i, i] = -1.0
     s = frames.frame_map(st2.frame, m, st1.frame, st1.signs, space.form_signs)
     resid = _conjugator_residual(s, sp1.entries, sp2.entries)
     if not resid <= CONJUGATOR_TOL:  # a NaN residual fails too
@@ -228,13 +212,12 @@ def _mn_conjugator(
     gate = CONJUGATOR_MEMBERSHIP_TOL * max(1.0, float(np.abs(s).max()) ** 2)
     if not form <= gate:  # a NaN residual fails too
         raise HypisoError(f"conjugator form residual {form:.3e} exceeds its gate {gate:.3e}")
-    expected = Component.O_minus_preserving if differ and not flip else Component.SO_o
+    same = st1.orientation is st2.orientation
+    expected = Component.SO_o if same else Component.O_minus_preserving
     if _component(s[-1, -1], np.linalg.det(s[:-1, :-1])) is not expected:
         raise HypisoError("conjugator left the identity component")
-    if expected is Component.SO_o:
-        return ConjugacyAnswer(
-            Relation.CONJUGATE_IN_MO, s, "reality-clause" if flip else "normalform"
-        )
+    if same:
+        return ConjugacyAnswer(Relation.CONJUGATE_IN_MO, s, "normalform")
     if _distinct([th for th, _ in b2.planes], sp2.delta):
         # exact for regular elements: the centralizer splits over the
         # invariant blocks, and without +-1 eigendirections every

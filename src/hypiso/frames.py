@@ -29,6 +29,10 @@ import numpy as np
 from . import spectral
 from .errors import HypisoError
 
+# absolute singular-value threshold of the kernel a space-like complement
+# is read from
+COMPLEMENT_THRESHOLD = 1e-10
+
 
 def j_inner(j: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     """Polarized form x^T J y for real vectors."""
@@ -62,9 +66,7 @@ def restrict_to_frame(
     return frame_pinv(frame, signs, j) @ m @ frame
 
 
-def spacelike_complement(
-    frame: np.ndarray, j: np.ndarray, threshold: float = 1e-10
-) -> np.ndarray:
+def spacelike_complement(frame: np.ndarray, j: np.ndarray) -> np.ndarray:
     """J-orthonormal frame of the J-orthocomplement of span(frame).
 
     Only valid when the complement is space-like (the time direction sits
@@ -76,7 +78,7 @@ def spacelike_complement(
     at z = 0.  Raises unless g > 0, that is unless the complement is
     space-like.
     """
-    basis = spectral.null_space_at(frame.T * j[None, :], threshold)
+    basis = spectral.null_space_at(frame.T * j[None, :], COMPLEMENT_THRESHOLD)
     z = basis[-1]
     g = 1.0 - 2.0 * float(z @ z)
     if not g > 0:  # a NaN fails too
@@ -133,8 +135,9 @@ def invariant_plane_frames(m: np.ndarray, delta: float) -> _OrthogonalBlocks:
     no rotation pair there is no SVD: U is then I, as numpy returns it for
     an n x 0 matrix.  With two or more +-1 columns, one ``eigh`` of the
     symmetric part of m splits +1 from -1, each ordered from the eigenvalue
-    farthest from +-1: the first +-1 column, which a det fix-up flips, then
-    lies in the plane of any rotation pair the reading counted as +-1.
+    farthest from +-1: the first +-1 column, which a reverser's parity flip
+    and a Lorentz frame's orientation negate, then lies in the plane of
+    any rotation pair the reading counted as +-1.
     """
     vals, vecs = np.linalg.eig(m)
     pairs, plus, minus = spectral._unit_circle(vals, delta)

@@ -9,9 +9,10 @@ Every positive decision ships a verified reverser; all constructions here
 produce involutions, so reality and strong reality coincide on everything
 this module emits (which is also what the theory guarantees).  Each
 reverser, in every group and in the oracle's exact mode, is one frame map
-Phi D Phi*: Phi the square frame of the invariant blocks (for Lorentz
-elements the stored adapted frame, Phi* = diag(signs) Phi^T J; for O(n),
-Phi^T) and D a +-1 diagonal chosen by :func:`_reverser`.
+Phi D Phi* read from a splitting record (:class:`_LorentzStructure`, for
+Lorentz and orthogonal elements alike): Phi its square frame, Phi* =
+diag(signs) Phi^T J (J = I in O(n)) and D a +-1 diagonal chosen by
+:func:`_reverser`.
 
 Decision logic, uniform across classes: a reverser is forced to act with
 determinant -1 on every invariant rotation plane with angle in (0, pi),
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -57,7 +57,7 @@ from .errors import (
     NotOrthogonal,
     NotSpecialOrthogonal,
 )
-from .quadspace import Component, LorentzMatrix, _component, is_orthogonal
+from .quadspace import Component, LorentzMatrix, _component, is_orthogonal, matrix_to_document
 from .spectral import (
     DEFAULT_DELTA,
     _distinct,
@@ -66,6 +66,7 @@ from .spectral import (
 )
 
 RESIDUAL_TOL = 1e-8
+NEWTON_ITERS = 50  # steps of the oracle's hyperbolic Newton projection
 
 GROUP_O = "O_n"
 GROUP_SO = "SO_n"
@@ -82,17 +83,11 @@ class RealityCertificate:
     involution: bool
 
     def to_json_dict(self) -> dict:
-        rev = None
-        if self.reverser is not None:
-            rev = {
-                "n": self.reverser.shape[0] - 1,
-                "matrix": [float(x) for x in self.reverser.ravel()],
-            }
         return {
             "group": self.group,
             "decision": self.decision,
             "clause": self.clause,
-            "reverser": rev,
+            "reverser": None if self.reverser is None else matrix_to_document(self.reverser),
             "involution": self.involution,
         }
 
@@ -103,11 +98,10 @@ def reversal_residual(s: np.ndarray, t: np.ndarray) -> float:
     return float(np.abs(s @ t @ np.linalg.inv(s) - np.linalg.inv(t)).max())
 
 
-def _group_inverse(m: np.ndarray, j: Optional[np.ndarray]) -> np.ndarray:
-    """M^-1 of a group element (or of each of a stack): M^T, or J M^T J in
-    a Lorentz group (j the form signs)."""
-    mt = np.swapaxes(m, -1, -2)
-    return mt if j is None else (j[:, None] * mt) * j[None, :]
+def _group_inverse(m: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """M^-1 = J M^T J of a group element (or of each of a stack), j the form
+    signs (all ones in O(n), where it is M^T)."""
+    return (j[:, None] * np.swapaxes(m, -1, -2)) * j[None, :]
 
 
 def _diagonal_residual(g: np.ndarray, diag) -> float:
@@ -117,15 +111,13 @@ def _diagonal_residual(g: np.ndarray, diag) -> float:
     return float(np.abs(g).max())
 
 
-def _group_residual(s: np.ndarray, j: Optional[np.ndarray]) -> float:
-    """max-norm of S^T S - I, or of S^T J S - J in a Lorentz group, with
-    S^T J formed as in ``quadspace.form_residual``."""
-    if j is None:
-        return _diagonal_residual(s.T @ s, 1.0)
+def _group_residual(s: np.ndarray, j: np.ndarray) -> float:
+    """max-norm of S^T J S - J (S^T S - I in O(n)), with S^T J formed as in
+    ``quadspace.form_residual``."""
     return _diagonal_residual(np.multiply(s.T, j, order="C") @ s, j)
 
 
-def _group_reversal_residual(s: np.ndarray, t: np.ndarray, j: Optional[np.ndarray]) -> float:
+def _group_reversal_residual(s: np.ndarray, t: np.ndarray, j: np.ndarray) -> float:
     """max-norm of S T S^-1 - T^-1 with group inverses in place of
     ``np.linalg.inv``, whose rounding grows with the condition number;
     valid once S and T are known to lie in the group."""
@@ -136,21 +128,20 @@ def _certificate_failure(
     message: str, delta: float, out, inp=None, gate: float = RESIDUAL_TOL
 ) -> HypisoError:
     """The error for a certificate that missed its gate, built on the
-    frames of ``out`` and ``inp`` (each invariant blocks, whose frame is
-    orthonormal, or an adapted splitting; ``inp`` defaults to ``out``).
+    splittings ``out`` and ``inp`` (``inp`` defaults to ``out``).
 
     A rotation by theta <= delta is read as +-1, and the construction then
     fixes its plane pointwise.  In frame coordinates that leaves a residual
     near 2 theta, which the +-1 columns of the two frames carry over with a
-    gain of at most the product of their 2-norms.  When that exceeds the
-    gate, the miss is a refusal naming theta, delta and the gate; any other
-    miss is an internal error.
+    gain of at most the product of their 2-norms (1 in O(n)).  When that
+    exceeds the gate, the miss is a refusal naming theta, delta and the
+    gate; any other miss is an internal error.
     """
     theta, gain = 0.0, 1.0
     for side in (out, out if inp is None else inp):
-        blocks = side.blocks if isinstance(side, _LorentzStructure) else side
+        blocks = side.blocks
         theta = max(theta, blocks.near_pm_one)
-        if isinstance(side, _LorentzStructure) and blocks.a + blocks.b:
+        if side.cls is not None and blocks.a + blocks.b:
             gain *= float(np.linalg.norm(side.frame[:, side.special_dim + 2 * blocks.p :], 2))
     if 2.0 * theta * gain > gate:
         return Borderline(
@@ -162,15 +153,15 @@ def _certificate_failure(
 
 
 def _check_certificate(
-    s: np.ndarray, t: np.ndarray, j: Optional[np.ndarray],
+    s: np.ndarray, t: np.ndarray, j: np.ndarray,
     delta: Optional[float] = None, side=None,
 ) -> None:
-    """Raise unless S is an involutive reverser of T in its group; ``side``,
-    the blocks or splitting S was built on, and delta name the refusals of
-    :func:`_certificate_failure`."""
+    """Raise unless S is an involutive reverser of T in its group (j its
+    form signs); ``side``, the splitting S was built on, and delta name the
+    refusals of :func:`_certificate_failure`."""
     # written "not r <= gate" so that a NaN residual fails its gate
     if not _group_residual(s, j) <= RESIDUAL_TOL:
-        group = "orthogonal" if j is None else "Lorentz"
+        group = "Lorentz" if j[-1] < 0 else "orthogonal"
         message = f"constructed reverser left the {group} group"
     elif not _group_reversal_residual(s, t, j) <= RESIDUAL_TOL:
         message = "constructed reverser failed its residual check"
@@ -186,13 +177,21 @@ def _check_certificate(
 # ---------------------------------------------------------------------------
 
 
+def _orthogonal_structure(t: np.ndarray, delta: float) -> "_LorentzStructure":
+    """The splitting record of an orthogonal T: no special block, the frame
+    of its invariant blocks, signs and form signs all +1."""
+    blocks = frames.invariant_plane_frames(t, delta)
+    ones = np.ones(len(t))
+    return _LorentzStructure(None, blocks, None, blocks.frame, ones, ones, None)
+
+
 def _orthogonal_data(t, delta: float, eps: float, special: bool = True):
     t = np.asarray(t, dtype=float)
     if not is_orthogonal(t, eps):
         raise NotOrthogonal("input is not orthogonal within tolerance")
     if special and np.linalg.det(t) < 0:
         raise NotSpecialOrthogonal("input has determinant -1")
-    return t, frames.invariant_plane_frames(t, delta)
+    return t, _orthogonal_structure(t, delta)
 
 
 def is_real_On(
@@ -200,9 +199,9 @@ def is_real_On(
 ) -> RealityCertificate:
     """Every orthogonal element is (strongly) real; returns an involutive
     reverser built from per-plane reflections."""
-    t, blocks = _orthogonal_data(t, delta, eps, special=False)
-    s = _reverser(blocks, (-1) ** blocks.p)
-    _check_certificate(s, t, None, delta, blocks)
+    t, st = _orthogonal_data(t, delta, eps, special=False)
+    s = _reverser(st, (-1) ** st.blocks.p)
+    _check_certificate(s, t, st.j, delta, st)
     return RealityCertificate(GROUP_O, True, "W", s, True)
 
 
@@ -215,17 +214,17 @@ def is_real_SOn(
     obstruction (n = 2 mod 4 with no +-1 eigenvalue forces every
     orthogonal reverser to have determinant -1).
     """
-    t, blocks = _orthogonal_data(t, delta, eps)
+    t, st = _orthogonal_data(t, delta, eps)
     n = t.shape[0]
-    has_pm1 = blocks.a + blocks.b >= 1
+    has_pm1 = st.blocks.a + st.blocks.b >= 1
     decision = (n % 4 != 2) or has_pm1
     if not decision:
         return RealityCertificate(GROUP_SO, False, "Thm3.5-mod4", None, False)
     clause = "Thm3.5-mod4" if n % 4 != 2 else "Thm3.5-pm1"
-    s = _reverser(blocks, 1)
+    s = _reverser(st, 1)
     if s is None:
         raise HypisoError("decision true but construction failed; inconsistent")
-    _check_certificate(s, t, None, delta, blocks)
+    _check_certificate(s, t, st.j, delta, st)
     return RealityCertificate(GROUP_SO, True, clause, s, True)
 
 
@@ -306,33 +305,37 @@ class _LorentzStructure:
     """Adapted splitting: special time-like block + space-like complement.
 
     ``frame`` is the square J-orthonormal frame Phi in which T is
-    blockdiag(special block, B(t_1), ..., B(t_p), I_a, -I_b), and ``signs``
-    its Q-signs; Phi* = diag(signs) Phi^T J is its inverse, and every
-    reverser Phi D Phi* and conjugator Phi_2 E M Phi_1* is read from it.
-    Its columns, in order: the ``special_dim`` special columns (elliptic:
-    the fixed time-like unit v, sign -1; hyperbolic: s, t with att = s + t
-    the r-eigenray, signs +1, -1; parabolic: f1, f2, f3 of the standard
-    unipotent exp(c X), c = ``unipotent_c``, signs +1, +1, -1), then the
-    frame of ``blocks`` carried to the space-like complement: the plane
-    frames by descending angle, ker(T_o - I) and ker(T_o + I), all sign
-    +1, T_o being the orthogonal restriction of T to that complement.
+    blockdiag(special block, B(t_1), ..., B(t_p), I_a, -I_b), ``signs``
+    its Q-signs and ``j`` the form signs; Phi* = diag(signs) Phi^T J is its
+    inverse, and every reverser Phi D Phi* and conjugator Phi_2 M Phi_1* is
+    read from it.  Its columns, in order: the ``special_dim`` special
+    columns (elliptic: the fixed time-like unit v, sign -1; hyperbolic:
+    s, t with att = s + t the r-eigenray, signs +1, -1; parabolic: f1, f2,
+    f3 of the standard unipotent exp(c X), c = ``unipotent_c``, signs +1,
+    +1, -1), then the frame of ``blocks`` carried to the space-like
+    complement: the plane frames by descending angle, ker(T_o - I) and
+    ker(T_o + I), all sign +1, T_o being the orthogonal restriction of T
+    to that complement.  ``orientation`` is det Phi > 0, read once when
+    the frame is built; a frame with det Phi < 0 and a +-1 column gets its
+    first +-1 column negated, so every frame with one has det Phi > 0.
+
+    An orthogonal T has the same record with no special block: ``cls``
+    None, the frame of its invariant blocks, ``signs`` and ``j`` all +1,
+    and ``orientation`` None, as no conjugator reads it.
     """
 
-    cls: FixedPointClass
+    cls: Optional[FixedPointClass]  # None in O(n)
     blocks: frames._OrthogonalBlocks  # invariant blocks of T_o
     unipotent_c: Optional[float]  # parabolic only
     frame: np.ndarray
     signs: np.ndarray
+    j: np.ndarray
+    orientation: Optional[bool]
 
     @property
     def special_dim(self) -> int:
         b = self.blocks
         return len(self.signs) - 2 * b.p - b.a - b.b
-
-    @cached_property
-    def orientation(self) -> bool:
-        """det Phi > 0, read on first use."""
-        return bool(np.linalg.det(self.frame) > 0)
 
 
 def _lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
@@ -379,38 +382,38 @@ def _build_lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
             f"{sp.kernel.shape[1]}, the reading of the spectrum counts {width}"
         )
     frame = np.concatenate([special, w_frame @ blocks.frame], axis=1)
+    # a -1 on a +-1 column commutes with T, so negating the first one
+    # orients the frame; a product read from the frame carries both signs
+    orientation = bool(np.linalg.det(frame) > 0)
+    if not orientation and blocks.a + blocks.b:
+        i = len(signs) + 2 * blocks.p
+        frame[:, i] = -frame[:, i]
+        orientation = True
     frame_signs = np.array(signs + [1.0] * len(ones))
-    return _LorentzStructure(cls, blocks, c, frame, frame_signs)
+    return _LorentzStructure(cls, blocks, c, frame, frame_signs, j, orientation)
 
 
 # (det, sheet, signs) choices of a reverser on the special block of each class
 _SPECIAL_REVERSERS = {
+    None: [(1, 1, [])],
     FixedPointClass.ELLIPTIC: [(1, 1, [1.0]), (-1, -1, [-1.0])],
     FixedPointClass.HYPERBOLIC: [(-1, 1, [-1.0, 1.0]), (-1, -1, [1.0, -1.0])],
     FixedPointClass.PARABOLIC: [(-1, 1, [-1.0, 1.0, 1.0]), (1, -1, [1.0, -1.0, -1.0])],
 }
 
 
-def _reverser(
-    blocks: frames._OrthogonalBlocks,
-    det: int,
-    sheet: int = 1,
-    st: Optional[_LorentzStructure] = None,
-    j: Optional[np.ndarray] = None,
-) -> Optional[np.ndarray]:
+def _reverser(st: _LorentzStructure, det: int, sheet: int = 1) -> Optional[np.ndarray]:
     """The involutive reverser Phi D Phi* with determinant ``det`` on
     ``sheet``, or None when that component has none.
 
-    Phi is the adapted frame of ``st`` (j the form signs) or, without
-    ``st``, the square frame of the orthogonal ``blocks`` (Phi* = Phi^T).
-    D is +-1: the special-block signs of the requested sheet (none for
-    O(n) and SO(n)), (1, -1) on each plane, and +1 on the +-1
-    eigenspaces, with one flip on the first of their columns where the
-    determinant parity needs it.  D goes to the frame map as its diagonal,
-    a list.
+    Phi is the frame of ``st``.  D is +-1: the special-block signs of the
+    requested sheet (none for O(n) and SO(n)), (1, -1) on each plane, and
+    +1 on the +-1 eigenspaces, with one flip on the first of their columns
+    where the determinant parity needs it.  D goes to the frame map as its
+    diagonal, a list.
     """
-    options = [(1, 1, [])] if st is None else _SPECIAL_REVERSERS[st.cls]
-    for sp_det, sp_sheet, special in options:
+    blocks = st.blocks
+    for sp_det, sp_sheet, special in _SPECIAL_REVERSERS[st.cls]:
         if sp_sheet != sheet:
             continue
         pm = [1.0] * (blocks.a + blocks.b)
@@ -419,10 +422,7 @@ def _reverser(
                 return None
             pm[0] = -1.0
         d = special + [1.0, -1.0] * blocks.p + pm
-        if st is None:
-            ones = np.ones(len(d))
-            return frames.frame_map(blocks.frame, d, blocks.frame, ones, ones)
-        return frames.frame_map(st.frame, d, st.frame, st.signs, j)
+        return frames.frame_map(st.frame, d, st.frame, st.signs, st.j)
     return None
 
 
@@ -456,10 +456,10 @@ def is_real_SOo_n1(
     decision, clause = _theorem_clause(t.space.n, st.cls, st.blocks.a, st.blocks.b)
     if not decision:
         return RealityCertificate(GROUP_SOO, False, clause, None, False)
-    s = _reverser(st.blocks, det=1, sheet=1, st=st, j=t.space.form_signs)
+    s = _reverser(st, det=1, sheet=1)
     if s is None:
         raise HypisoError("positive decision without achievable reverser; inconsistent")
-    _check_certificate(s, t.entries, t.space.form_signs, delta, st)
+    _check_certificate(s, t.entries, st.j, delta, st)
     # the check just passed puts S in O(n,1) to 1e-8, so its component is
     # read from its entries, as classify_membership would read it
     if _component(s[-1, -1], np.linalg.det(s[:-1, :-1])) is not Component.SO_o:
@@ -526,9 +526,7 @@ def _project_orthogonal_batch(xs: np.ndarray) -> np.ndarray:
     return u @ vt
 
 
-def _project_lorentz_batch(
-    xs: np.ndarray, j: np.ndarray, iters: int = 50
-) -> np.ndarray:
+def _project_lorentz_batch(xs: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Hyperbolic Newton iteration Y <- (Y + J Y^-T J)/2, batched; diverged
     samples come back as NaN.  The iteration preserves the linear solution
     space of X T = T^-1 X, so limits of solution-space samples are group
@@ -536,7 +534,7 @@ def _project_lorentz_batch(
     ys = xs.copy()
     jl = j[None, :, None]
     jr = j[None, None, :]
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERS):
         with np.errstate(invalid="ignore", over="ignore"):
             dets = np.linalg.det(ys)
         bad = ~np.isfinite(dets) | (np.abs(dets) < 1e-12)
@@ -592,27 +590,25 @@ def reverser_oracle(
             raise NotOrthogonal("orthogonal oracle needs an orthogonal matrix")
         if group == GROUP_SO and np.linalg.det(mat) < 0:
             raise NotSpecialOrthogonal("input has determinant -1")
-        j = None
-        blocks = frames.invariant_plane_frames(mat, delta)
-        ang = blocks.angles.angles
+        st = _orthogonal_structure(mat, delta)
+        j = st.j
+        ang = st.blocks.angles.angles
     regular = _distinct(ang, delta)
 
     exact = None
     exact_witnesses: dict = {}
     if regular:
-        st = _lorentz_structure(sp) if lorentzian else None
-        if lorentzian:
-            blocks = st.blocks
+        if lorentzian:  # the splitting of a non-regular element is not built
+            st = _lorentz_structure(sp)
         for det, sheet in itertools.product((1, -1), (1, -1)):
-            s = _reverser(blocks, det, sheet, st, j)
+            s = _reverser(st, det, sheet)
             if s is not None:
                 exact_witnesses[(det, sheet)] = s
         for s in exact_witnesses.values():
             if not (_group_residual(s, j) <= RESIDUAL_TOL
                     and _group_reversal_residual(s, mat, j) <= RESIDUAL_TOL):
                 raise _certificate_failure(
-                    "exact enumeration produced an invalid witness", delta,
-                    st if lorentzian else blocks,
+                    "exact enumeration produced an invalid witness", delta, st
                 )
         exact = frozenset(exact_witnesses)
 
@@ -632,10 +628,7 @@ def reverser_oracle(
             xs = np.stack(
                 [vecs[:, i].reshape(dim, dim, order="F") for i in range(take)]
             )
-            if j is None:
-                ss = _project_orthogonal_batch(xs)
-            else:
-                ss = _project_lorentz_batch(xs, j)
+            ss = _project_lorentz_batch(xs, j) if lorentzian else _project_orthogonal_batch(xs)
             finite = np.isfinite(ss).all(axis=(1, 2))
             ss = ss[finite]
             if ss.shape[0] == 0:
@@ -647,7 +640,7 @@ def reverser_oracle(
             # (det, sheet) of each verified witness, from one stacked det;
             # the sheet is +1 in an orthogonal group
             dets = np.where(np.linalg.det(ss) > 0, 1, -1).tolist()
-            sheets = [1] * len(ss) if j is None else np.where(ss[:, -1, -1] > 0, 1, -1).tolist()
+            sheets = np.where(ss[:, -1, -1] > 0, 1, -1).tolist() if lorentzian else [1] * len(ss)
             for s, key in zip(ss, zip(dets, sheets)):
                 found.setdefault(key, s)
             if require is not None and require <= (set(found) | set(exact_witnesses)):

@@ -200,9 +200,9 @@ class _LorentzSpectrum:
 
     ``scale`` is max(1, ||T||_2), read from the corner entry T[n, n];
     ranks are read at tau = delta * scale.
-    One SVD of T - I gives its singular values ``svals`` and ``kernel``,
-    an orthonormal frame of ker(T - I) at tau; ``band`` is some singular
-    value inside (tau/2, 2 tau), where the kernel is threshold-ambiguous.
+    One SVD of T - I gives ``kernel``, an orthonormal frame of ker(T - I)
+    at tau; ``band`` is some singular value of T - I inside (tau/2, 2 tau),
+    where the kernel is threshold-ambiguous.
     ``defective`` is rank (T - I)^2 < rank (T - I): a Jordan block at 1,
     and ``square_band`` is some singular value of (T - I)^2 inside
     (max(tau^2/4, d EPS scale^2), tau^2], counted as zero by that rank but
@@ -229,7 +229,6 @@ class _LorentzSpectrum:
     sheet_preserving: bool
     scale: float
     eigvals: np.ndarray
-    svals: np.ndarray
     kernel: np.ndarray
     defective: bool
     lam: object  # float, or complex for a non-real spectrum
@@ -240,7 +239,7 @@ class _LorentzSpectrum:
     structure: object = None
 
     def __post_init__(self):
-        for a in (self.eigvals, self.svals, self.kernel):
+        for a in (self.eigvals, self.kernel):
             a.setflags(write=False)
 
     @classmethod
@@ -322,7 +321,7 @@ class _LorentzSpectrum:
                     vals, lam = eigvals[i].real, lam.real
                 t._analyses[delta] = cls(
                     t.entries, t.space, delta, t.sheet_preserving, scale, vals,
-                    svals[i], vt[i, rank1:].T, rank2 < rank1, lam, rmax, band, square_band,
+                    vt[i, rank1:].T, rank2 < rank1, lam, rmax, band, square_band,
                 )
         return [t._analyses[delta] for t in ts]
 

@@ -54,7 +54,7 @@ class TestReverserCheck:
             assert maxabs(s @ t - j_transpose(t) @ s) <= 1e-12
         else:
             s[2:, 2:] = block_rotation(0.3)
-            signs = None
+            signs = np.ones(4)
             assert maxabs(s @ t - t.T @ s) <= 1e-12
         with pytest.raises(HypisoError, match="not an involution"):
             _check_certificate(s, t, signs)

@@ -1,18 +1,19 @@
-"""The determinant of a conjugator is chosen from the frames' orientations.
+"""Each adapted frame is oriented once, when it is built.
 
-``conjugate_in_Mn`` assembles one conjugator S = Phi_2 E M Phi_1*.  As
-det M = 1, det S has the sign of det E det Phi_2 det Phi_1, so E, a -1 on
-the first +-1 column of Phi_2, is applied exactly when the orientations of
-the two adapted frames differ and T2 has such a column; when they differ
-and it has none, S keeps determinant -1 and the answer is
-``ConjugateInMOnly`` (centralizer-enum) or ``Undecided``.  The membership
-check of S must agree, on every conjugate pair of the benchmark's
-well-conditioned set and of its conditioning tail.
+The splitting negates the first +-1 column of a frame with det Phi < 0
+(a -1 on that line commutes with T), so every frame with a +-1 column has
+det Phi > 0.  ``conjugate_in_Mn`` assembles one conjugator
+S = Phi_2 M Phi_1* with det M = 1, so det S has the sign of
+det Phi_2 det Phi_1: the answer is ``ConjugateInMo`` exactly when the two
+orientations agree, on every conjugate pair of the benchmark's
+well-conditioned set and of its conditioning tail, and no answer needs a
+second construction.
 """
 
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hypiso.conjugacy import Relation, conjugate_in_Mn
@@ -28,7 +29,7 @@ import gen  # noqa: E402  (the benchmark's numpy-only input generator)
 @pytest.mark.parametrize("items", [gen.certify_items(7), gen.tail_items(101)],
                          ids=["certify-7", "tail-101"])
 def test_the_determinant_follows_the_orientations(items):
-    flipped = kept = 0
+    agree = differ = 0
     for item in items:
         if item.control:
             continue
@@ -39,14 +40,15 @@ def test_the_determinant_follows_the_orientations(items):
         except HypisoError as exc:  # a refusal, never the component mismatch
             assert "left the identity component" not in str(exc)
             continue
+        assert answer.method != "reality-clause"
         st1, st2 = (_lorentz_structure(_LorentzSpectrum.of(t, DEFAULT_DELTA)) for t in (t1, t2))
-        differ = st1.orientation is not st2.orientation
-        pm = st2.blocks.a + st2.blocks.b > 0
-        assert (answer.method == "reality-clause") == (differ and pm)
-        assert (answer.related in (Relation.CONJUGATE_IN_M_ONLY, Relation.UNDECIDED)) == (
-            differ and not pm
-        )
-        flipped += differ and pm
-        kept += differ and not pm
-    # both branches of the rule are met
-    assert flipped and kept
+        for st in (st1, st2):
+            assert st.orientation is bool(np.linalg.det(st.frame) > 0)
+            if st.blocks.a + st.blocks.b:
+                assert st.orientation
+        same = st1.orientation is st2.orientation
+        assert (answer.related is Relation.CONJUGATE_IN_MO) == same
+        agree += same
+        differ += not same
+    # both outcomes are met
+    assert agree and differ

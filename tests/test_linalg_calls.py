@@ -10,11 +10,6 @@ numbers), or lowers them, when it skips a kernel that does no work: no
 ``eigh`` is left, as every J-Gram of an orthonormal basis is read in
 closed form, and the splitting of an element with no rotation plane
 (n = 3, parabolic) makes no SVD of its empty plane frame.
-
-The ``method`` of a ``ConjugateInMo`` answer follows the orientations of
-the two frames, whose +-1 columns carry arbitrary signs, so a change at
-the rounding level may flip it between ``normalform`` and
-``reality-clause`` with the relation unchanged.
 """
 
 import inspect
@@ -41,11 +36,11 @@ EXPECTED = {
     (3, "elliptic"): (ELLIPTIC, True, "ConjugateInMo", "normalform"),
     (3, "parabolic"): (dict(PARABOLIC, svd=6), True, "ConjugateInMo", "normalform"),
     (3, "hyperbolic"): (HYPERBOLIC, True, "ConjugateInMOnly", "centralizer-enum"),
-    (5, "elliptic"): (ELLIPTIC, True, "ConjugateInMo", "reality-clause"),
-    (5, "parabolic"): (PARABOLIC, True, "ConjugateInMo", "reality-clause"),
+    (5, "elliptic"): (ELLIPTIC, True, "ConjugateInMo", "normalform"),
+    (5, "parabolic"): (PARABOLIC, True, "ConjugateInMo", "normalform"),
     (5, "hyperbolic"): (dict(HYPERBOLIC, det=3), False, "ConjugateInMOnly", "centralizer-enum"),
-    (9, "elliptic"): (ELLIPTIC, True, "ConjugateInMo", "reality-clause"),
-    (9, "parabolic"): (PARABOLIC, True, "ConjugateInMo", "reality-clause"),
+    (9, "elliptic"): (ELLIPTIC, True, "ConjugateInMo", "normalform"),
+    (9, "parabolic"): (PARABOLIC, True, "ConjugateInMo", "normalform"),
     (9, "hyperbolic"): (dict(HYPERBOLIC, det=3), False, "ConjugateInMOnly", "centralizer-enum"),
 }
 
