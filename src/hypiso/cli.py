@@ -4,9 +4,11 @@ Matrices travel as JSON documents {"n": int, "matrix": row-major floats};
 a file holds any number of them, one after another (JSONL included), and
 ``-`` reads standard input.  Every subcommand emits one JSON document per
 line (streamable).  Exit codes: 0 success, 1 malformed input, 2 domain
-error or numerical failure, 3 refusal to decide (borderline tolerance
-zone, undecided conjugacy, exhausted search budget); several documents
-exit with the code of the first one that fails.
+error, out-of-range option or numerical failure, 3 refusal to decide
+(borderline tolerance zone, undecided conjugacy); several documents exit
+with the code of the first one that fails.  The library's third refusal,
+an exhausted search budget, comes only from ``reverser_oracle(require=...)``,
+which ``oracle`` does not pass.
 
 The reality, conjugacy, fibration and sampling modules are imported by
 the commands that use them, so ``classify`` starts without them.
@@ -213,6 +215,13 @@ def cmd_enumerate(args) -> int:
 def cmd_random(args) -> int:
     from . import sampling
 
+    if args.count < 1:
+        raise OutOfRange(f"--count must be at least 1, got {args.count}")
+    # the smallest --n whose documents have n >= 1: n x n orthogonal
+    # matrices, elements of SO_o(n,1), or of SO_o(n+1,1) for Mo
+    low = {"On": 2, "SOn": 2, "SOo": 1, "Mo": 0}[args.group]
+    if args.n < low:
+        raise OutOfRange(f"--n must be at least {low} for --group {args.group}, got {args.n}")
     rng = np.random.default_rng(args.seed)
     lines = []
     for _ in range(args.count):
@@ -220,12 +229,9 @@ def cmd_random(args) -> int:
             mat = sampling.random_orthogonal(rng, args.n)
         elif args.group == "SOn":
             mat = sampling.random_regular_special_orthogonal(rng, args.n)
-        elif args.group == "SOo":
-            mat = sampling.random_isometry(rng, args.n, args.klass, args.k).entries
-        elif args.group == "Mo":
-            mat = sampling.random_isometry(rng, args.n + 1, args.klass, args.k).entries
         else:
-            raise HypisoError(f"unknown group {args.group!r}")
+            n = args.n + (args.group == "Mo")
+            mat = sampling.random_isometry(rng, n, args.klass, args.k).entries
         lines.append(quadspace.matrix_to_json(mat))
     _emit(lines, args.output)
     return EXIT_OK

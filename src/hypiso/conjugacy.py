@@ -208,7 +208,7 @@ def _mn_conjugator(
     # S is checked as a group element at the conjugator membership gate; it
     # then lies in O(n,1), and its component is read from its entries, as
     # is_real_SOo_n1 reads its reverser's
-    form = float(form_residual(space, s))
+    form = float(form_residual(s, space.form_signs))
     gate = CONJUGATOR_MEMBERSHIP_TOL * max(1.0, float(np.abs(s).max()) ** 2)
     if not form <= gate:  # a NaN residual fails too
         raise HypisoError(f"conjugator form residual {form:.3e} exceeds its gate {gate:.3e}")

@@ -253,8 +253,7 @@ class LorentzMatrix:
 
     def inverse(self) -> "LorentzMatrix":
         """Group inverse J M^T J (exact up to rounding; same component)."""
-        j = self.space.form_signs
-        inv = (j[:, None] * self.entries.T) * j[None, :]
+        inv = group_inverse(self.entries, self.space.form_signs)
         return LorentzMatrix(inv, self.component, self.tolerance, self.space)
 
     def __matmul__(self, other: "LorentzMatrix") -> "LorentzMatrix":
@@ -271,14 +270,21 @@ class LorentzMatrix:
         return np.array(self.entries, dtype=dtype)
 
 
-def form_residual(space: QuadraticSpace, m: np.ndarray):
-    """max-norm of M^T J M - J, per matrix of a stack; inf or nan where the
-    products overflow (numpy warns of that unless under ``np.errstate``).
-    M^T J is M^T with its columns signed, in C order, as the product
-    M^T @ J would leave it: then (M^T J) @ M is that product's BLAS call,
-    bit for bit."""
-    mtj = np.multiply(np.swapaxes(m, -1, -2), space.form_signs, order="C")
-    return np.abs(mtj @ m - space.form_matrix).max(axis=(-2, -1))
+def group_inverse(m: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """M^-1 = J M^T J of a group element, or of each of a stack; j = diag(J)
+    are the form signs, all ones in O(n), where it is M^T."""
+    return (j[:, None] * np.swapaxes(m, -1, -2)) * j[None, :]
+
+
+def form_residual(m: np.ndarray, j: np.ndarray):
+    """max-norm of M^T J M - J, per matrix of a stack (M^T M - I for all-ones
+    ``j``); inf or nan where the products overflow (numpy warns of that
+    unless under ``np.errstate``).  M^T J is M^T with its columns signed,
+    in C order, as the product M^T @ J would leave it: then (M^T J) @ M is
+    that product's BLAS call, bit for bit."""
+    mtj = np.multiply(np.swapaxes(m, -1, -2), j, order="C")
+    form = _constants(len(j))[1 if j[-1] < 0 else 2]  # J, or I for all ones
+    return np.abs(mtj @ m - form).max(axis=(-2, -1))
 
 
 def classify_membership(
@@ -322,7 +328,7 @@ def classify_membership_many(
         # NaN and inf propagate through the max, so it also decides
         # whether the entries are finite
         top = np.abs(ms).max(axis=(1, 2))
-        resid = form_residual(space, ms)
+        resid = form_residual(ms, space.form_signs)
         # det M = det(M[:n, :n]) / M[n, n] on O(n,1) (Cramer's rule with
         # M^-1 = J M^T J); the block's condition number is |M[n, n]|, not
         # ||M||^2, so its sign survives entries where det M loses it
@@ -370,7 +376,7 @@ def is_orthogonal(m: np.ndarray, eps: float = DEFAULT_EPS) -> bool:
         return False
     with np.errstate(over="ignore", invalid="ignore"):
         scale = _squared_scale(m)
-        resid = float(np.abs(m.T @ m - np.eye(m.shape[0])).max())
+        resid = float(form_residual(m, _constants(len(m))[3]))
     return bool(np.isfinite(scale) and np.isfinite(resid) and resid <= eps * scale)
 
 

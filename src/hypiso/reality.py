@@ -57,7 +57,15 @@ from .errors import (
     NotOrthogonal,
     NotSpecialOrthogonal,
 )
-from .quadspace import Component, LorentzMatrix, _component, is_orthogonal, matrix_to_document
+from .quadspace import (
+    Component,
+    LorentzMatrix,
+    _component,
+    form_residual,
+    group_inverse,
+    is_orthogonal,
+    matrix_to_document,
+)
 from .spectral import (
     DEFAULT_DELTA,
     _distinct,
@@ -98,30 +106,11 @@ def reversal_residual(s: np.ndarray, t: np.ndarray) -> float:
     return float(np.abs(s @ t @ np.linalg.inv(s) - np.linalg.inv(t)).max())
 
 
-def _group_inverse(m: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """M^-1 = J M^T J of a group element (or of each of a stack), j the form
-    signs (all ones in O(n), where it is M^T)."""
-    return (j[:, None] * np.swapaxes(m, -1, -2)) * j[None, :]
-
-
-def _diagonal_residual(g: np.ndarray, diag) -> float:
-    """max-norm of G - diag(diag), diag a scalar or a vector, with G a fresh
-    square product that is changed in place."""
-    g.flat[:: len(g) + 1] -= diag
-    return float(np.abs(g).max())
-
-
-def _group_residual(s: np.ndarray, j: np.ndarray) -> float:
-    """max-norm of S^T J S - J (S^T S - I in O(n)), with S^T J formed as in
-    ``quadspace.form_residual``."""
-    return _diagonal_residual(np.multiply(s.T, j, order="C") @ s, j)
-
-
-def _group_reversal_residual(s: np.ndarray, t: np.ndarray, j: np.ndarray) -> float:
-    """max-norm of S T S^-1 - T^-1 with group inverses in place of
-    ``np.linalg.inv``, whose rounding grows with the condition number;
-    valid once S and T are known to lie in the group."""
-    return float(np.abs(s @ t @ _group_inverse(s, j) - _group_inverse(t, j)).max())
+def _group_reversal_residual(s: np.ndarray, t: np.ndarray, j: np.ndarray):
+    """max-norm of S T S^-1 - T^-1, per S of a stack, with group inverses in
+    place of ``np.linalg.inv``, whose rounding grows with the condition
+    number; valid once S and T are known to lie in the group."""
+    return np.abs(s @ t @ group_inverse(s, j) - group_inverse(t, j)).max(axis=(-2, -1))
 
 
 def _certificate_failure(
@@ -152,24 +141,22 @@ def _certificate_failure(
     return HypisoError(message)
 
 
-def _check_certificate(
-    s: np.ndarray, t: np.ndarray, j: np.ndarray,
-    delta: Optional[float] = None, side=None,
-) -> None:
-    """Raise unless S is an involutive reverser of T in its group (j its
-    form signs); ``side``, the splitting S was built on, and delta name the
-    refusals of :func:`_certificate_failure`."""
+def _check_certificate(s: np.ndarray, t: np.ndarray, st: "_LorentzStructure", delta: float) -> None:
+    """Raise unless S is an involutive reverser of T in its group, read from
+    ``st``, the splitting S was built on; ``st`` and delta name the refusals
+    of :func:`_certificate_failure`."""
+    j = st.j
     # written "not r <= gate" so that a NaN residual fails its gate
-    if not _group_residual(s, j) <= RESIDUAL_TOL:
+    if not form_residual(s, j) <= RESIDUAL_TOL:
         group = "Lorentz" if j[-1] < 0 else "orthogonal"
         message = f"constructed reverser left the {group} group"
     elif not _group_reversal_residual(s, t, j) <= RESIDUAL_TOL:
         message = "constructed reverser failed its residual check"
-    elif not _diagonal_residual(s @ s, 1.0) <= RESIDUAL_TOL:
+    elif not np.abs(s @ s - np.eye(len(s))).max() <= RESIDUAL_TOL:
         message = "constructed reverser is not an involution"
     else:
         return
-    raise HypisoError(message) if side is None else _certificate_failure(message, delta, side)
+    raise _certificate_failure(message, delta, st)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +188,7 @@ def is_real_On(
     reverser built from per-plane reflections."""
     t, st = _orthogonal_data(t, delta, eps, special=False)
     s = _reverser(st, (-1) ** st.blocks.p)
-    _check_certificate(s, t, st.j, delta, st)
+    _check_certificate(s, t, st, delta)
     return RealityCertificate(GROUP_O, True, "W", s, True)
 
 
@@ -224,7 +211,7 @@ def is_real_SOn(
     s = _reverser(st, 1)
     if s is None:
         raise HypisoError("decision true but construction failed; inconsistent")
-    _check_certificate(s, t, st.j, delta, st)
+    _check_certificate(s, t, st, delta)
     return RealityCertificate(GROUP_SO, True, clause, s, True)
 
 
@@ -459,7 +446,7 @@ def is_real_SOo_n1(
     s = _reverser(st, det=1, sheet=1)
     if s is None:
         raise HypisoError("positive decision without achievable reverser; inconsistent")
-    _check_certificate(s, t.entries, st.j, delta, st)
+    _check_certificate(s, t.entries, st, delta)
     # the check just passed puts S in O(n,1) to 1e-8, so its component is
     # read from its entries, as classify_membership would read it
     if _component(s[-1, -1], np.linalg.det(s[:-1, :-1])) is not Component.SO_o:
@@ -605,7 +592,7 @@ def reverser_oracle(
             if s is not None:
                 exact_witnesses[(det, sheet)] = s
         for s in exact_witnesses.values():
-            if not (_group_residual(s, j) <= RESIDUAL_TOL
+            if not (form_residual(s, j) <= RESIDUAL_TOL
                     and _group_reversal_residual(s, mat, j) <= RESIDUAL_TOL):
                 raise _certificate_failure(
                     "exact enumeration produced an invalid witness", delta, st
@@ -618,25 +605,21 @@ def reverser_oracle(
     if basis.shape[1] > 0:
         rng = np.random.default_rng(seed)
         dim = mat.shape[0]
-        tinv = _group_inverse(mat, j)
         batch = 512
         while used < budget:
             take = min(batch, budget - used)
             coeffs = rng.standard_normal((basis.shape[1], take))
             used += take
             vecs = basis @ coeffs  # column-major vecs, one sample per column
-            xs = np.stack(
-                [vecs[:, i].reshape(dim, dim, order="F") for i in range(take)]
-            )
+            # the column-major vec of each sample, read back as its matrix
+            xs = vecs.T.reshape(take, dim, dim).transpose(0, 2, 1)
             ss = _project_lorentz_batch(xs, j) if lorentzian else _project_orthogonal_batch(xs)
             finite = np.isfinite(ss).all(axis=(1, 2))
             ss = ss[finite]
             if ss.shape[0] == 0:
                 continue
-            sinv = _group_inverse(ss, j)
-            grp = np.abs(sinv @ ss - np.eye(dim)).max(axis=(1, 2))
-            rev = np.abs(ss @ mat @ sinv - tinv).max(axis=(1, 2))
-            ss = ss[(grp <= 1e-9) & (rev <= RESIDUAL_TOL)]
+            ss = ss[(form_residual(ss, j) <= 1e-9)
+                    & (_group_reversal_residual(ss, mat, j) <= RESIDUAL_TOL)]
             # (det, sheet) of each verified witness, from one stacked det;
             # the sheet is +1 in an orthogonal group
             dets = np.where(np.linalg.det(ss) > 0, 1, -1).tolist()

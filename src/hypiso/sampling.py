@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .classify import poincare_extend
-from .errors import InvalidArg
+from .errors import InvalidArg, OutOfRange
 from .quadspace import LorentzMatrix, QuadraticSpace, classify_membership
 from .spectral import rotation_matrix
 
@@ -78,12 +78,11 @@ def rotation_with_angles(angles, n: int) -> np.ndarray:
     return a
 
 
-def random_regular_special_orthogonal(
-    rng: np.random.Generator, n: int, allow_pi: bool = True
-) -> np.ndarray:
-    """Regular element of SO(n): distinct angles, pair multiplicity one,
-    conjugated by a random orthogonal matrix."""
-    include_pi = allow_pi and n >= 2 and bool(rng.random() < 0.3)
+def random_regular_special_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Regular element of SO(n): distinct angles, pair multiplicity one, a
+    plane of pi in about 30 % of draws, conjugated by a random orthogonal
+    matrix."""
+    include_pi = n >= 2 and bool(rng.random() < 0.3)
     kmax = (n - 2) // 2 if include_pi else n // 2
     k_rest = int(rng.integers(0, kmax + 1))
     angles = random_angles(rng, k_rest + (1 if include_pi else 0), include_pi)
@@ -103,7 +102,10 @@ def _boost(space_dim: int, s: float) -> np.ndarray:
 def standard_isometry(
     rng: np.random.Generator, n: int, cls: str, k: int | None = None
 ) -> np.ndarray:
-    """Standard-position element of SO_o(n,1) of the requested class."""
+    """Standard-position element of SO_o(n,1) of the requested class, with
+    k rotation planes (drawn when None)."""
+    if k is not None and k < 0:
+        raise OutOfRange(f"k must be at least 0, got {k}")
     if cls == "elliptic":
         kmax = n // 2
         k = int(rng.integers(0, kmax + 1)) if k is None else k
@@ -140,16 +142,15 @@ def random_isometry(
     n: int,
     cls: str | None = None,
     k: int | None = None,
-    conj_scale: float = 0.5,
-    eps: float = 1e-8,
 ) -> LorentzMatrix:
     """Random classified element of SO_o(n,1): standard position composed
-    with a random identity-component conjugator."""
+    with a random identity-component conjugator (``random_soo`` at scale
+    0.5), validated at membership tolerance 1e-8."""
     if cls is None:
         cls = ["elliptic", "parabolic", "hyperbolic"][int(rng.integers(0, 3))]
         if n < 2 and cls == "parabolic":
             cls = "elliptic"
     std = standard_isometry(rng, n, cls, k)
-    w = random_soo(rng, n, conj_scale)
+    w = random_soo(rng, n)
     winv = np.linalg.inv(w)
-    return classify_membership(QuadraticSpace(n), w @ std @ winv, eps)
+    return classify_membership(QuadraticSpace(n), w @ std @ winv, 1e-8)

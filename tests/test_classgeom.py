@@ -76,6 +76,14 @@ class TestDescriptors:
         assert d.sheet_count == 8
         assert d.total_dimension == 4
 
+    def test_cardinality_of_a_finite_fiber_only(self):
+        d = descriptor_for("rotation", 2, 4)
+        assert d.fiber.tag == "FiniteSet" and d.fiber.cardinality == d0(2, False)
+        assert descriptor_for("rotation", 2, 4, has_pi=True).fiber.cardinality == d0(2, True)
+        for other in (descriptor_for("rotation", 1, 5), descriptor_for("elliptic", 2, 5),
+                      descriptor_for("hyperbolic", 1, 2)):
+            assert other.fiber.tag != "FiniteSet" and other.fiber.cardinality is None
+
     def test_rotation_fibration_case(self):
         d = descriptor_for("rotation", 1, 5)
         assert d.base.tag == "Grassmann" and d.base.params == (3, 5)

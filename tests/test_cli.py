@@ -219,6 +219,30 @@ class TestRandomAndOracle:
         assert code == 0 and out == ""
         assert len(out_path.read_text().strip().splitlines()) == 2
 
+    @pytest.mark.parametrize("argv,named", [
+        (["--group", "SOo", "--n", "3", "--count", "0"], "--count must be at least 1, got 0"),
+        (["--group", "SOo", "--n", "3", "--count", "-2"], "--count must be at least 1, got -2"),
+        (["--group", "On", "--n", "1"], "--n must be at least 2 for --group On, got 1"),
+        (["--group", "SOn", "--n", "1"], "--n must be at least 2 for --group SOn, got 1"),
+        (["--group", "On", "--n", "-3"], "--n must be at least 2 for --group On, got -3"),
+        (["--group", "SOn", "--n", "0"], "--n must be at least 2 for --group SOn, got 0"),
+        (["--group", "SOo", "--n", "0"], "--n must be at least 1 for --group SOo, got 0"),
+        (["--group", "Mo", "--n", "-1"], "--n must be at least 0 for --group Mo, got -1"),
+        (["--group", "SOo", "--n", "3", "--class", "elliptic", "--k", "-1"],
+         "k must be at least 0, got -1"),
+    ])
+    def test_out_of_range_is_refused_by_name(self, capsys, argv, named):
+        assert run(capsys, "random", *argv) == (2, "", f"error: {named}\n")
+
+    @pytest.mark.parametrize("group,n", [("On", 2), ("SOn", 2), ("SOo", 1), ("Mo", 0)])
+    def test_smallest_n_reads_back(self, tmp_path, capsys, group, n):
+        path = tmp_path / "r.jsonl"
+        argv = ["random", "--group", group, "--n", str(n), "--count", "6", "--seed", "4"]
+        assert run(capsys, *argv, "--output", str(path)) == (0, "", "")
+        code, out, err = run(capsys, "reality", str(path), "--group", group)
+        assert code == 0, err
+        assert len(out.splitlines()) == 6
+
 
 class TestOracleComponent:
     """The Lorentz oracle takes identity-component elements only, as the

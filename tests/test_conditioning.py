@@ -5,11 +5,17 @@ rounding-bound check manufactured."""
 import numpy as np
 import pytest
 
-from conftest import block_rotation, boost_matrix, maxabs
+from conftest import block_rotation, boost_matrix, lorentz, maxabs
 from hypiso.classify import classify
 from hypiso.errors import Borderline, HypisoError
 from hypiso.quadspace import Component, QuadraticSpace, classify_membership, matrix_to_json
-from hypiso.reality import _check_certificate, is_real_SOo_n1
+from hypiso.reality import (
+    _check_certificate,
+    _lorentz_structure,
+    _orthogonal_structure,
+    is_real_SOo_n1,
+)
+from hypiso.spectral import DEFAULT_DELTA, _LorentzSpectrum
 from test_cli import run_subprocess
 
 # A parabolic of SO_o(3,1) conjugated by a boost of rapidity 3.5 between
@@ -50,14 +56,14 @@ class TestReverserCheck:
         s = np.diag([1.0, -1.0, 1.0, 1.0])
         if lorentzian:
             s[2:, 2:] = boost_matrix(1, 0.3)
-            signs = np.array([1.0, 1.0, 1.0, -1.0])
+            st = _lorentz_structure(_LorentzSpectrum.of(lorentz(t), DEFAULT_DELTA))
             assert maxabs(s @ t - j_transpose(t) @ s) <= 1e-12
         else:
             s[2:, 2:] = block_rotation(0.3)
-            signs = np.ones(4)
+            st = _orthogonal_structure(t, DEFAULT_DELTA)
             assert maxabs(s @ t - t.T @ s) <= 1e-12
         with pytest.raises(HypisoError, match="not an involution"):
-            _check_certificate(s, t, signs)
+            _check_certificate(s, t, st, DEFAULT_DELTA)
 
 
 # A parabolic of SO_o(3,1) under a wide conjugator whose computed spectrum,

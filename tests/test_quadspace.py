@@ -15,12 +15,15 @@ from hypiso.quadspace import (
     QuadraticSpace,
     causal_type,
     classify_membership,
+    form_residual,
+    group_inverse,
+    is_orthogonal,
     matrix_from_json,
     matrix_to_json,
     q_value,
     subspace_type,
 )
-from hypiso.reality import _standard_unipotent
+from hypiso.reality import _group_reversal_residual, _standard_unipotent
 from hypiso.sampling import random_orthogonal, random_soo
 
 
@@ -138,6 +141,85 @@ class TestMembership:
         resid = maxabs(t.entries @ tinv.entries - np.eye(4))
         assert resid < 1e-12
         assert tinv.component is t.component
+
+
+class TestLorentzMatrixMethods:
+    def test_product_entries_and_component(self):
+        sp = QuadraticSpace(3)
+        a = lorentz(boost_matrix(3, 0.8) @ block_rotation(0.7, pad=2))
+        b = classify_membership(sp, np.diag([-1.0, 1.0, 1.0, 1.0]))
+        prod = a @ b
+        assert np.array_equal(prod.entries, a.entries @ b.entries)
+        assert prod.component is Component.O_minus_preserving
+        assert prod.component is a.component.compose(b.component)
+        assert (b @ b).component is Component.SO_o
+
+    def test_product_of_different_sizes_raises(self):
+        a = lorentz(np.eye(4))
+        b = lorentz(np.eye(5))
+        with pytest.raises(DimensionMismatch):
+            a @ b
+
+    def test_array_is_a_writable_copy(self):
+        t = lorentz(boost_matrix(3, 0.4))
+        m = np.asarray(t)
+        assert np.array_equal(m, t.entries)
+        m[0, 0] = 7.0
+        assert t.entries[0, 0] == 1.0 and not t.entries.flags.writeable
+
+    def test_n_is_the_spatial_dimension(self):
+        for n in (1, 3, 6):
+            assert lorentz(np.eye(n + 1)).n == n
+
+
+class TestGroupEquations:
+    """form_residual and group_inverse are the one definition of each
+    group equation: stacked calls equal per-matrix calls bit for bit, and
+    all-ones signs give the residual is_orthogonal gates."""
+
+    def stack(self, rng, n, count=6):
+        sp = QuadraticSpace(n)
+        ms = np.stack([random_soo(rng, n) for _ in range(count)])
+        ms[1] += 1e-6 * rng.standard_normal((n + 1, n + 1))
+        return sp.form_signs, ms
+
+    @pytest.mark.parametrize("n", (2, 3, 5, 9))
+    def test_stacked_form_residual_is_per_matrix(self, rng, n):
+        j, ms = self.stack(rng, n)
+        resid = form_residual(ms, j)
+        assert resid.shape == (len(ms),)
+        for m, r in zip(ms, resid):
+            assert form_residual(m, j) == r
+            assert np.abs(m.T @ np.diag(j) @ m - np.diag(j)).max() == r
+        ones = np.ones(n)
+        qs = np.stack([random_orthogonal(rng, n) for _ in range(4)])
+        assert np.array_equal(form_residual(qs, ones), [form_residual(q, ones) for q in qs])
+
+    @pytest.mark.parametrize("n", (2, 3, 5, 9))
+    def test_stacked_reversal_residual_is_per_matrix(self, rng, n):
+        j, ss = self.stack(rng, n)
+        t = random_soo(rng, n)
+        resid = _group_reversal_residual(ss, t, j)
+        assert resid.shape == (len(ss),)
+        for s, r in zip(ss, resid):
+            assert _group_reversal_residual(s, t, j) == r
+
+    def test_group_inverse_of_a_stack(self, rng):
+        j, ms = self.stack(rng, 4)
+        inv = group_inverse(ms, j)
+        for m, mi in zip(ms, inv):
+            assert np.array_equal(mi, group_inverse(m, j))
+            assert np.array_equal(mi, np.diag(j) @ m.T @ np.diag(j))
+        t = lorentz(ms[0])
+        assert np.array_equal(t.inverse().entries, inv[0])
+
+    @pytest.mark.parametrize("n", (2, 4, 7))
+    def test_is_orthogonal_gates_the_all_ones_residual(self, rng, n):
+        m = random_orthogonal(rng, n) + 1e-7 * rng.standard_normal((n, n))
+        r = float(form_residual(m, np.ones(n)))
+        scale = max(1.0, float(np.abs(m).max()) ** 2)
+        assert is_orthogonal(m, r / scale * (1 + 1e-9))
+        assert not is_orthogonal(m, r / scale * (1 - 1e-9))
 
 
 class TestComponentGroupLaw:

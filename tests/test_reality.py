@@ -256,7 +256,7 @@ class TestOracle:
         assert (1, 1) in rep.exact
         for key, s in rep.exact_witnesses.items():
             assert reversal_residual(s, t.entries) <= 1e-8
-            assert form_residual(t.space, s) <= 1e-8
+            assert form_residual(s, t.space.form_signs) <= 1e-8
         assert rep.sampled <= rep.exact
 
     def test_decision_matches_exact_enumeration(self, rng):

@@ -145,6 +145,11 @@ def filtered_plane(a, theta, other_angles):
 
 
 class TestPlaneDecomposition:
+    def test_dim_with_and_without_planes(self):
+        assert plane_decomposition(block_rotation(0.7, pad=3)).dim == 5
+        bare = plane_decomposition(np.eye(3))
+        assert bare.k == 0 and bare.dim == 3
+
     def test_block_example_canonical_order(self):
         a = block_rotation(PI / 3, PI / 2)
         d = plane_decomposition(a)
