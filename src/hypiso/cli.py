@@ -33,23 +33,31 @@ EXIT_DOMAIN = 2
 EXIT_UNDECIDED = 3
 
 
+_DECODER = json.JSONDecoder()
+_SKIP = json.decoder.WHITESPACE.match
+
+
 def _documents(path: str):
     """(space, matrix) of each document of a file, in order, parsed as they
-    are reached; ``-`` is standard input."""
+    are reached; ``-`` is standard input.  A file is read with one
+    unbuffered read of its bytes and decoded once as UTF-8; where it holds
+    a carriage return, \\r\\n and \\r become \\n, so the text, and every
+    error offset, is what text mode reads.  All documents go through one
+    shared decoder."""
     if path == "-":
         text = sys.stdin.read()
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            text = fh.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
     if text.startswith("\ufeff"):  # as json.loads refuses it
         raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-    decoder = json.JSONDecoder()
-    skip = json.decoder.WHITESPACE.match
-    pos = skip(text, 0).end()
+    pos = _SKIP(text, 0).end()
     while True:  # at least one document: an empty file fails as json.loads does
-        doc, end = decoder.raw_decode(text, pos)
+        doc, end = _DECODER.raw_decode(text, pos)
         yield quadspace.matrix_from_document(doc)
-        pos = skip(text, end).end()
+        pos = _SKIP(text, end).end()
         if pos == len(text):
             return
 
@@ -222,6 +230,17 @@ def cmd_random(args) -> int:
     low = {"On": 2, "SOn": 2, "SOo": 1, "Mo": 0}[args.group]
     if args.n < low:
         raise OutOfRange(f"--n must be at least {low} for --group {args.group}, got {args.n}")
+    given = [opt for opt, val in (("--class", args.klass), ("--k", args.k)) if val is not None]
+    if given and args.group in ("On", "SOn"):
+        raise OutOfRange(
+            f"{' and '.join(given)}: only for the Lorentz groups SOo and Mo, "
+            f"not --group {args.group}"
+        )
+    n = args.n + (args.group == "Mo")
+    if args.k is not None and args.k > n // 2:  # before any draw
+        raise OutOfRange(
+            f"--k must be at most {n // 2} for --group {args.group} --n {args.n}, got {args.k}"
+        )
     rng = np.random.default_rng(args.seed)
     lines = []
     for _ in range(args.count):
@@ -230,7 +249,6 @@ def cmd_random(args) -> int:
         elif args.group == "SOn":
             mat = sampling.random_regular_special_orthogonal(rng, args.n)
         else:
-            n = args.n + (args.group == "Mo")
             mat = sampling.random_isometry(rng, n, args.klass, args.k).entries
         lines.append(quadspace.matrix_to_json(mat))
     _emit(lines, args.output)
@@ -317,9 +335,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random", help="seeded random group elements")
     p.add_argument("--group", required=True, choices=["On", "SOn", "SOo", "Mo"])
     p.add_argument("--class", dest="klass", default=None,
-                   choices=["elliptic", "parabolic", "hyperbolic"])
+                   choices=["elliptic", "parabolic", "hyperbolic"],
+                   help="SOo and Mo only; drawn per element among the classes "
+                   "that admit --k when omitted")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=int, default=None,
+                   help="rotation planes, SOo and Mo only; at most n // 2 of the "
+                   "element's SO_o(n,1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--output", default=None)

@@ -15,7 +15,8 @@ in closed form.  The invariant-plane extractor is Euclidean-only: it
 splits an orthogonal matrix, such as the rotation part of a Lorentz
 element, with one ``eig`` (the reading), one SVD when there is a rotation
 pair (the polar factor of the planes, whose complement is the +-1
-eigenspaces) and at most one ``eigh`` (to split +1 from -1).
+eigenspaces) and one ``eigh`` only when the +-1 columns need splitting or
+ordering: both signs present, or a rotation pair read as +-1.
 """
 
 from __future__ import annotations
@@ -133,11 +134,15 @@ def invariant_plane_frames(m: np.ndarray, delta: float) -> _OrthogonalBlocks:
     The other columns of U are the +-1 eigenspaces as the reading counts
     them, so the frame fills the dimension, orthonormal to rounding.  With
     no rotation pair there is no SVD: U is then I, as numpy returns it for
-    an n x 0 matrix.  With two or more +-1 columns, one ``eigh`` of the
-    symmetric part of m splits +1 from -1, each ordered from the eigenvalue
-    farthest from +-1: the first +-1 column, which a reverser's parity flip
-    and a Lorentz frame's orientation negate, then lies in the plane of
-    any rotation pair the reading counted as +-1.
+    an n x 0 matrix.  When both signs are present, or the reading counted a
+    rotation pair as +-1 (an eigenvalue with a non-zero imaginary part;
+    ``eig`` returns real ones with an imaginary part of exactly 0), one
+    ``eigh`` of the symmetric part of m splits +1 from -1, each ordered
+    from the eigenvalue farthest from +-1: the first +-1 column, which a
+    reverser's parity flip and a Lorentz frame's orientation negate, then
+    lies in the plane of any rotation pair the reading counted as +-1.
+    Otherwise those columns already are an orthonormal basis of the one
+    eigenspace, and no ``eigh`` runs.
     """
     vals, vecs = np.linalg.eig(m)
     pairs, plus, minus = spectral._unit_circle(vals, delta)
@@ -155,7 +160,7 @@ def invariant_plane_frames(m: np.ndarray, delta: float) -> _OrthogonalBlocks:
         polar, rest = left[:, :q] @ vt, left[:, q:]
     else:  # numpy's U for an n x 0 frame
         polar, rest = cols, np.eye(m.shape[0])
-    if a + b > 1:
+    if (a and b) or near > 0:
         e = np.linalg.eigh(rest.T @ (m + m.T) @ rest)[1]  # ascending, -1 ones first
         rest = rest @ np.concatenate([e[:, b:], e[:, :b][:, ::-1]], axis=1)
     planes = [(theta, polar[:, 2 * i : 2 * i + 2]) for i, theta in enumerate(thetas)]

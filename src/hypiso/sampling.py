@@ -99,6 +99,14 @@ def _boost(space_dim: int, s: float) -> np.ndarray:
     return m
 
 
+CLASSES = ("elliptic", "parabolic", "hyperbolic")
+
+
+def max_planes(cls: str, n: int) -> int:
+    """The most rotation planes an element of the class has in SO_o(n,1)."""
+    return {"elliptic": n // 2, "parabolic": (n - 2) // 2, "hyperbolic": (n - 1) // 2}[cls]
+
+
 def standard_isometry(
     rng: np.random.Generator, n: int, cls: str, k: int | None = None
 ) -> np.ndarray:
@@ -106,35 +114,27 @@ def standard_isometry(
     k rotation planes (drawn when None)."""
     if k is not None and k < 0:
         raise OutOfRange(f"k must be at least 0, got {k}")
+    if cls not in CLASSES:
+        raise InvalidArg(f"unknown class {cls!r}")
+    if cls == "parabolic" and n < 2:
+        raise InvalidArg("parabolic elements need n >= 2")
+    kmax = max_planes(cls, n)
+    k = int(rng.integers(0, kmax + 1)) if k is None else k
+    if k > kmax:
+        raise InvalidArg(f"{cls} class in SO_o({n},1) needs k <= {kmax}")
     if cls == "elliptic":
-        kmax = n // 2
-        k = int(rng.integers(0, kmax + 1)) if k is None else k
-        if k > kmax:
-            raise InvalidArg(f"elliptic class in SO_o({n},1) needs k <= {kmax}")
         std = np.eye(n + 1)
         std[:n, :n] = rotation_with_angles(random_angles(rng, k), n)
         return std
     if cls == "hyperbolic":
-        kmax = (n - 1) // 2
-        k = int(rng.integers(0, kmax + 1)) if k is None else k
-        if k > kmax:
-            raise InvalidArg(f"hyperbolic class in SO_o({n},1) needs k <= {kmax}")
         s = round(float(rng.uniform(0.25, 1.4)), 3)
         std = _boost(n, s)
         std[: n - 1, : n - 1] = rotation_with_angles(random_angles(rng, k), n - 1)
         return std
-    if cls == "parabolic":
-        if n < 2:
-            raise InvalidArg("parabolic elements need n >= 2")
-        kmax = (n - 2) // 2
-        k = int(rng.integers(0, kmax + 1)) if k is None else k
-        if k > kmax:
-            raise InvalidArg(f"parabolic class in SO_o({n},1) needs k <= {kmax}")
-        a = rotation_with_angles(random_angles(rng, k), n - 1)
-        b = np.zeros(n - 1)
-        b[-1] = round(float(rng.uniform(0.5, 1.5)), 3)
-        return np.asarray(poincare_extend(1.0, a, b).entries)
-    raise InvalidArg(f"unknown class {cls!r}")
+    a = rotation_with_angles(random_angles(rng, k), n - 1)
+    b = np.zeros(n - 1)
+    b[-1] = round(float(rng.uniform(0.5, 1.5)), 3)
+    return np.asarray(poincare_extend(1.0, a, b).entries)
 
 
 def random_isometry(
@@ -145,11 +145,18 @@ def random_isometry(
 ) -> LorentzMatrix:
     """Random classified element of SO_o(n,1): standard position composed
     with a random identity-component conjugator (``random_soo`` at scale
-    0.5), validated at membership tolerance 1e-8."""
-    if cls is None:
-        cls = ["elliptic", "parabolic", "hyperbolic"][int(rng.integers(0, 3))]
+    0.5), validated at membership tolerance 1e-8.  With no class, the class
+    is drawn among those that admit k rotation planes (all three, parabolic
+    read as elliptic below n = 2, when k is None)."""
+    if cls is None and k is None:
+        cls = CLASSES[int(rng.integers(0, 3))]
         if n < 2 and cls == "parabolic":
             cls = "elliptic"
+    elif cls is None:
+        admit = [c for c in CLASSES if k <= max_planes(c, n)]
+        if not admit:
+            raise OutOfRange(f"no class in SO_o({n},1) has {k} rotation planes; at most {n // 2}")
+        cls = admit[int(rng.integers(0, len(admit)))]
     std = standard_isometry(rng, n, cls, k)
     w = random_soo(rng, n)
     winv = np.linalg.inv(w)

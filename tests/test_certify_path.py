@@ -100,11 +100,12 @@ def eigh_fixed_axis(kernel, j):
 
 def svd_path_blocks(m):
     """The +-1 frames of an orthogonal m with no rotation pair as the SVD
-    path built them: U of the n x 0 plane frame, split by one eigh."""
-    vals = np.linalg.eigvals(m).real
-    a, b = int(np.sum(vals > 0)), int(np.sum(vals < 0))
+    path built them: U of the n x 0 plane frame, split by one eigh when
+    both signs are present or a rotation pair is read as +-1."""
+    vals = np.linalg.eig(m)[0]
+    a, b = int(np.sum(vals.real > 0)), int(np.sum(vals.real < 0))
     rest = np.linalg.svd(np.empty((len(m), 0)))[0]
-    if a + b > 1:
+    if (a and b) or np.abs(vals.imag).max() > 0:
         e = np.linalg.eigh(rest.T @ (m + m.T) @ rest)[1]
         rest = rest @ np.concatenate([e[:, b:], e[:, :b][:, ::-1]], axis=1)
     return rest[:, :a], rest[:, a:]

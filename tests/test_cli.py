@@ -244,6 +244,54 @@ class TestRandomAndOracle:
         assert len(out.splitlines()) == 6
 
 
+class TestRandomClassAndK:
+    """``--class`` and ``--k`` are Lorentz-only; without ``--class`` the class
+    is drawn among those that admit ``--k``."""
+
+    @pytest.mark.parametrize("group,n", [("SOo", 1), ("SOo", 3), ("SOo", 4), ("Mo", 2), ("Mo", 4)])
+    def test_every_seed_draws_an_admitting_class(self, tmp_path, capsys, group, n):
+        dim = n + (group == "Mo")
+        path = str(tmp_path / "r.jsonl")
+        for k in range(dim // 2 + 1):
+            seen = set()
+            for seed in range(6):
+                argv = ["random", "--group", group, "--n", str(n), "--k", str(k),
+                        "--count", "4", "--seed", str(seed), "--output", path]
+                assert run(capsys, *argv) == (0, "", "")
+                code, out, _ = run(capsys, "classify", path)
+                assert code == 0
+                for line in out.splitlines():
+                    doc = json.loads(line)
+                    assert doc["k"] == k
+                    seen.add(doc["class"])
+            if k == dim // 2:  # the bound of the elliptic class alone when dim is even
+                assert seen == ({"Elliptic"} if dim % 2 == 0 else {"Elliptic", "Hyperbolic"})
+
+    @pytest.mark.parametrize("group,n,k,most", [("SOo", 3, 2, 1), ("SOo", 4, 3, 2), ("Mo", 3, 3, 2)])
+    def test_k_over_half_the_dimension_is_refused_by_name(self, capsys, group, n, k, most):
+        argv = ["random", "--group", group, "--n", str(n), "--k", str(k)]
+        err = f"error: --k must be at most {most} for --group {group} --n {n}, got {k}\n"
+        assert run(capsys, *argv) == (2, "", err)
+
+    @pytest.mark.parametrize("group", ("On", "SOn"))
+    @pytest.mark.parametrize("extra,named", [
+        (["--class", "parabolic"], "--class"),
+        (["--k", "5"], "--k"),
+        (["--k", "0", "--class", "elliptic"], "--class and --k"),
+    ])
+    def test_orthogonal_groups_refuse_lorentz_options(self, capsys, group, extra, named):
+        argv = ["random", "--group", group, "--n", "3", *extra]
+        err = f"error: {named}: only for the Lorentz groups SOo and Mo, not --group {group}\n"
+        assert run(capsys, *argv) == (2, "", err)
+
+    def test_help_names_them_lorentz_only(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["random", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--class {elliptic,parabolic,hyperbolic} SOo and Mo only" in text
+        assert "rotation planes, SOo and Mo only" in text
+
+
 class TestOracleComponent:
     """The Lorentz oracle takes identity-component elements only, as the
     SO_o reality decider does."""

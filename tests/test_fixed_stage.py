@@ -13,7 +13,7 @@ from hypiso import frames
 from hypiso.classify import _classify_stack, _spectra, boundary_fixed_points, classify
 from hypiso.cli import main
 from hypiso.quadspace import QuadraticSpace, classify_membership, matrix_to_json
-from hypiso.sampling import random_isometry, rotation_with_angles
+from hypiso.sampling import random_isometry, random_orthogonal, rotation_with_angles
 from test_conditioning import STRETCH_BORDERLINE
 
 DELTA = 3e-8  # the floor, where STRETCH_BORDERLINE is refused
@@ -160,7 +160,7 @@ class TestPlusMinusOneFrames:
         ((0.7, 1.9), 4, 0),  # no +1, no -1
         ((0.7,), 3, 0),  # one +1 column: nothing to split
         ((0.7, np.pi), 5, 1),  # +1 and -1
-        ((0.7,), 5, 1),  # three +1 columns, ordered by one eigh
+        ((0.7,), 5, 0),  # three +1 columns, one sign: nothing to split or order
     ))
     def test_one_eig_one_svd_and_an_eigh_for_two_pm_one_columns(self, monkeypatch, angles, n, eighs):
         a = rotation_with_angles(list(angles), n)
@@ -187,3 +187,42 @@ class TestPlusMinusOneFrames:
         assert np.allclose(a @ blocks.fix_frame, blocks.fix_frame, atol=1e-12)
         assert np.allclose(a @ blocks.neg_frame, -blocks.neg_frame, atol=1e-12)
         assert 2 * blocks.p + blocks.a + blocks.b == n
+
+    @pytest.mark.parametrize("angles,signs", (
+        ((0.7,), (1, 1, 1)),  # one sign
+        ((), (-1, -1, -1)),
+        ((0.7, 1.9), (1,)),  # one column
+        ((0.7,), (1, -1)),  # both signs
+        ((), (1, 1, -1, -1)),
+        ((0.7, 1e-9), (1,)),  # a pair read as +1
+        ((np.pi - 1e-9,), (-1,)),  # a pair read as -1
+        ((2.1, 1e-9), (-1,)),  # a pair read as +1 beside a -1
+    ))
+    def test_eigh_only_to_split_signs_or_order_a_pair_read_as_pm_one(self, monkeypatch, angles, signs):
+        # eig returns a real eigenvalue with an imaginary part of exactly 0,
+        # so near_pm_one > 0 says the reading counted a complex pair as +-1:
+        # a rotation by an angle within delta of 0 or pi, or a repeated +-1
+        # split off the real axis by rounding
+        rng = np.random.default_rng(len(angles) + 7 * len(signs))
+        n = 2 * len(angles) + len(signs)
+        d = rotation_with_angles(list(angles), n)
+        d[2 * len(angles):, 2 * len(angles):] = np.diag(signs)
+        pair_read = any(min(t, np.pi - t) < 1e-7 for t in angles)
+        fired = []
+        for _ in range(20):
+            q = random_orthogonal(rng, n)
+            a = q @ d @ q.T
+            eigh = spy(monkeypatch, np.linalg, "eigh")
+            blocks = frames.invariant_plane_frames(a, 1e-7)
+            mixed = blocks.a > 0 and blocks.b > 0
+            assert eigh.call_count == (mixed or blocks.near_pm_one > 0)
+            assert blocks.near_pm_one > 0 or not pair_read
+            assert (blocks.a, blocks.b) == (signs.count(1) + 2 * (1e-9 in angles),
+                                            signs.count(-1) + 2 * (np.pi - 1e-9 in angles))
+            f = blocks.frame
+            assert np.abs(f.T @ f - np.eye(n)).max() <= 1e-13
+            assert np.abs(a @ blocks.fix_frame - blocks.fix_frame).max(initial=0.0) <= 1e-8
+            assert np.abs(a @ blocks.neg_frame + blocks.neg_frame).max(initial=0.0) <= 1e-8
+            fired.append(eigh.call_count)
+        if len(set(signs)) == 1 and not pair_read:  # a real reading skips the eigh
+            assert 0 in fired

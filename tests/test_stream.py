@@ -1,8 +1,12 @@
 """The CLI over document streams: files with several documents, standard
 input, the stacked classify path and the order in which failures surface."""
 
+import errno
 import io
 import json
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -186,3 +190,100 @@ class TestFailureOrder:
         assert err == "error: numerical failure: Eigenvalues did not converge\n"
         alone = run(capsys, "classify", paths["non_isometry"])
         assert run(capsys, "classify", fine, paths["non_isometry"], flaky_doc) == alone
+
+
+class TestOneRawRead:
+    """A file is read as bytes, once, and decoded as UTF-8; its line ends,
+    its BOM and every error read as text mode gave them."""
+
+    DOC = matrix_to_json(np.eye(4)).encode()
+
+    def test_crlf_and_cr_line_ends(self, tmp_path, capsys):
+        docs = [matrix_to_json(m).encode() for m in mixed_stream()[:3]]
+        lf = tmp_path / "lf.jsonl"
+        lf.write_bytes(b"".join(d + b"\n" for d in docs))
+        crlf = tmp_path / "crlf.jsonl"
+        crlf.write_bytes(docs[0] + b"\r\n" + docs[1] + b"\r" + docs[2] + b"\r\n\r\n")
+        single = tmp_path / "one.json"
+        single.write_bytes(docs[0] + b"\r\n")
+        want = run(capsys, "classify", str(lf))
+        assert want[0] == 0 and len(want[1].splitlines()) == 3
+        assert run(capsys, "classify", str(crlf)) == want
+        assert run(capsys, "classify", str(single)) == (0, want[1].splitlines(True)[0], "")
+
+    def test_a_malformed_crlf_file_fails_as_its_lf_twin(self, tmp_path, capsys):
+        # the char offset counts \r\n as one character, as text mode reads it
+        body = b"".join([self.DOC] * 300) + b'{"n": 3,\n "matrix": [1,,]}\n'
+        lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+        lf.write_bytes(body.replace(b"}{", b"}\n{"))
+        crlf.write_bytes(body.replace(b"}{", b"}\r\n{").replace(b"\n ", b"\r\n "))
+        want = run(capsys, "classify", str(lf))
+        assert want[0] == 1 and want[1] == "" and "(char " in want[2]
+        assert run(capsys, "classify", str(crlf)) == want
+
+    @pytest.mark.parametrize("content,err", (
+        (b'{"n": 3,\r\n "matrix": [1, 0,\r\n 0,]}\r\n', "Expecting value: line 3 column 4 (char 30)"),
+        (b"\xef\xbb\xbf" + DOC,
+         "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        (DOC[:10] + b"\xff\xfe" + DOC[10:],
+         "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"),
+        (b"", "Expecting value: line 1 column 1 (char 0)"),
+    ), ids=("crlf-malformed", "bom", "invalid-utf8", "empty"))
+    def test_malformed_bytes(self, tmp_path, capsys, content, err):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        assert run(capsys, "classify", str(path)) == (1, "", f"malformed input: {err}\n")
+
+    def test_a_directory(self, tmp_path, capsys):
+        err = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path)!r}"
+        assert run(capsys, "classify", str(tmp_path)) == (1, "", f"malformed input: {err}\n")
+
+
+def feed(fifos, payloads):
+    """Write each payload into its FIFO, in order; each open blocks until
+    the reader opens that FIFO, or until ``release`` does."""
+    for path, data in zip(fifos, payloads):
+        try:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except OSError:  # the reader closed it unread
+            pass
+
+
+def release(fifos, writer, timeout=10.0):
+    """Open every FIFO for reading until the writer is done, so an open it
+    is blocked in returns even where the reader stopped early."""
+    deadline = time.monotonic() + timeout
+    while writer.is_alive() and time.monotonic() < deadline:
+        for path in fifos:
+            try:
+                os.close(os.open(path, os.O_RDONLY | os.O_NONBLOCK))
+            except OSError:
+                pass
+        writer.join(0.05)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("malformed", (False, True))
+def test_named_pipes_read_as_regular_files(tmp_path, capsys, malformed):
+    mats = mixed_stream()
+    payloads = [(matrix_to_json(m) + "\n").encode() for m in mats[:-4]]
+    payloads.append(b"".join(matrix_to_json(m).encode() + b"\r\n" for m in mats[-4:]))
+    if malformed:  # the reader stops at it and leaves the FIFOs after it unopened
+        payloads.insert(3, b'{"n": 3, "matrix": [1, 2]}')
+    files, fifos = [], []
+    for i, data in enumerate(payloads):
+        (tmp_path / f"f{i}.json").write_bytes(data)
+        files.append(str(tmp_path / f"f{i}.json"))
+        os.mkfifo(tmp_path / f"p{i}.json")
+        fifos.append(str(tmp_path / f"p{i}.json"))
+    want = run(capsys, "classify", *files)
+    assert want[0] == (1 if malformed else 0)
+    writer = threading.Thread(target=feed, args=(fifos, payloads), daemon=True)
+    writer.start()
+    try:
+        got = run(capsys, "classify", *fifos)
+    finally:
+        release(fifos, writer)
+    assert not writer.is_alive()
+    assert got == want
