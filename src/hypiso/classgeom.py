@@ -15,7 +15,8 @@ on concrete elements:
 
 The classes with a rotation angle pi share all code paths through a
 ``minus`` flag on the fiber tag; their dimensions agree with the plain
-variant and only d0 changes.
+variant and only d0 changes.  An angle is pi exactly when it equals
+``np.pi``, the value the spectral reading gives every -1 pair.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ from .spectral import (
     assemble_rotation,
     plane_decomposition,
 )
-
-_PI_TOL = 1e-9
 
 
 def d0(k: int, has_pi: bool) -> int:
@@ -243,21 +242,19 @@ def descriptor_for(
     raise OutOfRange(f"unknown class tag {class_tag!r}")
 
 
-def class_descriptor(
-    report: ClassificationReport, n: Optional[int] = None, fix_stretch: bool = True
-) -> FibrationDescriptor:
+def class_descriptor(report: ClassificationReport) -> FibrationDescriptor:
     """Descriptor of the conjugacy-class fibration of a classified regular
-    isometry (n defaults to the report's boundary dimension)."""
+    isometry over its boundary dimension; a hyperbolic's is the class of
+    its stretch."""
     if not report.regular:
         raise NotRegular("class fibrations are canonical for regular elements only")
-    n = report.boundary_dim if n is None else n
     tags = {
         FixedPointClass.ELLIPTIC: "elliptic",
         FixedPointClass.PARABOLIC: "parabolic",
         FixedPointClass.HYPERBOLIC: "hyperbolic",
     }
     return descriptor_for(
-        tags[report.fixed_class], report.k, n, report.angles.has_pi, fix_stretch
+        tags[report.fixed_class], report.k, report.boundary_dim, report.angles.has_pi
     )
 
 
@@ -281,7 +278,8 @@ class BoundaryPair:
         a, b = self.first, self.second
         return (a, b) if tuple(a) <= tuple(b) else (b, a)
 
-    def same_pair(self, other: "BoundaryPair", tol: float = 1e-8) -> bool:
+    def same_pair(self, other: "BoundaryPair") -> bool:
+        """The two unordered pairs agree to 1e-8 in the max norm."""
         a1, b1 = self.as_sorted()
         a2, b2 = other.as_sorted()
         direct = max(
@@ -290,7 +288,7 @@ class BoundaryPair:
         swapped = max(
             float(np.max(np.abs(a1 - b2))), float(np.max(np.abs(b1 - a2)))
         )
-        return min(direct, swapped) <= tol
+        return min(direct, swapped) <= 1e-8
 
 
 def alpha(a, delta: float = DEFAULT_DELTA) -> PlaneDecomposition:
@@ -307,10 +305,9 @@ def subspace_projector(frame: np.ndarray) -> np.ndarray:
     return frame @ frame.T
 
 
-def same_decomposition_class(
-    d1: PlaneDecomposition, d2: PlaneDecomposition, tol: float = 1e-8
-) -> bool:
-    """Equality in the permutation quotient: the plane *sets* agree."""
+def same_decomposition_class(d1: PlaneDecomposition, d2: PlaneDecomposition) -> bool:
+    """Equality in the permutation quotient: the plane *sets* agree, each
+    projector to 1e-8 in the max norm."""
     if d1.k != d2.k:
         return False
     projs1 = [subspace_projector(p) for p in d1.planes]
@@ -319,7 +316,7 @@ def same_decomposition_class(
     for p1 in projs1:
         hit = False
         for i, p2 in enumerate(projs2):
-            if not used[i] and float(np.max(np.abs(p1 - p2))) <= tol:
+            if not used[i] and float(np.max(np.abs(p1 - p2))) <= 1e-8:
                 used[i] = hit = True
                 break
         if not hit:
@@ -327,15 +324,12 @@ def same_decomposition_class(
     return True
 
 
-def enumerate_fiber(
-    decomp: PlaneDecomposition,
-    angles,
-    has_pi: Optional[bool] = None,
-) -> list[np.ndarray]:
+def enumerate_fiber(decomp: PlaneDecomposition, angles) -> list[np.ndarray]:
     """The complete finite fiber over a decomposition class: every
     k-rotation with the given distinct angles whose plane splitting is the
     given one.  All angle-to-plane assignments (k! permutations) times the
-    two orientations per non-pi plane; length d0(k, has_pi).
+    two orientations of each plane whose angle is not ``np.pi``; length
+    d0(k, np.pi in angles).
     """
     angles = [float(a) for a in angles]
     k = len(angles)
@@ -345,13 +339,10 @@ def enumerate_fiber(
         for jj in range(i + 1, k):
             if abs(angles[i] - angles[jj]) <= 1e-12:
                 raise AngleMultiplicity("fiber enumeration needs distinct angles")
-    derived_pi = any(abs(a - np.pi) <= _PI_TOL for a in angles)
-    if has_pi is not None and has_pi != derived_pi:
-        raise InvalidArg("has_pi flag contradicts the angle list")
     out = []
     for perm in itertools.permutations(range(k)):
         assigned = [angles[perm[i]] for i in range(k)]
-        sign_slots = [i for i in range(k) if abs(assigned[i] - np.pi) > _PI_TOL]
+        sign_slots = [i for i in range(k) if assigned[i] != np.pi]
         for signs in itertools.product((1.0, -1.0), repeat=len(sign_slots)):
             oriented = list(assigned)
             for slot, sg in zip(sign_slots, signs):
@@ -359,9 +350,6 @@ def enumerate_fiber(
             out.append(
                 assemble_rotation(decomp.planes, oriented, decomp.fixed_subspace)
             )
-    expected = d0(k, derived_pi)
-    if len(out) != expected:
-        raise InvalidArg(f"enumeration produced {len(out)} elements, expected {expected}")
     return out
 
 

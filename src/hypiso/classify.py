@@ -197,11 +197,12 @@ def lift_boundary_point(space: QuadraticSpace, p) -> np.ndarray:
     return np.concatenate([p, [(1.0 - sq) / 2.0, (1.0 + sq) / 2.0]])
 
 
-def boundary_point_of_ray(space: QuadraticSpace, v, tol: float = 1e-12):
-    """Inverse of the lift; ``None`` encodes the point at infinity."""
+def boundary_point_of_ray(space: QuadraticSpace, v):
+    """Inverse of the lift; ``None`` encodes the point at infinity, where
+    l+ vanishes to 1e-12 relative to the ray's largest entry."""
     v = np.asarray(v, dtype=float)
     lplus = v[-1] + v[-2]
-    if abs(lplus) <= tol * max(1.0, float(np.max(np.abs(v)))):
+    if abs(lplus) <= 1e-12 * max(1.0, float(np.max(np.abs(v)))):
         return None
     return v[:-2] / lplus
 
@@ -317,6 +318,12 @@ def _fixed_point_class(sp: _LorentzSpectrum) -> FixedPointClass:
     if sp.defective:
         return FixedPointClass.PARABOLIC
     if sp.rmax > 1.0 + sp.delta:
+        if sp.unpaired:
+            _stretch(sp)  # a non-real dominant eigenvalue is refused as such first
+            raise Borderline(
+                f"dominant eigenvalue modulus {sp.rmax} has no eigenvalue near its "
+                f"inverse {1.0 / sp.rmax}: a stretch without its pair is not a hyperbolic's"
+            )
         return FixedPointClass.HYPERBOLIC
     if sp.rmax > 1.0 + sp.delta / 4.0:
         raise Borderline(
@@ -336,7 +343,8 @@ def fixed_point_class(
     would fool a plain modulus threshold.  Among non-defective inputs a
     real eigenvalue is simple and well conditioned, so modulus > 1 + delta
     decides hyperbolic.  ``Borderline`` is raised when the dominant
-    modulus falls inside (1 + delta/4, 1 + delta] or when the kernel of
+    modulus falls inside (1 + delta/4, 1 + delta], when a modulus over
+    1 + delta has no eigenvalue near its inverse, or when the kernel of
     T - I, or the rank of (T - I)^2, is itself threshold-ambiguous.
     """
     return _fixed_point_class(_spectrum(t, delta))
@@ -448,28 +456,42 @@ def _elliptic_fixed_vector(sp: _LorentzSpectrum) -> np.ndarray:
     return v / np.sqrt(-frames.j_inner(sp.space.form_signs, v, v))
 
 
-def _boundary_fixed_points(
-    sp: _LorentzSpectrum, cls: FixedPointClass
-) -> FixedPointData:
+def _check_kernel_width(sp: _LorentzSpectrum, width: int) -> None:
+    """Refuse a kernel of T - I at tau whose width is not the ``width``
+    that the reading of the spectrum counts: one of the two readings has
+    put an eigenvalue near 1 on the wrong side of its threshold."""
+    if sp.kernel.shape[1] != width:
+        raise Borderline(
+            f"ker(T - I) at tau = {sp.delta * sp.scale:.3e} has width "
+            f"{sp.kernel.shape[1]}, the reading of the spectrum counts {width}"
+        )
+
+
+def _fixed_data(sp: _LorentzSpectrum, cls: FixedPointClass, ang: RotationAngles) -> FixedPointData:
+    """Hyperbolic: the unordered pair of null eigenrays; parabolic: the
+    single fixed ray; elliptic: the frame of ker(T - I), whose null rays
+    form the fixed sphere, or, for a full rotation (2k = n), the fixed
+    point in H^m.  An elliptic's kernel is its time-like fixed vector and
+    its space-like +1 eigenspace, of width dim - 2k - reflection by the
+    angles; a kernel of another width is refused."""
     if cls is FixedPointClass.HYPERBOLIC:
-        att, rep = _hyperbolic_rays(sp)
-        return HyperbolicPair(att, rep)
+        return HyperbolicPair(*_hyperbolic_rays(sp))
     if cls is FixedPointClass.PARABOLIC:
         return ParabolicPoint(_parabolic_ray(sp))
-    return EllipticSphere(sp.kernel, sp.kernel.shape[1] - 2)
+    width = sp.space.dim - 2 * ang.k - ang.reflection
+    _check_kernel_width(sp, width)
+    if 2 * ang.k == sp.space.n:
+        return EllipticPoint(_elliptic_fixed_vector(sp))
+    return EllipticSphere(sp.kernel, width - 2)
 
 
 def boundary_fixed_points(
     t: LorentzMatrix, delta: float = DEFAULT_DELTA
 ) -> FixedPointData:
-    """Fixed-point data on the boundary (or in H^m for full rotations).
-
-    Hyperbolic: the unordered pair of null eigenrays; parabolic: the
-    single fixed ray; elliptic: the frame of ker(T - I), whose null rays
-    form the fixed sphere.  Rays are normalized to time coordinate 1.
-    """
-    sp = _spectrum(t, delta)
-    return _boundary_fixed_points(sp, _fixed_point_class(sp))
+    """Fixed-point data on the boundary (or in H^m for full rotations):
+    that of the classification report, ``classify(t, delta).fixed_data``.
+    Rays are normalized to time coordinate 1."""
+    return classify(t, delta).fixed_data
 
 
 def _report_head(sp: _LorentzSpectrum) -> tuple:
@@ -482,24 +504,14 @@ def _report_head(sp: _LorentzSpectrum) -> tuple:
     return cls, ang, stretch
 
 
-def _full_rotation(sp: _LorentzSpectrum, cls: FixedPointClass, ang: RotationAngles) -> bool:
-    """An elliptic rotating every space-like direction: its fixed data is
-    the time-like fixed vector."""
-    return cls is FixedPointClass.ELLIPTIC and 2 * ang.k == sp.space.n
-
-
 def _report(sp: _LorentzSpectrum, cls, ang, stretch) -> ClassificationReport:
-    if _full_rotation(sp, cls, ang):
-        fixed: FixedPointData = EllipticPoint(_elliptic_fixed_vector(sp))
-    else:
-        fixed = _boundary_fixed_points(sp, cls)
     return ClassificationReport(
         fixed_class=cls,
         k=ang.k,
         angles=ang,
         regular=_distinct(ang.angles, sp.delta),
         stretch=stretch,
-        fixed_data=fixed,
+        fixed_data=_fixed_data(sp, cls, ang),
         boundary_dim=sp.space.n - 1,
     )
 

@@ -117,27 +117,30 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _per_document(args, answer) -> int:
+    """Emit the JSON document ``answer(x)`` of each input document, in
+    order, as each is reached: x is the validated Lorentz matrix for
+    ``--group`` SOo and Mo, and the raw matrix otherwise (the orthogonal
+    groups, and ``decompose``, which has no group)."""
+    lorentz = getattr(args, "group", None) in ("SOo", "Mo")
+    lines = []
+    for space, mat in _matrices(args.matrix):
+        x = quadspace.classify_membership(space, mat, args.eps) if lorentz else mat
+        lines.append(json.dumps(answer(x)))
+    _emit(lines, args.output)
+    return EXIT_OK
+
+
 def cmd_reality(args) -> int:
     from . import reality
 
-    lines = []
-    for space, mat in _matrices(args.matrix):
-        if args.group in ("On", "SOn"):
-            cert = (
-                reality.is_real_On(mat, args.delta, args.eps)
-                if args.group == "On"
-                else reality.is_real_SOn(mat, args.delta, args.eps)
-            )
-        else:
-            t = quadspace.classify_membership(space, mat, args.eps)
-            cert = (
-                reality.is_real_SOo_n1(t, args.delta)
-                if args.group == "SOo"
-                else reality.is_real_Mo(t, args.delta)
-            )
-        lines.append(json.dumps(cert.to_json_dict()))
-    _emit(lines, args.output)
-    return EXIT_OK
+    decide = {
+        "On": lambda m: reality.is_real_On(m, args.delta, args.eps),
+        "SOn": lambda m: reality.is_real_SOn(m, args.delta, args.eps),
+        "SOo": lambda t: reality.is_real_SOo_n1(t, args.delta),
+        "Mo": lambda t: reality.is_real_Mo(t, args.delta),
+    }[args.group]
+    return _per_document(args, lambda x: decide(x).to_json_dict())
 
 
 def cmd_conjugacy(args) -> int:
@@ -156,17 +159,15 @@ def cmd_conjugacy(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    lines = []
-    for _, mat in _matrices(args.matrix):
+    def document(mat) -> dict:
         decomp = plane_decomposition(mat, args.delta, args.eps)
-        doc = {
+        return {
             "angles": list(decomp.angles),
             "planes": [p.T.tolist() for p in decomp.planes],
             "fixed_subspace": decomp.fixed_subspace.T.tolist(),
         }
-        lines.append(json.dumps(doc))
-    _emit(lines, args.output)
-    return EXIT_OK
+
+    return _per_document(args, document)
 
 
 def cmd_dims(args) -> int:
@@ -258,20 +259,13 @@ def cmd_random(args) -> int:
 def cmd_oracle(args) -> int:
     from . import reality
 
-    lines = []
-    for space, mat in _matrices(args.matrix):
-        if args.group in ("On", "SOn"):
-            target = mat
-            group = reality.GROUP_O if args.group == "On" else reality.GROUP_SO
-        else:
-            target = quadspace.classify_membership(space, mat, args.eps)
-            group = reality.GROUP_SOO if args.group == "SOo" else reality.GROUP_MO
-        rep = reality.reverser_oracle(
-            target, group, budget=args.budget, seed=args.seed, delta=args.delta
-        )
-        lines.append(json.dumps(rep.to_json_dict()))
-    _emit(lines, args.output)
-    return EXIT_OK
+    group = {
+        "On": reality.GROUP_O, "SOn": reality.GROUP_SO,
+        "SOo": reality.GROUP_SOO, "Mo": reality.GROUP_MO,
+    }[args.group]
+    return _per_document(args, lambda x: reality.reverser_oracle(
+        x, group, budget=args.budget, seed=args.seed, delta=args.delta
+    ).to_json_dict())
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -42,6 +42,7 @@ import numpy as np
 from . import frames
 from .classify import (
     FixedPointClass,
+    _check_kernel_width,
     _elliptic_fixed_vector,
     _fixed_point_class,
     _hyperbolic_rays,
@@ -58,6 +59,7 @@ from .errors import (
     NotSpecialOrthogonal,
 )
 from .quadspace import (
+    DEFAULT_EPS,
     Component,
     LorentzMatrix,
     _component,
@@ -362,12 +364,7 @@ def _build_lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
     blocks = frames.invariant_plane_frames(t_o, sp.delta)
     # ker(T - I) at tau is T_o's +1 eigenspace, plus the fixed time-like
     # vector or null ray of an elliptic or parabolic: one kernel, read twice
-    width = blocks.a + (cls is not FixedPointClass.HYPERBOLIC)
-    if sp.kernel.shape[1] != width:
-        raise Borderline(
-            f"ker(T - I) at tau = {sp.delta * sp.scale:.3e} has width "
-            f"{sp.kernel.shape[1]}, the reading of the spectrum counts {width}"
-        )
+    _check_kernel_width(sp, blocks.a + (cls is not FixedPointClass.HYPERBOLIC))
     frame = np.concatenate([special, w_frame @ blocks.frame], axis=1)
     # a -1 on a +-1 column commutes with T, so negating the first one
     # orients the frame; a product read from the frame carries both signs
@@ -572,12 +569,7 @@ def reverser_oracle(
         sp = _LorentzSpectrum.of(t, delta)
         ang = _lorentz_angles(sp).angles
     else:
-        mat = np.asarray(t, dtype=float)
-        if not is_orthogonal(mat):
-            raise NotOrthogonal("orthogonal oracle needs an orthogonal matrix")
-        if group == GROUP_SO and np.linalg.det(mat) < 0:
-            raise NotSpecialOrthogonal("input has determinant -1")
-        st = _orthogonal_structure(mat, delta)
+        mat, st = _orthogonal_data(t, delta, DEFAULT_EPS, special=group == GROUP_SO)
         j = st.j
         ang = st.blocks.angles.angles
     regular = _distinct(ang, delta)

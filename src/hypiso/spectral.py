@@ -3,7 +3,10 @@
 Rotation angles live in the canonical interval (0, pi]: each conjugate
 eigenvalue pair {e^{i t}, e^{-i t}} with 0 < t < pi contributes t once per
 pair multiplicity, and the eigenvalue -1 contributes the angle pi with pair
-multiplicity floor(m/2) where m is its algebraic multiplicity.  An odd m
+multiplicity floor(m/2) where m is its algebraic multiplicity.  An angle
+is pi exactly when it equals ``np.pi``, the value every -1 pair is read
+as; a rotation pair is read as one only more than delta off the real
+axis, so its angle stays short of pi by more than delta.  An odd m
 (possible only for determinant -1 inputs) is reported through a separate
 ``reflection`` flag rather than as an angle; this extension beyond the
 special-orthogonal setting is our own convention and is relied on by the
@@ -93,7 +96,7 @@ class RotationAngles:
 
     @property
     def has_pi(self) -> bool:
-        return any(abs(a - np.pi) <= 1e-12 for a in self.angles)
+        return np.pi in self.angles
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,10 +212,13 @@ class _LorentzSpectrum:
     above its rounding floor (d the size), where the Jordan block is
     threshold-ambiguous.
     ``lam`` is the dominant eigenvalue (the first of largest modulus) and
-    ``rmax`` = |lam|, the largest modulus of the spectrum.  ``rays``, a
-    hyperbolic's null eigenrays, is the result of the fixed-data stage
-    (``classify._fixed_stage``), and ``structure`` the adapted splitting
-    (``reality._lorentz_structure``), each kept here once computed.  The
+    ``rmax`` = |lam|, the largest modulus of the spectrum; ``unpaired`` is
+    rmax > 1 + delta with no eigenvalue within max(delta, d EPS scale) of
+    1 / rmax, a stretch without the inverse every stretch of O(n,1) pairs
+    with.  ``rays``, a hyperbolic's null eigenrays, is the result of the
+    fixed-data stage (``classify._fixed_stage``), and ``structure`` the
+    adapted splitting (``reality._lorentz_structure``), each kept here once
+    computed.  The
     fixed data of an elliptic or a parabolic is read from ``kernel``
     itself: its J-Gram is I - 2 z z^T, z the time row of ``kernel``, with
     the eigenvalue g = 1 - 2 |z|^2 along z and 1 across it.
@@ -235,6 +241,7 @@ class _LorentzSpectrum:
     rmax: float
     band: bool
     square_band: bool
+    unpaired: bool
     rays: np.ndarray = None
     structure: object = None
 
@@ -256,9 +263,9 @@ class _LorentzSpectrum:
         and the eigenvalues of T, whose moduli are taken over the stack too.
         The rest is at most d^2 numbers per matrix, read from their Python
         scalars (``tolist``): the scale, the two ranks and ``band`` (by
-        bisection on the sorted singular values), ``square_band``, ``lam``
-        and ``rmax``; they are Python floats and bools, and ``lam`` a float
-        or a complex.
+        bisection on the sorted singular values), ``square_band``, ``lam``,
+        ``rmax`` and ``unpaired``; they are Python floats and bools, and
+        ``lam`` a float or a complex.
 
         The scale needs no SVD.  T in O(n,1) is K1 B(s) K2 with K1, K2
         orthogonal and B(s) a boost (the Cartan form), so with
@@ -315,6 +322,9 @@ class _LorentzSpectrum:
                 # as eigvals of one matrix, a real spectrum comes back real
                 rmax = max(mod)
                 lam = ev[mod.index(rmax)]
+                unpaired = rmax > 1.0 + delta and (
+                    min(abs(v - 1.0 / rmax) for v in ev) > max(delta, d * EPS * scale)
+                )
                 if any(v.imag for v in ev):
                     vals = eigvals[i]
                 else:
@@ -322,6 +332,7 @@ class _LorentzSpectrum:
                 t._analyses[delta] = cls(
                     t.entries, t.space, delta, t.sheet_preserving, scale, vals,
                     vt[i, rank1:].T, rank2 < rank1, lam, rmax, band, square_band,
+                    unpaired,
                 )
         return [t._analyses[delta] for t in ts]
 

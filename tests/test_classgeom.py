@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from hypiso.classgeom import (
     same_decomposition_class,
     subspace_projector,
 )
-from hypiso.classify import EllipticSphere, classify, poincare_extend
+from hypiso.classify import EllipticSphere, boundary_point_of_ray, classify, poincare_extend
 from hypiso.errors import InvalidArg, NotRegular, OutOfRange
 from hypiso.sampling import random_orthogonal, random_soo
 from hypiso.spectral import rotation_angles
@@ -207,6 +209,27 @@ class TestEnumerateFiber:
         decomp = alpha(block_rotation(PI / 3, PI / 2))
         with pytest.raises(Exception):
             enumerate_fiber(decomp, [PI / 3, PI / 3])
+
+    def test_only_np_pi_has_one_orientation(self):
+        # the angle next to pi is a rotation, not the plane of pi: both
+        # orientations, each its own element
+        decomp = alpha(block_rotation(PI))
+        near = float(np.nextafter(np.pi, 0.0))
+        elements = enumerate_fiber(decomp, [near])
+        assert len(elements) == d0(1, False) == 2
+        assert maxabs(elements[0] - elements[1]) > 0
+        assert len(enumerate_fiber(decomp, [np.pi])) == d0(1, True) == 1
+
+
+def test_tolerances_and_flags_no_caller_sets_are_constants():
+    def params(f):
+        return list(inspect.signature(f).parameters)
+
+    assert params(boundary_point_of_ray) == ["space", "v"]
+    assert params(BoundaryPair.same_pair) == ["self", "other"]
+    assert params(same_decomposition_class) == ["d1", "d2"]
+    assert params(enumerate_fiber) == ["decomp", "angles"]
+    assert params(class_descriptor) == ["report"]
 
 
 class TestProjection:

@@ -112,6 +112,14 @@ class TestBoundaryFixedPoints:
         assert maxabs(t.entries @ data.attracting - r * data.attracting) <= 1e-8
         assert maxabs(t.entries @ data.repelling - data.repelling / r) <= 1e-8
 
+    @pytest.mark.parametrize("n,seed", ((2, 0), (4, 0), (4, 1), (6, 2)))
+    def test_full_rotation_is_the_reports_fixed_point(self, n, seed):
+        t = random_isometry(np.random.default_rng(seed), n, "elliptic", n // 2)
+        data = boundary_fixed_points(t)
+        assert isinstance(data, EllipticPoint)
+        assert data.to_json_dict() == classify(t).fixed_data.to_json_dict()
+        assert maxabs(t.entries @ data.point - data.point) <= 1e-8
+
 
 class TestClassify:
     def test_elliptic_of_h5(self):
@@ -212,6 +220,7 @@ class TestPoincareExtend:
         inf_ray = np.array([0.0, 0.0, -1.0, 1.0])
         image = t.entries @ inf_ray
         assert maxabs(image - 2.0 * inf_ray) < 1e-12  # attracting at infinity
+        assert boundary_point_of_ray(sp, image) is None
 
     def test_rejects_bad_input(self):
         with pytest.raises(NotOrthogonal):

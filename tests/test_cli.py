@@ -7,7 +7,7 @@ import pytest
 from conftest import block_rotation, boost_matrix
 from hypiso.cli import main
 from hypiso.quadspace import QuadraticSpace, classify_membership, matrix_to_json
-from hypiso.sampling import random_orthogonal
+from hypiso.sampling import random_orthogonal, random_soo
 from hypiso.spectral import rotation_matrix
 
 
@@ -95,6 +95,22 @@ class TestConjugacy:
         assert code == 0
         assert json.loads(out)["related"] == "NotConjugate"
 
+    def test_undecided_pair_exits_3_with_its_answer(self, tmp_path, capsys):
+        # a non-regular full rotation of SO_o(4,1) without +-1 and its
+        # conjugate by a reflection: the frames differ in orientation and
+        # the centralizer is not enumerated, so the answer is Undecided
+        w = random_soo(np.random.default_rng(0), 4)
+        m = np.eye(5)
+        m[:4, :4] = block_rotation(1.0, 1.0)
+        t1 = w @ m @ np.linalg.inv(w)
+        g = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0])
+        p1 = write_matrix(tmp_path, "t1.json", t1)
+        p2 = write_matrix(tmp_path, "t2.json", g @ t1 @ g)
+        code, out, err = run(capsys, "conjugacy", p1, p2)
+        doc = json.loads(out)
+        assert code == 3 and err == ""
+        assert doc["related"] == "Undecided" and doc["conjugator"] is not None
+
 
 class TestDims:
     def test_elliptic_example(self, capsys):
@@ -161,6 +177,7 @@ class TestEnumerate:
         ("0", ",", "--k must be at least 1, got 0"),
         ("-2", "1.0", "--k must be at least 1, got -2"),
         ("1", "1e-9", "the decomposition reads 0 of the 1 angles"),
+        ("3", "1,2", "--k 3 does not match 2 angles"),
     ])
     def test_out_of_range_is_refused_by_name(self, capsys, k, angles, named):
         with warnings.catch_warnings():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import block_rotation, boost_matrix, lorentz, maxabs
-from hypiso.classify import classify
+from hypiso.classify import boundary_fixed_points, classify, fixed_point_class
 from hypiso.errors import Borderline, HypisoError
 from hypiso.quadspace import Component, QuadraticSpace, classify_membership, matrix_to_json
 from hypiso.reality import (
@@ -95,3 +95,73 @@ class TestStretchBorderline:
         assert proc.returncode == 3
         assert proc.stderr.startswith("undecided:")
         assert "Traceback" not in proc.stderr
+
+
+# Elliptics with one rotation angle near 1e-6, conjugated by random_soo at
+# scales 0.5 to 2.5, whose kernel of T - I at tau is wider than the angles
+# allow: the singular values of T - I on the small rotation's plane fall
+# under tau while its eigenvalues stay more than delta off 1.  Frozen draws.
+# A full rotation of SO_o(4,1), angles (2.3857, 1.89e-6): ker(T - I) is 3
+# wide, and the axis read from it lay 7.9 away from the fixed point.
+WIDE_KERNEL_FULL_ROTATION = np.array([
+    [-1.4813815572982112, -7.422623044142732, -8.591631629954977, -2.7520208775427766, 11.733694096447898],
+    [-3.537727579331445, -20.7481953078423, -20.23802390868031, -8.243222843253129, 30.323777131646693],
+    [-5.812053348836949, -25.374584895604034, -24.839748806326376, -9.536589777780623, 37.21033711356305],
+    [-1.2490863814874178, -8.05604711797517, -7.415489322826499, -2.056441955500799, 11.165954834618999],
+    [-7.003583986931958, -34.54493298848705, -33.97640870444529, -13.026889109068804, 50.67049212463359],
+])
+# SO_o(5,1), angles (2.667, 3.17e-7): ker(T - I) is 4 wide, a fixed 2-sphere
+# where the angles leave a 0-sphere.
+WIDE_KERNEL_SPHERE = np.array([
+    [0.8574716329281459, -0.3969869391897446, 0.548885583420825, -0.455200302520303, 0.422928135786796, -0.7617132914066758],
+    [-0.5382682589663065, -1.1329069921258217, 1.138899219525512, -1.8042697547367827, 1.4511639830377987, -2.6891576110704416],
+    [0.34063989582136656, 0.014785659478642217, -1.688538354674545, 0.9623701209080636, -1.226067018453936, 2.0968577712652707],
+    [-0.47419100383902624, -1.405950271231722, 1.7005922573466457, -0.5258978492597186, 1.387446853328763, -2.509012677870255],
+    [0.39036409498720825, 0.9412381306544245, -1.7185965918358643, 1.2270944037865108, -0.19200103922624048, 2.129439519120231],
+    [0.719907697756675, 1.817669079396859, -3.048789409314337, 2.27400134928484, -2.17941703611828, 4.902881356070519],
+])
+
+
+class TestKernelWidth:
+    @pytest.mark.parametrize("m,width,counted", (
+        (WIDE_KERNEL_FULL_ROTATION, 3, 1), (WIDE_KERNEL_SPHERE, 4, 2),
+    ))
+    def test_classify_refuses_a_kernel_the_angles_do_not_count(self, m, width, counted):
+        t = lorentz(m)
+        message = f"has width {width}, the reading of the spectrum counts {counted}"
+        with pytest.raises(Borderline, match=message):
+            classify(t)
+        with pytest.raises(Borderline, match=message):
+            boundary_fixed_points(t)
+
+
+# Elliptics of the same family whose rounded spectrum holds a modulus over
+# 1 + delta with no eigenvalue near its inverse.  In SO_o(4,1), angles
+# (0.3386, 1.91e-6): it read as Hyperbolic with stretch 1 + 3.0e-7.
+UNPAIRED_STRETCH = np.array([
+    [-421.36047580151995, 458.89571984049945, -847.861262234701, 145.65249902760766, 1062.1733863766478],
+    [427.5119973527079, -464.0928891451289, 859.542966687577, -146.72777724618734, -1076.332137322524],
+    [-777.7552089031298, 846.3733598654829, -1563.2872895442508, 266.64517164477587, 1958.6262600297284],
+    [182.32998840203095, -197.40075308536709, 364.4491715588801, -62.69666369897383, -457.12618857192075],
+    [-999.228476423094, 1086.8677072448443, -2008.5746637555849, 343.1810167958702, 2516.323777123377],
+])
+# In SO_o(3,1), angle 1.86e-6: the trichotomy alone read it as hyperbolic.
+UNPAIRED_NEAR_IDENTITY = np.array([
+    [0.9999999667948687, 6.613292014584184e-05, -0.00040797464549072193, 0.00032309682485169474],
+    [-6.60516150389378e-05, 0.9999999502320472, 0.0006729084588297885, -0.0005980316212381856],
+    [0.0004081490531748164, -0.0006731219510433514, 0.9999997710339801, 0.0004022380381497335],
+    [0.00032330036202762657, -0.0005982807869519312, 0.00040170354252726194, 1.0000003119144791],
+])
+
+
+class TestUnpairedStretch:
+    @pytest.mark.parametrize("m", (UNPAIRED_STRETCH, UNPAIRED_NEAR_IDENTITY))
+    def test_refused_by_the_trichotomy(self, m):
+        t = lorentz(m)
+        for decide in (fixed_point_class, classify):
+            with pytest.raises(Borderline, match="no eigenvalue near its inverse"):
+                decide(t)
+
+    def test_a_non_real_dominant_eigenvalue_is_refused_as_such_first(self):
+        with pytest.raises(Borderline, match=r"\|Im lambda\|"):
+            fixed_point_class(stretch_borderline_element(), 3e-8)

@@ -92,6 +92,16 @@ class TestConjugateInMn:
             assert ans.related is Relation.CONJUGATE_IN_MO
             assert conj_residual(ans.conjugator, t.entries, t2.entries) <= 1e-8
 
+    def test_sheet_swapping_input_is_refused(self):
+        swap = lorentz(np.diag([1.0, 1.0, 1.0, -1.0]))
+        for pair in ((swap, lorentz(np.eye(4))), (lorentz(np.eye(4)), swap)):
+            with pytest.raises(NotInIdentityComponent, match="sheet-preserving inputs"):
+                conjugate_in_Mn(*pair)
+
+    def test_different_spaces_are_not_conjugate(self):
+        with pytest.raises(NotConjugate, match="act on different spaces"):
+            conjugate_in_Mn(lorentz(np.eye(4)), lorentz(np.eye(5)))
+
 
 class TestConjugateInMon:
     def test_unipotent_vs_inverse_breaks(self):

@@ -226,6 +226,19 @@ class TestMoebiusReality:
 
 
 class TestOracle:
+    @pytest.mark.parametrize("group,decide", ((GROUP_O, is_real_On), (GROUP_SO, is_real_SOn)))
+    def test_orthogonal_input_is_validated_as_the_deciders_do(self, group, decide):
+        bent = 1.001 * block_rotation(0.7)
+        for call in (lambda: reverser_oracle(bent, group, budget=0), lambda: decide(bent)):
+            with pytest.raises(NotOrthogonal, match="input is not orthogonal within tolerance"):
+                call()
+        flip = np.diag([-1.0, 1.0, 1.0])
+        if group == GROUP_SO:
+            with pytest.raises(NotSpecialOrthogonal, match="input has determinant -1"):
+                reverser_oracle(flip, group, budget=0)
+        else:
+            assert reverser_oracle(flip, group, budget=0).exact
+
     def test_quarter_turn_only_reflections(self):
         rep = reverser_oracle(block_rotation(PI / 2), GROUP_O, budget=300, seed=2)
         assert rep.exact == frozenset({(-1, 1)})

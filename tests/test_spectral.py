@@ -5,6 +5,7 @@ from conftest import block_rotation, boost_matrix, lorentz, maxabs
 from hypiso.errors import ClusterAmbiguity, NotOrthogonal, NotRegular
 from hypiso.sampling import random_orthogonal, random_soo
 from hypiso.spectral import (
+    RotationAngles,
     assemble_rotation,
     eigen_structure,
     is_regular,
@@ -116,6 +117,20 @@ class TestRotationAngles:
             )
 
 
+class TestPiRule:
+    """An angle is pi exactly when it equals np.pi, the value of every -1
+    pair."""
+
+    def test_minus_one_pairs_read_as_np_pi(self, rng):
+        r = random_orthogonal(rng, 6)
+        angles = rotation_angles(r @ block_rotation(PI, PI, 0.8) @ r.T)
+        assert angles.angles[:2] == (np.pi, np.pi) and angles.has_pi
+
+    def test_an_angle_next_to_pi_is_not_pi(self):
+        assert not RotationAngles((np.nextafter(np.pi, 0.0), 1.0)).has_pi
+        assert RotationAngles((np.pi, 1.0)).has_pi
+
+
 class TestRegularity:
     def test_distinct_angles_regular(self):
         assert is_regular(block_rotation(PI / 3, PI / 2))
@@ -171,6 +186,14 @@ class TestPlaneDecomposition:
     def test_refuses_non_regular(self):
         with pytest.raises(NotRegular):
             plane_decomposition(block_rotation(0.7, 0.7))
+
+    def test_refuses_non_orthogonal(self):
+        with pytest.raises(NotOrthogonal, match="plane decomposition needs an orthogonal matrix"):
+            plane_decomposition(1.01 * block_rotation(0.7))
+
+    def test_refuses_a_leftover_reflection_line(self):
+        with pytest.raises(NotRegular, match="leftover reflection line"):
+            plane_decomposition(np.diag([-1.0, 1.0, 1.0]))
 
     def test_restriction_is_positive_rotation(self):
         a = block_rotation(-0.9, 1.3)
