@@ -439,9 +439,16 @@ def _parabolic_ray(sp: _LorentzSpectrum) -> np.ndarray:
 
     ker(T - I) of a parabolic splits as (null line) + (space-like part),
     so the restricted Gram is positive semidefinite with a one-dimensional
-    kernel, which is the fixed ray: the axis K z, where g vanishes.
+    kernel, which is the fixed ray: the axis K z, where g vanishes.  A
+    time-like axis (g < -1e-8) is the kernel of an elliptic, which the rank
+    of (T - I)^2 has read as defective: that is refused as ``Borderline``.
     """
     u, g = _fixed_axis(sp, "parabolic")
+    if g < -1e-8:
+        raise Borderline(
+            f"the kernel axis of a parabolic reading has Q = {g:.3e}, time-like "
+            "beyond the 1e-8 gate of a null ray: the kernel of an elliptic"
+        )
     if not abs(g) <= 1e-8:  # a NaN fails too
         raise HypisoError("fixed space of a parabolic must have a 1-dim radical")
     return u / u[-1]

@@ -5,10 +5,11 @@ a file holds any number of them, one after another (JSONL included), and
 ``-`` reads standard input.  Every subcommand emits one JSON document per
 line (streamable).  Exit codes: 0 success, 1 malformed input, 2 domain
 error, out-of-range option or numerical failure, 3 refusal to decide
-(borderline tolerance zone, undecided conjugacy); several documents exit
-with the code of the first one that fails.  The library's third refusal,
-an exhausted search budget, comes only from ``reverser_oracle(require=...)``,
-which ``oracle`` does not pass.
+(borderline tolerance zone); several documents exit with the code of the
+first one that fails.  A conjugacy question always ends in one of the
+three relations, so ``conjugacy`` exits 3 only on a refusal.  The
+library's other refusal, an exhausted search budget, comes only from
+``reverser_oracle(require=...)``, which ``oracle`` does not pass.
 
 The reality, conjugacy, fibration and sampling modules are imported by
 the commands that use them, so ``classify`` starts without them.
@@ -30,7 +31,7 @@ from .spectral import DEFAULT_DELTA, plane_decomposition, rotation_matrix
 EXIT_OK = 0
 EXIT_MALFORMED = 1
 EXIT_DOMAIN = 2
-EXIT_UNDECIDED = 3
+EXIT_REFUSED = 3
 
 
 _DECODER = json.JSONDecoder()
@@ -153,8 +154,6 @@ def cmd_conjugacy(args) -> int:
     else:
         answer = conjugacy.conjugate_in_Mn(t1, t2, args.delta)
     _emit([json.dumps(answer.to_json_dict())], args.output)
-    if answer.related is conjugacy.Relation.UNDECIDED:
-        return EXIT_UNDECIDED
     return EXIT_OK
 
 
@@ -358,7 +357,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except RefusedToDecide as exc:
         sys.stderr.write(f"undecided: {exc}\n")
-        return EXIT_UNDECIDED
+        return EXIT_REFUSED
     except HypisoError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DOMAIN

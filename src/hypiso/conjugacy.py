@@ -12,15 +12,20 @@ parabolics.
 
 Whether the M(n)-conjugacy descends to M_o(n) is settled by the
 centralizer.  det M = 1, so the map has the sign of det Phi_2 det Phi_1,
-the orientations of the two frames.  A commuting element of determinant
--1 exists when T2 has a space-like +-1 eigenvector: a -1 on that line.
+the orientations of the two frames.  When T2 has a space-like +-1
+eigenvector, a -1 on that line commutes with T2 and has determinant -1.
 The splitting applies it where it orients a frame, negating the first
 +-1 column of a frame with det Phi < 0, so the orientations of a pair
-differ only for elements without one.  For regular elements without one, block enumeration shows the centralizer meets only
-the identity component, so the answer is ConjugateInMOnly.  For
-non-regular elements without +-1 the implemented criteria cannot settle
-the question and the honest answer is Undecided, with the M(n)
-conjugator attached.
+differ only for elements without one.  Then every sheet-preserving
+element that commutes with T2 preserves each of its eigenspaces: on the
+special block it is a boost, exp(tX) or the identity, and on the
+eigenspace of an angle theta of multiplicity m it is unitary for the
+complex structure T2 gives it, so it lies in U(m) in SO(2m).  The
+centralizer therefore lies in the identity component, for regular and
+non-regular elements alike, no det -1 conjugator can be corrected to
+det +1, and the answer is ConjugateInMOnly, with the M(n) conjugator
+attached (O'Farrell and Short, Reversibility in Dynamics and Group
+Theory, 2015).
 """
 
 from __future__ import annotations
@@ -44,11 +49,10 @@ from .errors import (
     InvalidArg,
     NotConjugate,
     NotInIdentityComponent,
-    Undecided,
 )
 from .quadspace import Component, LorentzMatrix, _component, form_residual, matrix_to_document
 from .reality import _certificate_failure, _lorentz_structure, _LorentzStructure
-from .spectral import DEFAULT_DELTA, _distinct, _LorentzSpectrum
+from .spectral import DEFAULT_DELTA, _LorentzSpectrum
 
 CONJUGATOR_TOL = 1e-8
 CONJUGATOR_MEMBERSHIP_TOL = 1e-7  # relative to max(1, max|S|^2)
@@ -62,7 +66,6 @@ class Relation(Enum):
     CONJUGATE_IN_MO = "ConjugateInMo"
     CONJUGATE_IN_M_ONLY = "ConjugateInMOnly"
     NOT_CONJUGATE = "NotConjugate"
-    UNDECIDED = "Undecided"
 
 
 @dataclass(frozen=True)
@@ -218,12 +221,9 @@ def _mn_conjugator(
         raise HypisoError("conjugator left the identity component")
     if same:
         return ConjugacyAnswer(Relation.CONJUGATE_IN_MO, s, "normalform")
-    if _distinct([th for th, _ in b2.planes], sp2.delta):
-        # exact for regular elements: the centralizer splits over the
-        # invariant blocks, and without +-1 eigendirections every
-        # sheet-preserving commuting element has determinant +1
-        return ConjugacyAnswer(Relation.CONJUGATE_IN_M_ONLY, s, "centralizer-enum")
-    return ConjugacyAnswer(Relation.UNDECIDED, s, "normalform")
+    # without +-1 eigendirections every sheet-preserving commuting element
+    # keeps each eigenspace, so has determinant +1 (module docstring)
+    return ConjugacyAnswer(Relation.CONJUGATE_IN_M_ONLY, s, "centralizer-enum")
 
 
 def _reading(stretch: Optional[float], blocks: frames._OrthogonalBlocks) -> str:
@@ -279,20 +279,15 @@ def find_conjugator(
 ) -> np.ndarray:
     """Explicit verified conjugator in the requested group ("Mn" or "Mon").
 
-    Raises ``InvalidArg`` for any other group, before any analysis,
-    ``NotConjugate`` when the pair is not conjugate and ``Undecided`` when
-    a Mon conjugator is requested but the component question cannot be
-    settled.
+    Raises ``InvalidArg`` for any other group, before any analysis, and
+    ``NotConjugate`` when the pair is not conjugate in that group: a Mon
+    conjugator of a pair conjugate in M(n) only does not exist.
     """
     if group not in ("Mn", "Mon"):
         raise InvalidArg(f"unknown group {group!r}")
     answer = conjugate_in_Mn(t1, t2, delta)
     if answer.related is Relation.NOT_CONJUGATE:
         raise NotConjugate("pair is not conjugate")
-    if group == "Mn":
-        return answer.conjugator
-    if answer.related is Relation.CONJUGATE_IN_MO:
-        return answer.conjugator
-    if answer.related is Relation.CONJUGATE_IN_M_ONLY:
+    if group == "Mon" and answer.related is Relation.CONJUGATE_IN_M_ONLY:
         raise NotConjugate("pair is conjugate in M(n) but not in M_o(n)")
-    raise Undecided("M_o(n) conjugacy could not be settled for this pair")
+    return answer.conjugator

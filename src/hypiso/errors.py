@@ -2,9 +2,9 @@
 
 Every domain failure raises a subclass of ``HypisoError`` so callers (and the
 CLI) can map failures to exit codes without string matching.  ``Borderline``
-(with its case ``ClusterAmbiguity``), ``Undecided`` and ``BudgetExhausted``
-form their own branch, ``RefusedToDecide``: they signal an honest refusal
-to decide, not invalid input.
+(with its case ``ClusterAmbiguity``) and ``BudgetExhausted`` form their own
+branch, ``RefusedToDecide``: they signal an honest refusal to decide, not
+invalid input.
 """
 
 
@@ -74,7 +74,7 @@ class NotConjugate(HypisoError):
 
 
 class RefusedToDecide(HypisoError):
-    """Base for honest refusals (tolerance-zone or theory-gap cases)."""
+    """Base for honest refusals: a tolerance gray zone or a search budget."""
 
 
 class Borderline(RefusedToDecide):
@@ -84,10 +84,6 @@ class Borderline(RefusedToDecide):
 class ClusterAmbiguity(Borderline):
     """Two eigenvalue clusters sit between delta and 2*delta apart; the
     caller must refine delta."""
-
-
-class Undecided(RefusedToDecide):
-    """The implemented criteria cannot settle this case."""
 
 
 class BudgetExhausted(RefusedToDecide):

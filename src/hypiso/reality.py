@@ -350,10 +350,10 @@ def _build_lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
         gamma = frames.j_inner(j, att, rep)
         if gamma >= 0:
             raise HypisoError("fixed rays of a hyperbolic element must pair negatively")
-        rep2 = rep * (-2.0 / gamma)
-        s_vec = (att - rep2) / 2.0
-        t_vec = (att + rep2) / 2.0
-        special = np.column_stack([s_vec, t_vec])
+        # both rays scaled alike, to <att, rep> = -2: rescaling one alone
+        # grows the frame like 1/<att, rep> when the endpoints are close
+        k = np.sqrt(-2.0 / gamma)
+        special = np.column_stack([(att - rep) * (k / 2.0), (att + rep) * (k / 2.0)])
         signs = [1.0, -1.0]
     else:
         special, c = _parabolic_frame(sp)

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import block_rotation, boost_matrix
 from hypiso.cli import main
-from hypiso.quadspace import QuadraticSpace, classify_membership, matrix_to_json
+from hypiso.quadspace import Component, QuadraticSpace, classify_membership, matrix_to_json
 from hypiso.sampling import random_orthogonal, random_soo
 from hypiso.spectral import rotation_matrix
 
@@ -95,21 +95,28 @@ class TestConjugacy:
         assert code == 0
         assert json.loads(out)["related"] == "NotConjugate"
 
-    def test_undecided_pair_exits_3_with_its_answer(self, tmp_path, capsys):
+    def test_non_regular_pair_without_pm1_is_conjugate_in_m_only(self, tmp_path, capsys):
         # a non-regular full rotation of SO_o(4,1) without +-1 and its
-        # conjugate by a reflection: the frames differ in orientation and
-        # the centralizer is not enumerated, so the answer is Undecided
+        # conjugate by a reflection: the frames differ in orientation, and
+        # every sheet-preserving element commuting with it keeps its
+        # time-like axis and its one angle-1 eigenspace, where it lies in
+        # U(2) < SO(4); so it has det +1 and the det -1 conjugator is final
         w = random_soo(np.random.default_rng(0), 4)
         m = np.eye(5)
         m[:4, :4] = block_rotation(1.0, 1.0)
         t1 = w @ m @ np.linalg.inv(w)
         g = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0])
+        t2 = g @ t1 @ g
         p1 = write_matrix(tmp_path, "t1.json", t1)
-        p2 = write_matrix(tmp_path, "t2.json", g @ t1 @ g)
+        p2 = write_matrix(tmp_path, "t2.json", t2)
         code, out, err = run(capsys, "conjugacy", p1, p2)
         doc = json.loads(out)
-        assert code == 3 and err == ""
-        assert doc["related"] == "Undecided" and doc["conjugator"] is not None
+        assert code == 0 and err == ""
+        assert doc["related"] == "ConjugateInMOnly" and doc["method"] == "centralizer-enum"
+        s = np.array(doc["conjugator"]["matrix"]).reshape(5, 5)
+        assert np.abs(s @ t1 - t2 @ s).max() <= 1e-8
+        comp = classify_membership(QuadraticSpace(4), s, 1e-7).component
+        assert comp is Component.O_minus_preserving
 
 
 class TestDims:

@@ -2,6 +2,9 @@
 verified answer or an honest refusal, never an internal error that a
 rounding-bound check manufactured."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,13 +13,19 @@ from hypiso.classify import boundary_fixed_points, classify, fixed_point_class
 from hypiso.errors import Borderline, HypisoError
 from hypiso.quadspace import Component, QuadraticSpace, classify_membership, matrix_to_json
 from hypiso.reality import (
+    GROUP_SOO,
     _check_certificate,
     _lorentz_structure,
     _orthogonal_structure,
     is_real_SOo_n1,
+    reverser_oracle,
 )
+from hypiso.sampling import random_soo, rotation_with_angles
 from hypiso.spectral import DEFAULT_DELTA, _LorentzSpectrum
 from test_cli import run_subprocess
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import gen  # noqa: E402  (the benchmark's numpy-only input generator)
 
 # A parabolic of SO_o(3,1) conjugated by a boost of rapidity 3.5 between
 # two random rotations (entries up to 9.2e2).  Its constructed reverser is
@@ -35,6 +44,16 @@ def j_transpose(m):
     j = np.ones(m.shape[0])
     j[-1] = -1.0
     return (j[:, None] * m.T) * j[None, :]
+
+
+def check_reverser(t, cert):
+    """The certificate's reverser is an involution of SO_o(n,1) that
+    reverses T, each within the 1e-8 gate."""
+    s = cert.reverser
+    assert cert.decision and cert.involution
+    assert classify_membership(t.space, s, 1e-8).component is Component.SO_o
+    assert maxabs(s @ s - np.eye(t.space.dim)) <= 1e-8
+    assert maxabs(s @ t.entries - j_transpose(t.entries) @ s) <= 1e-8
 
 
 class TestReverserCheck:
@@ -165,3 +184,57 @@ class TestUnpairedStretch:
     def test_a_non_real_dominant_eigenvalue_is_refused_as_such_first(self):
         with pytest.raises(Borderline, match=r"\|Im lambda\|"):
             fixed_point_class(stretch_borderline_element(), 3e-8)
+
+
+# An elliptic of SO_o(4,1), angles (2.0, 5e-7), conjugated by
+# random_soo(default_rng(76), 4, 2.0); frozen draw.  The rank of (T - I)^2
+# reads it as defective, so the trichotomy says parabolic, but the axis of
+# its kernel of T - I is time-like (Q = -1.1e-3), not the null ray of a
+# parabolic.
+TIMELIKE_KERNEL_AXIS = np.array([
+    [-0.09132989328410203, 1.3286903038152165, 1.499773236865248, -0.9519035557756782, -1.9822207784138135],
+    [-0.17852004944137537, -0.5652684200906902, -3.4699163384219305, 1.271974028794906, 3.6068871787706964],
+    [-1.6414929118157708, -1.7167427763964864, -4.487328679850225, 1.5437599226398966, 5.211623367013944],
+    [0.2552186190080969, 1.1169629353314843, 2.624779847519966, 0.0791832216306514, -2.684861630126812],
+    [-1.3415834228588492, -2.297772458146855, -6.34942730382974, 1.9782575643136364, 7.2324500984997275],
+])
+
+
+class TestTimelikeKernelAxis:
+    def test_classify_refuses_naming_the_axis_value(self):
+        t = classify_membership(QuadraticSpace(4), TIMELIKE_KERNEL_AXIS)
+        with pytest.raises(Borderline, match=r"Q = -1\.080e-03, time-like beyond the 1e-8 gate"):
+            classify(t)
+
+    def test_cli_exits_3_without_traceback(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text(matrix_to_json(TIMELIKE_KERNEL_AXIS) + "\n")
+        proc = run_subprocess("-m", "hypiso.cli", "classify", str(path))
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("undecided:") and "time-like" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+class TestSymmetricRays:
+    """Hyperbolics whose two fixed rays lie close on the sphere.  The frame
+    scales both rays alike, to <att, rep> = -2; scaling the repelling ray
+    alone made the frame, and the reverser read from it, large enough that
+    its residual missed the 1e-8 gate."""
+
+    def test_n9_element_gets_a_verified_reverser(self):
+        std = boost_matrix(9, 0.84)
+        std[:8, :8] = rotation_with_angles([2.28, 1.25], 8)
+        w = random_soo(np.random.default_rng(1783), 9)
+        t = lorentz(w @ std @ np.linalg.inv(w))
+        check_reverser(t, is_real_SOo_n1(t))
+        exact = reverser_oracle(t, GROUP_SOO, budget=0).exact
+        assert exact == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+
+    @pytest.mark.parametrize("index", (14, 36))
+    def test_tail_items_answer(self, index):
+        item = gen.tail_items(101)[index]
+        t = classify_membership(QuadraticSpace(item.n), item.matrix)
+        cert = is_real_SOo_n1(t)
+        assert cert.decision is item.expected_real
+        check_reverser(t, cert)
+        assert (1, 1) in reverser_oracle(t, GROUP_SOO, budget=0).exact

@@ -2,6 +2,8 @@ from unittest.mock import Mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import block_rotation, boost_matrix, lorentz, maxabs
 from hypiso.classify import poincare_extend
@@ -20,7 +22,17 @@ from hypiso.errors import (
     RefusedToDecide,
 )
 from hypiso.quadspace import Component, classify_membership
-from hypiso.sampling import random_isometry, random_orthogonal, random_soo, standard_isometry
+from hypiso.reality import is_real_SOo_n1
+from hypiso.sampling import (
+    CLASSES,
+    max_planes,
+    random_angles,
+    random_isometry,
+    random_orthogonal,
+    random_soo,
+    rotation_with_angles,
+    standard_isometry,
+)
 from hypiso.spectral import _LorentzSpectrum
 
 PI = np.pi
@@ -184,6 +196,20 @@ class TestFindConjugator:
         with pytest.raises(NotConjugate):
             find_conjugator(u, u.inverse(), group="Mon")
 
+    def test_mon_request_on_a_non_regular_m_only_pair(self, rng):
+        # a repeated angle and no +-1: the centralizer lies in det +1, so
+        # the det -1 conjugator of M(n) is the only kind there is
+        base = np.eye(5)
+        base[:4, :4] = block_rotation(0.9, 0.9)
+        t = conjugate(base, random_soo(rng, 4))
+        g = np.diag([-1.0, 1.0, 1.0, 1.0, 1.0])
+        t2 = lorentz(g @ t.entries @ g)
+        s = find_conjugator(t, t2)
+        assert conj_residual(s, t.entries, t2.entries) <= 1e-8
+        assert classify_membership(t.space, s, 1e-7).component is Component.O_minus_preserving
+        with pytest.raises(NotConjugate, match="in M\\(n\\) but not in M_o\\(n\\)"):
+            find_conjugator(t, t2, group="Mon")
+
     def test_unknown_group_is_invalid_before_any_analysis(self, rng, monkeypatch):
         t = random_isometry(rng, 4)
         analyse = Mock(wraps=_LorentzSpectrum.of)
@@ -253,3 +279,42 @@ class TestCharacteristicPolynomial:
                 t = random_isometry(rng, n, cls)
                 sp = _LorentzSpectrum.of(t, 1e-7)
                 assert np.array_equal(np.poly(sp.eigvals), np.poly(t.entries))
+
+
+@st.composite
+def elements(draw):
+    """An element of SO_o(n,1), n = 2..9, of any class, conjugated by
+    ``random_soo``.  The draws lean to the most rotation planes the class
+    has and to repeated angles, where no +-1 eigenvector is left and the
+    M_o(n) question is not settled by the orientation of a +-1 column."""
+    n = draw(st.integers(2, 9))
+    cls = draw(st.sampled_from(CLASSES))
+    kmax = max_planes(cls, n)
+    k = kmax - draw(st.integers(0, kmax))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = draw(st.integers(1, k)) if k else 0
+    pool = random_angles(rng, distinct, include_pi=distinct > 0 and draw(st.booleans()))
+    angles = sorted((pool[i % distinct] for i in range(k)), reverse=True)
+    if cls == "elliptic":
+        std = np.eye(n + 1)
+        std[:n, :n] = rotation_with_angles(angles, n)
+    elif cls == "hyperbolic":
+        std = boost_matrix(n, round(float(rng.uniform(0.25, 1.4)), 3))
+        std[: n - 1, : n - 1] = rotation_with_angles(angles, n - 1)
+    else:
+        b = np.zeros(n - 1)
+        b[-1] = round(float(rng.uniform(0.5, 1.5)), 3)
+        std = poincare_extend(1.0, rotation_with_angles(angles, n - 1), b).entries
+    return conjugate(std, random_soo(rng, n))
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(elements())
+def test_reality_is_conjugacy_to_the_inverse_in_Mon(t):
+    # T is real when T ~ T^-1 in M_o(n): the reality certificate and the
+    # conjugacy answer are two routes to that one fact, and agree on
+    # regular and non-regular elements alike
+    cert = is_real_SOo_n1(t)
+    answer = conjugate_in_Mon(t, t.inverse())
+    want = Relation.CONJUGATE_IN_MO if cert.decision else Relation.CONJUGATE_IN_M_ONLY
+    assert answer.related is want

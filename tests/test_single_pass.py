@@ -121,39 +121,39 @@ def elliptic(n, angles):
     return lorentz(m)
 
 
-# (name, element, has a space-like +-1 direction, regular)
+# (name, element, has a space-like +-1 direction)
 SPECIAL = [
     ("pure translation, n = 3",
-     lambda: poincare_extend(1.0, np.eye(2), np.array([0.0, 0.8])), True, True),
+     lambda: poincare_extend(1.0, np.eye(2), np.array([0.0, 0.8])), True),
     ("pure translation, n = 2",
-     lambda: poincare_extend(1.0, np.eye(1), np.array([1.3])), False, True),
-    ("elliptic, n = 2", lambda: elliptic(2, [1.1]), False, True),
-    ("hyperbolic, n = 2", lambda: poincare_extend(np.exp(0.6), np.eye(1)), True, True),
-    ("repeated angle", lambda: elliptic(4, [0.9, 0.9]), False, False),
+     lambda: poincare_extend(1.0, np.eye(1), np.array([1.3])), False),
+    ("elliptic, n = 2", lambda: elliptic(2, [1.1]), False),
+    ("hyperbolic, n = 2", lambda: poincare_extend(np.exp(0.6), np.eye(1)), True),
+    ("repeated angle", lambda: elliptic(4, [0.9, 0.9]), False),
     ("repeated angle, parabolic",
      lambda: poincare_extend(1.0, rotation_with_angles([0.9, 0.9], 5),
-                             np.array([0.0, 0.0, 0.0, 0.0, 0.7])), False, False),
-    ("angle pi", lambda: elliptic(4, [np.pi, 1.2]), True, True),
+                             np.array([0.0, 0.0, 0.0, 0.0, 0.7])), False),
+    ("angle pi", lambda: elliptic(4, [np.pi, 1.2]), True),
     ("angle pi, hyperbolic",
-     lambda: poincare_extend(np.exp(0.4), rotation_with_angles([np.pi], 2)), True, True),
+     lambda: poincare_extend(np.exp(0.4), rotation_with_angles([np.pi], 2)), True),
 ]
 
 
 @pytest.mark.parametrize("det", (1, -1))
-@pytest.mark.parametrize(
-    "name,make,has_pm1,regular", SPECIAL, ids=[c[0] for c in SPECIAL]
-)
-def test_conjugate_pairs_of_special_structure(name, make, has_pm1, regular, det):
+@pytest.mark.parametrize("name,make,has_pm1", SPECIAL, ids=[c[0] for c in SPECIAL])
+def test_conjugate_pairs_of_special_structure(name, make, has_pm1, det):
+    # a -1 on a +-1 direction commutes with t and corrects a det -1
+    # conjugator; without one, every sheet-preserving element commuting
+    # with t keeps each eigenspace and has det +1 (a boost, exp(tX) or I on
+    # the special block, U(m) on an angle of multiplicity m), regular or not
     t = make()
     rng = np.random.default_rng(7)
     partner = partner_of(t, rng, det)
     answer = conjugate_in_Mn(t, partner)
     if det > 0 or has_pm1:
         want = Relation.CONJUGATE_IN_MO
-    elif regular:
-        want = Relation.CONJUGATE_IN_M_ONLY
     else:
-        want = Relation.UNDECIDED
+        want = Relation.CONJUGATE_IN_M_ONLY
     assert answer.related is want
     s = answer.conjugator
     assert float(np.max(np.abs(s @ t.entries - partner.entries @ s))) <= 1e-8
@@ -190,7 +190,7 @@ def check_normal_form(t):
         assert nf.variant.stretch == report.stretch
 
 
-NORMAL_FORM_INPUTS = [(name, make) for name, make, _, _ in SPECIAL] + [
+NORMAL_FORM_INPUTS = [(name, make) for name, make, _ in SPECIAL] + [
     (f"{cls}, n = 9", lambda cls=cls: random_isometry(np.random.default_rng(9), 9, cls))
     for cls in ("elliptic", "parabolic", "hyperbolic")
 ]
