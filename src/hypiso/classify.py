@@ -316,10 +316,22 @@ def _fixed_point_class(sp: _LorentzSpectrum) -> FixedPointClass:
             "finds a Jordan block at 1 is threshold-ambiguous"
         )
     if sp.defective:
+        g = _fixed_axis(sp, "parabolic")[1]
+        if g < -1e-8:
+            raise Borderline(
+                f"the kernel axis of a parabolic reading has Q = {g:.3e}, time-like "
+                "beyond the 1e-8 gate of a null ray: the kernel of an elliptic"
+            )
         return FixedPointClass.PARABOLIC
     if sp.rmax > 1.0 + sp.delta:
+        # a Jordan block's scattered spectrum can pass for a stretch pair
+        lam = sp.lam
+        if abs(lam.imag) > sp.delta * abs(lam):
+            raise Borderline(
+                f"dominant eigenvalue is not real: |Im lambda| = {abs(lam.imag):.3e} "
+                f"exceeds delta * |lambda| = {sp.delta * abs(lam):.3e}"
+            )
         if sp.unpaired:
-            _stretch(sp)  # a non-real dominant eigenvalue is refused as such first
             raise Borderline(
                 f"dominant eigenvalue modulus {sp.rmax} has no eigenvalue near its "
                 f"inverse {1.0 / sp.rmax}: a stretch without its pair is not a hyperbolic's"
@@ -342,29 +354,24 @@ def fixed_point_class(
     unipotent block scatter like the cube root of the backward error and
     would fool a plain modulus threshold.  Among non-defective inputs a
     real eigenvalue is simple and well conditioned, so modulus > 1 + delta
-    decides hyperbolic.  ``Borderline`` is raised when the dominant
-    modulus falls inside (1 + delta/4, 1 + delta], when a modulus over
-    1 + delta has no eigenvalue near its inverse, or when the kernel of
-    T - I, or the rank of (T - I)^2, is itself threshold-ambiguous.
+    decides hyperbolic.  Every refusal of the class is made here, as
+    ``Borderline``: a kernel of T - I, or a rank of (T - I)^2, that is
+    threshold-ambiguous; a defective reading whose kernel axis is
+    time-like, an elliptic's kernel; a modulus over 1 + delta whose
+    eigenvalue is not real or has no eigenvalue near its inverse; a
+    dominant modulus inside (1 + delta/4, 1 + delta].
     """
     return _fixed_point_class(_spectrum(t, delta))
 
 
 def _stretch(sp: _LorentzSpectrum) -> float:
-    """Modulus of the dominant eigenvalue of a hyperbolic isometry."""
+    """Modulus of the dominant eigenvalue of a hyperbolic isometry; a
+    non-real one is refused by the class reading (:func:`fixed_point_class`)."""
     lam = sp.lam
-    # a non-real dominant eigenvalue puts the hyperbolic reading itself in
-    # doubt (the scattered spectrum of a Jordan block can pass for a
-    # stretch pair): a refusal, not an internal error
-    # |lam| of the scalar, not rmax: numpy's complex abs over an array may
-    # round the last bit differently
-    if abs(lam.imag) > sp.delta * abs(lam):
-        raise Borderline(
-            f"dominant eigenvalue is not real: |Im lambda| = {abs(lam.imag):.3e} "
-            f"exceeds delta * |lambda| = {sp.delta * abs(lam):.3e}"
-        )
     if lam.real <= 0:
         raise HypisoError("dominant eigenvalue of a hyperbolic isometry must be real positive")
+    # |lam| of the scalar, not rmax: numpy's complex abs over an array may
+    # round the last bit differently
     return float(abs(lam))
 
 
@@ -408,7 +415,6 @@ def _fixed_stage(hyperbolic: list) -> None:
 
 def _hyperbolic_rays(sp: _LorentzSpectrum) -> tuple[np.ndarray, np.ndarray]:
     """Null eigenvectors for (r, 1/r), each normalized to time coordinate 1."""
-    _stretch(sp)
     _fixed_stage([sp])
     out = []
     for v in sp.rays:
@@ -440,15 +446,9 @@ def _parabolic_ray(sp: _LorentzSpectrum) -> np.ndarray:
     ker(T - I) of a parabolic splits as (null line) + (space-like part),
     so the restricted Gram is positive semidefinite with a one-dimensional
     kernel, which is the fixed ray: the axis K z, where g vanishes.  A
-    time-like axis (g < -1e-8) is the kernel of an elliptic, which the rank
-    of (T - I)^2 has read as defective: that is refused as ``Borderline``.
+    time-like axis is refused by the class reading (:func:`fixed_point_class`).
     """
     u, g = _fixed_axis(sp, "parabolic")
-    if g < -1e-8:
-        raise Borderline(
-            f"the kernel axis of a parabolic reading has Q = {g:.3e}, time-like "
-            "beyond the 1e-8 gate of a null ray: the kernel of an elliptic"
-        )
     if not abs(g) <= 1e-8:  # a NaN fails too
         raise HypisoError("fixed space of a parabolic must have a 1-dim radical")
     return u / u[-1]
@@ -502,9 +502,7 @@ def boundary_fixed_points(
 
 
 def _report_head(sp: _LorentzSpectrum) -> tuple:
-    """Class, angles and stretch: the part of a report read from the pass.
-    The stretch is read before the angles, so a non-real dominant
-    eigenvalue is refused as such before its rotation pairs are read."""
+    """Class, angles and stretch: the part of a report read from the pass."""
     cls = _fixed_point_class(sp)
     stretch = _stretch(sp) if cls is FixedPointClass.HYPERBOLIC else None
     ang = _lorentz_angles(sp)

@@ -89,8 +89,8 @@ def _emit(lines, output):
 def cmd_classify(args) -> int:
     """Read every document first, then run membership, the spectral pass
     and the fixed-data stage once per dimension on the stack of its
-    matrices; reports follow in input order, up to the first document that
-    fails."""
+    matrices; reports follow in input order.  If any document fails, the
+    first that does, in input order, is raised and no report is written."""
     docs = []
     read_error = None
     try:

@@ -241,7 +241,8 @@ def conjugate_in_Mn(
     NotConjugate is certified by differing characteristic polynomials or
     differing fixed-point classes (the Jordan structure), the only way
     this answer is given; polynomials that differ only within their
-    rounding floor raise ``Borderline``.  A positive answer always carries
+    rounding floor, or a class refused for either element, raise
+    ``Borderline``.  A positive answer always carries
     a verified conjugator.  Once those agree, any difference the conjugator meets
     (stretch, block counts or angles) is one of the readings, so it
     raises ``Borderline`` naming both.

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 from conftest import block_rotation, boost_matrix, lorentz, maxabs
-from hypiso.classify import boundary_fixed_points, classify, fixed_point_class
+from hypiso.classify import (
+    boundary_fixed_points,
+    classify,
+    fixed_point_class,
+    normal_form,
+    stretch_factor,
+)
+from hypiso.conjugacy import conjugate_in_Mn, invariant_tuple
 from hypiso.errors import Borderline, HypisoError
 from hypiso.quadspace import Component, QuadraticSpace, classify_membership, matrix_to_json
 from hypiso.reality import (
@@ -21,7 +28,7 @@ from hypiso.reality import (
     reverser_oracle,
 )
 from hypiso.sampling import random_soo, rotation_with_angles
-from hypiso.spectral import DEFAULT_DELTA, _LorentzSpectrum
+from hypiso.spectral import DEFAULT_DELTA, _LorentzSpectrum, rotation_angles
 from test_cli import run_subprocess
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -198,6 +205,24 @@ TIMELIKE_KERNEL_AXIS = np.array([
     [0.2552186190080969, 1.1169629353314843, 2.624779847519966, 0.0791832216306514, -2.684861630126812],
     [-1.3415834228588492, -2.297772458146855, -6.34942730382974, 1.9782575643136364, 7.2324500984997275],
 ])
+# The same elliptic conjugated by random_soo(default_rng(1), 4, 2.0); frozen
+# draw.  It reads as elliptic, so comparing the two classes alone certified
+# the pair, conjugate by construction, as not conjugate.
+TIMELIKE_KERNEL_AXIS_PARTNER = np.array([
+    [-0.05185608978130422, -0.7253068255939937, -1.3802359159637072, 0.4074868230834501, -1.2648540390114031],
+    [0.11133449186603306, 0.5068834108378846, -0.7800130124072842, 0.9217923703900236, -0.8529054079413847],
+    [-0.0206346177376616, -0.9403360682629527, -0.5320635489132892, 1.5760599408164873, -1.628408507056531],
+    [-1.0091002048483593, 0.2690985178258232, 0.24393575749473978, -0.242867582027484, 0.4573691637019972],
+    [-0.1838299050770963, 0.8600271606223654, 1.3623757767619022, -1.5995925370363064, 2.4876101367896593],
+])
+TIMELIKE_AXIS_REFUSAL = (
+    "the kernel axis of a parabolic reading has Q = -1.080e-03, time-like "
+    "beyond the 1e-8 gate of a null ray: the kernel of an elliptic"
+)
+
+
+def timelike_kernel_axis():
+    return classify_membership(QuadraticSpace(4), TIMELIKE_KERNEL_AXIS)
 
 
 class TestTimelikeKernelAxis:
@@ -205,6 +230,32 @@ class TestTimelikeKernelAxis:
         t = classify_membership(QuadraticSpace(4), TIMELIKE_KERNEL_AXIS)
         with pytest.raises(Borderline, match=r"Q = -1\.080e-03, time-like beyond the 1e-8 gate"):
             classify(t)
+
+    @pytest.mark.parametrize("read", (
+        fixed_point_class, stretch_factor, classify, boundary_fixed_points,
+        invariant_tuple, normal_form, is_real_SOo_n1,
+        lambda t: conjugate_in_Mn(t, t.inverse()),
+        lambda t: reverser_oracle(t, GROUP_SOO, budget=0),
+    ))
+    def test_every_reader_of_the_class_meets_the_one_refusal(self, read):
+        # a fresh element per reader, so none reads a pass another stored
+        with pytest.raises(Borderline) as info:
+            read(timelike_kernel_axis())
+        assert str(info.value) == TIMELIKE_AXIS_REFUSAL
+
+    def test_rotation_angles_still_answer(self):
+        assert rotation_angles(timelike_kernel_axis()).angles == pytest.approx((2.0,))
+
+    @pytest.mark.parametrize("swap", (False, True))
+    def test_pair_conjugate_by_construction_is_refused_in_either_order(self, swap):
+        partner = classify_membership(QuadraticSpace(4), TIMELIKE_KERNEL_AXIS_PARTNER)
+        assert fixed_point_class(partner).value == "Elliptic"
+        pair = [timelike_kernel_axis(), partner]
+        if swap:
+            pair.reverse()
+        with pytest.raises(Borderline) as info:
+            conjugate_in_Mn(*pair)
+        assert str(info.value) == TIMELIKE_AXIS_REFUSAL
 
     def test_cli_exits_3_without_traceback(self, tmp_path):
         path = tmp_path / "t.json"
