@@ -35,6 +35,7 @@ pinned by the round-trip tests.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
@@ -272,39 +273,6 @@ def _spectrum(t: LorentzMatrix, delta: float) -> _LorentzSpectrum:
     return _LorentzSpectrum.of(t, delta)
 
 
-def _spectra(ts: list, delta: float) -> list:
-    """:func:`_spectrum` of each entry of ``ts`` (Lorentz matrices of one
-    size), from one stacked pass.
-
-    An entry that is an exception passes through; an entry whose pass
-    fails holds the exception ``_spectrum`` raises for it.  A stacked
-    kernel fails for the whole stack, so then the pass is redone per
-    matrix to find the one at fault.
-    """
-    out = list(ts)
-    live = []
-    for i, t in enumerate(ts):
-        if isinstance(t, Exception):
-            continue
-        try:
-            _require_sheet_preserving(t)
-            live.append(i)
-        except InvalidArg as exc:
-            out[i] = exc
-    try:
-        passes = _LorentzSpectrum.stack([ts[i] for i in live], delta)
-    except (np.linalg.LinAlgError, HypisoError):
-        passes = []
-        for i in live:
-            try:
-                passes.append(_LorentzSpectrum.of(ts[i], delta))
-            except Exception as exc:  # noqa: BLE001 - kept in place of its pass
-                passes.append(exc)
-    for i, sp in zip(live, passes):
-        out[i] = sp
-    return out
-
-
 def _fixed_point_class(sp: _LorentzSpectrum) -> FixedPointClass:
     if sp.band:
         raise Borderline(
@@ -501,15 +469,12 @@ def boundary_fixed_points(
     return classify(t, delta).fixed_data
 
 
-def _report_head(sp: _LorentzSpectrum) -> tuple:
-    """Class, angles and stretch: the part of a report read from the pass."""
+def _classify(sp: _LorentzSpectrum) -> ClassificationReport:
+    """The report of one pass: class, angles and stretch read from the
+    pass, then the fixed data."""
     cls = _fixed_point_class(sp)
     stretch = _stretch(sp) if cls is FixedPointClass.HYPERBOLIC else None
     ang = _lorentz_angles(sp)
-    return cls, ang, stretch
-
-
-def _report(sp: _LorentzSpectrum, cls, ang, stretch) -> ClassificationReport:
     return ClassificationReport(
         fixed_class=cls,
         k=ang.k,
@@ -521,47 +486,26 @@ def _report(sp: _LorentzSpectrum, cls, ang, stretch) -> ClassificationReport:
     )
 
 
-def _classify_stack(passes: list) -> list:
-    """The report of each entry of ``passes`` (passes of one size), or the
-    exception its classification raises; an entry that is an exception
-    passes through.
+def _prefill(ts: list, delta: float) -> None:
+    """Store, stacked, what the deciders of the sheet-preserving
+    ``LorentzMatrix`` entries of ``ts`` (all of one size) would compute
+    one by one: the spectral pass of each, then one :func:`_fixed_stage`
+    over those whose class reads hyperbolic, the only class whose fixed
+    data needs LAPACK work.  Other entries are skipped.
 
-    Class, angles and stretch are read from each pass; then one
-    :func:`_fixed_stage` covers every hyperbolic, the only class whose
-    fixed data needs LAPACK work, and each report reads its stored result
-    (the others read theirs from the kernel).  A failing stacked call
-    stores nothing, so the reports of that stack redo the stage one pass at
-    a time and each meets its own exception, as with the stacked pass
-    (:func:`_spectra`).
+    It decides nothing and raises nothing.  A stacked call that fails
+    stores nothing for its stack, and each element's own decider redoes
+    what is missing and meets its own error; a refused class is refused
+    again by the decider that reads it.
     """
-    out = list(passes)
-    heads = {}
-    for i, sp in enumerate(passes):
-        if isinstance(sp, Exception):
-            continue
-        try:
-            heads[i] = _report_head(sp)
-        except Exception as exc:  # noqa: BLE001 - kept in place of its report
-            out[i] = exc
-    hyperbolic = [passes[i] for i, (cls, _, _) in heads.items() if cls is FixedPointClass.HYPERBOLIC]
-    try:
+    live = [t for t in ts if isinstance(t, LorentzMatrix) and t.sheet_preserving]
+    with contextlib.suppress(np.linalg.LinAlgError, HypisoError):
+        hyperbolic = []
+        for sp in _LorentzSpectrum.stack(live, delta):
+            with contextlib.suppress(HypisoError):
+                if _fixed_point_class(sp) is FixedPointClass.HYPERBOLIC:
+                    hyperbolic.append(sp)
         _fixed_stage(hyperbolic)
-    except np.linalg.LinAlgError:
-        pass  # redone per pass by the reports below
-    for i, head in heads.items():
-        try:
-            out[i] = _report(passes[i], *head)
-        except Exception as exc:  # noqa: BLE001 - kept in place of its report
-            out[i] = exc
-    return out
-
-
-def _classify(sp: _LorentzSpectrum) -> ClassificationReport:
-    """The report of one pass: the stack of one."""
-    report = _classify_stack([sp])[0]
-    if isinstance(report, Exception):
-        raise report
-    return report
 
 
 def classify(t: LorentzMatrix, delta: float = DEFAULT_DELTA) -> ClassificationReport:

@@ -11,6 +11,13 @@ three relations, so ``conjugacy`` exits 3 only on a refusal.  The
 library's other refusal, an exhausted search budget, comes only from
 ``reverser_oracle(require=...)``, which ``oracle`` does not pass.
 
+``classify``, ``reality``, ``oracle`` and ``decompose`` answer their
+documents through one loop (:func:`_per_document`): every document is
+read first, the Lorentz ones get their spectral passes stored, stacked
+per dimension, and each is answered in input order by the command's
+public decider.  So a Lorentz stream holds every document's element
+until it writes.
+
 The reality, conjugacy, fibration and sampling modules are imported by
 the commands that use them, so ``classify`` starts without them.
 """
@@ -24,7 +31,7 @@ import sys
 import numpy as np
 
 from . import quadspace
-from .classify import _classify_stack, _spectra
+from .classify import _prefill, classify
 from .errors import HypisoError, OutOfRange, RefusedToDecide
 from .spectral import DEFAULT_DELTA, plane_decomposition, rotation_matrix
 
@@ -86,11 +93,17 @@ def _emit(lines, output):
         sys.stdout.write(text)
 
 
-def cmd_classify(args) -> int:
-    """Read every document first, then run membership, the spectral pass
-    and the fixed-data stage once per dimension on the stack of its
-    matrices; reports follow in input order.  If any document fails, the
-    first that does, in input order, is raised and no report is written."""
+def _per_document(args, answer, lorentz: bool) -> int:
+    """Emit the JSON document ``answer(x)`` of each input document, in
+    input order: x is the validated Lorentz matrix when ``lorentz``
+    (``classify``, and ``--group`` SOo and Mo), and the raw matrix
+    otherwise (the orthogonal groups, and ``decompose``).
+
+    Every document is read first.  Lorentz documents then go through
+    membership, and their spectral passes and fixed-data stage are
+    stored (``classify._prefill``), once per dimension on the stack of its
+    matrices, for ``answer`` to read.  If any document fails, the first
+    that does, in input order, is raised and nothing is written."""
     docs = []
     read_error = None
     try:
@@ -98,38 +111,30 @@ def cmd_classify(args) -> int:
             docs.append(doc)
     except Exception as exc:  # noqa: BLE001 - raised after the documents before it
         read_error = exc
-    by_dim: dict[int, list[int]] = {}
-    for i, (space, _) in enumerate(docs):
-        by_dim.setdefault(space.n, []).append(i)
-    reports: list = [None] * len(docs)
-    for idx in by_dim.values():
-        stack = np.stack([docs[i][1] for i in idx])
-        members = quadspace.classify_membership_many(docs[idx[0]][0], stack, args.eps)
-        for i, report in zip(idx, _classify_stack(_spectra(members, args.delta))):
-            reports[i] = report
+    xs = [mat for _, mat in docs]
+    if lorentz:
+        by_dim: dict[int, list[int]] = {}
+        for i, (space, _) in enumerate(docs):
+            by_dim.setdefault(space.n, []).append(i)
+        for idx in by_dim.values():
+            stack = np.stack([xs[i] for i in idx])
+            members = quadspace.classify_membership_many(docs[idx[0]][0], stack, args.eps)
+            _prefill(members, args.delta)
+            for i, x in zip(idx, members):
+                xs[i] = x
     lines = []
-    for report in reports:
-        if isinstance(report, Exception):
-            raise report
-        lines.append(json.dumps(report.to_json_dict()))
+    for x in xs:
+        if isinstance(x, Exception):
+            raise x
+        lines.append(json.dumps(answer(x)))
     if read_error is not None:
         raise read_error
     _emit(lines, args.output)
     return EXIT_OK
 
 
-def _per_document(args, answer) -> int:
-    """Emit the JSON document ``answer(x)`` of each input document, in
-    order, as each is reached: x is the validated Lorentz matrix for
-    ``--group`` SOo and Mo, and the raw matrix otherwise (the orthogonal
-    groups, and ``decompose``, which has no group)."""
-    lorentz = getattr(args, "group", None) in ("SOo", "Mo")
-    lines = []
-    for space, mat in _matrices(args.matrix):
-        x = quadspace.classify_membership(space, mat, args.eps) if lorentz else mat
-        lines.append(json.dumps(answer(x)))
-    _emit(lines, args.output)
-    return EXIT_OK
+def cmd_classify(args) -> int:
+    return _per_document(args, lambda t: classify(t, args.delta).to_json_dict(), True)
 
 
 def cmd_reality(args) -> int:
@@ -141,7 +146,7 @@ def cmd_reality(args) -> int:
         "SOo": lambda t: reality.is_real_SOo_n1(t, args.delta),
         "Mo": lambda t: reality.is_real_Mo(t, args.delta),
     }[args.group]
-    return _per_document(args, lambda x: decide(x).to_json_dict())
+    return _per_document(args, lambda x: decide(x).to_json_dict(), args.group in ("SOo", "Mo"))
 
 
 def cmd_conjugacy(args) -> int:
@@ -166,7 +171,7 @@ def cmd_decompose(args) -> int:
             "fixed_subspace": decomp.fixed_subspace.T.tolist(),
         }
 
-    return _per_document(args, document)
+    return _per_document(args, document, False)
 
 
 def cmd_dims(args) -> int:
@@ -264,7 +269,7 @@ def cmd_oracle(args) -> int:
     }[args.group]
     return _per_document(args, lambda x: reality.reverser_oracle(
         x, group, budget=args.budget, seed=args.seed, delta=args.delta
-    ).to_json_dict())
+    ).to_json_dict(), args.group in ("SOo", "Mo"))
 
 
 def build_parser() -> argparse.ArgumentParser:

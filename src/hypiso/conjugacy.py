@@ -238,6 +238,9 @@ def conjugate_in_Mn(
 ) -> ConjugacyAnswer:
     """Conjugacy in M(n), refined with the M_o(n) component information.
 
+    Two elements whose entries agree to 1e-12 are conjugate by the
+    identity, answered once both passes have run, before any reading of
+    either: a refused class does not refuse an element against itself.
     NotConjugate is certified by differing characteristic polynomials or
     differing fixed-point classes (the Jordan structure), the only way
     this answer is given; polynomials that differ only within their
@@ -253,12 +256,12 @@ def conjugate_in_Mn(
     if t1.space.n != t2.space.n:
         raise NotConjugate("elements act on different spaces")
     sp1, sp2 = _LorentzSpectrum.of(t1, delta), _LorentzSpectrum.of(t2, delta)
+    if float(np.abs(t1.entries - t2.entries).max()) <= 1e-12:
+        return ConjugacyAnswer(Relation.CONJUGATE_IN_MO, np.eye(t1.space.dim), "normalform")
     if not _char_polys_match(t1, sp1, t2, sp2):
         return ConjugacyAnswer(Relation.NOT_CONJUGATE, None, "kg-thm1.2")
     if _fixed_point_class(sp1) is not _fixed_point_class(sp2):
         return ConjugacyAnswer(Relation.NOT_CONJUGATE, None, "kg-thm1.2")
-    if float(np.abs(t1.entries - t2.entries).max()) <= 1e-12:
-        return ConjugacyAnswer(Relation.CONJUGATE_IN_MO, np.eye(t1.space.dim), "normalform")
     return _mn_conjugator(sp1, _lorentz_structure(sp1), sp2, _lorentz_structure(sp2))
 
 

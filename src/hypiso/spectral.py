@@ -31,6 +31,9 @@ eigenvalue, its modulus and the two band flags) and what the
 deciders read of the element (its entries, space and sheet flag).  The
 pass runs stacked over any number of matrices of one size
 (:meth:`_LorentzSpectrum.stack`); a single matrix is the stack of one.
+The CLI runs it once per dimension over the documents of every Lorentz
+command (``classify._prefill``) and stores it, before any decider reads
+it.
 The null eigenrays of a hyperbolic (``classify._fixed_stage``) and the
 adapted splitting are stored on the same record.  The kernel of T - I has
 Euclidean-orthonormal columns, so its J-Gram is I - 2 z z^T (z its time

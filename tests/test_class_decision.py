@@ -1,6 +1,8 @@
 """The class of a Lorentz element is decided, and refused, in one place:
 ``classify._fixed_point_class``.  Every route that reports a class, a
-stretch or anything read from them agrees with it."""
+stretch or anything read from them agrees with it.  No decider's failure
+is caught broadly and carried to a later answer: the one broad handler
+keeps a read error of the CLI's document loop."""
 
 import ast
 from pathlib import Path
@@ -49,6 +51,38 @@ def flag_reads() -> list:
 
 def test_class_flags_are_read_only_by_the_class_decision():
     assert flag_reads() == []
+
+
+def _is_broad(handler: ast.ExceptHandler) -> bool:
+    """A bare ``except``, or one that names Exception or BaseException."""
+    names = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(t is None or (isinstance(t, ast.Name) and t.id in ("Exception", "BaseException"))
+               for t in names)
+
+
+def broad_handlers() -> list:
+    """``file:line`` of each broad exception handler in ``src/hypiso``
+    outside the read loop of ``cli._per_document``, the one place that
+    keeps an error (a document it cannot read) to raise later.  A
+    decider's failure is raised where it happens, not carried in a slot."""
+    out = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "cli.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "_per_document":
+                    allowed = {id(h) for t in ast.walk(node) if isinstance(t, ast.Try)
+                               and any(isinstance(b, ast.For) for b in t.body)
+                               for h in t.handlers}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and _is_broad(node) and id(node) not in allowed:
+                out.append(f"{path.name}:{node.lineno}")
+    return out
+
+
+def test_no_broad_exception_handler_outside_the_read_loop():
+    assert broad_handlers() == []
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)

@@ -246,6 +246,11 @@ class TestTimelikeKernelAxis:
     def test_rotation_angles_still_answer(self):
         assert rotation_angles(timelike_kernel_axis()).angles == pytest.approx((2.0,))
 
+    def test_a_fresh_copy_of_itself_is_conjugate_by_the_identity(self):
+        answer = conjugate_in_Mn(timelike_kernel_axis(), timelike_kernel_axis())
+        assert answer.related.value == "ConjugateInMo"
+        assert np.array_equal(answer.conjugator, np.eye(5))
+
     @pytest.mark.parametrize("swap", (False, True))
     def test_pair_conjugate_by_construction_is_refused_in_either_order(self, swap):
         partner = classify_membership(QuadraticSpace(4), TIMELIKE_KERNEL_AXIS_PARTNER)

@@ -10,8 +10,10 @@ import pytest
 
 from conftest import block_rotation, boost_matrix, spy
 from hypiso import frames
-from hypiso.classify import _classify_stack, _spectra, boundary_fixed_points, classify
+from hypiso.classify import FixedPointClass, _prefill, boundary_fixed_points, classify
 from hypiso.cli import main
+from hypiso.conjugacy import Relation, conjugate_in_Mn
+from hypiso.errors import Borderline
 from hypiso.quadspace import QuadraticSpace, classify_membership, matrix_to_json
 from hypiso.sampling import random_isometry, random_orthogonal, rotation_with_angles
 from test_conditioning import STRETCH_BORDERLINE
@@ -85,15 +87,17 @@ def test_mixed_stack_equals_a_stack_of_one_per_element():
     refused = [classify_membership(QuadraticSpace(3), m, 1e-8) for m in REFUSALS.values()]
     ts = good + refused
     order = np.random.default_rng(7).permutation(len(ts))
-    got = _classify_stack(_spectra([ts[i] for i in order], DELTA))
+    _prefill([ts[i] for i in order], DELTA)
+    assert all(DELTA in t._analyses for t in ts)
     messages = set()
-    for i, report in zip(order, got):
-        want = outcome(classify, fresh(ts[i]), DELTA)
+    for i in order:
+        got, want = outcome(classify, ts[i], DELTA), outcome(classify, fresh(ts[i]), DELTA)
+        assert got == want
         if i < len(good):
-            assert json.dumps(report.to_json_dict()) == want
+            assert isinstance(got, str)
         else:
-            assert (type(report), str(report)) == want
-            messages.add(str(report))
+            assert isinstance(got, tuple)
+            messages.add(got[1])
     assert len(messages) == len(REFUSALS)
 
 
@@ -105,18 +109,29 @@ def test_refusals_exit_3_from_the_cli(tmp_path, capsys, name):
     assert (code, out) == (3, "") and err.startswith("undecided: ")
 
 
+@pytest.mark.parametrize("name", REFUSALS)
+def test_a_refused_element_is_conjugate_to_itself_by_the_identity(name):
+    # its refused reading still refuses it against its inverse
+    t = classify_membership(QuadraticSpace(3), REFUSALS[name], 1e-8)
+    answer = conjugate_in_Mn(t, fresh(t), DELTA)
+    assert answer.related is Relation.CONJUGATE_IN_MO
+    assert np.array_equal(answer.conjugator, np.eye(4))
+    with pytest.raises(Borderline):
+        conjugate_in_Mn(fresh(t), t.inverse(), DELTA)
+
+
 def test_stage_results_are_those_of_a_fresh_element():
     ts = [t for cls in ("parabolic", "hyperbolic") for t in elements(5, cls, 4)] + full_rotations(4, 2)
-    reports = {}
     for n in (4, 5):
-        stack = [t for t in ts if t.space.n == n]
-        reports.update(zip(map(id, stack), _classify_stack(_spectra(stack, 1e-7))))
+        _prefill([t for t in ts if t.space.n == n], 1e-7)
     for t in ts:
+        stored = t._analyses[1e-7].rays  # by the stacked stage, before any report
+        report = classify(t)
         alone = fresh(t)
-        assert json.dumps(reports[id(t)].to_json_dict()) == json.dumps(classify(alone).to_json_dict())
-        got, want = t._analyses[1e-7], alone._analyses[1e-7]
-        if got.rays is not None:
-            assert np.array_equal(got.rays, want.rays)
+        assert json.dumps(report.to_json_dict()) == json.dumps(classify(alone).to_json_dict())
+        assert (stored is not None) == (report.fixed_class is FixedPointClass.HYPERBOLIC)
+        if stored is not None:
+            assert np.array_equal(stored, alone._analyses[1e-7].rays)
 
 
 def test_later_calls_read_what_classify_stored(monkeypatch):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hypiso.classify import _spectra, classify
+from hypiso.classify import _prefill, classify
 from hypiso.cli import main
 from hypiso.conjugacy import conjugate_in_Mn
 from hypiso.errors import HypisoError, InvalidArg, NotAnIsometry
@@ -94,11 +94,11 @@ class TestStackedPass:
         ts = sample(3, 1)
         swap = classify_membership(QuadraticSpace(3), np.diag([1.0, 1.0, 1.0, -1.0]))
         err = ValueError("unreadable")
-        out = _spectra([ts[0], swap, err, ts[1]], 1e-7)
-        assert out[0] is ts[0]._analyses[1e-7]
-        assert isinstance(out[1], InvalidArg)
-        assert out[2] is err
-        assert out[3] is ts[1]._analyses[1e-7]
+        assert _prefill([ts[0], swap, err, ts[1]], 1e-7) is None
+        assert 1e-7 in ts[0]._analyses and 1e-7 in ts[1]._analyses
+        assert swap._analyses == {}
+        with pytest.raises(InvalidArg):
+            classify(swap, 1e-7)
 
 
 class TestDeltaFloor:

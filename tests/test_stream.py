@@ -1,5 +1,6 @@
 """The CLI over document streams: files with several documents, standard
-input, the stacked classify path and the order in which failures surface."""
+input, the stacked pass of the Lorentz commands and the order in which
+failures surface."""
 
 import errno
 import io
@@ -11,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import block_rotation, boost_matrix
+from conftest import block_rotation, boost_matrix, spy
 from hypiso.classify import classify
 from hypiso.cli import main
 from hypiso.quadspace import QuadraticSpace, classify_membership, matrix_to_json
@@ -124,6 +125,25 @@ class TestOtherCommands:
         assert joined[0] == 0 and joined == split
         assert len(joined[1].splitlines()) == 2
 
+    @pytest.mark.parametrize("argv", (
+        ["reality", "--group", "SOo"],
+        ["reality", "--group", "Mo"],
+        ["oracle", "--group", "SOo", "--budget", "0"],
+    ))
+    def test_one_stacked_pass_per_dimension(self, tmp_path, capsys, monkeypatch, argv):
+        rng = np.random.default_rng(5)
+        counts = []
+        for count in (2, 12):
+            classes = ("elliptic", "parabolic", "hyperbolic")
+            mats = [np.array(random_isometry(rng, 5, classes[i % 3]).entries) for i in range(count)]
+            path = write(tmp_path, f"{count}.jsonl", *mats)
+            eigvals = spy(monkeypatch, np.linalg, "eigvals")
+            code, out, _ = run(capsys, argv[0], path, *argv[1:])
+            assert code == 0 and len(out.splitlines()) == count
+            counts.append(eigvals.call_count)
+            monkeypatch.undo()
+        assert counts == [1, 1]
+
     def test_conjugacy_takes_one_document_per_file(self, tmp_path, capsys):
         both = write(tmp_path, "both.jsonl", np.eye(4), np.eye(4))
         single = write(tmp_path, "one.json", np.eye(4))
@@ -169,7 +189,8 @@ class TestFailureOrder:
         code, out, err = run(capsys, "classify", non_isometry, str(path))
         assert code == 2 and out == "" and "form residual" in err
 
-    def test_failing_stacked_kernel_is_found_per_document(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv", (["classify"], ["reality", "--group", "SOo"]))
+    def test_failing_stacked_kernel_is_found_per_document(self, tmp_path, capsys, monkeypatch, argv):
         """A stacked LAPACK call fails for the whole stack; the error still
         surfaces at the document that causes it."""
         marker = np.array(boost_matrix(3, 0.9))
@@ -185,11 +206,11 @@ class TestFailureOrder:
         paths = failures(tmp_path)
         fine = write(tmp_path, "fine.jsonl", np.eye(4), boost_matrix(3, 0.2))
         flaky_doc = write(tmp_path, "flaky.json", marker)
-        code, out, err = run(capsys, "classify", fine, flaky_doc, fine)
+        code, out, err = run(capsys, argv[0], fine, flaky_doc, fine, *argv[1:])
         assert (code, out) == (2, "")
         assert err == "error: numerical failure: Eigenvalues did not converge\n"
-        alone = run(capsys, "classify", paths["non_isometry"])
-        assert run(capsys, "classify", fine, paths["non_isometry"], flaky_doc) == alone
+        alone = run(capsys, argv[0], paths["non_isometry"], *argv[1:])
+        assert run(capsys, argv[0], fine, paths["non_isometry"], flaky_doc, *argv[1:]) == alone
 
 
 class TestOneRawRead:
