@@ -42,7 +42,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import frames
+from . import frames, lapack
 from .errors import (
     Borderline,
     HypisoError,
@@ -374,7 +374,7 @@ def _fixed_stage(hyperbolic: list) -> None:
         m = np.array([sp.entries for sp in hyperbolic] * 2)
         r = [_stretch(sp) for sp in hyperbolic]
         lam = np.array(r + [1.0 / x for x in r])
-        vt = np.linalg.svd(m - lam[:, None, None] * hyperbolic[0].space.identity)[2]
+        vt = lapack.svd(m - lam[:, None, None] * hyperbolic[0].space.identity)[2]
         for i, sp in enumerate(hyperbolic):
             rays = vt[[i, h + i], -1]
             rays.setflags(write=False)

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import frames
+from . import frames, lapack
 from .classify import (
     FixedPointClass,
     _fixed_point_class,
@@ -217,7 +217,7 @@ def _mn_conjugator(
         raise HypisoError(f"conjugator form residual {form:.3e} exceeds its gate {gate:.3e}")
     same = st1.orientation is st2.orientation
     expected = Component.SO_o if same else Component.O_minus_preserving
-    if _component(s[-1, -1], np.linalg.det(s[:-1, :-1])) is not expected:
+    if _component(s[-1, -1], lapack.det(s[:-1, :-1])) is not expected:
         raise HypisoError("conjugator left the identity component")
     if same:
         return ConjugacyAnswer(Relation.CONJUGATE_IN_MO, s, "normalform")

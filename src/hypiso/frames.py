@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import spectral
+from . import lapack, spectral
 from .errors import HypisoError
 
 # absolute singular-value threshold of the kernel a space-like complement
@@ -144,7 +144,7 @@ def invariant_plane_frames(m: np.ndarray, delta: float) -> _OrthogonalBlocks:
     Otherwise those columns already are an orthonormal basis of the one
     eigenspace, and no ``eigh`` runs.
     """
-    vals, vecs = np.linalg.eig(m)
+    vals, vecs = lapack.eig(m)
     pairs, plus, minus = spectral._unit_circle(vals, delta)
     scalars = vals.tolist()
     near = max((abs(scalars[i].imag) for i in plus + minus), default=0.0)
@@ -156,7 +156,7 @@ def invariant_plane_frames(m: np.ndarray, delta: float) -> _OrthogonalBlocks:
     cols = np.empty((m.shape[0], q))
     cols[:, 0::2], cols[:, 1::2] = u.real, -u.imag
     if q:
-        left, _, vt = np.linalg.svd(cols)
+        left, _, vt = lapack.svd(cols)
         polar, rest = left[:, :q] @ vt, left[:, q:]
     else:  # numpy's U for an n x 0 frame
         polar, rest = cols, np.eye(m.shape[0])

@@ -33,6 +33,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
+from . import lapack
 from .errors import (
     AmbiguousComponent,
     DependentBasis,
@@ -332,7 +333,7 @@ def classify_membership_many(
         # det M = det(M[:n, :n]) / M[n, n] on O(n,1) (Cramer's rule with
         # M^-1 = J M^T J); the block's condition number is |M[n, n]|, not
         # ||M||^2, so its sign survives entries where det M loses it
-        det = np.linalg.det(ms[:, :-1, :-1])  # read only where the residual passes
+        det = lapack.det(ms[:, :-1, :-1])  # read only where the residual passes
     out: list[LorentzMatrix | HypisoError] = []
     rows = zip(ms, top.tolist(), resid.tolist(), det.tolist(), ms[:, -1, -1].tolist())
     for m, mx, r, d, sheet_entry in rows:

@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import frames
+from . import frames, lapack
 from .classify import (
     FixedPointClass,
     _check_kernel_width,
@@ -178,7 +178,7 @@ def _orthogonal_data(t, delta: float, eps: float, special: bool = True):
     t = np.asarray(t, dtype=float)
     if not is_orthogonal(t, eps):
         raise NotOrthogonal("input is not orthogonal within tolerance")
-    if special and np.linalg.det(t) < 0:
+    if special and lapack.det(t) < 0:
         raise NotSpecialOrthogonal("input has determinant -1")
     return t, _orthogonal_structure(t, delta)
 
@@ -368,7 +368,7 @@ def _build_lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
     frame = np.concatenate([special, w_frame @ blocks.frame], axis=1)
     # a -1 on a +-1 column commutes with T, so negating the first one
     # orients the frame; a product read from the frame carries both signs
-    orientation = bool(np.linalg.det(frame) > 0)
+    orientation = bool(lapack.det(frame) > 0)
     if not orientation and blocks.a + blocks.b:
         i = len(signs) + 2 * blocks.p
         frame[:, i] = -frame[:, i]
@@ -446,7 +446,7 @@ def is_real_SOo_n1(
     _check_certificate(s, t.entries, st, delta)
     # the check just passed puts S in O(n,1) to 1e-8, so its component is
     # read from its entries, as classify_membership would read it
-    if _component(s[-1, -1], np.linalg.det(s[:-1, :-1])) is not Component.SO_o:
+    if _component(s[-1, -1], lapack.det(s[:-1, :-1])) is not Component.SO_o:
         raise HypisoError("constructed reverser left the identity component")
     return RealityCertificate(GROUP_SOO, True, clause, s, True)
 
@@ -498,7 +498,7 @@ def _reverser_solution_basis(t: np.ndarray) -> np.ndarray:
     n = t.shape[0]
     tinv = np.linalg.inv(t)
     k = np.kron(t.T, np.eye(n)) - np.kron(np.eye(n), tinv)
-    _, svals, vt = np.linalg.svd(k)
+    _, svals, vt = lapack.svd(k)
     tol = max(1.0, svals[0]) * 1e-10
     small = np.ones(n * n, dtype=bool)
     small[: len(svals)] = svals <= tol
@@ -506,7 +506,7 @@ def _reverser_solution_basis(t: np.ndarray) -> np.ndarray:
 
 
 def _project_orthogonal_batch(xs: np.ndarray) -> np.ndarray:
-    u, _, vt = np.linalg.svd(xs)
+    u, _, vt = lapack.svd(xs)
     return u @ vt
 
 
@@ -520,7 +520,7 @@ def _project_lorentz_batch(xs: np.ndarray, j: np.ndarray) -> np.ndarray:
     jr = j[None, None, :]
     for _ in range(NEWTON_ITERS):
         with np.errstate(invalid="ignore", over="ignore"):
-            dets = np.linalg.det(ys)
+            dets = lapack.det(ys)
         bad = ~np.isfinite(dets) | (np.abs(dets) < 1e-12)
         ys[bad] = np.nan
         good = ~bad
@@ -614,7 +614,7 @@ def reverser_oracle(
                     & (_group_reversal_residual(ss, mat, j) <= RESIDUAL_TOL)]
             # (det, sheet) of each verified witness, from one stacked det;
             # the sheet is +1 in an orthogonal group
-            dets = np.where(np.linalg.det(ss) > 0, 1, -1).tolist()
+            dets = np.where(lapack.det(ss) > 0, 1, -1).tolist()
             sheets = np.where(ss[:, -1, -1] > 0, 1, -1).tolist() if lorentzian else [1] * len(ss)
             for s, key in zip(ss, zip(dets, sheets)):
                 found.setdefault(key, s)

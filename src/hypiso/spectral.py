@@ -39,6 +39,11 @@ adapted splitting are stored on the same record.  The kernel of T - I has
 Euclidean-orthonormal columns, so its J-Gram is I - 2 z z^T (z its time
 row), and the fixed data of an elliptic or a parabolic is read from it in
 closed form, with no eigensolve.
+
+Every ``svd``, ``eig``, ``eigvals`` and ``det`` of the package, the pass's
+among them, goes through :mod:`hypiso.lapack`, which calls numpy's LAPACK
+gufuncs without the Python dispatch of the ``numpy.linalg`` wrappers and
+returns bit-identical results.
 """
 
 from __future__ import annotations
@@ -50,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import frames
+from . import frames, lapack
 from .errors import Borderline, ClusterAmbiguity, InvalidArg, NotOrthogonal, NotRegular
 from .quadspace import LorentzMatrix, QuadraticSpace, is_orthogonal
 
@@ -187,14 +192,14 @@ def _cluster_eigenvalues(vals: np.ndarray, delta: float) -> list[list[int]]:
 
 
 def _rank_at(m: np.ndarray, threshold: float) -> int:
-    svals = np.linalg.svd(m, compute_uv=False)
+    svals = lapack.svd(m, compute_uv=False)
     return int(np.sum(svals > threshold))
 
 
 def null_space_at(m: np.ndarray, threshold: float) -> np.ndarray:
     """Orthonormal basis of the numerical kernel at an absolute threshold:
     the rows of vt past the rank, as the singular values come sorted."""
-    _, s, vt = np.linalg.svd(m)
+    _, s, vt = lapack.svd(m)
     rank = sum(x > threshold for x in s.tolist())
     return vt[rank:].T
 
@@ -298,9 +303,9 @@ class _LorentzSpectrum:
             m = np.array([t.entries for t in todo])
             d = m.shape[-1]
             n1 = m - todo[0].space.identity
-            _, svals, vt = np.linalg.svd(n1)
-            sq = np.linalg.svd(n1 @ n1, compute_uv=False)
-            eigvals = np.linalg.eigvals(m)
+            _, svals, vt = lapack.svd(n1)
+            sq = lapack.svd(n1 @ n1, compute_uv=False)
+            eigvals = lapack.eigvals(m)
             modulus = np.abs(eigvals)
             # singular values come sorted (descending); read ascending, each
             # rank and the band are counts by bisection, and the kernel is
@@ -343,7 +348,7 @@ class _LorentzSpectrum:
 def eigen_structure(m, delta: float = DEFAULT_DELTA) -> EigenStructure:
     """Cluster the spectrum and attach algebraic/geometric multiplicities."""
     m = np.asarray(m, dtype=float)
-    vals = np.linalg.eigvals(m)
+    vals = lapack.eigvals(m)
     clusters = _cluster_eigenvalues(vals, delta)
     scale = max(1.0, float(np.linalg.norm(m, 2)))
     out = []
@@ -360,7 +365,7 @@ def is_semisimple(m, delta: float = DEFAULT_DELTA) -> bool:
     """True when no eigenvalue cluster carries a nontrivial Jordan block,
     tested as rank(M - cI) == rank((M - cI)^2) per cluster."""
     m = np.asarray(m, dtype=float)
-    vals = np.linalg.eigvals(m)
+    vals = lapack.eigvals(m)
     tau = delta * max(1.0, float(np.linalg.norm(m, 2)))
     for idx in _cluster_eigenvalues(vals, delta):
         c = complex(vals[idx].sum() / len(idx))
@@ -460,7 +465,7 @@ def rotation_angles(
     m = np.asarray(a, dtype=float)
     if not is_orthogonal(m, eps):
         raise NotOrthogonal("rotation angles need an orthogonal or Lorentz matrix")
-    return _angles_of(np.linalg.eigvals(m), delta, unit_only=False)
+    return _angles_of(lapack.eigvals(m), delta, unit_only=False)
 
 
 def _distinct(angles, delta: float) -> bool:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import spy
-from hypiso import reality
+from hypiso import lapack, reality
 from hypiso.classify import classify, normal_form
 from hypiso.conjugacy import conjugate_in_Mn, invariant_tuple
 from hypiso.errors import InvalidArg
@@ -43,7 +43,7 @@ def test_conjugacy_after_reality_analyses_the_partner_only(monkeypatch, n, cls):
     t, partner = pair(n, cls)
     is_real_SOo_n1(t)
     stack = spy(monkeypatch, _LorentzSpectrum, "stack")
-    eigvals = spy(monkeypatch, np.linalg, "eigvals")
+    eigvals = spy(monkeypatch, lapack, "eigvals")
     builds = spy(monkeypatch, reality, "_build_lorentz_structure")
     conjugate_in_Mn(t, partner)
     assert [c.args[0] for c in stack.call_args_list] == [[partner]]
@@ -56,7 +56,7 @@ def test_reality_after_classify_runs_no_second_pass(monkeypatch, n, cls):
     t, _ = pair(n, cls)
     classify(t)
     stack = spy(monkeypatch, _LorentzSpectrum, "stack")
-    eigvals = spy(monkeypatch, np.linalg, "eigvals")
+    eigvals = spy(monkeypatch, lapack, "eigvals")
     is_real_SOo_n1(t)
     assert stack.call_count == 0 and eigvals.call_count == 0
 
@@ -64,7 +64,7 @@ def test_reality_after_classify_runs_no_second_pass(monkeypatch, n, cls):
 def test_second_delta_computes_a_second_pass(monkeypatch):
     t, _ = pair(5, "hyperbolic")
     classify(t, 1e-7)
-    eigvals = spy(monkeypatch, np.linalg, "eigvals")
+    eigvals = spy(monkeypatch, lapack, "eigvals")
     classify(t, 1e-6)
     classify(t, 1e-6)
     assert eigvals.call_count == 1
@@ -82,7 +82,7 @@ def test_two_memberships_of_one_matrix_share_nothing(monkeypatch):
     assert not np.shares_memory(t1.entries, m)
     is_real_SOo_n1(t1)
     assert t1._analyses and not t2._analyses
-    eigvals = spy(monkeypatch, np.linalg, "eigvals")
+    eigvals = spy(monkeypatch, lapack, "eigvals")
     is_real_SOo_n1(t2)
     assert eigvals.call_count == 1
     assert t1._analyses[1e-7] is not t2._analyses[1e-7]

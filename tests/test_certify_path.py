@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import boost_matrix, lorentz, spy
-from hypiso import classify, frames, quadspace, spectral
+from hypiso import classify, frames, lapack, quadspace, spectral
 from hypiso.classify import FixedPointClass, _elliptic_fixed_vector, _parabolic_ray
 from hypiso.conjugacy import Relation, _char_poly, _reciprocity_defect, conjugate_in_Mn
 from hypiso.errors import Borderline, HypisoError
@@ -163,7 +163,7 @@ class TestClosedFormGrams:
         assert type(info.value) is HypisoError
 
     def test_no_rotation_pair_equals_the_svd_path(self, monkeypatch, certify_splittings):
-        svd = spy(monkeypatch, np.linalg, "svd")
+        svd = spy(monkeypatch, lapack, "svd")
         seen = 0
         for sp, st in certify_splittings:
             if st.blocks.p:

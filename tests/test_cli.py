@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import block_rotation, boost_matrix
+from hypiso import lapack
 from hypiso.cli import main
 from hypiso.quadspace import Component, QuadraticSpace, classify_membership, matrix_to_json
 from hypiso.sampling import random_orthogonal, random_soo
@@ -405,7 +406,7 @@ class TestNumericalFailure:
         def svd(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
-        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(lapack, "svd", svd)
 
     def test_oracle(self, tmp_path, capsys):
         m = random_orthogonal(np.random.default_rng(11), 11)

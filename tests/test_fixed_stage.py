@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import block_rotation, boost_matrix, spy
-from hypiso import frames
+from hypiso import frames, lapack
 from hypiso.classify import FixedPointClass, _prefill, boundary_fixed_points, classify
 from hypiso.cli import main
 from hypiso.conjugacy import Relation, conjugate_in_Mn
@@ -58,7 +58,7 @@ def test_lapack_calls_do_not_grow_with_the_stream(tmp_path, capsys, monkeypatch,
     counts = []
     for count in (2, 12):
         path = write(tmp_path, f"{count}.jsonl", [t.entries for t in make(count)])
-        svd = spy(monkeypatch, np.linalg, "svd")
+        svd = spy(monkeypatch, lapack, "svd")
         eigh = spy(monkeypatch, np.linalg, "eigh")
         assert main(["classify", path]) == 0
         assert len(capsys.readouterr().out.splitlines()) == count
@@ -137,7 +137,7 @@ def test_stage_results_are_those_of_a_fresh_element():
 def test_later_calls_read_what_classify_stored(monkeypatch):
     for t in elements(5, "hyperbolic", 1) + elements(5, "parabolic", 1) + full_rotations(4, 1):
         first = json.dumps(classify(t).to_json_dict())
-        svd = spy(monkeypatch, np.linalg, "svd")
+        svd = spy(monkeypatch, lapack, "svd")
         eigh = spy(monkeypatch, np.linalg, "eigh")
         again = json.dumps(classify(t).to_json_dict())
         data = boundary_fixed_points(t)
@@ -151,7 +151,7 @@ def test_failing_stacked_svd_is_found_per_document(tmp_path, capsys, monkeypatch
     """The stage's SVD fails for the whole stack; the error surfaces at the
     document that causes it, and the documents before it still classify."""
     marker = np.array(boost_matrix(3, 0.9))
-    svd = np.linalg.svd
+    svd = lapack.svd
 
     def flaky(a, *args, **kwargs):
         # T - r I of the marker, r = e^0.9: the only matrix with this corner
@@ -160,7 +160,7 @@ def test_failing_stacked_svd_is_found_per_document(tmp_path, capsys, monkeypatch
             raise np.linalg.LinAlgError("SVD did not converge")
         return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", flaky)
+    monkeypatch.setattr(lapack, "svd", flaky)
     fine = write(tmp_path, "fine.jsonl", [boost_matrix(3, 0.2), np.eye(4), boost_matrix(3, 0.5)])
     flaky_doc = write(tmp_path, "flaky.json", [marker])
     code, out, err = main(["classify", fine, flaky_doc, fine]), *capsys.readouterr()
@@ -179,7 +179,8 @@ class TestPlusMinusOneFrames:
     ))
     def test_one_eig_one_svd_and_an_eigh_for_two_pm_one_columns(self, monkeypatch, angles, n, eighs):
         a = rotation_with_angles(list(angles), n)
-        calls = [spy(monkeypatch, np.linalg, name) for name in ("eig", "svd", "eigh")]
+        calls = [spy(monkeypatch, lapack, "eig"), spy(monkeypatch, lapack, "svd"),
+                 spy(monkeypatch, np.linalg, "eigh")]
         blocks = frames.invariant_plane_frames(a, 1e-7)
         assert [c.call_count for c in calls] == [1, 1, eighs]
         assert 2 * blocks.p + blocks.a + blocks.b == n
@@ -194,7 +195,7 @@ class TestPlusMinusOneFrames:
         # The counted +-1 eigenspaces are the left singular vectors beyond
         # the plane columns, from the one SVD of those columns: no SVD of A -+ I.
         a = rotation_with_angles(list(angles), n)
-        svd = spy(monkeypatch, np.linalg, "svd")
+        svd = spy(monkeypatch, lapack, "svd")
         blocks = frames.invariant_plane_frames(a, 1e-7)
         assert svd.call_count == 1
         assert svd.call_args.args[0].shape == (n, 2 * blocks.p)

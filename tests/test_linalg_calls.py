@@ -1,9 +1,11 @@
 """The linear-algebra kernels of one certify op, pinned per class at
 n = 3, 5 and 9.
 
-A spy on every public function of ``numpy.linalg`` counts the calls that
-``is_real_SOo_n1(T)`` and ``conjugate_in_Mn(T, T2)`` make on fresh
-elements (their membership calls are made before the spies go in).  A
+Spies on ``svd``, ``eig``, ``eigvals`` and ``det`` of ``hypiso.lapack``,
+the package's one route to those kernels, and on every other public
+function of ``numpy.linalg`` count the calls that ``is_real_SOo_n1(T)`` and
+``conjugate_in_Mn(T, T2)`` make on fresh elements (their membership calls
+are made before the spies go in).  A
 change that makes the op cheaper either keeps these counts, when its
 saving is in the glue around the kernels (per-call numpy work on a few
 numbers), or lowers them, when it skips a kernel that does no work: no
@@ -20,12 +22,15 @@ import numpy as np
 import pytest
 
 from conftest import spy
+from hypiso import lapack
 from hypiso.conjugacy import conjugate_in_Mn
 from hypiso.quadspace import QuadraticSpace, classify_membership
 from hypiso.reality import is_real_SOo_n1
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import gen  # noqa: E402  (the benchmark's numpy-only input generator)
+
+LAPACK = ("svd", "eig", "eigvals", "det")  # counted where the package calls them
 
 ELLIPTIC = {"det": 4, "eig": 2, "eigvals": 2, "svd": 8}
 PARABOLIC = {"det": 4, "eig": 2, "eigvals": 2, "lstsq": 2, "svd": 8}
@@ -53,7 +58,7 @@ def test_linalg_calls_of_one_certify_op(monkeypatch, n, cls):
     space = QuadraticSpace(n)
     t, t2 = classify_membership(space, item.matrix), classify_membership(space, item.partner)
     spies = {
-        name: spy(monkeypatch, np.linalg, name)
+        name: spy(monkeypatch, lapack if name in LAPACK else np.linalg, name)
         for name in np.linalg.__all__
         if callable(getattr(np.linalg, name)) and not inspect.isclass(getattr(np.linalg, name))
     }

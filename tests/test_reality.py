@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import block_rotation, boost_matrix, lorentz, maxabs
-from hypiso import reality
+from hypiso import lapack, reality
 from hypiso.classify import poincare_extend
 from hypiso.errors import (
     BudgetExhausted,
@@ -306,8 +306,8 @@ class TestOracle:
         assert basis.call_count == 0 and inv.call_count == 0
 
     def test_so_oracle_rejects_det_minus_one(self, monkeypatch):
-        eig = Mock(wraps=np.linalg.eig)
-        monkeypatch.setattr(np.linalg, "eig", eig)
+        eig = Mock(wraps=lapack.eig)
+        monkeypatch.setattr(lapack, "eig", eig)
         with pytest.raises(NotSpecialOrthogonal):
             reverser_oracle(np.diag([-1.0, 1.0, 1.0]), GROUP_SO, budget=0)
         assert eig.call_count == 0  # refused before any analysis
@@ -329,8 +329,8 @@ class TestOracle:
 
     def test_negative_budget_is_invalid_before_any_analysis(self, rng, monkeypatch):
         t = random_isometry(rng, 3, "elliptic")
-        eig = Mock(wraps=np.linalg.eig)
-        monkeypatch.setattr(np.linalg, "eig", eig)
+        eig = Mock(wraps=lapack.eig)
+        monkeypatch.setattr(lapack, "eig", eig)
         for x, group in ((t, GROUP_SOO), (np.eye(3), GROUP_O)):
             with pytest.raises(InvalidArg, match="negative budget -5"):
                 reverser_oracle(x, group, budget=-5)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import lorentz, maxabs, spy
-from hypiso import classgeom, conjugacy, frames, reality, spectral
+from hypiso import classgeom, conjugacy, frames, lapack, reality, spectral
 from hypiso.classify import (
     FixedPointClass,
     KRotation,
@@ -53,8 +53,8 @@ def two_norm_calls(norm):
 @pytest.mark.parametrize("n,cls", CASES)
 def test_classify_reads_the_spectrum_once(monkeypatch, n, cls):
     t, _ = element(n, cls)
-    eigvals = spy(monkeypatch, np.linalg, "eigvals")
-    svds = spy(monkeypatch, np.linalg, "svd")
+    eigvals = spy(monkeypatch, lapack, "eigvals")
+    svds = spy(monkeypatch, lapack, "svd")
     norms = spy(monkeypatch, np.linalg, "norm")
     passes = spy(monkeypatch, spectral._LorentzSpectrum, "of")
     report = classify(t)
@@ -168,7 +168,7 @@ def test_normal_form_reads_the_stored_splitting(monkeypatch, n, cls):
     reality._lorentz_structure(spectral._LorentzSpectrum.of(t, spectral.DEFAULT_DELTA))
     reports = spy(monkeypatch, classify_module, "_classify")
     extensions = spy(monkeypatch, classify_module, "poincare_extend")
-    svds = spy(monkeypatch, np.linalg, "svd")
+    svds = spy(monkeypatch, lapack, "svd")
     normal_form(t)
     assert reports.call_count == extensions.call_count == svds.call_count == 0
 
@@ -221,8 +221,8 @@ ORTHOGONAL_CALLS = {
 def test_orthogonal_call_reads_the_spectrum_once(monkeypatch, name, n):
     a = random_regular_special_orthogonal(np.random.default_rng(n), n)
     clusterings = spy(monkeypatch, spectral, "_cluster_eigenvalues")
-    eig = spy(monkeypatch, np.linalg, "eig")
-    eigvals = spy(monkeypatch, np.linalg, "eigvals")
+    eig = spy(monkeypatch, lapack, "eig")
+    eigvals = spy(monkeypatch, lapack, "eigvals")
     ORTHOGONAL_CALLS[name](a)
     assert clusterings.call_count == 1
     assert eig.call_count + eigvals.call_count == 1

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import block_rotation, boost_matrix, spy
+from hypiso import lapack
 from hypiso.classify import classify
 from hypiso.cli import main
 from hypiso.quadspace import QuadraticSpace, classify_membership, matrix_to_json
@@ -137,7 +138,7 @@ class TestOtherCommands:
             classes = ("elliptic", "parabolic", "hyperbolic")
             mats = [np.array(random_isometry(rng, 5, classes[i % 3]).entries) for i in range(count)]
             path = write(tmp_path, f"{count}.jsonl", *mats)
-            eigvals = spy(monkeypatch, np.linalg, "eigvals")
+            eigvals = spy(monkeypatch, lapack, "eigvals")
             code, out, _ = run(capsys, argv[0], path, *argv[1:])
             assert code == 0 and len(out.splitlines()) == count
             counts.append(eigvals.call_count)
@@ -194,7 +195,7 @@ class TestFailureOrder:
         """A stacked LAPACK call fails for the whole stack; the error still
         surfaces at the document that causes it."""
         marker = np.array(boost_matrix(3, 0.9))
-        eigvals = np.linalg.eigvals
+        eigvals = lapack.eigvals
 
         def flaky(a):
             a = np.asarray(a)
@@ -202,7 +203,7 @@ class TestFailureOrder:
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
             return eigvals(a)
 
-        monkeypatch.setattr(np.linalg, "eigvals", flaky)
+        monkeypatch.setattr(lapack, "eigvals", flaky)
         paths = failures(tmp_path)
         fine = write(tmp_path, "fine.jsonl", np.eye(4), boost_matrix(3, 0.2))
         flaky_doc = write(tmp_path, "flaky.json", marker)
