@@ -8,24 +8,22 @@ read from the adapted frame of each element (the special time-like block
 plus the invariant blocks of the orthogonal part, the frame the reality
 deciders read their reversers from): the one frame map Phi_2 M Phi_1*,
 with M the identity but for a boost matching the unipotent parameters of
-parabolics.
+parabolics and the orientation sign below.
 
 Whether the M(n)-conjugacy descends to M_o(n) is settled by the
-centralizer.  det M = 1, so the map has the sign of det Phi_2 det Phi_1,
-the orientations of the two frames.  When T2 has a space-like +-1
-eigenvector, a -1 on that line commutes with T2 and has determinant -1.
-The splitting applies it where it orients a frame, negating the first
-+-1 column of a frame with det Phi < 0, so the orientations of a pair
-differ only for elements without one.  Then every sheet-preserving
-element that commutes with T2 preserves each of its eigenspaces: on the
-special block it is a boost, exp(tX) or the identity, and on the
-eigenspace of an angle theta of multiplicity m it is unitary for the
-complex structure T2 gives it, so it lies in U(m) in SO(2m).  The
-centralizer therefore lies in the identity component, for regular and
-non-regular elements alike, no det -1 conjugator can be corrected to
-det +1, and the answer is ConjugateInMOnly, with the M(n) conjugator
-attached (O'Farrell and Short, Reversibility in Dynamics and Group
-Theory, 2015).
+centralizer, and only here are the frames' orientations read.  det M = 1,
+so the map has the sign of det Phi_2 det Phi_1.  When the two differ and
+the pair has a space-like +-1 eigenvector, a -1 on that line commutes
+with T1 and has determinant -1: M takes it on the first +-1 column, and
+the map lies in M_o(n).  Without one, every sheet-preserving element
+that commutes with T2 preserves each of its eigenspaces: on the special
+block it is a boost, exp(tX) or the identity, and on the eigenspace of
+an angle theta of multiplicity m it is unitary for the complex structure
+T2 gives it, so it lies in U(m) in SO(2m).  The centralizer therefore
+lies in the identity component, for regular and non-regular elements
+alike, no det -1 conjugator can be corrected to det +1, and the answer
+is ConjugateInMOnly, with the M(n) conjugator attached (O'Farrell and
+Short, Reversibility in Dynamics and Group Theory, 2015).
 """
 
 from __future__ import annotations
@@ -181,10 +179,9 @@ def _mn_conjugator(
     sp2: _LorentzSpectrum, st2: _LorentzStructure,
 ) -> ConjugacyAnswer:
     """The answer for a pair of one class, read from its one conjugator
-    S = Phi_2 M Phi_1* with S T1 S^-1 = T2: M the special map and the
-    identity on the orthogonal blocks.  Its component is predicted by the
-    orientations of the two frames, which differ only when neither has a
-    +-1 column (each frame with one is oriented to det Phi > 0)."""
+    S = Phi_2 M Phi_1* with S T1 S^-1 = T2: M the special map, -1 on the
+    first +-1 column where that evens out the orientations of the two
+    frames, and the identity elsewhere."""
     hyperbolic = st1.cls is FixedPointClass.HYPERBOLIC
     r1, r2 = (_stretch(sp1), _stretch(sp2)) if hyperbolic else (None, None)
     b1, b2 = st1.blocks, st2.blocks
@@ -197,10 +194,15 @@ def _mn_conjugator(
             f"the two readings differ: {_reading(r1, b1)} against {_reading(r2, b2)}"
         )
     space = sp1.space
-    m = space.identity
+    m = space.identity.copy()
     if st1.cls is FixedPointClass.PARABOLIC:
-        m = m.copy()
         m[:3, :3] = _special_map(st1, st2)
+    # det M = 1 here, so det S has the sign of det Phi_2 det Phi_1; a -1 on
+    # the first +-1 column commutes with T1 and evens out signs that differ
+    same = (lapack.det(st1.frame) > 0) == (lapack.det(st2.frame) > 0)
+    if not same and b1.a + b1.b:
+        i = st1.special_dim + 2 * b1.p
+        m[i, i], same = -1.0, True
     s = frames.frame_map(st2.frame, m, st1.frame, st1.signs, space.form_signs)
     resid = _conjugator_residual(s, sp1.entries, sp2.entries)
     if not resid <= CONJUGATOR_TOL:  # a NaN residual fails too
@@ -215,7 +217,6 @@ def _mn_conjugator(
     gate = CONJUGATOR_MEMBERSHIP_TOL * max(1.0, float(np.abs(s).max()) ** 2)
     if not form <= gate:  # a NaN residual fails too
         raise HypisoError(f"conjugator form residual {form:.3e} exceeds its gate {gate:.3e}")
-    same = st1.orientation is st2.orientation
     expected = Component.SO_o if same else Component.O_minus_preserving
     if _component(s[-1, -1], lapack.det(s[:-1, :-1])) is not expected:
         raise HypisoError("conjugator left the identity component")

@@ -139,7 +139,7 @@ def invariant_plane_frames(m: np.ndarray, delta: float) -> _OrthogonalBlocks:
     ``eig`` returns real ones with an imaginary part of exactly 0), one
     ``eigh`` of the symmetric part of m splits +1 from -1, each ordered
     from the eigenvalue farthest from +-1: the first +-1 column, which a
-    reverser's parity flip and a Lorentz frame's orientation negate, then
+    reverser's parity flip and a conjugator's orientation sign negate,
     lies in the plane of any rotation pair the reading counted as +-1.
     Otherwise those columns already are an orthonormal basis of the one
     eigenspace, and no ``eigh`` runs.

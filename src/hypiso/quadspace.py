@@ -318,8 +318,11 @@ def classify_membership_many(
 
     The checks run vectorized over the stack; each entry of the result is
     the matrix's ``LorentzMatrix`` or the exception
-    ``classify_membership`` raises for it.
+    ``classify_membership`` raises for it.  An ``eps`` that is not >= 0,
+    NaN among them (which no residual exceeds), raises ``InvalidArg``.
     """
+    if not eps >= 0:
+        raise InvalidArg(f"eps {eps!r} must be a number >= 0")
     ms = np.asarray(ms, dtype=float)
     if ms.ndim != 3 or ms.shape[1:] != (space.dim, space.dim):
         raise DimensionMismatch(

@@ -171,7 +171,7 @@ def _orthogonal_structure(t: np.ndarray, delta: float) -> "_LorentzStructure":
     of its invariant blocks, signs and form signs all +1."""
     blocks = frames.invariant_plane_frames(t, delta)
     ones = np.ones(len(t))
-    return _LorentzStructure(None, blocks, None, blocks.frame, ones, ones, None)
+    return _LorentzStructure(None, blocks, None, blocks.frame, ones, ones)
 
 
 def _orthogonal_data(t, delta: float, eps: float, special: bool = True):
@@ -268,8 +268,6 @@ def _parabolic_frame(sp: _LorentzSpectrum) -> tuple[np.ndarray, float]:
     # second null direction inside span(u, Nw, w)
     beta = -frames.j_inner(j, w, w) / (2.0 * c_uw)
     u2 = w + beta * u
-    if frames.j_inner(j, u, u2) > 0:
-        u2 = -u2
     u2 = u2 * (-2.0 / frames.j_inner(j, u, u2))
     f2 = (u - u2) / 2.0
     f3 = (u + u2) / 2.0
@@ -304,13 +302,11 @@ class _LorentzStructure:
     +1, -1), then the frame of ``blocks`` carried to the space-like
     complement: the plane frames by descending angle, ker(T_o - I) and
     ker(T_o + I), all sign +1, T_o being the orthogonal restriction of T
-    to that complement.  ``orientation`` is det Phi > 0, read once when
-    the frame is built; a frame with det Phi < 0 and a +-1 column gets its
-    first +-1 column negated, so every frame with one has det Phi > 0.
+    to that complement.  The frame is built once, read-only; its
+    orientation is left to its one reader, the conjugator.
 
     An orthogonal T has the same record with no special block: ``cls``
-    None, the frame of its invariant blocks, ``signs`` and ``j`` all +1,
-    and ``orientation`` None, as no conjugator reads it.
+    None, the frame of its invariant blocks, ``signs`` and ``j`` all +1.
     """
 
     cls: Optional[FixedPointClass]  # None in O(n)
@@ -319,7 +315,9 @@ class _LorentzStructure:
     frame: np.ndarray
     signs: np.ndarray
     j: np.ndarray
-    orientation: Optional[bool]
+
+    def __post_init__(self):
+        self.frame.setflags(write=False)
 
     @property
     def special_dim(self) -> int:
@@ -366,15 +364,8 @@ def _build_lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
     # vector or null ray of an elliptic or parabolic: one kernel, read twice
     _check_kernel_width(sp, blocks.a + (cls is not FixedPointClass.HYPERBOLIC))
     frame = np.concatenate([special, w_frame @ blocks.frame], axis=1)
-    # a -1 on a +-1 column commutes with T, so negating the first one
-    # orients the frame; a product read from the frame carries both signs
-    orientation = bool(lapack.det(frame) > 0)
-    if not orientation and blocks.a + blocks.b:
-        i = len(signs) + 2 * blocks.p
-        frame[:, i] = -frame[:, i]
-        orientation = True
     frame_signs = np.array(signs + [1.0] * len(ones))
-    return _LorentzStructure(cls, blocks, c, frame, frame_signs, j, orientation)
+    return _LorentzStructure(cls, blocks, c, frame, frame_signs, j)
 
 
 # (det, sheet, signs) choices of a reverser on the special block of each class
@@ -454,8 +445,7 @@ def is_real_SOo_n1(
 def is_real_Mo(t: LorentzMatrix, delta: float = DEFAULT_DELTA) -> RealityCertificate:
     """Reality in M_o(n) via the identification M_o(n) = SO_o(n+1,1);
     the element acts on H^{n+1} and n denotes the boundary dimension."""
-    inner = is_real_SOo_n1(t, delta)
-    return RealityCertificate(GROUP_MO, inner.decision, inner.clause, inner.reverser, inner.involution)
+    return replace(is_real_SOo_n1(t, delta), group=GROUP_MO)
 
 
 # ---------------------------------------------------------------------------
@@ -584,11 +574,7 @@ def reverser_oracle(
             if s is not None:
                 exact_witnesses[(det, sheet)] = s
         for s in exact_witnesses.values():
-            if not (form_residual(s, j) <= RESIDUAL_TOL
-                    and _group_reversal_residual(s, mat, j) <= RESIDUAL_TOL):
-                raise _certificate_failure(
-                    "exact enumeration produced an invalid witness", delta, st
-                )
+            _check_certificate(s, mat, st, delta)
         exact = frozenset(exact_witnesses)
 
     found: dict = {}

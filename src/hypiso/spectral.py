@@ -326,7 +326,7 @@ class _LorentzSpectrum:
                 zeros = bisect_right(sq_up, t2)
                 rank2 = d - zeros
                 zero = sq_up[zeros - 1] if zeros else 0.0
-                square_band = zero > max(t2 / 4.0, d * EPS * scale**2)
+                square_band = zero > max(t2 / 4.0, d * EPS * (scale * scale))
                 # as eigvals of one matrix, a real spectrum comes back real
                 rmax = max(mod)
                 lam = ev[mod.index(rmax)]
@@ -442,12 +442,21 @@ def _lorentz_angles(sp: _LorentzSpectrum) -> RotationAngles:
     Eigenvalues of a Jordan block scatter like the cube root of the
     backward error, so for a defective T - I the computed spectrum near 1
     is meaningless inside that radius; it is dropped before clustering,
-    otherwise its random spread trips the ambiguity check.
+    otherwise its random spread trips the ambiguity check.  A radius that
+    drops another count than the kernel width of T - I plus 2 (the rest of
+    the Jordan block) has swallowed an angle, and refuses.
     """
     vals = sp.eigvals
     if sp.defective:
-        one_fuzz = 10.0 * float((2.3e-16 * sp.scale**3) ** (1.0 / 3.0))
-        vals = vals[np.abs(vals - 1.0) > one_fuzz]
+        one_fuzz = 10.0 * 2.3e-16 ** (1.0 / 3.0) * sp.scale  # 10 (u scale^3)^(1/3), no cube
+        keep = np.abs(vals - 1.0) > one_fuzz
+        dropped, ones = len(vals) - int(keep.sum()), sp.kernel.shape[1] + 2
+        if dropped != ones:
+            raise Borderline(
+                f"the Jordan block's rounding radius {one_fuzz:.3e} around 1 holds {dropped} "
+                f"eigenvalues, where ker(T - I) and the Jordan block hold {ones}"
+            )
+        vals = vals[keep]
     return _angles_of(vals, sp.delta, unit_only=True)
 
 

@@ -256,8 +256,8 @@ class TestNanGates:
 
     def test_flip(self, monkeypatch):
         # an elliptic with a fixed space-like line, conjugated with
-        # determinant -1: each frame is oriented on that line, so the one
-        # conjugator is read from the two frames as they are
+        # determinant -1: the conjugator evens out the two orientations
+        # with a -1 on that line, so it is still the one frame map
         rng = np.random.default_rng(4)
         t1 = lorentz(standard_isometry(rng, 3, "elliptic", 1))
         g = reflection(3) @ conjugator(rng, 3, 0.3)

@@ -3,7 +3,8 @@
 A spy on ``frames.frame_map`` counts the assemblies a public call makes:
 one per certificate, one per conjugator and one per achievable oracle
 component.  A conjugator's M is the identity off the special block of
-a parabolic: each frame is oriented when it is built.
+a parabolic, but for a -1 on the first +-1 column where it evens out the
+orientations of the two frames, which only the conjugator reads.
 """
 
 import numpy as np
@@ -93,8 +94,13 @@ def test_conjugator_assembles_once_or_twice(monkeypatch, n, cls, det):
     answer = conjugate_in_Mn(t, partner)
     assert answer.related is not Relation.NOT_CONJUGATE
     assert maps.call_count == 1
-    # M is the identity off the parabolic block
+    # M is the identity off the parabolic block and the orientation sign
     e = maps.call_args.args[1] - np.eye(t.space.dim)
     if cls == "parabolic":
         e[:3, :3] = 0.0
+    st1, st2 = (_lorentz_structure(_LorentzSpectrum.of(x, DEFAULT_DELTA)) for x in (t, partner))
+    if (np.linalg.det(st1.frame) > 0) != (np.linalg.det(st2.frame) > 0) and st1.blocks.a + st1.blocks.b:
+        i = st1.special_dim + 2 * st1.blocks.p
+        assert e[i, i] == -2.0
+        e[i, i] = 0.0
     assert not e.any()
