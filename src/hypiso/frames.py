@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -90,19 +89,16 @@ def spacelike_complement(frame: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _OrthogonalBlocks:
-    """Invariant blocks of an orthogonal matrix."""
+    """Invariant blocks of an orthogonal matrix A.  ``frame`` is the square
+    frame, in which A is block diagonal: the plane frames by descending
+    angle, then ker(A - I), then ker(A + I); the block frames are its
+    column slices."""
 
     planes: list  # (angle, frame) with angle in (0, pi), descending
     fix_frame: np.ndarray  # ker(A - I)
     neg_frame: np.ndarray  # ker(A + I)
     near_pm_one: float  # largest |Im lambda| the reading counted as +-1
-
-    @cached_property
-    def frame(self) -> np.ndarray:
-        """The square frame: plane frames by descending angle, then
-        ker(A - I), then ker(A + I); A is block diagonal in it.  Built on
-        first use and kept."""
-        return np.concatenate([fr for _, fr in self.planes] + [self.fix_frame, self.neg_frame], axis=1)
+    frame: np.ndarray
 
     @property
     def angles(self) -> "spectral.RotationAngles":
@@ -163,5 +159,6 @@ def invariant_plane_frames(m: np.ndarray, delta: float) -> _OrthogonalBlocks:
     if (a and b) or near > 0:
         e = np.linalg.eigh(rest.T @ (m + m.T) @ rest)[1]  # ascending, -1 ones first
         rest = rest @ np.concatenate([e[:, b:], e[:, :b][:, ::-1]], axis=1)
-    planes = [(theta, polar[:, 2 * i : 2 * i + 2]) for i, theta in enumerate(thetas)]
-    return _OrthogonalBlocks(planes, rest[:, :a], rest[:, a:], near)
+    frame = np.concatenate([polar, rest], axis=1)
+    planes = [(theta, frame[:, 2 * i : 2 * i + 2]) for i, theta in enumerate(thetas)]
+    return _OrthogonalBlocks(planes, frame[:, q : q + a], frame[:, q + a :], near, frame)

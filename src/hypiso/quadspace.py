@@ -29,7 +29,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -103,47 +103,35 @@ class QuadraticSpace:
     """R^(n+1) with the diagonal form diag(1, ..., 1, -1)."""
 
     n: int
+    # the constant arrays diag(J) = (1, ..., 1, -1), J, I and a vector of
+    # dim ones: read-only, built once per dimension and shared by every
+    # space of it, set as plain attributes in one dict update (a
+    # cached_property takes a lock on first use)
+    form_signs: np.ndarray = field(init=False, repr=False, compare=False)
+    form_matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    identity: np.ndarray = field(init=False, repr=False, compare=False)
+    ones: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise DimensionMismatch(f"spatial dimension must be >= 1, got {self.n}")
+        self.__dict__.update(_constants(self.n + 1))
 
     @property
     def dim(self) -> int:
         return self.n + 1
 
-    # the constant arrays below are read-only, built once per dimension and
-    # shared by every space of it
-
-    @cached_property
-    def form_signs(self) -> np.ndarray:
-        """diag(J) = (1, ..., 1, -1)."""
-        return _constants(self.dim)[0]
-
-    @cached_property
-    def form_matrix(self) -> np.ndarray:
-        """J."""
-        return _constants(self.dim)[1]
-
-    @cached_property
-    def identity(self) -> np.ndarray:
-        """I."""
-        return _constants(self.dim)[2]
-
-    @cached_property
-    def ones(self) -> np.ndarray:
-        """A vector of dim ones."""
-        return _constants(self.dim)[3]
-
 
 @cache
-def _constants(dim: int) -> tuple:
-    """(diag(J), J, I, ones) of R^dim, read-only."""
+def _constants(dim: int) -> dict:
+    """The constant arrays of R^dim by their ``QuadraticSpace`` names,
+    read-only."""
     ones = np.ones(dim)
     signs = ones.copy()
     signs[-1] = -1.0
-    out = (signs, np.diag(signs), np.eye(dim), ones)
-    for a in out:
+    out = {"form_signs": signs, "form_matrix": np.diag(signs), "identity": np.eye(dim),
+           "ones": ones}
+    for a in out.values():
         a.setflags(write=False)
     return out
 
@@ -284,7 +272,7 @@ def form_residual(m: np.ndarray, j: np.ndarray):
     in C order, as the product M^T @ J would leave it: then (M^T J) @ M is
     that product's BLAS call, bit for bit."""
     mtj = np.multiply(np.swapaxes(m, -1, -2), j, order="C")
-    form = _constants(len(j))[1 if j[-1] < 0 else 2]  # J, or I for all ones
+    form = _constants(len(j))["form_matrix" if j[-1] < 0 else "identity"]  # I for all ones
     return np.abs(mtj @ m - form).max(axis=(-2, -1))
 
 
@@ -328,7 +316,8 @@ def classify_membership_many(
         raise DimensionMismatch(
             f"expected a stack of {space.dim}x{space.dim} matrices, got shape {ms.shape}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
+    token = lapack.errstate_var.set(lapack.IGNORE_ALL)
+    try:
         # NaN and inf propagate through the max, so it also decides
         # whether the entries are finite
         top = np.abs(ms).max(axis=(1, 2))
@@ -337,6 +326,8 @@ def classify_membership_many(
         # M^-1 = J M^T J); the block's condition number is |M[n, n]|, not
         # ||M||^2, so its sign survives entries where det M loses it
         det = lapack.det(ms[:, :-1, :-1])  # read only where the residual passes
+    finally:
+        lapack.errstate_var.reset(token)
     out: list[LorentzMatrix | HypisoError] = []
     rows = zip(ms, top.tolist(), resid.tolist(), det.tolist(), ms[:, -1, -1].tolist())
     for m, mx, r, d, sheet_entry in rows:
@@ -380,7 +371,7 @@ def is_orthogonal(m: np.ndarray, eps: float = DEFAULT_EPS) -> bool:
         return False
     with np.errstate(over="ignore", invalid="ignore"):
         scale = _squared_scale(m)
-        resid = float(form_residual(m, _constants(len(m))[3]))
+        resid = float(form_residual(m, _constants(len(m))["ones"]))
     return bool(np.isfinite(scale) and np.isfinite(resid) and resid <= eps * scale)
 
 
@@ -403,6 +394,9 @@ def matrix_to_json(m) -> str:
 
 
 _JSON_NUMBERS = frozenset((int, float))
+# the space of a dimension is immutable, so the documents of one n share it
+# rather than each paying for its construction
+_space = cache(QuadraticSpace)
 
 
 def matrix_from_document(doc: dict) -> tuple[QuadraticSpace, np.ndarray]:
@@ -429,7 +423,7 @@ def matrix_from_document(doc: dict) -> tuple[QuadraticSpace, np.ndarray]:
         raise ValueError(
             f"matrix field has {flat.size} entries, expected {dim * dim}"
         )
-    return QuadraticSpace(n), flat.reshape(dim, dim)
+    return _space(n), flat.reshape(dim, dim)
 
 
 def matrix_from_json(text: str) -> tuple[QuadraticSpace, np.ndarray]:

@@ -63,6 +63,7 @@ from .quadspace import (
     Component,
     LorentzMatrix,
     _component,
+    _constants,
     form_residual,
     group_inverse,
     is_orthogonal,
@@ -154,7 +155,7 @@ def _check_certificate(s: np.ndarray, t: np.ndarray, st: "_LorentzStructure", de
         message = f"constructed reverser left the {group} group"
     elif not _group_reversal_residual(s, t, j) <= RESIDUAL_TOL:
         message = "constructed reverser failed its residual check"
-    elif not np.abs(s @ s - np.eye(len(s))).max() <= RESIDUAL_TOL:
+    elif not np.abs(s @ s - _constants(len(s))["identity"]).max() <= RESIDUAL_TOL:
         message = "constructed reverser is not an involution"
     else:
         return
@@ -261,7 +262,7 @@ def _parabolic_frame(sp: _LorentzSpectrum) -> tuple[np.ndarray, float]:
     u = _parabolic_ray(sp)  # time coordinate 1
     # minimal-norm Jordan chain top: orthogonal to ker((T-I)^2), hence
     # free of rotation-plane components
-    w, *_ = np.linalg.lstsq(n1 @ n1, u, rcond=1e-9)
+    w = lapack.lstsq(n1 @ n1, u, 1e-9)
     c_uw = frames.j_inner(j, u, w)
     if abs(c_uw) < 1e-10:
         raise HypisoError("degenerate pairing in the unipotent block")
@@ -357,14 +358,13 @@ def _build_lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
         special, c = _parabolic_frame(sp)
         signs = _UNIPOTENT_SIGNS.tolist()
     w_frame = frames.spacelike_complement(special, j)
-    ones = sp.space.ones[: w_frame.shape[1]]
-    t_o = frames.restrict_to_frame(sp.entries, w_frame, ones, j)
+    t_o = (w_frame.T * j) @ sp.entries @ w_frame  # W* = W^T J: W's signs are all +1
     blocks = frames.invariant_plane_frames(t_o, sp.delta)
     # ker(T - I) at tau is T_o's +1 eigenspace, plus the fixed time-like
     # vector or null ray of an elliptic or parabolic: one kernel, read twice
     _check_kernel_width(sp, blocks.a + (cls is not FixedPointClass.HYPERBOLIC))
     frame = np.concatenate([special, w_frame @ blocks.frame], axis=1)
-    frame_signs = np.array(signs + [1.0] * len(ones))
+    frame_signs = np.array(signs + [1.0] * w_frame.shape[1])
     return _LorentzStructure(cls, blocks, c, frame, frame_signs, j)
 
 

@@ -1,10 +1,12 @@
-"""``hypiso.lapack``, the package's one route to ``svd``, ``eig``, ``eigvals``
-and ``det``, against ``numpy.linalg``.
+"""``hypiso.lapack``, the package's one route to ``svd``, ``eig``, ``eigvals``,
+``det`` and ``lstsq``, against ``numpy.linalg``.
 
 The module calls the gufuncs that ``numpy.linalg`` calls, so every result
 must be bit-identical to numpy's, with the same dtype and layout, and
-every failure the same exception with the same message.  A numpy release
-that changes one of these behaviours fails here, not in an answer.
+every failure the same exception with the same message.  Its error states
+are built once and entered per call, so the caller's error state must be
+back after every call, returned or raised.  A numpy release that changes
+one of these behaviours fails here, not in an answer.
 """
 
 import ast
@@ -18,10 +20,18 @@ import numpy as np
 import pytest
 
 from hypiso import lapack, spectral
+from hypiso.quadspace import QuadraticSpace, classify_membership_many
 from hypiso.sampling import random_isometry, random_orthogonal
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hypiso"
-KERNELS = ("svd", "eig", "eigvals", "det")
+KERNELS = ("svd", "eig", "eigvals", "det", "lstsq")
+RCOND = 1e-9  # the splitting's, for the Jordan chain of a parabolic
+
+
+def rhs(a):
+    """A right-hand side for a least-squares solve with a."""
+    return np.linspace(-1.0, 2.0, a.shape[0])
+
 
 CALLS = {
     "svd": (lapack.svd, np.linalg.svd),
@@ -30,8 +40,11 @@ CALLS = {
     "eig": (lapack.eig, np.linalg.eig),
     "eigvals": (lapack.eigvals, np.linalg.eigvals),
     "det": (lapack.det, np.linalg.det),
+    "lstsq": (lambda a: lapack.lstsq(a, rhs(a), RCOND),
+              lambda a: np.linalg.lstsq(a, rhs(a), RCOND)[0]),
 }
 SQUARE_ONLY = ("eig", "eigvals", "det")
+ONE_MATRIX = ("lstsq",)  # numpy's lstsq takes no stack
 
 
 def outcome(f, a):
@@ -76,6 +89,8 @@ def test_single_and_stacked_results_are_numpys(name, d):
     mats = family(d)
     for m in mats.values():
         assert_same(name, m)
+    if name in ONE_MATRIX:
+        return
     assert_same(name, np.stack(list(mats.values())))  # real and complex spectra mixed
     real = np.stack([mats["symmetric"], mats["identity"], mats["jordan"]])
     assert_same(name, real)  # a stack whose whole spectrum is real comes back real
@@ -89,7 +104,8 @@ def test_lorentz_elements_and_their_shifts_are_numpys(name, n):
         assert_same(name, m)
         assert_same(name, m - np.eye(n + 1))
         assert_same(name, (m - np.eye(n + 1)) @ (m - np.eye(n + 1)))
-    assert_same(name, np.stack(list(mats.values())))
+    if name not in ONE_MATRIX:
+        assert_same(name, np.stack(list(mats.values())))
 
 
 @pytest.mark.parametrize("d", range(2, 11))
@@ -140,6 +156,48 @@ def test_svd_of_nan_fails_as_numpys(name):
     assert got == outcome(CALLS[name][1], a) == (np.linalg.LinAlgError, "SVD did not converge")
 
 
+def test_lstsq_of_nan_fails_as_numpys():
+    # an all-NaN matrix: numpy's own lstsq never returns on some matrices
+    # with a single NaN entry, such as diag(1, nan, 1, 1)
+    a = np.full((4, 4), np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(CALLS["lstsq"][0], a)
+    assert got == outcome(CALLS["lstsq"][1], a) == (
+        np.linalg.LinAlgError, "SVD did not converge in Linear Least Squares")
+
+
+def caller_sees_its_own_state(call):
+    """Run ``call`` under a caller's error state; that state must read the
+    same after it, whether it returned or raised ``LinAlgError``."""
+    def handler(err, flag):
+        pass
+    with np.errstate(under="raise", call=handler):
+        before = np.geterr()
+        try:
+            call()
+        except np.linalg.LinAlgError:
+            pass
+        assert np.geterr() == before and before["under"] == "raise"
+        assert np.geterrcall() is handler
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_the_callers_error_state_is_back_after_each_call(name):
+    nan = np.full((4, 4), np.nan)
+    ours = CALLS[name][0]
+    caller_sees_its_own_state(lambda: ours(family(4)["general"]))
+    if name != "det":  # NaN: det returns NaN, each other raises
+        with pytest.raises(np.linalg.LinAlgError):
+            ours(nan)
+        caller_sees_its_own_state(lambda: ours(nan))
+
+
+def test_the_callers_error_state_is_back_after_membership():
+    stack = np.stack([np.eye(4), np.full((4, 4), np.inf), 1e200 * np.ones((4, 4))])
+    caller_sees_its_own_state(lambda: classify_membership_many(QuadraticSpace(3), stack))
+
+
 def test_det_of_a_nan_stack_is_nan_under_the_callers_errstate():
     # the sampled oracle's Newton loop reads a NaN determinant as a diverged sample
     stack = np.stack([np.eye(3), np.full((3, 3), np.nan)])
@@ -161,9 +219,22 @@ def test_import_fails_by_name_without_the_gufuncs():
     assert f"numpy {np.__version__} is installed" in run.stderr.splitlines()[-1]
 
 
+@pytest.mark.parametrize("entry", ("_make_extobj", "_extobj_contextvar"))
+def test_import_fails_by_name_without_the_error_state_entry_points(entry):
+    code = ("import numpy._core.umath as u\n"
+            f"del u.{entry}\n"
+            "import hypiso")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)), timeout=60)
+    assert run.returncode == 1
+    last = run.stderr.splitlines()[-1]
+    assert last.startswith("ImportError") and entry in last
+    assert f"numpy {np.__version__} is installed" in last
+
+
 def kernel_names(tree):
-    """(line, text) of each use of numpy.linalg's svd, eig, eigvals or det,
-    as an attribute or an import, and of its private gufunc module."""
+    """(line, text) of each use of numpy.linalg's svd, eig, eigvals, det or
+    lstsq, as an attribute or an import, and of its private gufunc module."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
@@ -194,6 +265,7 @@ def test_only_the_lapack_module_names_the_four_kernels():
 @pytest.mark.parametrize("source", (
     "np.linalg.svd(m)",
     "numpy.linalg.det(m)",
+    "w, *_ = np.linalg.lstsq(a, b, rcond=1e-9)",
     "x = np.linalg.eigvals",
     "from numpy.linalg import eig",
     "from numpy.linalg import _umath_linalg",
