@@ -12,13 +12,10 @@ from importlib import import_module
 from .classify import (
     ClassificationReport,
     FixedPointClass,
-    NormalForm,
     boundary_fixed_points,
     classify,
     fixed_point_class,
-    normal_form,
     poincare_extend,
-    reconstruct_from_normal_form,
     stretch_factor,
 )
 from .quadspace import (
@@ -44,16 +41,17 @@ from .spectral import (
     rotation_angles,
 )
 
-# The public names of the reality, conjugacy and fibration modules are
-# resolved on first use (PEP 562, ``__getattr__`` below), so importing the
-# package, or classifying, does not load them.  ``classify`` stays eager:
-# it names both a submodule and a function, and the function must win.
+# The public names of the frame, reality, conjugacy and fibration modules
+# are resolved on first use (PEP 562, ``__getattr__`` below), so importing
+# the package, or classifying, does not load them.  ``classify`` stays
+# eager: it names both a submodule and a function, and the function must win.
 _LAZY = {
     "classgeom": (
         "BoundaryPair", "FibrationDescriptor", "alpha", "class_descriptor",
         "d0", "descriptor_for", "dim_decomposition_space", "dim_rotation_class",
         "dim_spaces", "enumerate_fiber", "projection",
     ),
+    "frames": ("NormalForm", "normal_form", "reconstruct_from_normal_form"),
     "conjugacy": (
         "ConjugacyAnswer", "InvariantTuple", "Relation", "conjugate_in_Mn",
         "conjugate_in_Mon", "find_conjugator", "invariant_tuple",

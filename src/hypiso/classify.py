@@ -42,7 +42,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import frames, lapack
+from . import lapack
 from .errors import (
     Borderline,
     HypisoError,
@@ -57,6 +57,7 @@ from .quadspace import (
     QuadraticSpace,
     classify_membership,
     is_orthogonal,
+    j_inner,
 )
 from .spectral import (
     DEFAULT_DELTA,
@@ -64,7 +65,6 @@ from .spectral import (
     _distinct,
     _LorentzSpectrum,
     _lorentz_angles,
-    rotation_matrix,
 )
 
 class FixedPointClass(Enum):
@@ -145,41 +145,6 @@ class ClassificationReport:
             "stretch": self.stretch,
             "fixed_data": self.fixed_data.to_json_dict(),
         }
-
-
-@dataclass(frozen=True, eq=False)
-class KRotation:
-    """Elliptic standard position: fixed point at the hyperboloid apex,
-    boundary sphere action by an orthogonal matrix."""
-
-    matrix: np.ndarray
-    angles: tuple[float, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class KRotatoryTranslation:
-    """Parabolic standard position: fixed point at infinity, boundary
-    action x -> Ax + b."""
-
-    rotation: np.ndarray
-    translation: np.ndarray
-    angles: tuple[float, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class KRotatoryStretch:
-    """Hyperbolic standard position: fixed points at 0 and infinity,
-    boundary action x -> rAx with r > 1."""
-
-    stretch: float
-    rotation: np.ndarray
-    angles: tuple[float, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class NormalForm:
-    variant: Union[KRotation, KRotatoryTranslation, KRotatoryStretch]
-    conjugator: LorentzMatrix  # W with W T W^-1 in standard position
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +393,7 @@ def _elliptic_fixed_vector(sp: _LorentzSpectrum) -> np.ndarray:
     v, g = _fixed_axis(sp, "elliptic")
     if not g < 0:
         raise HypisoError("fixed space of an elliptic isometry must be time-like")
-    return v / np.sqrt(-frames.j_inner(sp.space.form_signs, v, v))
+    return v / np.sqrt(-j_inner(sp.space.form_signs, v, v))
 
 
 def _check_kernel_width(sp: _LorentzSpectrum, width: int) -> None:
@@ -511,85 +476,3 @@ def _prefill(ts: list, delta: float) -> None:
 def classify(t: LorentzMatrix, delta: float = DEFAULT_DELTA) -> ClassificationReport:
     """Full classification report: class, rotation data, stretch, fixed data."""
     return _classify(_spectrum(t, delta))
-
-
-# ---------------------------------------------------------------------------
-# normal forms
-# ---------------------------------------------------------------------------
-
-
-def normal_form(
-    t: LorentzMatrix, delta: float = DEFAULT_DELTA
-) -> NormalForm:
-    """Conjugate T into standard position and read the boundary parameters.
-
-    W is the stored adapted frame moved to standard position by a fixed
-    signed permutation: a validated sheet-preserving Lorentz matrix (not
-    necessarily in the identity component, and not canonical) with
-    W T W^-1 in standard position.  Re-extending the returned parameters
-    and conjugating back reproduces T.
-    """
-    return _normal_form(_spectrum(t, delta), t.tolerance)
-
-
-def _normal_form(sp: _LorentzSpectrum, tolerance: float) -> NormalForm:
-    # reality imports this module, so its splitting is imported at call time
-    from .reality import _lorentz_structure
-
-    space = sp.space
-    d = space.dim
-    st = _lorentz_structure(sp)
-    angles = _lorentz_angles(sp).angles
-    elliptic = st.cls is FixedPointClass.ELLIPTIC
-    parabolic = st.cls is FixedPointClass.PARABOLIC
-    k = st.special_dim
-    # W = P Phi*, P sending the adapted frame to standard position; row i of
-    # W is the frame coordinate that becomes standard coordinate i
-    if elliptic:
-        order = list(range(1, d)) + [0]  # v -> time, the rest -> (x', pole)
-    else:
-        # parabolic f1 -> x'_0; the rest -> x'; s or f2 -> -pole; t or f3 -> time
-        order = [0] * parabolic + list(range(k, d)) + [k - 2, k - 1]
-    w = frames.frame_pinv(st.frame, st.signs, space.form_signs)[order]
-    if not elliptic:
-        w[-2] = -w[-2]
-    b = st.blocks
-    rot = np.diag([1.0] * (d - k + parabolic - b.b) + [-1.0] * b.b)
-    for i, (theta, _) in enumerate(b.planes):
-        at = parabolic + 2 * i
-        rot[at : at + 2, at : at + 2] = rotation_matrix(theta)
-    variant: Union[KRotation, KRotatoryTranslation, KRotatoryStretch]
-    if elliptic:
-        variant = KRotation(matrix=rot, angles=angles)
-    elif parabolic:
-        c = st.unipotent_c
-        if c <= 0:
-            raise HypisoError("unipotent parameter of a parabolic must be positive")
-        variant = KRotatoryTranslation(rotation=rot, translation=c * np.eye(d - 2)[0], angles=angles)
-    else:
-        variant = KRotatoryStretch(stretch=_stretch(sp), rotation=rot, angles=angles)
-    conj = classify_membership(space, w, max(tolerance, 1e-9))
-    return NormalForm(variant=variant, conjugator=conj)
-
-
-def standard_position_matrix(space: QuadraticSpace, variant) -> np.ndarray:
-    """Hyperboloid matrix of a normal-form variant in standard position."""
-    if isinstance(variant, KRotation):
-        out = np.eye(space.dim)
-        out[:-1, :-1] = variant.matrix
-        return out
-    if isinstance(variant, KRotatoryTranslation):
-        return np.asarray(
-            poincare_extend(1.0, variant.rotation, variant.translation).entries
-        )
-    if isinstance(variant, KRotatoryStretch):
-        return np.asarray(poincare_extend(variant.stretch, variant.rotation).entries)
-    raise InvalidArg(f"unknown normal-form variant {type(variant).__name__}")
-
-
-def reconstruct_from_normal_form(nf: NormalForm) -> np.ndarray:
-    """Undo the conjugation: W^-1 (standard matrix) W."""
-    space = nf.conjugator.space
-    std = standard_position_matrix(space, nf.variant)
-    winv = nf.conjugator.inverse().entries
-    return winv @ std @ nf.conjugator.entries

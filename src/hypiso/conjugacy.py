@@ -4,26 +4,24 @@ M(n)-conjugacy of sheet-preserving Lorentz matrices is decided from the
 characteristic polynomial together with the fixed-point class (which
 carries the only possible Jordan-structure difference, the size-3 block at
 1 of a parabolic).  When a pair is conjugate, an explicit conjugator is
-read from the adapted frame of each element (the special time-like block
-plus the invariant blocks of the orthogonal part, the frame the reality
-deciders read their reversers from): the one frame map Phi_2 M Phi_1*,
-with M the identity but for a boost matching the unipotent parameters of
-parabolics and the orientation sign below.
+read from the adapted frame of each element, and checked, by
+:mod:`hypiso.frames`.
 
 Whether the M(n)-conjugacy descends to M_o(n) is settled by the
-centralizer, and only here are the frames' orientations read.  det M = 1,
-so the map has the sign of det Phi_2 det Phi_1.  When the two differ and
-the pair has a space-like +-1 eigenvector, a -1 on that line commutes
-with T1 and has determinant -1: M takes it on the first +-1 column, and
-the map lies in M_o(n).  Without one, every sheet-preserving element
-that commutes with T2 preserves each of its eigenspaces: on the special
-block it is a boost, exp(tX) or the identity, and on the eigenspace of
-an angle theta of multiplicity m it is unitary for the complex structure
-T2 gives it, so it lies in U(m) in SO(2m).  The centralizer therefore
-lies in the identity component, for regular and non-regular elements
-alike, no det -1 conjugator can be corrected to det +1, and the answer
-is ConjugateInMOnly, with the M(n) conjugator attached (O'Farrell and
-Short, Reversibility in Dynamics and Group Theory, 2015).
+centralizer, and only here are the frames' orientations read.  The frame
+map S = Phi_2 M Phi_1* with det M = 1 has the sign of det Phi_2 det
+Phi_1.  When the two differ and the pair has a space-like +-1
+eigenvector, a -1 on that line commutes with T1 and has determinant -1:
+M takes it on the first +-1 column, and the map lies in M_o(n).  Without
+one, every sheet-preserving element that commutes with T2 preserves each
+of its eigenspaces: on the special block it is a boost, exp(tX) or the
+identity, and on the eigenspace of an angle theta of multiplicity m it
+is unitary for the complex structure T2 gives it, so it lies in U(m) in
+SO(2m).  The centralizer therefore lies in the identity component, for
+regular and non-regular elements alike, no det -1 conjugator can be
+corrected to det +1, and the answer is ConjugateInMOnly, with the M(n)
+conjugator attached (O'Farrell and Short, Reversibility in Dynamics and
+Group Theory, 2015).
 """
 
 from __future__ import annotations
@@ -34,26 +32,13 @@ from typing import Optional
 
 import numpy as np
 
-from . import frames, lapack
-from .classify import (
-    FixedPointClass,
-    _fixed_point_class,
-    _stretch,
-    classify,
-)
-from .errors import (
-    Borderline,
-    HypisoError,
-    InvalidArg,
-    NotConjugate,
-    NotInIdentityComponent,
-)
-from .quadspace import Component, LorentzMatrix, _component, form_residual, matrix_to_document
-from .reality import _certificate_failure, _lorentz_structure, _LorentzStructure
-from .spectral import DEFAULT_DELTA, _LorentzSpectrum
+from . import lapack
+from .classify import FixedPointClass, _fixed_point_class, _stretch, classify
+from .errors import Borderline, InvalidArg, NotConjugate, NotInIdentityComponent
+from .frames import _check_conjugator, _conjugator, _lorentz_structure, _LorentzStructure
+from .quadspace import Component, LorentzMatrix, matrix_to_document
+from .spectral import DEFAULT_DELTA, _LorentzSpectrum, _OrthogonalBlocks
 
-CONJUGATOR_TOL = 1e-8
-CONJUGATOR_MEMBERSHIP_TOL = 1e-7  # relative to max(1, max|S|^2)
 CHARPOLY_TOL = 1e-7
 
 ANGLE_DECIMALS = 6
@@ -155,33 +140,14 @@ def _char_polys_match(
 # ---------------------------------------------------------------------------
 
 
-def _conjugator_residual(s: np.ndarray, t1: np.ndarray, t2: np.ndarray) -> float:
-    """max-norm of S T1 - T2 S: the conjugacy equation, no inverse formed."""
-    return float(np.abs(s @ t1 - t2 @ s).max())
-
-
-def _special_map(st1: _LorentzStructure, st2: _LorentzStructure) -> np.ndarray:
-    """Map of the special block of a parabolic T1 onto that of T2, in their
-    frames: the unipotent exp(c1 X) goes to exp(c2 X) under the boost of
-    rapidity log(c2 / c1) in the plane of its null ray.  (Fixed points and
-    stretch pairs of equal stretch have equal blocks, mapped by I.)
-    """
-    c1, c2 = st1.unipotent_c, st2.unipotent_c
-    if c1 <= 0 or c2 <= 0:
-        raise HypisoError("unipotent parameter of a parabolic must be positive")
-    rho = np.log(c2 / c1)
-    ch, sh = np.cosh(rho), np.sinh(rho)
-    return np.array([[1.0, 0.0, 0.0], [0.0, ch, sh], [0.0, sh, ch]])
-
-
 def _mn_conjugator(
     sp1: _LorentzSpectrum, st1: _LorentzStructure,
     sp2: _LorentzSpectrum, st2: _LorentzStructure,
 ) -> ConjugacyAnswer:
     """The answer for a pair of one class, read from its one conjugator
-    S = Phi_2 M Phi_1* with S T1 S^-1 = T2: M the special map, -1 on the
-    first +-1 column where that evens out the orientations of the two
-    frames, and the identity elsewhere."""
+    S with S T1 S^-1 = T2, the frame map of the splittings ``st1`` and
+    ``st2``: with a -1 on the first +-1 column where that evens out the
+    orientations of the two frames."""
     hyperbolic = st1.cls is FixedPointClass.HYPERBOLIC
     r1, r2 = (_stretch(sp1), _stretch(sp2)) if hyperbolic else (None, None)
     b1, b2 = st1.blocks, st2.blocks
@@ -193,33 +159,14 @@ def _mn_conjugator(
         raise Borderline(
             f"the two readings differ: {_reading(r1, b1)} against {_reading(r2, b2)}"
         )
-    space = sp1.space
-    m = space.identity.copy()
-    if st1.cls is FixedPointClass.PARABOLIC:
-        m[:3, :3] = _special_map(st1, st2)
-    # det M = 1 here, so det S has the sign of det Phi_2 det Phi_1; a -1 on
+    # the map without the flip has the sign of det Phi_2 det Phi_1; a -1 on
     # the first +-1 column commutes with T1 and evens out signs that differ
     same = (lapack.det(st1.frame) > 0) == (lapack.det(st2.frame) > 0)
-    if not same and b1.a + b1.b:
-        i = st1.special_dim + 2 * b1.p
-        m[i, i], same = -1.0, True
-    s = frames.frame_map(st2.frame, m, st1.frame, st1.signs, space.form_signs)
-    resid = _conjugator_residual(s, sp1.entries, sp2.entries)
-    if not resid <= CONJUGATOR_TOL:  # a NaN residual fails too
-        raise _certificate_failure(
-            f"conjugator residual {resid:.2e} exceeds tolerance", sp1.delta, st2, st1,
-            gate=CONJUGATOR_TOL,
-        )
-    # S is checked as a group element at the conjugator membership gate; it
-    # then lies in O(n,1), and its component is read from its entries, as
-    # is_real_SOo_n1 reads its reverser's
-    form = float(form_residual(s, space.form_signs))
-    gate = CONJUGATOR_MEMBERSHIP_TOL * max(1.0, float(np.abs(s).max()) ** 2)
-    if not form <= gate:  # a NaN residual fails too
-        raise HypisoError(f"conjugator form residual {form:.3e} exceeds its gate {gate:.3e}")
+    flip = not same and b1.a + b1.b > 0
+    s = _conjugator(st1, st2, flip)
+    same = same or flip
     expected = Component.SO_o if same else Component.O_minus_preserving
-    if _component(s[-1, -1], lapack.det(s[:-1, :-1])) is not expected:
-        raise HypisoError("conjugator left the identity component")
+    _check_conjugator(s, sp1, st1, sp2, st2, expected)
     if same:
         return ConjugacyAnswer(Relation.CONJUGATE_IN_MO, s, "normalform")
     # without +-1 eigendirections every sheet-preserving commuting element
@@ -227,7 +174,7 @@ def _mn_conjugator(
     return ConjugacyAnswer(Relation.CONJUGATE_IN_M_ONLY, s, "centralizer-enum")
 
 
-def _reading(stretch: Optional[float], blocks: frames._OrthogonalBlocks) -> str:
+def _reading(stretch: Optional[float], blocks: _OrthogonalBlocks) -> str:
     """What the conjugator reads of one element, for a refusal message."""
     angles = ", ".join(f"{th:.9g}" for th, _ in blocks.planes)
     head = "" if stretch is None else f"stretch {stretch:.9g}, "

@@ -211,7 +211,7 @@ class LorentzMatrix:
     The element carries its own analysis: ``_analyses`` maps delta to the
     record of its spectral pass (``spectral._LorentzSpectrum``), computed
     on first use and read by every later decider call, which also keeps
-    the adapted splitting (``reality._lorentz_structure``).  The record
+    the adapted splitting (``frames._lorentz_structure``).  The record
     shares ``entries`` but holds no reference back to the element, so the
     element is freed by reference counting.  This is sound only because
     ``entries`` never changes: every construction in the package
@@ -257,6 +257,11 @@ class LorentzMatrix:
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.entries, dtype=dtype)
+
+
+def j_inner(j: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    """Polarized form x^T J y for real vectors, j = diag(J)."""
+    return float(np.dot(x * j, y))
 
 
 def group_inverse(m: np.ndarray, j: np.ndarray) -> np.ndarray:

@@ -8,11 +8,8 @@ the Moebius identity component M_o(n) = SO_o(n+1,1).
 Every positive decision ships a verified reverser; all constructions here
 produce involutions, so reality and strong reality coincide on everything
 this module emits (which is also what the theory guarantees).  Each
-reverser, in every group and in the oracle's exact mode, is one frame map
-Phi D Phi* read from a splitting record (:class:`_LorentzStructure`, for
-Lorentz and orthogonal elements alike): Phi its square frame, Phi* =
-diag(signs) Phi^T J (J = I in O(n)) and D a +-1 diagonal chosen by
-:func:`_reverser`.
+reverser is read from the adapted splitting of its element, and checked,
+by :mod:`hypiso.frames`.
 
 Decision logic, uniform across classes: a reverser is forced to act with
 determinant -1 on every invariant rotation plane with angle in (0, pi),
@@ -39,44 +36,21 @@ from typing import Optional
 
 import numpy as np
 
-from . import frames, lapack
-from .classify import (
-    FixedPointClass,
-    _check_kernel_width,
-    _elliptic_fixed_vector,
-    _fixed_point_class,
-    _hyperbolic_rays,
-    _parabolic_ray,
-    _require_sheet_preserving,
-)
+from . import lapack
+from .classify import FixedPointClass
 from .errors import (
-    Borderline,
-    BudgetExhausted,
-    HypisoError,
-    InvalidArg,
-    NotInIdentityComponent,
-    NotOrthogonal,
+    BudgetExhausted, HypisoError, InvalidArg, NotInIdentityComponent, NotOrthogonal,
     NotSpecialOrthogonal,
 )
+from .frames import (
+    CERTIFICATE_TOL, _check_certificate, _component_of, _group_reversal_residual,
+    _lorentz_structure, _orthogonal_structure, _reverser,
+)
 from .quadspace import (
-    DEFAULT_EPS,
-    Component,
-    LorentzMatrix,
-    _component,
-    _constants,
-    form_residual,
-    group_inverse,
-    is_orthogonal,
-    matrix_to_document,
+    DEFAULT_EPS, Component, LorentzMatrix, form_residual, is_orthogonal, matrix_to_document,
 )
-from .spectral import (
-    DEFAULT_DELTA,
-    _distinct,
-    _LorentzSpectrum,
-    _lorentz_angles,
-)
+from .spectral import DEFAULT_DELTA, _distinct, _LorentzSpectrum, _lorentz_angles
 
-RESIDUAL_TOL = 1e-8
 NEWTON_ITERS = 50  # steps of the oracle's hyperbolic Newton projection
 
 GROUP_O = "O_n"
@@ -109,70 +83,9 @@ def reversal_residual(s: np.ndarray, t: np.ndarray) -> float:
     return float(np.abs(s @ t @ np.linalg.inv(s) - np.linalg.inv(t)).max())
 
 
-def _group_reversal_residual(s: np.ndarray, t: np.ndarray, j: np.ndarray):
-    """max-norm of S T S^-1 - T^-1, per S of a stack, with group inverses in
-    place of ``np.linalg.inv``, whose rounding grows with the condition
-    number; valid once S and T are known to lie in the group."""
-    return np.abs(s @ t @ group_inverse(s, j) - group_inverse(t, j)).max(axis=(-2, -1))
-
-
-def _certificate_failure(
-    message: str, delta: float, out, inp=None, gate: float = RESIDUAL_TOL
-) -> HypisoError:
-    """The error for a certificate that missed its gate, built on the
-    splittings ``out`` and ``inp`` (``inp`` defaults to ``out``).
-
-    A rotation by theta <= delta is read as +-1, and the construction then
-    fixes its plane pointwise.  In frame coordinates that leaves a residual
-    near 2 theta, which the +-1 columns of the two frames carry over with a
-    gain of at most the product of their 2-norms (1 in O(n)).  When that
-    exceeds the gate, the miss is a refusal naming theta, delta and the
-    gate; any other miss is an internal error.
-    """
-    theta, gain = 0.0, 1.0
-    for side in (out, out if inp is None else inp):
-        blocks = side.blocks
-        theta = max(theta, blocks.near_pm_one)
-        if side.cls is not None and blocks.a + blocks.b:
-            gain *= float(np.linalg.norm(side.frame[:, side.special_dim + 2 * blocks.p :], 2))
-    if 2.0 * theta * gain > gate:
-        return Borderline(
-            f"{message}: a rotation by {theta:.3e}, within delta = {delta:g} of +-1, "
-            f"was read as +-1, which leaves a residual up to {2.0 * theta * gain:.1e}, "
-            f"over the gate {gate:g}"
-        )
-    return HypisoError(message)
-
-
-def _check_certificate(s: np.ndarray, t: np.ndarray, st: "_LorentzStructure", delta: float) -> None:
-    """Raise unless S is an involutive reverser of T in its group, read from
-    ``st``, the splitting S was built on; ``st`` and delta name the refusals
-    of :func:`_certificate_failure`."""
-    j = st.j
-    # written "not r <= gate" so that a NaN residual fails its gate
-    if not form_residual(s, j) <= RESIDUAL_TOL:
-        group = "Lorentz" if j[-1] < 0 else "orthogonal"
-        message = f"constructed reverser left the {group} group"
-    elif not _group_reversal_residual(s, t, j) <= RESIDUAL_TOL:
-        message = "constructed reverser failed its residual check"
-    elif not np.abs(s @ s - _constants(len(s))["identity"]).max() <= RESIDUAL_TOL:
-        message = "constructed reverser is not an involution"
-    else:
-        return
-    raise _certificate_failure(message, delta, st)
-
-
 # ---------------------------------------------------------------------------
 # orthogonal groups
 # ---------------------------------------------------------------------------
-
-
-def _orthogonal_structure(t: np.ndarray, delta: float) -> "_LorentzStructure":
-    """The splitting record of an orthogonal T: no special block, the frame
-    of its invariant blocks, signs and form signs all +1."""
-    blocks = frames.invariant_plane_frames(t, delta)
-    ones = np.ones(len(t))
-    return _LorentzStructure(None, blocks, None, blocks.frame, ones, ones)
 
 
 def _orthogonal_data(t, delta: float, eps: float, special: bool = True):
@@ -233,174 +146,6 @@ def is_strongly_real_SOn(
     return replace(is_real_SOn(t, delta, eps), clause="KN")
 
 
-# ---------------------------------------------------------------------------
-# Lorentzian structure
-# ---------------------------------------------------------------------------
-
-
-_UNIPOTENT_SIGNS = np.array([1.0, 1.0, -1.0])
-
-
-def _standard_unipotent(c: float) -> np.ndarray:
-    """exp(c X) for the translation generator fixing the ray (0, 1, 1)."""
-    return np.array(
-        [
-            [1.0, -c, c],
-            [c, 1.0 - c * c / 2.0, c * c / 2.0],
-            [c, -c * c / 2.0, 1.0 + c * c / 2.0],
-        ]
-    )
-
-
-def _parabolic_frame(sp: _LorentzSpectrum) -> tuple[np.ndarray, float]:
-    """J-orthonormal frame (f1, f2, f3) of the invariant 3-dim time-like
-    block of a parabolic element, in which T restricts to the standard
-    unipotent; returns (frame, c)."""
-    space = sp.space
-    j = space.form_signs
-    n1 = sp.entries - space.identity
-    u = _parabolic_ray(sp)  # time coordinate 1
-    # minimal-norm Jordan chain top: orthogonal to ker((T-I)^2), hence
-    # free of rotation-plane components
-    w = lapack.lstsq(n1 @ n1, u, 1e-9)
-    c_uw = frames.j_inner(j, u, w)
-    if abs(c_uw) < 1e-10:
-        raise HypisoError("degenerate pairing in the unipotent block")
-    # second null direction inside span(u, Nw, w)
-    beta = -frames.j_inner(j, w, w) / (2.0 * c_uw)
-    u2 = w + beta * u
-    u2 = u2 * (-2.0 / frames.j_inner(j, u, u2))
-    f2 = (u - u2) / 2.0
-    f3 = (u + u2) / 2.0
-    y = n1 @ w
-    y = y - frames.j_inner(j, y, f2) * f2 + frames.j_inner(j, y, f3) * f3
-    qy = frames.j_inner(j, y, y)
-    if qy <= 0:
-        raise HypisoError("unipotent block frame is not space-like where expected")
-    f1 = y / np.sqrt(qy)
-    frame = np.column_stack([f1, f2, f3])
-    block = frames.restrict_to_frame(sp.entries, frame, _UNIPOTENT_SIGNS, j)
-    # the mean of the four entries +-c: one alone errs more on wide input,
-    # and the c^2/2 entries magnify that error
-    c = float((block[1, 0] + block[2, 0] - block[0, 1] + block[0, 2]) / 4.0)
-    if float(np.abs(block - _standard_unipotent(c)).max()) > 1e-7:
-        raise HypisoError("parabolic block did not reduce to the standard unipotent")
-    return frame, c
-
-
-@dataclass(frozen=True, eq=False)
-class _LorentzStructure:
-    """Adapted splitting: special time-like block + space-like complement.
-
-    ``frame`` is the square J-orthonormal frame Phi in which T is
-    blockdiag(special block, B(t_1), ..., B(t_p), I_a, -I_b), ``signs``
-    its Q-signs and ``j`` the form signs; Phi* = diag(signs) Phi^T J is its
-    inverse, and every reverser Phi D Phi* and conjugator Phi_2 M Phi_1* is
-    read from it.  Its columns, in order: the ``special_dim`` special
-    columns (elliptic: the fixed time-like unit v, sign -1; hyperbolic:
-    s, t with att = s + t the r-eigenray, signs +1, -1; parabolic: f1, f2,
-    f3 of the standard unipotent exp(c X), c = ``unipotent_c``, signs +1,
-    +1, -1), then the frame of ``blocks`` carried to the space-like
-    complement: the plane frames by descending angle, ker(T_o - I) and
-    ker(T_o + I), all sign +1, T_o being the orthogonal restriction of T
-    to that complement.  The frame is built once, read-only; its
-    orientation is left to its one reader, the conjugator.
-
-    An orthogonal T has the same record with no special block: ``cls``
-    None, the frame of its invariant blocks, ``signs`` and ``j`` all +1.
-    """
-
-    cls: Optional[FixedPointClass]  # None in O(n)
-    blocks: frames._OrthogonalBlocks  # invariant blocks of T_o
-    unipotent_c: Optional[float]  # parabolic only
-    frame: np.ndarray
-    signs: np.ndarray
-    j: np.ndarray
-
-    def __post_init__(self):
-        self.frame.setflags(write=False)
-
-    @property
-    def special_dim(self) -> int:
-        b = self.blocks
-        return len(self.signs) - 2 * b.p - b.a - b.b
-
-
-def _lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
-    """The adapted splitting of the element of ``sp``, built once and kept
-    on that record."""
-    st = sp.structure
-    if st is None:
-        st = sp.structure = _build_lorentz_structure(sp)
-    return st
-
-
-def _build_lorentz_structure(sp: _LorentzSpectrum) -> _LorentzStructure:
-    _require_sheet_preserving(sp)
-    j = sp.space.form_signs
-    cls = _fixed_point_class(sp)
-    c = None
-    if cls is FixedPointClass.ELLIPTIC:
-        v = _elliptic_fixed_vector(sp)
-        special = v[:, None]
-        signs = [-1.0]
-    elif cls is FixedPointClass.HYPERBOLIC:
-        att, rep = _hyperbolic_rays(sp)
-        gamma = frames.j_inner(j, att, rep)
-        if gamma >= 0:
-            raise HypisoError("fixed rays of a hyperbolic element must pair negatively")
-        # both rays scaled alike, to <att, rep> = -2: rescaling one alone
-        # grows the frame like 1/<att, rep> when the endpoints are close
-        k = np.sqrt(-2.0 / gamma)
-        special = np.column_stack([(att - rep) * (k / 2.0), (att + rep) * (k / 2.0)])
-        signs = [1.0, -1.0]
-    else:
-        special, c = _parabolic_frame(sp)
-        signs = _UNIPOTENT_SIGNS.tolist()
-    w_frame = frames.spacelike_complement(special, j)
-    t_o = (w_frame.T * j) @ sp.entries @ w_frame  # W* = W^T J: W's signs are all +1
-    blocks = frames.invariant_plane_frames(t_o, sp.delta)
-    # ker(T - I) at tau is T_o's +1 eigenspace, plus the fixed time-like
-    # vector or null ray of an elliptic or parabolic: one kernel, read twice
-    _check_kernel_width(sp, blocks.a + (cls is not FixedPointClass.HYPERBOLIC))
-    frame = np.concatenate([special, w_frame @ blocks.frame], axis=1)
-    frame_signs = np.array(signs + [1.0] * w_frame.shape[1])
-    return _LorentzStructure(cls, blocks, c, frame, frame_signs, j)
-
-
-# (det, sheet, signs) choices of a reverser on the special block of each class
-_SPECIAL_REVERSERS = {
-    None: [(1, 1, [])],
-    FixedPointClass.ELLIPTIC: [(1, 1, [1.0]), (-1, -1, [-1.0])],
-    FixedPointClass.HYPERBOLIC: [(-1, 1, [-1.0, 1.0]), (-1, -1, [1.0, -1.0])],
-    FixedPointClass.PARABOLIC: [(-1, 1, [-1.0, 1.0, 1.0]), (1, -1, [1.0, -1.0, -1.0])],
-}
-
-
-def _reverser(st: _LorentzStructure, det: int, sheet: int = 1) -> Optional[np.ndarray]:
-    """The involutive reverser Phi D Phi* with determinant ``det`` on
-    ``sheet``, or None when that component has none.
-
-    Phi is the frame of ``st``.  D is +-1: the special-block signs of the
-    requested sheet (none for O(n) and SO(n)), (1, -1) on each plane, and
-    +1 on the +-1 eigenspaces, with one flip on the first of their columns
-    where the determinant parity needs it.  D goes to the frame map as its
-    diagonal, a list.
-    """
-    blocks = st.blocks
-    for sp_det, sp_sheet, special in _SPECIAL_REVERSERS[st.cls]:
-        if sp_sheet != sheet:
-            continue
-        pm = [1.0] * (blocks.a + blocks.b)
-        if det * sp_det * (-1) ** blocks.p == -1:
-            if not pm:
-                return None
-            pm[0] = -1.0
-        d = special + [1.0, -1.0] * blocks.p + pm
-        return frames.frame_map(st.frame, d, st.frame, st.signs, st.j)
-    return None
-
-
 def _theorem_clause(n: int, cls: FixedPointClass, a: int, b: int) -> tuple[bool, str]:
     """Decision and clause tag of the reality theorem for SO_o(n,1)."""
     if n % 4 in (0, 3):
@@ -437,7 +182,7 @@ def is_real_SOo_n1(
     _check_certificate(s, t.entries, st, delta)
     # the check just passed puts S in O(n,1) to 1e-8, so its component is
     # read from its entries, as classify_membership would read it
-    if _component(s[-1, -1], lapack.det(s[:-1, :-1])) is not Component.SO_o:
+    if _component_of(s) is not Component.SO_o:
         raise HypisoError("constructed reverser left the identity component")
     return RealityCertificate(GROUP_SOO, True, clause, s, True)
 
@@ -597,7 +342,7 @@ def reverser_oracle(
             if ss.shape[0] == 0:
                 continue
             ss = ss[(form_residual(ss, j) <= 1e-9)
-                    & (_group_reversal_residual(ss, mat, j) <= RESIDUAL_TOL)]
+                    & (_group_reversal_residual(ss, mat, j) <= CERTIFICATE_TOL)]
             # (det, sheet) of each verified witness, from one stacked det;
             # the sheet is +1 in an orthogonal group
             dets = np.where(lapack.det(ss) > 0, 1, -1).tolist()

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import frames, lapack
+from . import lapack
 from .errors import Borderline, ClusterAmbiguity, InvalidArg, NotOrthogonal, NotRegular
 from .quadspace import LorentzMatrix, QuadraticSpace, is_orthogonal
 
@@ -225,7 +225,7 @@ class _LorentzSpectrum:
     1 / rmax, a stretch without the inverse every stretch of O(n,1) pairs
     with.  ``rays``, a hyperbolic's null eigenrays, is the result of the
     fixed-data stage (``classify._fixed_stage``), and ``structure`` the
-    adapted splitting (``reality._lorentz_structure``), each kept here once
+    adapted splitting (``frames._lorentz_structure``), each kept here once
     computed.  The
     fixed data of an elliptic or a parabolic is read from ``kernel``
     itself: its J-Gram is I - 2 z z^T, z the time row of ``kernel``, with
@@ -487,6 +487,83 @@ def is_regular(a, delta: float = DEFAULT_DELTA, eps: float = 1e-9) -> bool:
     return _distinct(rotation_angles(a, delta, eps).angles, delta)
 
 
+@dataclass(frozen=True, eq=False)
+class _OrthogonalBlocks:
+    """Invariant blocks of an orthogonal matrix A.  ``frame`` is the square
+    frame, in which A is block diagonal: the plane frames by descending
+    angle, then ker(A - I), then ker(A + I); the block frames are its
+    column slices."""
+
+    planes: list  # (angle, frame) with angle in (0, pi), descending
+    fix_frame: np.ndarray  # ker(A - I)
+    neg_frame: np.ndarray  # ker(A + I)
+    near_pm_one: float  # largest |Im lambda| the reading counted as +-1
+    frame: np.ndarray
+
+    @property
+    def angles(self) -> RotationAngles:
+        """The angle multiset, from the same reading as the blocks."""
+        return _angle_multiset([theta for theta, _ in self.planes], self.b)
+
+    @property
+    def p(self) -> int:
+        return len(self.planes)
+
+    @property
+    def a(self) -> int:
+        return self.fix_frame.shape[1]
+
+    @property
+    def b(self) -> int:
+        return self.neg_frame.shape[1]
+
+
+def invariant_plane_frames(m: np.ndarray, delta: float) -> _OrthogonalBlocks:
+    """Invariant 2-planes and +-1 eigenspaces of an orthogonal matrix.
+
+    The spectrum is read once, by :func:`_unit_circle` at radius
+    delta.  Each member u of a rotation cluster at e^{i angle} gives the
+    columns (Re u, -Im u), in which m is B(+angle), by descending angle.
+    Their polar factor U[:, :2p] Vt (one SVD) is orthonormal, and as their
+    Gram commutes with every block the planes stay invariant (for repeated
+    angles the split into planes is arbitrary, as the constructions allow).
+    The other columns of U are the +-1 eigenspaces as the reading counts
+    them, so the frame fills the dimension, orthonormal to rounding.  With
+    no rotation pair there is no SVD: U is then I, as numpy returns it for
+    an n x 0 matrix.  When both signs are present, or the reading counted a
+    rotation pair as +-1 (an eigenvalue with a non-zero imaginary part;
+    ``eig`` returns real ones with an imaginary part of exactly 0), one
+    ``eigh`` of the symmetric part of m splits +1 from -1, each ordered
+    from the eigenvalue farthest from +-1: the first +-1 column, which a
+    reverser's parity flip and a conjugator's orientation sign negate,
+    lies in the plane of any rotation pair the reading counted as +-1.
+    Otherwise those columns already are an orthonormal basis of the one
+    eigenspace, and no ``eigh`` runs.
+    """
+    vals, vecs = lapack.eig(m)
+    pairs, plus, minus = _unit_circle(vals, delta)
+    scalars = vals.tolist()
+    near = max((abs(scalars[i].imag) for i in plus + minus), default=0.0)
+    a, b = len(plus), len(minus)
+    pairs.sort(key=lambda t: -t[0])
+    thetas = [theta for theta, idx in pairs for _ in idx]
+    u = vecs[:, [i for _, idx in pairs for i in idx]]
+    q = 2 * len(thetas)
+    cols = np.empty((m.shape[0], q))
+    cols[:, 0::2], cols[:, 1::2] = u.real, -u.imag
+    if q:
+        left, _, vt = lapack.svd(cols)
+        polar, rest = left[:, :q] @ vt, left[:, q:]
+    else:  # numpy's U for an n x 0 frame
+        polar, rest = cols, np.eye(m.shape[0])
+    if (a and b) or near > 0:
+        e = np.linalg.eigh(rest.T @ (m + m.T) @ rest)[1]  # ascending, -1 ones first
+        rest = rest @ np.concatenate([e[:, b:], e[:, :b][:, ::-1]], axis=1)
+    frame = np.concatenate([polar, rest], axis=1)
+    planes = [(theta, frame[:, 2 * i : 2 * i + 2]) for i, theta in enumerate(thetas)]
+    return _OrthogonalBlocks(planes, frame[:, q : q + a], frame[:, q + a :], near, frame)
+
+
 def plane_decomposition(
     a, delta: float = DEFAULT_DELTA, eps: float = 1e-9
 ) -> PlaneDecomposition:
@@ -498,7 +575,7 @@ def plane_decomposition(
     m = np.asarray(a, dtype=float)
     if not is_orthogonal(m, eps):
         raise NotOrthogonal("plane decomposition needs an orthogonal matrix")
-    blocks = frames.invariant_plane_frames(m, delta)
+    blocks = invariant_plane_frames(m, delta)
     ra = blocks.angles
     if not _distinct(ra.angles, delta):
         raise NotRegular("plane decomposition is only canonical for regular rotations")

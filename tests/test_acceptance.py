@@ -18,12 +18,7 @@ from hypiso.classgeom import (
     enumerate_fiber,
     fiber_elements_match_class,
 )
-from hypiso.classify import (
-    classify,
-    normal_form,
-    poincare_extend,
-    reconstruct_from_normal_form,
-)
+from hypiso.classify import classify, poincare_extend
 from hypiso.conjugacy import (
     Relation,
     conjugate_in_Mn,
@@ -31,6 +26,7 @@ from hypiso.conjugacy import (
     find_conjugator,
     invariant_tuple,
 )
+from hypiso.frames import normal_form, reconstruct_from_normal_form
 from hypiso.quadspace import classify_membership
 from hypiso.reality import (
     GROUP_SO,

@@ -2,7 +2,7 @@
 
 Spies count the passes that are computed (``_LorentzSpectrum.stack``, the
 only place that runs the LAPACK kernels of the pass) and the adapted
-splittings that are built (``reality._build_lorentz_structure``).
+splittings that are built (``frames._build_lorentz_structure``).
 """
 
 import gc
@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 
 from conftest import spy
-from hypiso import lapack, reality
-from hypiso.classify import classify, normal_form
+from hypiso import frames, lapack
+from hypiso.classify import classify
 from hypiso.conjugacy import conjugate_in_Mn, invariant_tuple
 from hypiso.errors import InvalidArg
+from hypiso.frames import normal_form
 from hypiso.quadspace import QuadraticSpace, classify_membership
 from hypiso.reality import GROUP_SOO, is_real_SOo_n1, reverser_oracle
 from hypiso.sampling import random_isometry, random_soo
@@ -44,7 +45,7 @@ def test_conjugacy_after_reality_analyses_the_partner_only(monkeypatch, n, cls):
     is_real_SOo_n1(t)
     stack = spy(monkeypatch, _LorentzSpectrum, "stack")
     eigvals = spy(monkeypatch, lapack, "eigvals")
-    builds = spy(monkeypatch, reality, "_build_lorentz_structure")
+    builds = spy(monkeypatch, frames, "_build_lorentz_structure")
     conjugate_in_Mn(t, partner)
     assert [c.args[0] for c in stack.call_args_list] == [[partner]]
     assert eigvals.call_count == 1
@@ -110,7 +111,7 @@ def test_failed_structure_is_not_stored():
     swap = classify_membership(QuadraticSpace(3), np.diag([1.0, 1.0, -1.0, -1.0]))
     for _ in range(2):
         with pytest.raises(InvalidArg, match="sheet-preserving"):
-            reality._lorentz_structure(_LorentzSpectrum.of(swap, 1e-7))
+            frames._lorentz_structure(_LorentzSpectrum.of(swap, 1e-7))
     assert swap._analyses[1e-7].structure is None
 
 

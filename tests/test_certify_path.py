@@ -16,6 +16,7 @@ from hypiso import classify, frames, lapack, quadspace, spectral
 from hypiso.classify import FixedPointClass, _elliptic_fixed_vector, _parabolic_ray
 from hypiso.conjugacy import Relation, _char_poly, _reciprocity_defect, conjugate_in_Mn
 from hypiso.errors import Borderline, HypisoError
+from hypiso.frames import _lorentz_structure
 from hypiso.quadspace import (
     Component,
     QuadraticSpace,
@@ -23,7 +24,7 @@ from hypiso.quadspace import (
     classify_membership,
     matrix_to_json,
 )
-from hypiso.reality import _lorentz_structure, is_real_SOo_n1
+from hypiso.reality import is_real_SOo_n1
 from hypiso.sampling import random_orthogonal, standard_isometry
 from hypiso.spectral import _LorentzSpectrum
 from test_cli import run_subprocess
@@ -147,7 +148,7 @@ class TestClosedFormGrams:
             assert np.sort(np.abs(w - 1.0))[:-1].max(initial=0.0) <= 1e-13
             if st.cls is FixedPointClass.ELLIPTIC:
                 got = _elliptic_fixed_vector(sp)
-                want = want / np.sqrt(-frames.j_inner(j, want, want))
+                want = want / np.sqrt(-quadspace.j_inner(j, want, want))
                 want = want if want[-1] > 0 else -want
             else:
                 got, want = _parabolic_ray(sp), want / want[-1]
@@ -172,7 +173,7 @@ class TestClosedFormGrams:
             w_frame = frames.spacelike_complement(st.frame[:, : st.special_dim], j)
             t_o = frames.restrict_to_frame(sp.entries, w_frame, np.ones(w_frame.shape[1]), j)
             svd.reset_mock()
-            blocks = frames.invariant_plane_frames(t_o, sp.delta)
+            blocks = spectral.invariant_plane_frames(t_o, sp.delta)
             assert svd.call_count == 0
             fix, neg = svd_path_blocks(t_o)
             assert blocks.fix_frame.tobytes() == fix.tobytes()

@@ -7,22 +7,24 @@ from hypiso.classify import (
     EllipticSphere,
     FixedPointClass,
     HyperbolicPair,
-    KRotation,
-    KRotatoryStretch,
-    KRotatoryTranslation,
     ParabolicPoint,
     boundary_fixed_points,
     boundary_point_of_ray,
     classify,
     fixed_point_class,
     lift_boundary_point,
-    normal_form,
     poincare_extend,
-    reconstruct_from_normal_form,
-    standard_position_matrix,
     stretch_factor,
 )
 from hypiso.errors import Borderline, NonpositiveScale, NotHyperbolic, NotOrthogonal
+from hypiso.frames import (
+    KRotation,
+    KRotatoryStretch,
+    KRotatoryTranslation,
+    normal_form,
+    reconstruct_from_normal_form,
+    standard_position_matrix,
+)
 from hypiso.sampling import random_isometry, random_soo
 from hypiso.spectral import null_space_at
 

@@ -488,7 +488,8 @@ class TestImportGraph:
     """``import hypiso`` and ``hypiso classify`` load only the classify path;
     the public names of the other modules resolve on first use."""
 
-    LATE = ("hypiso.reality", "hypiso.conjugacy", "hypiso.classgeom", "hypiso.sampling")
+    LATE = ("hypiso.frames", "hypiso.reality", "hypiso.conjugacy", "hypiso.classgeom",
+            "hypiso.sampling")
 
     def test_classify_loads_no_other_module(self, tmp_path):
         path = write_matrix(tmp_path, "t.json", boost_matrix(3, 0.5))

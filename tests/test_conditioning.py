@@ -13,20 +13,18 @@ from hypiso.classify import (
     boundary_fixed_points,
     classify,
     fixed_point_class,
-    normal_form,
     stretch_factor,
 )
 from hypiso.conjugacy import conjugate_in_Mn, invariant_tuple
 from hypiso.errors import Borderline, HypisoError
-from hypiso.quadspace import Component, QuadraticSpace, classify_membership, matrix_to_json
-from hypiso.reality import (
-    GROUP_SOO,
+from hypiso.frames import (
     _check_certificate,
     _lorentz_structure,
     _orthogonal_structure,
-    is_real_SOo_n1,
-    reverser_oracle,
+    normal_form,
 )
+from hypiso.quadspace import Component, QuadraticSpace, classify_membership, matrix_to_json
+from hypiso.reality import GROUP_SOO, is_real_SOo_n1, reverser_oracle
 from hypiso.sampling import random_soo, rotation_with_angles
 from hypiso.spectral import DEFAULT_DELTA, _LorentzSpectrum, rotation_angles
 from test_cli import run_subprocess

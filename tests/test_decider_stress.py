@@ -24,10 +24,10 @@ from conftest import boost_matrix, lorentz, maxabs
 from hypiso.classify import fixed_point_class
 from hypiso.conjugacy import Relation, _mn_conjugator, conjugate_in_Mn
 from hypiso.errors import Borderline, HypisoError, NotConjugate, RefusedToDecide
+from hypiso.frames import _lorentz_structure
 from hypiso.reality import (
     GROUP_O,
     GROUP_SOO,
-    _lorentz_structure,
     is_real_On,
     is_real_SOn,
     is_real_SOo_n1,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import block_rotation, boost_matrix, spy
-from hypiso import frames, lapack
+from hypiso import lapack, spectral
 from hypiso.classify import FixedPointClass, _prefill, boundary_fixed_points, classify
 from hypiso.cli import main
 from hypiso.conjugacy import Relation, conjugate_in_Mn
@@ -181,7 +181,7 @@ class TestPlusMinusOneFrames:
         a = rotation_with_angles(list(angles), n)
         calls = [spy(monkeypatch, lapack, "eig"), spy(monkeypatch, lapack, "svd"),
                  spy(monkeypatch, np.linalg, "eigh")]
-        blocks = frames.invariant_plane_frames(a, 1e-7)
+        blocks = spectral.invariant_plane_frames(a, 1e-7)
         assert [c.call_count for c in calls] == [1, 1, eighs]
         assert 2 * blocks.p + blocks.a + blocks.b == n
         assert blocks.frame.shape == (n, n)
@@ -196,7 +196,7 @@ class TestPlusMinusOneFrames:
         # the plane columns, from the one SVD of those columns: no SVD of A -+ I.
         a = rotation_with_angles(list(angles), n)
         svd = spy(monkeypatch, lapack, "svd")
-        blocks = frames.invariant_plane_frames(a, 1e-7)
+        blocks = spectral.invariant_plane_frames(a, 1e-7)
         assert svd.call_count == 1
         assert svd.call_args.args[0].shape == (n, 2 * blocks.p)
         assert (blocks.a > 0) + (blocks.b > 0) == counted
@@ -229,7 +229,7 @@ class TestPlusMinusOneFrames:
             q = random_orthogonal(rng, n)
             a = q @ d @ q.T
             eigh = spy(monkeypatch, np.linalg, "eigh")
-            blocks = frames.invariant_plane_frames(a, 1e-7)
+            blocks = spectral.invariant_plane_frames(a, 1e-7)
             mixed = blocks.a > 0 and blocks.b > 0
             assert eigh.call_count == (mixed or blocks.near_pm_one > 0)
             assert blocks.near_pm_one > 0 or not pair_read

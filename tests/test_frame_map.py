@@ -13,11 +13,11 @@ import pytest
 from conftest import lorentz, maxabs, spy
 from hypiso import frames
 from hypiso.conjugacy import Relation, conjugate_in_Mn
+from hypiso.frames import _lorentz_structure
 from hypiso.reality import (
     GROUP_O,
     GROUP_SO,
     GROUP_SOO,
-    _lorentz_structure,
     is_real_On,
     is_real_SOn,
     is_real_SOo_n1,

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import maxabs
-from hypiso import frames
+from hypiso import spectral
 from hypiso.errors import ClusterAmbiguity
 from hypiso.sampling import random_orthogonal, rotation_with_angles
 from hypiso.spectral import rotation_angles
@@ -48,7 +48,7 @@ def test_blocks_read_the_spectrum_as_the_angles_do(case):
         ra = rotation_angles(a, delta)
     except ClusterAmbiguity:
         return
-    blocks = frames.invariant_plane_frames(a, delta)
+    blocks = spectral.invariant_plane_frames(a, delta)
     assert blocks.angles.k == ra.k
     assert blocks.angles.reflection == ra.reflection
     assert 2 * blocks.p + blocks.a + blocks.b == a.shape[0]

@@ -23,7 +23,7 @@ from hypiso.quadspace import (
     q_value,
     subspace_type,
 )
-from hypiso.reality import _group_reversal_residual, _standard_unipotent
+from hypiso.frames import _group_reversal_residual, _standard_unipotent
 from hypiso.sampling import random_orthogonal, random_soo
 
 

@@ -12,17 +12,15 @@ import pytest
 
 from conftest import lorentz, maxabs, spy
 from hypiso import classgeom, conjugacy, frames, lapack, reality, spectral
-from hypiso.classify import (
-    FixedPointClass,
+from hypiso.classify import FixedPointClass, classify, poincare_extend
+from hypiso.conjugacy import Relation, conjugate_in_Mn
+from hypiso.frames import (
     KRotation,
     KRotatoryStretch,
     KRotatoryTranslation,
-    classify,
     normal_form,
-    poincare_extend,
     reconstruct_from_normal_form,
 )
-from hypiso.conjugacy import Relation, conjugate_in_Mn
 from hypiso.quadspace import Component, QuadraticSpace, classify_membership
 from hypiso.reality import is_real_SOo_n1
 from hypiso.sampling import (
@@ -107,7 +105,7 @@ def test_conjugacy_builds_one_splitting_per_input(monkeypatch, n, cls, det):
     partner = partner_of(t, rng, det)
     structures = spy(monkeypatch, conjugacy, "_lorentz_structure")
     extractions = spy(monkeypatch, frames, "invariant_plane_frames")
-    normal_forms = spy(monkeypatch, classify_module, "_normal_form")
+    normal_forms = spy(monkeypatch, frames, "_normal_form")
     answer = conjugate_in_Mn(t, partner)
     assert answer.related is not Relation.NOT_CONJUGATE
     assert [c.args[0] for c in structures.call_args_list] == [t._analyses[1e-7], partner._analyses[1e-7]]
@@ -165,9 +163,9 @@ def test_conjugate_pairs_of_special_structure(name, make, has_pm1, det):
 @pytest.mark.parametrize("n,cls", CASES)
 def test_normal_form_reads_the_stored_splitting(monkeypatch, n, cls):
     t, _ = element(n, cls)
-    reality._lorentz_structure(spectral._LorentzSpectrum.of(t, spectral.DEFAULT_DELTA))
+    frames._lorentz_structure(spectral._LorentzSpectrum.of(t, spectral.DEFAULT_DELTA))
     reports = spy(monkeypatch, classify_module, "_classify")
-    extensions = spy(monkeypatch, classify_module, "poincare_extend")
+    extensions = spy(monkeypatch, frames, "poincare_extend")
     svds = spy(monkeypatch, lapack, "svd")
     normal_form(t)
     assert reports.call_count == extensions.call_count == svds.call_count == 0
