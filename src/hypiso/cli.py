@@ -3,8 +3,11 @@
 Matrices travel as JSON documents {"n": int, "matrix": row-major floats};
 a file holds any number of them, one after another (JSONL included), and
 ``-`` reads standard input.  Every subcommand emits one JSON document per
-line (streamable).  Exit codes: 0 success, 1 malformed input, 2 domain
-error, out-of-range option or numerical failure, 3 refusal to decide
+line (streamable).  Exit codes: 0 success, 1 malformed input (an
+unreadable input file included), 2 domain error, out-of-range option,
+numerical failure or output that cannot be written (``error: cannot write
+output: ...``: an ``--output`` that cannot be opened, a standard output
+that is closed or whose reader has gone), 3 refusal to decide
 (borderline tolerance zone); several documents exit with the code of the
 first one that fails.  A conjugacy question always ends in one of the
 three relations, so ``conjugacy`` exits 3 only on a refusal.  The
@@ -20,12 +23,22 @@ until it writes.
 
 The reality, conjugacy, fibration and sampling modules are imported by
 the commands that use them, so ``classify`` starts without them.
+
+The program entry (:func:`entry`, both ``python -m hypiso.cli`` and the
+``hypiso`` script) does two things that :func:`main` does not: it freezes
+the heap the imports left (``gc.freeze``), so neither the cyclic collector
+nor the interpreter's exit walks numpy's import-time objects, and it
+settles standard output before the interpreter's last flush, so output
+that cannot be written ends as exit 2 without a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import gc
 import json
+import os
 import sys
 
 import numpy as np
@@ -84,13 +97,27 @@ def _read_one(path: str, eps: float) -> quadspace.LorentzMatrix:
     return quadspace.classify_membership(*docs[0], eps)
 
 
-def _emit(lines, output):
+def _emit(lines, output) -> int:
+    """Write the lines to ``output``, or to standard output, flushed, and
+    return the command's exit code."""
     text = "\n".join(lines) + "\n"
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        if output:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        elif sys.stdout is None:  # the process was started without descriptor 1
+            raise OSError(errno.EBADF, "standard output is closed")
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        return _cannot_write(exc)
+    return EXIT_OK
+
+
+def _cannot_write(exc: OSError) -> int:
+    sys.stderr.write(f"error: cannot write output: {exc}\n")
+    return EXIT_DOMAIN
 
 
 def _per_document(args, answer, lorentz: bool) -> int:
@@ -129,8 +156,7 @@ def _per_document(args, answer, lorentz: bool) -> int:
         lines.append(json.dumps(answer(x)))
     if read_error is not None:
         raise read_error
-    _emit(lines, args.output)
-    return EXIT_OK
+    return _emit(lines, args.output)
 
 
 def cmd_classify(args) -> int:
@@ -158,8 +184,7 @@ def cmd_conjugacy(args) -> int:
         answer = conjugacy.conjugate_in_Mon(t1, t2, args.delta)
     else:
         answer = conjugacy.conjugate_in_Mn(t1, t2, args.delta)
-    _emit([json.dumps(answer.to_json_dict())], args.output)
-    return EXIT_OK
+    return _emit([json.dumps(answer.to_json_dict())], args.output)
 
 
 def cmd_decompose(args) -> int:
@@ -180,8 +205,7 @@ def cmd_dims(args) -> int:
     desc = classgeom.descriptor_for(
         args.klass, args.k, args.n, args.has_pi, fix_stretch=not args.all_stretches
     )
-    _emit([json.dumps(desc.to_json_dict())], args.output)
-    return EXIT_OK
+    return _emit([json.dumps(desc.to_json_dict())], args.output)
 
 
 def _reads_pi(angle: float, delta: float) -> bool:
@@ -221,8 +245,7 @@ def cmd_enumerate(args) -> int:
         "count": len(elements),
         "elements": [[float(x) for x in m.ravel()] for m in elements],
     }
-    _emit([json.dumps(doc)], args.output)
-    return EXIT_OK
+    return _emit([json.dumps(doc)], args.output)
 
 
 def cmd_random(args) -> int:
@@ -256,8 +279,7 @@ def cmd_random(args) -> int:
         else:
             mat = sampling.random_isometry(rng, n, args.klass, args.k).entries
         lines.append(quadspace.matrix_to_json(mat))
-    _emit(lines, args.output)
-    return EXIT_OK
+    return _emit(lines, args.output)
 
 
 def cmd_oracle(args) -> int:
@@ -374,5 +396,29 @@ def main(argv=None) -> int:
         return EXIT_MALFORMED
 
 
+def entry() -> int:
+    """The program: :func:`main` on ``sys.argv``, run on a frozen heap.
+
+    The freeze moves every object the imports made into the collector's
+    permanent generation; an in-process ``main(argv)`` does not freeze, so
+    a caller's heap is left as it was.  Standard output is flushed here,
+    before the interpreter's own last flush: when that fails, the rest of
+    it goes to the null device, and a run that had succeeded reports the
+    failure and exits 2."""
+    gc.freeze()
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: --help, or a usage error
+        code = exc.code
+    try:
+        if sys.stdout is not None:  # None when the process has no descriptor 1
+            sys.stdout.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if code == EXIT_OK:
+            code = _cannot_write(exc)
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -1,5 +1,11 @@
+import gc
 import json
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -543,3 +549,116 @@ class TestImportGraph:
         with pytest.raises(AttributeError, match="no_such_name"):
             hypiso.no_such_name
         assert not hasattr(hypiso, "no_such_name")
+
+
+def run_program(argv, **kwargs):
+    """Run ``argv`` under this interpreter with the source tree on its path
+    and without PYTHONUNBUFFERED, so standard output is buffered as a
+    user's shell leaves it."""
+    import hypiso
+
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(hypiso.__file__)))
+    return subprocess.run([sys.executable, *argv], text=True, env=env, timeout=120, **kwargs)
+
+
+class TestProgramEntry:
+    """The program entry freezes the import-time heap before the first
+    document is read; an in-process ``main(argv)`` freezes nothing."""
+
+    # reports the collector's frozen count when the first document is read
+    SPY = (
+        "import atexit, gc, sys\n"
+        "from hypiso import quadspace\n"
+        "counts = []\n"
+        "read = quadspace.matrix_from_document\n"
+        "def spy(doc):\n"
+        "    counts.append(gc.get_freeze_count())\n"
+        "    return read(doc)\n"
+        "quadspace.matrix_from_document = spy\n"
+        "atexit.register(lambda: sys.stderr.write(f'frozen: {counts[:1]}\\n'))\n"
+        "sys.argv = ['hypiso', *sys.argv[1:]]\n"
+    )
+
+    def frozen_at_first_document(self, tmp_path, launch):
+        path = write_matrix(tmp_path, "t.json", boost_matrix(3, 0.5))
+        proc = run_program(["-c", self.SPY + launch, "classify", path], capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["class"] == "Hyperbolic"
+        (count,) = json.loads(proc.stderr.removeprefix("frozen: "))
+        return count
+
+    def test_module_run_freezes(self, tmp_path):
+        launch = "import runpy; runpy.run_module('hypiso.cli', run_name='__main__', alter_sys=True)\n"
+        assert self.frozen_at_first_document(tmp_path, launch) > 1000
+
+    def test_console_script_freezes(self, tmp_path):
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        # the [project.scripts] line (tomllib is not in Python 3.10)
+        module, func = re.search(r'^hypiso = "(.+):(.+)"$', pyproject.read_text(), re.M).groups()
+        launch = f"import importlib; sys.exit(importlib.import_module({module!r}).{func}())\n"
+        assert self.frozen_at_first_document(tmp_path, launch) > 1000
+
+    def test_main_freezes_nothing(self, tmp_path, capsys):
+        path = write_matrix(tmp_path, "t.json", boost_matrix(3, 0.5))
+        before = gc.get_freeze_count()
+        code, out, _ = run(capsys, "classify", path)
+        assert code == 0 and json.loads(out)["class"] == "Hyperbolic"
+        assert gc.get_freeze_count() == before
+
+
+class TestOutputFailures:
+    """Output that cannot be written exits 2 as ``error: cannot write
+    output``, without a traceback; an unreadable input stays exit 1."""
+
+    # one document stays in the output buffer until the flush; 400 of them
+    # overrun the buffer inside the write; argparse's help is met only by
+    # the program entry's flush
+    @pytest.mark.parametrize("count", (1, 400, 0))
+    def test_stdout_whose_reader_has_gone(self, tmp_path, count):
+        path = write_matrix(tmp_path, "t.json", boost_matrix(3, 0.5))
+        argv = ["classify", *[path] * count] if count else ["--help"]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_program(["-m", "hypiso.cli", *argv],
+                               stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
+        assert "Traceback" not in proc.stderr
+
+    def test_no_standard_output(self, tmp_path):
+        path = write_matrix(tmp_path, "t.json", boost_matrix(3, 0.5))
+        proc = run_program(["-m", "hypiso.cli", "classify", path],
+                           stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write output: [Errno 9] standard output is closed\n"
+
+    def test_output_in_a_missing_directory(self, tmp_path):
+        path = write_matrix(tmp_path, "t.json", boost_matrix(3, 0.5))
+        target = tmp_path / "missing" / "out.json"
+        proc = run_program(["-m", "hypiso.cli", "classify", path, "--output", str(target)],
+                           capture_output=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == (
+            f"error: cannot write output: [Errno 2] No such file or directory: '{target}'\n"
+        )
+        assert "Traceback" not in proc.stderr
+
+    def test_output_in_a_missing_directory_in_process(self, tmp_path, capsys):
+        path = write_matrix(tmp_path, "t.json", boost_matrix(3, 0.5))
+        target = tmp_path / "missing" / "out.json"
+        code, out, err = run(capsys, "dims", "--class", "elliptic", "--k", "2", "--n", "5",
+                             "--output", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write output: [Errno 2] No such file or directory: '{target}'\n"
+        code, _, err = run(capsys, "classify", path, "--output", str(target))
+        assert code == 2 and err.startswith("error: cannot write output: ")
+
+    def test_unreadable_input_stays_malformed(self, tmp_path, capsys):
+        absent = tmp_path / "absent.json"
+        code, out, err = run(capsys, "classify", str(absent))
+        assert (code, out) == (1, "")
+        assert err == f"malformed input: [Errno 2] No such file or directory: '{absent}'\n"
