@@ -35,14 +35,12 @@ pinned by the round-trip tests.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
 import numpy as np
 
-from . import lapack
 from .errors import (
     Borderline,
     HypisoError,
@@ -316,39 +314,10 @@ def stretch_factor(t: LorentzMatrix, delta: float = DEFAULT_DELTA) -> float:
     return _stretch(sp)
 
 
-def _fixed_stage(hyperbolic: list) -> None:
-    """The LAPACK work of the fixed-point data of hyperbolic passes of one
-    size, run stacked over the passes that do not yet store it, and stored
-    on each.
-
-    One SVD of the (2H, d, d) stack [T - r I; T - r^-1 I] over the H passes
-    of ``hyperbolic`` (each with a real positive dominant eigenvalue r)
-    gives each its ``rays``: the right singular vectors of the smallest
-    singular values, the null eigenvectors for r and 1/r.  The fixed data
-    of a parabolic or an elliptic needs no LAPACK call of its own: it is
-    read from the stored kernel in closed form (:func:`_fixed_axis`).
-
-    numpy runs the same LAPACK routine on each matrix of a stack, so each
-    result is bit-identical to that of a stack of one.  A stacked call
-    that fails raises and stores nothing for its stack; each reader runs
-    the stage on its own pass alone, which then redoes only what is missing.
-    """
-    hyperbolic = [sp for sp in hyperbolic if sp.rays is None]
-    if hyperbolic:
-        h = len(hyperbolic)
-        m = np.array([sp.entries for sp in hyperbolic] * 2)
-        r = [_stretch(sp) for sp in hyperbolic]
-        lam = np.array(r + [1.0 / x for x in r])
-        vt = lapack.svd(m - lam[:, None, None] * hyperbolic[0].space.identity)[2]
-        for i, sp in enumerate(hyperbolic):
-            rays = vt[[i, h + i], -1]
-            rays.setflags(write=False)
-            sp.rays = rays
-
-
 def _hyperbolic_rays(sp: _LorentzSpectrum) -> tuple[np.ndarray, np.ndarray]:
-    """Null eigenvectors for (r, 1/r), each normalized to time coordinate 1."""
-    _fixed_stage([sp])
+    """Null eigenvectors for (r, 1/r), each normalized to time coordinate 1:
+    the rays the pass stores for a real positive dominant eigenvalue."""
+    _stretch(sp)  # refuses any other dominant eigenvalue, which has no rays
     out = []
     for v in sp.rays:
         if abs(v[-1]) < 1e-10:
@@ -449,28 +418,6 @@ def _classify(sp: _LorentzSpectrum) -> ClassificationReport:
         fixed_data=_fixed_data(sp, cls, ang),
         boundary_dim=sp.space.n - 1,
     )
-
-
-def _prefill(ts: list, delta: float) -> None:
-    """Store, stacked, what the deciders of the sheet-preserving
-    ``LorentzMatrix`` entries of ``ts`` (all of one size) would compute
-    one by one: the spectral pass of each, then one :func:`_fixed_stage`
-    over those whose class reads hyperbolic, the only class whose fixed
-    data needs LAPACK work.  Other entries are skipped.
-
-    It decides nothing and raises nothing.  A stacked call that fails
-    stores nothing for its stack, and each element's own decider redoes
-    what is missing and meets its own error; a refused class is refused
-    again by the decider that reads it.
-    """
-    live = [t for t in ts if isinstance(t, LorentzMatrix) and t.sheet_preserving]
-    with contextlib.suppress(np.linalg.LinAlgError, HypisoError):
-        hyperbolic = []
-        for sp in _LorentzSpectrum.stack(live, delta):
-            with contextlib.suppress(HypisoError):
-                if _fixed_point_class(sp) is FixedPointClass.HYPERBOLIC:
-                    hyperbolic.append(sp)
-        _fixed_stage(hyperbolic)
 
 
 def classify(t: LorentzMatrix, delta: float = DEFAULT_DELTA) -> ClassificationReport:

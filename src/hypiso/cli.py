@@ -35,6 +35,7 @@ that cannot be written ends as exit 2 without a traceback.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import gc
 import json
@@ -44,9 +45,9 @@ import sys
 import numpy as np
 
 from . import quadspace
-from .classify import _prefill, classify
+from .classify import classify
 from .errors import HypisoError, OutOfRange, RefusedToDecide
-from .spectral import DEFAULT_DELTA, plane_decomposition, rotation_matrix
+from .spectral import DEFAULT_DELTA, _LorentzSpectrum, plane_decomposition, rotation_matrix
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -66,6 +67,8 @@ def _documents(path: str):
     error offset, is what text mode reads.  All documents go through one
     shared decoder."""
     if path == "-":
+        if sys.stdin is None:  # the process was started without descriptor 0
+            raise OSError(errno.EBADF, "standard input is closed")
         text = sys.stdin.read()
     else:
         with open(path, "rb", buffering=0) as fh:
@@ -120,6 +123,16 @@ def _cannot_write(exc: OSError) -> int:
     return EXIT_DOMAIN
 
 
+def _store_passes(members: list, delta: float) -> None:
+    """Store, stacked, the spectral pass of each sheet-preserving
+    ``LorentzMatrix`` of ``members`` (all of one size), a hyperbolic's rays
+    included.  It raises nothing: a failed stack stores nothing, and each
+    element's decider meets its own error."""
+    live = [t for t in members if isinstance(t, quadspace.LorentzMatrix) and t.sheet_preserving]
+    with contextlib.suppress(np.linalg.LinAlgError, HypisoError):
+        _LorentzSpectrum.stack(live, delta)
+
+
 def _per_document(args, answer, lorentz: bool) -> int:
     """Emit the JSON document ``answer(x)`` of each input document, in
     input order: x is the validated Lorentz matrix when ``lorentz``
@@ -127,10 +140,10 @@ def _per_document(args, answer, lorentz: bool) -> int:
     otherwise (the orthogonal groups, and ``decompose``).
 
     Every document is read first.  Lorentz documents then go through
-    membership, and their spectral passes and fixed-data stage are
-    stored (``classify._prefill``), once per dimension on the stack of its
-    matrices, for ``answer`` to read.  If any document fails, the first
-    that does, in input order, is raised and nothing is written."""
+    membership, and their spectral passes are stored (:func:`_store_passes`),
+    once per dimension on the stack of its matrices, for ``answer`` to
+    read.  If any document fails, the first that does, in input order, is
+    raised and nothing is written."""
     docs = []
     read_error = None
     try:
@@ -146,7 +159,7 @@ def _per_document(args, answer, lorentz: bool) -> int:
         for idx in by_dim.values():
             stack = np.stack([xs[i] for i in idx])
             members = quadspace.classify_membership_many(docs[idx[0]][0], stack, args.eps)
-            _prefill(members, args.delta)
+            _store_passes(members, args.delta)
             for i, x in zip(idx, members):
                 xs[i] = x
     lines = []
@@ -294,8 +307,18 @@ def cmd_oracle(args) -> int:
     ).to_json_dict(), args.group in ("SOo", "Mo"))
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # argparse drops an OSError of this write: one to standard output
+        # (--help on a closed pipe) is raised, for entry() to report
+        if message and file is not None and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypiso",
         description="Classify hyperbolic-space isometries, decide reality and "
         "conjugacy, and compute conjugacy-class fibration data.",
@@ -402,18 +425,19 @@ def entry() -> int:
     The freeze moves every object the imports made into the collector's
     permanent generation; an in-process ``main(argv)`` does not freeze, so
     a caller's heap is left as it was.  Standard output is flushed here,
-    before the interpreter's own last flush: when that fails, the rest of
-    it goes to the null device, and a run that had succeeded reports the
-    failure and exits 2."""
+    before the interpreter's own last flush: when that fails, or
+    argparse's write of ``--help`` does, the rest of it goes to the null
+    device, and a run that had succeeded reports the failure and exits 2."""
     gc.freeze()
+    code = EXIT_OK
     try:
-        code = main()
-    except SystemExit as exc:  # argparse: --help, or a usage error
-        code = exc.code
-    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse: --help, or a usage error
+            code = exc.code
         if sys.stdout is not None:  # None when the process has no descriptor 1
             sys.stdout.flush()
-    except OSError as exc:
+    except OSError as exc:  # the flush, or argparse's write of --help
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         if code == EXIT_OK:
             code = _cannot_write(exc)

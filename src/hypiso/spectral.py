@@ -28,17 +28,17 @@ angles, the stretch and the fixed data of every later call on that
 element read it.  Besides the spectrum and the kernel of T - I, the
 record holds the facts the trichotomy and the stretch read (the dominant
 eigenvalue, its modulus and the two band flags) and what the
-deciders read of the element (its entries, space and sheet flag).  The
-pass runs stacked over any number of matrices of one size
-(:meth:`_LorentzSpectrum.stack`); a single matrix is the stack of one.
-The CLI runs it once per dimension over the documents of every Lorentz
-command (``classify._prefill``) and stores it, before any decider reads
-it.
-The null eigenrays of a hyperbolic (``classify._fixed_stage``) and the
-adapted splitting are stored on the same record.  The kernel of T - I has
-Euclidean-orthonormal columns, so its J-Gram is I - 2 z z^T (z its time
-row), and the fixed data of an elliptic or a parabolic is read from it in
-closed form, with no eigensolve.
+deciders read of the element (its entries, space and sheet flag), and
+the null eigenrays of a stretch: the fixed rays of a hyperbolic, the
+pair of boundary points its class fibres over.  The pass runs stacked
+over any number of matrices of one size (:meth:`_LorentzSpectrum.stack`);
+a single matrix is the stack of one.  The CLI runs it once per dimension
+over the documents of every Lorentz command (``cli._store_passes``) and
+stores it, before any decider reads it.  The adapted splitting is stored
+on the same record.  The kernel of T - I has Euclidean-orthonormal
+columns, so its J-Gram is I - 2 z z^T (z its time row), and the fixed
+data of an elliptic or a parabolic is read from it in closed form, with
+no eigensolve.
 
 Every ``svd``, ``eig``, ``eigvals`` and ``det`` of the package, the pass's
 among them, goes through :mod:`hypiso.lapack`, which calls numpy's LAPACK
@@ -136,6 +136,11 @@ class PlaneDecomposition:
         return self.planes[0].shape[0] if self.planes else self.fixed_subspace.shape[0]
 
 
+def _require_finite_delta(delta: float) -> None:
+    if not 0.0 < delta < math.inf:  # NaN fails too
+        raise InvalidArg(f"delta {delta:g} is not a finite number > 0")
+
+
 def _cluster_eigenvalues(vals: np.ndarray, delta: float) -> list[list[int]]:
     """Union-find clustering of eigenvalues at merge radius delta.
 
@@ -144,8 +149,10 @@ def _cluster_eigenvalues(vals: np.ndarray, delta: float) -> list[list[int]]:
     fraction of the cost.  A pair at most delta apart is merged; a pair
     inside (delta, 2 delta) is kept, and if one ends in two clusters, those
     nearly touch and the call refuses.  Clusters come in the order of their
-    first member, each listing its members in order.
+    first member, each listing its members in order.  A delta that is not
+    a finite number > 0 is refused (``InvalidArg``).
     """
+    _require_finite_delta(delta)
     vals = vals.tolist()
     m = len(vals)
     parent = list(range(m))
@@ -223,10 +230,10 @@ class _LorentzSpectrum:
     ``rmax`` = |lam|, the largest modulus of the spectrum; ``unpaired`` is
     rmax > 1 + delta with no eigenvalue within max(delta, d EPS scale) of
     1 / rmax, a stretch without the inverse every stretch of O(n,1) pairs
-    with.  ``rays``, a hyperbolic's null eigenrays, is the result of the
-    fixed-data stage (``classify._fixed_stage``), and ``structure`` the
-    adapted splitting (``frames._lorentz_structure``), each kept here once
-    computed.  The
+    with.  ``rays``, a hyperbolic's fixed rays, are the null eigenvectors
+    for r = |lam| and 1/r, as rows, read wherever Re lam > 0, rmax > 1 +
+    delta and T is not ``defective`` (else None).  ``structure``, the
+    adapted splitting (``frames._lorentz_structure``), is kept once built.  The
     fixed data of an elliptic or a parabolic is read from ``kernel``
     itself: its J-Gram is I - 2 z z^T, z the time row of ``kernel``, with
     the eigenvalue g = 1 - 2 |z|^2 along z and 1 across it.
@@ -266,14 +273,16 @@ class _LorentzSpectrum:
     @classmethod
     def stack(cls, ts: list[LorentzMatrix], delta: float) -> list["_LorentzSpectrum"]:
         """The pass of each of ``ts`` (all of one size).  Passes not yet
-        stored are computed, then stored, in three LAPACK calls on their
-        (N, d, d) stack: the SVD of T - I, the singular values of (T - I)^2
-        and the eigenvalues of T, whose moduli are taken over the stack too.
-        The rest is at most d^2 numbers per matrix, read from their Python
+        stored are computed in three LAPACK calls on their (N, d, d) stack:
+        the SVD of T - I, the singular values of (T - I)^2 and the
+        eigenvalues of T, whose moduli are taken over the stack too.  The
+        rest is at most d^2 numbers per matrix, read from their Python
         scalars (``tolist``): the scale, the two ranks and ``band`` (by
         bisection on the sorted singular values), ``square_band``, ``lam``,
         ``rmax`` and ``unpaired``; they are Python floats and bools, and
-        ``lam`` a float or a complex.
+        ``lam`` a float or a complex.  One more SVD, of T - r I and
+        T - r^-1 I for each row given ``rays``, reads them.  The passes are
+        stored once every call has returned: a failed call stores nothing.
 
         The scale needs no SVD.  T in O(n,1) is K1 B(s) K2 with K1, K2
         orthogonal and B(s) a boost (the Cartan form), so with
@@ -291,22 +300,25 @@ class _LorentzSpectrum:
         numpy runs the same LAPACK routine on each matrix of a stack, and
         the same elementwise loop on each row, so every field is
         bit-identical to that of a one-matrix stack.  Raises ``InvalidArg``
-        when delta is below ``DELTA_MIN``.
+        when delta is below ``DELTA_MIN`` or infinite.
         """
         if not delta >= DELTA_MIN:
             raise InvalidArg(
                 f"delta {delta:g} is below delta_min = {DELTA_MIN:g}, the floor "
                 "under which the rank of (T - I)^2 is lost to rounding"
             )
+        _require_finite_delta(delta)
         todo = [t for t in ts if delta not in t._analyses]
         if todo:
             m = np.array([t.entries for t in todo])
             d = m.shape[-1]
-            n1 = m - todo[0].space.identity
+            eye = todo[0].space.identity
+            n1 = m - eye
             _, svals, vt = lapack.svd(n1)
             sq = lapack.svd(n1 @ n1, compute_uv=False)
             eigvals = lapack.eigvals(m)
             modulus = np.abs(eigvals)
+            done, stretched = [], []
             # singular values come sorted (descending); read ascending, each
             # rank and the band are counts by bisection, and the kernel is
             # the last rows of vt
@@ -337,11 +349,25 @@ class _LorentzSpectrum:
                     vals = eigvals[i]
                 else:
                     vals, lam = eigvals[i].real, lam.real
-                t._analyses[delta] = cls(
+                sp = cls(
                     t.entries, t.space, delta, t.sheet_preserving, scale, vals,
                     vt[i, rank1:].T, rank2 < rank1, lam, rmax, band, square_band,
                     unpaired,
                 )
+                if lam.real > 0 and rmax > 1.0 + delta and not sp.defective:
+                    stretched.append(i)
+                done.append(sp)
+            if stretched:  # the null eigenrays for r and 1/r, r = |lam| of the scalar
+                h = len(stretched)
+                r = [float(abs(done[i].lam)) for i in stretched]
+                shift = np.array(r + [1.0 / x for x in r])
+                rays = lapack.svd(m[stretched * 2] - shift[:, None, None] * eye)[2]
+                for j, i in enumerate(stretched):
+                    pair = rays[[j, h + j], -1]
+                    pair.setflags(write=False)
+                    done[i].rays = pair
+            for t, sp in zip(todo, done):
+                t._analyses[delta] = sp
         return [t._analyses[delta] for t in ts]
 
 

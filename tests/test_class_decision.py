@@ -28,20 +28,29 @@ SOURCE = Path(hypiso.__file__).resolve().parent
 CLASS_FLAGS = {"band", "square_band", "unpaired", "rmax"}
 
 
+# the one function of each module that may touch the class flags: the
+# decision, and the pass that writes them and picks the rows given rays
+EXEMPT = {"classify.py": (None, "_fixed_point_class"), "spectral.py": ("_LorentzSpectrum", "stack")}
+
+
+def _exempt_nodes(tree: ast.Module, owner, name) -> set:
+    """ids of the nodes of the function ``name``, a method of the class
+    ``owner`` or a module-level function when ``owner`` is None."""
+    scope = tree.body
+    if owner is not None:
+        scope = next(n.body for n in scope if isinstance(n, ast.ClassDef) and n.name == owner)
+    func = next(n for n in scope if isinstance(n, ast.FunctionDef) and n.name == name)
+    return {id(n) for n in ast.walk(func)}
+
+
 def flag_reads() -> list:
     """``file:line attr`` of each read of a class flag outside
-    ``classify._fixed_point_class``; ``spectral``, which writes them, is
-    exempt."""
+    ``classify._fixed_point_class`` and ``spectral._LorentzSpectrum.stack``,
+    which writes them."""
     out = []
     for path in sorted(SOURCE.glob("*.py")):
-        if path.name == "spectral.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        allowed = set()
-        if path.name == "classify.py":
-            for node in ast.walk(tree):
-                if isinstance(node, ast.FunctionDef) and node.name == "_fixed_point_class":
-                    allowed = {id(n) for n in ast.walk(node)}
+        allowed = _exempt_nodes(tree, *EXEMPT[path.name]) if path.name in EXEMPT else set()
         for node in ast.walk(tree):
             if (isinstance(node, ast.Attribute) and node.attr in CLASS_FLAGS
                     and id(node) not in allowed):

@@ -551,13 +551,15 @@ class TestImportGraph:
         assert not hasattr(hypiso, "no_such_name")
 
 
-def run_program(argv, **kwargs):
+def run_program(argv, unbuffered=False, **kwargs):
     """Run ``argv`` under this interpreter with the source tree on its path
     and without PYTHONUNBUFFERED, so standard output is buffered as a
-    user's shell leaves it."""
+    user's shell leaves it; ``unbuffered`` sets PYTHONUNBUFFERED=1."""
     import hypiso
 
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(hypiso.__file__)))
     return subprocess.run([sys.executable, *argv], text=True, env=env, timeout=120, **kwargs)
 
@@ -629,6 +631,19 @@ class TestOutputFailures:
         assert proc.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", (["--help"], ["classify", "--help"]))
+    def test_help_on_a_closed_pipe_unbuffered(self, argv):
+        # unbuffered, argparse's own write meets the closed pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_program(["-m", "hypiso.cli", *argv], unbuffered=True,
+                               stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
+
     def test_no_standard_output(self, tmp_path):
         path = write_matrix(tmp_path, "t.json", boost_matrix(3, 0.5))
         proc = run_program(["-m", "hypiso.cli", "classify", path],
@@ -662,3 +677,28 @@ class TestOutputFailures:
         code, out, err = run(capsys, "classify", str(absent))
         assert (code, out) == (1, "")
         assert err == f"malformed input: [Errno 2] No such file or directory: '{absent}'\n"
+
+
+class TestClosedStandardInput:
+    """``-`` in a process started without descriptor 0 is an unreadable
+    input: exit 1, without a traceback."""
+
+    @pytest.mark.parametrize("argv", (["classify", "-"], ["conjugacy", "-", "-"]))
+    def test_dash_without_descriptor_0(self, argv):
+        proc = run_program(["-m", "hypiso.cli", *argv], capture_output=True,
+                           preexec_fn=lambda: os.close(0))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "malformed input: [Errno 9] standard input is closed\n"
+
+
+class TestDeltaDomain:
+    @pytest.mark.parametrize("command", (
+        ["decompose"], ["reality", "--group", "On"], ["reality", "--group", "SOn"],
+        ["oracle", "--group", "On"], ["oracle", "--group", "SOn"],
+    ))
+    @pytest.mark.parametrize("delta", ("nan", "inf", "0", "-1"))
+    def test_orthogonal_commands_exit_2(self, tmp_path, capsys, command, delta):
+        path = write_matrix(tmp_path, "r.json", block_rotation(1.0, pad=1))
+        code, out, err = run(capsys, *command, path, f"--delta={delta}")
+        assert (code, out) == (2, "")
+        assert err == f"error: delta {float(delta):g} is not a finite number > 0\n"

@@ -1,22 +1,29 @@
 """The fixed-point data of ``hypiso classify`` is computed once per stack:
-one SVD for the null eigenrays of every hyperbolic, equal to what a stack
-of one computes, refusals and failures included; the fixed data of a
-parabolic or an elliptic is read from the kernel with no LAPACK call."""
+the spectral pass reads the null eigenrays of every hyperbolic in one
+SVD, equal to what a stack of one computes, refusals and failures
+included; the fixed data of a parabolic or an elliptic is read from the
+kernel with no LAPACK call.  The class of each element is read once."""
 
+import importlib
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import block_rotation, boost_matrix, spy
 from hypiso import lapack, spectral
-from hypiso.classify import FixedPointClass, _prefill, boundary_fixed_points, classify
-from hypiso.cli import main
+from hypiso.classify import FixedPointClass, boundary_fixed_points, classify, fixed_point_class
+from hypiso.cli import _store_passes, main
 from hypiso.conjugacy import Relation, conjugate_in_Mn
 from hypiso.errors import Borderline
 from hypiso.quadspace import QuadraticSpace, classify_membership, matrix_to_json
 from hypiso.sampling import random_isometry, random_orthogonal, rotation_with_angles
 from test_conditioning import STRETCH_BORDERLINE
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import gen  # noqa: E402  (the benchmark's numpy-only input generator)
 
 DELTA = 3e-8  # the floor, where STRETCH_BORDERLINE is refused
 
@@ -87,7 +94,7 @@ def test_mixed_stack_equals_a_stack_of_one_per_element():
     refused = [classify_membership(QuadraticSpace(3), m, 1e-8) for m in REFUSALS.values()]
     ts = good + refused
     order = np.random.default_rng(7).permutation(len(ts))
-    _prefill([ts[i] for i in order], DELTA)
+    _store_passes([ts[i] for i in order], DELTA)
     assert all(DELTA in t._analyses for t in ts)
     messages = set()
     for i in order:
@@ -123,15 +130,41 @@ def test_a_refused_element_is_conjugate_to_itself_by_the_identity(name):
 def test_stage_results_are_those_of_a_fresh_element():
     ts = [t for cls in ("parabolic", "hyperbolic") for t in elements(5, cls, 4)] + full_rotations(4, 2)
     for n in (4, 5):
-        _prefill([t for t in ts if t.space.n == n], 1e-7)
+        _store_passes([t for t in ts if t.space.n == n], 1e-7)
     for t in ts:
-        stored = t._analyses[1e-7].rays  # by the stacked stage, before any report
+        stored = t._analyses[1e-7].rays  # by the stacked pass, before any report
         report = classify(t)
         alone = fresh(t)
         assert json.dumps(report.to_json_dict()) == json.dumps(classify(alone).to_json_dict())
         assert (stored is not None) == (report.fixed_class is FixedPointClass.HYPERBOLIC)
         if stored is not None:
             assert np.array_equal(stored, alone._analyses[1e-7].rays)
+
+
+def test_a_classify_stream_reads_each_class_once(tmp_path, capsys, monkeypatch):
+    items = gen.cli_items(7, 1026)
+    path = write(tmp_path, "cli.jsonl", [it.matrix for it in items])
+    decide = spy(monkeypatch, importlib.import_module("hypiso.classify"), "_fixed_point_class")
+    assert main(["classify", path]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == len(items)
+    assert decide.call_count == len(items)
+
+
+def test_stacked_rays_are_bit_equal_to_those_of_a_fresh_element():
+    # on the benchmark's stream the rows given rays are the hyperbolics
+    ts = [classify_membership(QuadraticSpace(it.n), it.matrix) for it in gen.cli_items(7, 1026)]
+    order = np.random.default_rng(3).permutation(len(ts))
+    with_rays = 0
+    for n in (3, 5, 9):
+        stack = [ts[i] for i in order if ts[i].space.n == n]
+        for t, sp in zip(stack, spectral._LorentzSpectrum.stack(stack, 1e-7)):
+            alone = spectral._LorentzSpectrum.of(fresh(t), 1e-7)
+            assert (sp.rays is None) == (alone.rays is None)
+            assert (sp.rays is not None) == (fixed_point_class(t) is FixedPointClass.HYPERBOLIC)
+            if sp.rays is not None:
+                assert np.array_equal(sp.rays, alone.rays) and not sp.rays.flags.writeable
+                with_rays += 1
+    assert with_rays == len(ts) // 3
 
 
 def test_later_calls_read_what_classify_stored(monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import block_rotation, boost_matrix, lorentz, maxabs
-from hypiso.errors import ClusterAmbiguity, NotOrthogonal, NotRegular
+from hypiso.errors import ClusterAmbiguity, InvalidArg, NotOrthogonal, NotRegular
 from hypiso.sampling import random_orthogonal, random_soo
 from hypiso.spectral import (
     RotationAngles,
@@ -253,3 +253,35 @@ class TestOneRadius:
         d = plane_decomposition(a, 1e-9)
         assert d.angles == ra.angles
         assert d.k == 1 and d.fixed_subspace.shape == (2, 0)
+
+
+class TestDeltaDomain:
+    """Every orthogonal reader clusters at delta, and refuses a delta that
+    is not a finite number > 0 rather than reading a rotation as fixed."""
+
+    BAD = (float("nan"), float("inf"), 0.0, -1.0)
+
+    @pytest.mark.parametrize("delta", BAD)
+    def test_orthogonal_readers_refuse(self, delta):
+        from hypiso.reality import GROUP_O, GROUP_SO, is_real_On, is_real_SOn, reverser_oracle
+
+        r = block_rotation(1.0, pad=1)
+        readers = (
+            rotation_angles, plane_decomposition, is_regular, is_real_On, is_real_SOn,
+            eigen_structure, is_semisimple,
+            lambda m, d: reverser_oracle(m, GROUP_O, budget=0, delta=d),
+            lambda m, d: reverser_oracle(m, GROUP_SO, budget=0, delta=d),
+        )
+        for read in readers:
+            with pytest.raises(InvalidArg, match="is not a finite number > 0"):
+                read(r, delta)
+        assert rotation_angles(r, 1e-7).angles == (1.0,)
+
+    def test_lorentz_pass_refuses_an_infinite_delta(self):
+        # at delta = inf every modulus is within 1 + delta: a stretch read as elliptic
+        from hypiso.classify import classify, fixed_point_class
+
+        t = lorentz(boost_matrix(3, 0.5))
+        for read in (classify, fixed_point_class, rotation_angles):
+            with pytest.raises(InvalidArg, match="delta inf is not a finite number > 0"):
+                read(t, float("inf"))

@@ -6,8 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from hypiso.classify import _prefill, classify
-from hypiso.cli import main
+from hypiso.classify import classify
+from hypiso.cli import _store_passes, main
 from hypiso.conjugacy import conjugate_in_Mn
 from hypiso.errors import HypisoError, InvalidArg, NotAnIsometry
 from hypiso.quadspace import (
@@ -94,7 +94,7 @@ class TestStackedPass:
         ts = sample(3, 1)
         swap = classify_membership(QuadraticSpace(3), np.diag([1.0, 1.0, 1.0, -1.0]))
         err = ValueError("unreadable")
-        assert _prefill([ts[0], swap, err, ts[1]], 1e-7) is None
+        assert _store_passes([ts[0], swap, err, ts[1]], 1e-7) is None
         assert 1e-7 in ts[0]._analyses and 1e-7 in ts[1]._analyses
         assert swap._analyses == {}
         with pytest.raises(InvalidArg):
