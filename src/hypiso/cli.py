@@ -303,7 +303,7 @@ def cmd_oracle(args) -> int:
         "SOo": reality.GROUP_SOO, "Mo": reality.GROUP_MO,
     }[args.group]
     return _per_document(args, lambda x: reality.reverser_oracle(
-        x, group, budget=args.budget, seed=args.seed, delta=args.delta
+        x, group, budget=args.budget, seed=args.seed, delta=args.delta, eps=args.eps
     ).to_json_dict(), args.group in ("SOo", "Mo"))
 
 

@@ -233,11 +233,14 @@ def find_conjugator(
 
     Raises ``InvalidArg`` for any other group, before any analysis, and
     ``NotConjugate`` when the pair is not conjugate in that group: a Mon
-    conjugator of a pair conjugate in M(n) only does not exist.
+    conjugator of a pair conjugate in M(n) only does not exist.  A Mon
+    request goes through :func:`conjugate_in_Mon`, so it raises
+    ``NotInIdentityComponent`` for an input outside M_o(n).
     """
     if group not in ("Mn", "Mon"):
         raise InvalidArg(f"unknown group {group!r}")
-    answer = conjugate_in_Mn(t1, t2, delta)
+    decide = conjugate_in_Mon if group == "Mon" else conjugate_in_Mn
+    answer = decide(t1, t2, delta)
     if answer.related is Relation.NOT_CONJUGATE:
         raise NotConjugate("pair is not conjugate")
     if group == "Mon" and answer.related is Relation.CONJUGATE_IN_M_ONLY:

@@ -47,7 +47,8 @@ from .frames import (
     _lorentz_structure, _orthogonal_structure, _reverser,
 )
 from .quadspace import (
-    DEFAULT_EPS, Component, LorentzMatrix, form_residual, is_orthogonal, matrix_to_document,
+    DEFAULT_EPS, Component, LorentzMatrix, form_residual, group_inverse, is_orthogonal,
+    matrix_to_document,
 )
 from .spectral import DEFAULT_DELTA, _distinct, _LorentzSpectrum, _lorentz_angles
 
@@ -228,10 +229,11 @@ class OracleReport:
         }
 
 
-def _reverser_solution_basis(t: np.ndarray) -> np.ndarray:
-    """Basis of the linear space {X : X T = T^-1 X} (columns are vecs)."""
+def _reverser_solution_basis(t: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Basis of the linear space {X : X T = T^-1 X} (columns are vecs) of a
+    group element T with form signs j."""
     n = t.shape[0]
-    tinv = np.linalg.inv(t)
+    tinv = group_inverse(t, j)
     k = np.kron(t.T, np.eye(n)) - np.kron(np.eye(n), tinv)
     _, svals, vt = lapack.svd(k)
     tol = max(1.0, svals[0]) * 1e-10
@@ -273,6 +275,7 @@ def reverser_oracle(
     seed: int = 0,
     delta: float = DEFAULT_DELTA,
     require: Optional[set] = None,
+    eps: float = DEFAULT_EPS,
 ) -> OracleReport:
     """Survey achievable reverser components by two independent strategies.
 
@@ -287,7 +290,8 @@ def reverser_oracle(
     The Lorentz groups take elements of the identity component only, as
     :func:`is_real_SOo_n1` does, and raise ``NotInIdentityComponent``
     before any analysis otherwise; an unknown group or a negative budget
-    raises ``InvalidArg`` first.
+    raises ``InvalidArg`` first.  An orthogonal input is checked at
+    ``eps``, as :func:`is_real_On` checks it.
     """
     if group not in (GROUP_O, GROUP_SO, GROUP_SOO, GROUP_MO):
         raise InvalidArg(f"unknown group {group!r}")
@@ -304,7 +308,7 @@ def reverser_oracle(
         sp = _LorentzSpectrum.of(t, delta)
         ang = _lorentz_angles(sp).angles
     else:
-        mat, st = _orthogonal_data(t, delta, DEFAULT_EPS, special=group == GROUP_SO)
+        mat, st = _orthogonal_data(t, delta, eps, special=group == GROUP_SO)
         j = st.j
         ang = st.blocks.angles.angles
     regular = _distinct(ang, delta)
@@ -324,7 +328,7 @@ def reverser_oracle(
 
     found: dict = {}
     used = 0
-    basis = _reverser_solution_basis(mat) if budget > 0 else np.zeros((0, 0))
+    basis = _reverser_solution_basis(mat, j) if budget > 0 else np.zeros((0, 0))
     if basis.shape[1] > 0:
         rng = np.random.default_rng(seed)
         dim = mat.shape[0]

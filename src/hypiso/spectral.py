@@ -150,11 +150,18 @@ def _cluster_eigenvalues(vals: np.ndarray, delta: float) -> list[list[int]]:
     inside (delta, 2 delta) is kept, and if one ends in two clusters, those
     nearly touch and the call refuses.  Clusters come in the order of their
     first member, each listing its members in order.  A delta that is not
-    a finite number > 0 is refused (``InvalidArg``).
+    a finite number > 0 is refused (``InvalidArg``), and so is one below
+    d * u (d eigenvalues, u = ``EPS``), the rounding of ``eig`` itself: at
+    such a delta a repeated eigenvalue split by rounding reads as two.
     """
     _require_finite_delta(delta)
     vals = vals.tolist()
     m = len(vals)
+    if delta < m * EPS:
+        raise InvalidArg(
+            f"delta {delta:g} is below the floor {m * EPS:g} = d * u for d = {m} "
+            "eigenvalues, under which eig's rounding splits a repeated eigenvalue"
+        )
     parent = list(range(m))
 
     def find(i):

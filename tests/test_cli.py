@@ -14,7 +14,7 @@ from conftest import block_rotation, boost_matrix
 from hypiso import lapack
 from hypiso.cli import main
 from hypiso.quadspace import Component, QuadraticSpace, classify_membership, matrix_to_json
-from hypiso.sampling import random_orthogonal, random_soo
+from hypiso.sampling import random_orthogonal, random_soo, rotation_with_angles
 from hypiso.spectral import rotation_matrix
 
 
@@ -691,6 +691,26 @@ class TestClosedStandardInput:
         assert proc.stderr == "malformed input: [Errno 9] standard input is closed\n"
 
 
+class TestOrthogonalEps:
+    """``--eps`` sets the orthogonality check of ``reality`` and ``oracle``
+    alike: an entry raised by 5e-9 fails it at 1e-9 and passes at 1e-6."""
+
+    @pytest.mark.parametrize("command", (
+        ["reality", "--group", "On"], ["reality", "--group", "SOn"],
+        ["oracle", "--group", "On", "--budget", "0"], ["oracle", "--group", "SOn", "--budget", "0"],
+    ))
+    def test_both_commands_read_eps(self, tmp_path, capsys, command):
+        bent = rotation_with_angles([1.0], 3)
+        bent[0, 2] += 5e-9
+        path = write_matrix(tmp_path, "r.json", bent)
+        code, out, err = run(capsys, *command, path, "--eps", "1e-9")
+        assert (code, out) == (2, "")
+        assert err == "error: input is not orthogonal within tolerance\n"
+        code, out, err = run(capsys, *command, path, "--eps", "1e-6")
+        assert (code, err) == (0, "")
+        assert json.loads(out)
+
+
 class TestDeltaDomain:
     @pytest.mark.parametrize("command", (
         ["decompose"], ["reality", "--group", "On"], ["reality", "--group", "SOn"],
@@ -702,3 +722,11 @@ class TestDeltaDomain:
         code, out, err = run(capsys, *command, path, f"--delta={delta}")
         assert (code, out) == (2, "")
         assert err == f"error: delta {float(delta):g} is not a finite number > 0\n"
+
+    def test_decompose_refuses_a_delta_under_the_rounding_of_eig(self, tmp_path, capsys):
+        path = write_matrix(tmp_path, "r.json", block_rotation(1.0, pad=1))
+        code, out, err = run(capsys, "decompose", path, "--delta", "1e-300")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: delta 1e-300 is below the floor 6.66134e-16 = d * u")
+        code, out, _ = run(capsys, "decompose", path, "--delta", "1e-14")
+        assert code == 0 and json.loads(out)["angles"] == [1.0]

@@ -292,3 +292,17 @@ class TestSymmetricRays:
         assert cert.decision is item.expected_real
         check_reverser(t, cert)
         assert (1, 1) in reverser_oracle(t, GROUP_SOO, budget=0).exact
+
+
+class TestOracleSolutionBasis:
+    """The oracle's solution space X T = T^-1 X is built with the group
+    inverse J T^T J.  With T^-1 taken by elimination, the rounding of the
+    inverse of this tail element tilted the space off the reversers, and
+    no sample of 64 projected to a verified one."""
+
+    def test_tail_parabolic_samples_every_component(self):
+        item = gen.tail_items(102)[93]
+        t = classify_membership(QuadraticSpace(item.n), item.matrix)
+        rep = reverser_oracle(t, GROUP_SOO, budget=64, seed=0)
+        assert (item.n, item.cls) == (3, "parabolic")
+        assert rep.sampled == rep.exact == {(1, 1), (1, -1), (-1, 1), (-1, -1)}

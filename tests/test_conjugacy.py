@@ -210,6 +210,19 @@ class TestFindConjugator:
         with pytest.raises(NotConjugate, match="in M\\(n\\) but not in M_o\\(n\\)"):
             find_conjugator(t, t2, group="Mon")
 
+    def test_mon_request_outside_the_identity_component(self):
+        # a det -1 element and its SO_o conjugate: conjugate in M(n), but a
+        # Mon request is refused as conjugate_in_Mon refuses it
+        rng = np.random.default_rng(3)
+        t = random_isometry(rng, 4, "hyperbolic", 1)
+        a = classify_membership(t.space, np.diag([-1.0, 1.0, 1.0, 1.0, 1.0]) @ t.entries)
+        assert a.component is Component.O_minus_preserving
+        b = conjugate(a.entries, random_soo(rng, 4))
+        for ask in (lambda: conjugate_in_Mon(a, b), lambda: find_conjugator(a, b, "Mon")):
+            with pytest.raises(NotInIdentityComponent, match="identity-component inputs"):
+                ask()
+        assert conj_residual(find_conjugator(a, b), a.entries, b.entries) <= 1e-8
+
     def test_unknown_group_is_invalid_before_any_analysis(self, rng, monkeypatch):
         t = random_isometry(rng, 4)
         analyse = Mock(wraps=_LorentzSpectrum.of)

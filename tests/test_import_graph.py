@@ -3,10 +3,13 @@
 Each ``src/hypiso/*.py`` is parsed with ``ast``.  The imports between
 package modules made at module level form a graph with no cycle, and a
 package module is imported inside a function only by ``cli.py``, whose
-commands import what they use so that its start-up stays short.
+commands import what they use so that its start-up stays short.  The
+package's table of public names lists each name once, under the module
+that defines it.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -97,3 +100,12 @@ def test_the_guard_sees_each_form(source, want):
 def test_the_guard_finds_a_cycle():
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert find_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) == []
+
+
+def test_each_public_name_is_listed_once_under_its_module():
+    listed = [name for names in hypiso._NAMES.values() for name in names]
+    assert len(listed) == len(set(listed)) == len(hypiso.__all__)
+    for name in hypiso.__all__:
+        value = getattr(hypiso, name)
+        assert value.__module__ == f"hypiso.{hypiso._ORIGIN[name]}", name
+        assert getattr(importlib.import_module(value.__module__), name) is value, name

@@ -32,6 +32,7 @@ from hypiso.sampling import (
     random_orthogonal,
     random_regular_special_orthogonal,
     random_soo,
+    rotation_with_angles,
 )
 
 PI = np.pi
@@ -238,6 +239,16 @@ class TestOracle:
                 reverser_oracle(flip, group, budget=0)
         else:
             assert reverser_oracle(flip, group, budget=0).exact
+
+    @pytest.mark.parametrize("group,decide", ((GROUP_O, is_real_On), (GROUP_SO, is_real_SOn)))
+    def test_orthogonal_input_is_validated_at_the_callers_eps(self, group, decide):
+        bent = rotation_with_angles([1.0], 3)
+        bent[0, 2] += 5e-9  # residual 4.2e-9: outside 1e-9, inside 1e-6
+        for call in (lambda: reverser_oracle(bent, group, budget=0), lambda: decide(bent)):
+            with pytest.raises(NotOrthogonal, match="input is not orthogonal within tolerance"):
+                call()
+        assert reverser_oracle(bent, group, budget=0, eps=1e-6).exact
+        assert decide(bent, eps=1e-6).decision
 
     def test_quarter_turn_only_reflections(self):
         rep = reverser_oracle(block_rotation(PI / 2), GROUP_O, budget=300, seed=2)

@@ -277,6 +277,17 @@ class TestDeltaDomain:
                 read(r, delta)
         assert rotation_angles(r, 1e-7).angles == (1.0,)
 
+    @pytest.mark.parametrize("seed", (77, 199))
+    def test_orthogonal_readers_refuse_a_delta_under_the_rounding_of_eig(self, seed):
+        # a double -1 and a triple +1: eig splits the +1 off the real axis by
+        # ~1e-17, which a delta of 1e-300 read as a rotation pair
+        w = random_orthogonal(np.random.default_rng(seed), 5)
+        a = w @ np.diag([-1.0, -1.0, 1.0, 1.0, 1.0]) @ w.T
+        for delta in (1e-300, 1e-15):
+            with pytest.raises(InvalidArg, match=r"is below the floor 1.11022e-15 = d \* u"):
+                rotation_angles(a, delta)
+        assert rotation_angles(a, 1e-14).angles == (np.pi,)
+
     def test_lorentz_pass_refuses_an_infinite_delta(self):
         # at delta = inf every modulus is within 1 + delta: a stretch read as elliptic
         from hypiso.classify import classify, fixed_point_class
