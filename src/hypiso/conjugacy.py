@@ -4,8 +4,8 @@ M(n)-conjugacy of sheet-preserving Lorentz matrices is decided from the
 characteristic polynomial together with the fixed-point class (which
 carries the only possible Jordan-structure difference, the size-3 block at
 1 of a parabolic).  When a pair is conjugate, an explicit conjugator is
-read from the adapted frame of each element, and checked, by
-:mod:`hypiso.frames`.
+read from the adapted frame of each element by :mod:`hypiso.frames`,
+which gates it, its component included, before handing it over.
 
 Whether the M(n)-conjugacy descends to M_o(n) is settled by the
 centralizer, and only here are the frames' orientations read.  The frame
@@ -35,7 +35,7 @@ import numpy as np
 from . import lapack
 from .classify import FixedPointClass, _fixed_point_class, _stretch, classify
 from .errors import Borderline, InvalidArg, NotConjugate, NotInIdentityComponent
-from .frames import _check_conjugator, _conjugator, _lorentz_structure, _LorentzStructure
+from .frames import _conjugator, _lorentz_structure, _LorentzStructure
 from .quadspace import Component, LorentzMatrix, matrix_to_document
 from .spectral import DEFAULT_DELTA, _LorentzSpectrum, _OrthogonalBlocks
 
@@ -163,10 +163,9 @@ def _mn_conjugator(
     # the first +-1 column commutes with T1 and evens out signs that differ
     same = (lapack.det(st1.frame) > 0) == (lapack.det(st2.frame) > 0)
     flip = not same and b1.a + b1.b > 0
-    s = _conjugator(st1, st2, flip)
     same = same or flip
     expected = Component.SO_o if same else Component.O_minus_preserving
-    _check_conjugator(s, sp1, st1, sp2, st2, expected)
+    s = _conjugator(sp1, st1, sp2, st2, flip, expected)
     if same:
         return ConjugacyAnswer(Relation.CONJUGATE_IN_MO, s, "normalform")
     # without +-1 eigendirections every sheet-preserving commuting element

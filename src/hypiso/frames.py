@@ -16,9 +16,11 @@ rotation planes, then +1, then -1.  Only this module reads that layout.
 Each reverser, in every group and in the oracle's exact mode, is the
 frame map Phi D Phi* with D a +-1 diagonal (:func:`_reverser`); the
 conjugator of a pair of one class is Phi_2 M Phi_1* (:func:`_conjugator`);
-the normal form's conjugator is Phi* in standard order.  Both certificates
-pass their gates here, at one tolerance, and a miss that a rotation read
-as +-1 explains is refused by name (:func:`_certificate_failure`).
+the normal form's conjugator is Phi* in standard order.  Both builders
+return only certificates that passed their gates, at one tolerance, the
+component of every Lorentz reverser and conjugator read back; a miss that
+a rotation read as +-1 explains is refused by name
+(:func:`_certificate_failure`).
 """
 
 from __future__ import annotations
@@ -258,9 +260,12 @@ _SPECIAL_REVERSERS = {
 }
 
 
-def _reverser(st: _LorentzStructure, det: int, sheet: int = 1) -> Optional[np.ndarray]:
-    """The involutive reverser Phi D Phi* with determinant ``det`` on
-    ``sheet``, or None when that component has none.
+def _reverser(st: _LorentzStructure, t: np.ndarray, delta: float, det: int,
+              sheet: int = 1) -> Optional[np.ndarray]:
+    """The involutive reverser Phi D Phi* of T with determinant ``det`` on
+    ``sheet``, checked by :func:`_check_certificate` and, on a Lorentz
+    splitting, read back in that component; None when that component has
+    none.
 
     Phi is the frame of ``st``.  D is +-1: the special-block signs of the
     requested sheet (none for O(n) and SO(n)), (1, -1) on each plane, and
@@ -278,13 +283,20 @@ def _reverser(st: _LorentzStructure, det: int, sheet: int = 1) -> Optional[np.nd
                 return None
             pm[0] = -1.0
         d = special + [1.0, -1.0] * blocks.p + pm
-        return frame_map(st.frame, d, st.frame, st.signs, st.j)
+        s = frame_map(st.frame, d, st.frame, st.signs, st.j)
+        _check_certificate(s, t, st, delta)
+        if st.cls is not None and _component_of(s) is not Component.from_signs(det, sheet):
+            raise HypisoError(f"constructed reverser left its component ({det}, {sheet})")
+        return s
     return None
 
 
-def _conjugator(st1: _LorentzStructure, st2: _LorentzStructure, flip: bool) -> np.ndarray:
-    """The one frame map S = Phi_2 M Phi_1* of two splittings of one class
-    with the same reading, so that S T1 S^-1 = T2.
+def _conjugator(sp1: _LorentzSpectrum, st1: _LorentzStructure, sp2: _LorentzSpectrum,
+                st2: _LorentzStructure, flip: bool, component: Component) -> np.ndarray:
+    """The one frame map S = Phi_2 M Phi_1*, with S T1 S^-1 = T2, of the
+    splittings ``st1`` and ``st2`` (of the passes ``sp1`` and ``sp2``) of one
+    class and reading; returned once S T1 = T2 S passes its gate and S lies
+    in ``component`` at the relative gate ``CONJUGATOR_MEMBERSHIP_TOL``.
 
     M is the identity but in two places.  On the special block of a
     parabolic, the boost of rapidity log(c2 / c1) in the plane of its null
@@ -301,7 +313,18 @@ def _conjugator(st1: _LorentzStructure, st2: _LorentzStructure, flip: bool) -> n
     if flip:
         i = st1.special_dim + 2 * st1.blocks.p
         m[i, i] = -1.0
-    return frame_map(st2.frame, m, st1.frame, st1.signs, st1.j)
+    s = frame_map(st2.frame, m, st1.frame, st1.signs, st1.j)
+    resid = float(np.abs(s @ sp1.entries - sp2.entries @ s).max())
+    if not resid <= CERTIFICATE_TOL:  # a NaN residual fails too
+        message = f"conjugator residual {resid:.2e} exceeds tolerance"
+        raise _certificate_failure(message, sp1.delta, st2, st1)
+    form = float(form_residual(s, st1.j))
+    gate = CONJUGATOR_MEMBERSHIP_TOL * max(1.0, float(np.abs(s).max()) ** 2)
+    if not form <= gate:  # a NaN residual fails too
+        raise HypisoError(f"conjugator form residual {form:.3e} exceeds its gate {gate:.3e}")
+    if _component_of(s) is not component:
+        raise HypisoError("conjugator left the identity component")
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -364,24 +387,6 @@ def _component_of(s: np.ndarray) -> Component:
     """The component of a certificate S that its gate has put in O(n,1),
     read from its entries, as ``classify_membership`` would read it."""
     return _component(s[-1, -1], lapack.det(s[:-1, :-1]))
-
-
-def _check_conjugator(s: np.ndarray, sp1, st1, sp2, st2, component: Component) -> None:
-    """Raise unless S, built on the splittings ``st1`` and ``st2`` of the
-    passes ``sp1`` and ``sp2``, conjugates T1 to T2 (S T1 - T2 S, no
-    inverse formed) and lies in ``component``: a group element at the
-    relative gate ``CONJUGATOR_MEMBERSHIP_TOL``, whose component is then
-    read from its entries."""
-    resid = float(np.abs(s @ sp1.entries - sp2.entries @ s).max())
-    if not resid <= CERTIFICATE_TOL:  # a NaN residual fails too
-        message = f"conjugator residual {resid:.2e} exceeds tolerance"
-        raise _certificate_failure(message, sp1.delta, st2, st1)
-    form = float(form_residual(s, st1.j))
-    gate = CONJUGATOR_MEMBERSHIP_TOL * max(1.0, float(np.abs(s).max()) ** 2)
-    if not form <= gate:  # a NaN residual fails too
-        raise HypisoError(f"conjugator form residual {form:.3e} exceeds its gate {gate:.3e}")
-    if _component_of(s) is not component:
-        raise HypisoError("conjugator left the identity component")
 
 
 # ---------------------------------------------------------------------------

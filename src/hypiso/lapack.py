@@ -12,8 +12,9 @@ entered by setting numpy's error-state context variable, which is reset
 on return and on raise.  What the package relies on is kept:
 
 * ``eig`` and ``eigvals`` return a real result when the whole spectrum (of
-  the whole stack) is real, and raise ``LinAlgError("Array must not contain
-  infs or NaNs")`` on a non-finite input;
+  the whole stack) is real; they and ``lstsq`` raise ``LinAlgError("Array
+  must not contain infs or NaNs")`` on a non-finite input, on some of which
+  numpy's ``lstsq`` never returns (diag(1, nan, 1, 1));
 * a routine that does not converge raises ``LinAlgError("SVD did not
   converge")``, ``LinAlgError("Eigenvalues did not converge")`` or
   ``LinAlgError("SVD did not converge in Linear Least Squares")`` through
@@ -116,5 +117,6 @@ def det(a: np.ndarray):
 
 def lstsq(a: np.ndarray, b: np.ndarray, rcond: float) -> np.ndarray:
     """The least-squares solution x of a x = b, for one matrix a and a
-    vector b, as ``np.linalg.lstsq(a, b, rcond)[0]``."""
+    vector b, as ``np.linalg.lstsq(a, b, rcond)[0]``, for a finite a."""
+    _assert_finite(a)
     return _run(_LSTSQ_FAILED, _lstsq, a, b[:, None], rcond, signature="ddd->ddid")[0][:, 0]

@@ -8,8 +8,10 @@ the Moebius identity component M_o(n) = SO_o(n+1,1).
 Every positive decision ships a verified reverser; all constructions here
 produce involutions, so reality and strong reality coincide on everything
 this module emits (which is also what the theory guarantees).  Each
-reverser is read from the adapted splitting of its element, and checked,
-by :mod:`hypiso.frames`.
+reverser is read from the adapted splitting of its element by
+:mod:`hypiso.frames`, which hands it over only once it has passed its
+gates, its component (det, sheet) among them in the Lorentz groups; this
+module checks no certificate itself.
 
 Decision logic, uniform across classes: a reverser is forced to act with
 determinant -1 on every invariant rotation plane with angle in (0, pi),
@@ -43,12 +45,11 @@ from .errors import (
     NotSpecialOrthogonal,
 )
 from .frames import (
-    CERTIFICATE_TOL, _check_certificate, _component_of, _group_reversal_residual,
-    _lorentz_structure, _orthogonal_structure, _reverser,
+    CERTIFICATE_TOL, _group_reversal_residual, _lorentz_structure, _orthogonal_structure,
+    _reverser,
 )
 from .quadspace import (
-    DEFAULT_EPS, Component, LorentzMatrix, form_residual, group_inverse, is_orthogonal,
-    matrix_to_document,
+    DEFAULT_EPS, LorentzMatrix, form_residual, group_inverse, is_orthogonal, matrix_to_document,
 )
 from .spectral import DEFAULT_DELTA, _distinct, _LorentzSpectrum, _lorentz_angles
 
@@ -104,8 +105,7 @@ def is_real_On(
     """Every orthogonal element is (strongly) real; returns an involutive
     reverser built from per-plane reflections."""
     t, st = _orthogonal_data(t, delta, eps, special=False)
-    s = _reverser(st, (-1) ** st.blocks.p)
-    _check_certificate(s, t, st, delta)
+    s = _reverser(st, t, delta, (-1) ** st.blocks.p)
     return RealityCertificate(GROUP_O, True, "W", s, True)
 
 
@@ -125,10 +125,9 @@ def is_real_SOn(
     if not decision:
         return RealityCertificate(GROUP_SO, False, "Thm3.5-mod4", None, False)
     clause = "Thm3.5-mod4" if n % 4 != 2 else "Thm3.5-pm1"
-    s = _reverser(st, 1)
+    s = _reverser(st, t, delta, 1)
     if s is None:
         raise HypisoError("decision true but construction failed; inconsistent")
-    _check_certificate(s, t, st, delta)
     return RealityCertificate(GROUP_SO, True, clause, s, True)
 
 
@@ -177,14 +176,9 @@ def is_real_SOo_n1(
     decision, clause = _theorem_clause(t.space.n, st.cls, st.blocks.a, st.blocks.b)
     if not decision:
         return RealityCertificate(GROUP_SOO, False, clause, None, False)
-    s = _reverser(st, det=1, sheet=1)
+    s = _reverser(st, t.entries, delta, det=1, sheet=1)
     if s is None:
         raise HypisoError("positive decision without achievable reverser; inconsistent")
-    _check_certificate(s, t.entries, st, delta)
-    # the check just passed puts S in O(n,1) to 1e-8, so its component is
-    # read from its entries, as classify_membership would read it
-    if _component_of(s) is not Component.SO_o:
-        raise HypisoError("constructed reverser left the identity component")
     return RealityCertificate(GROUP_SOO, True, clause, s, True)
 
 
@@ -319,11 +313,9 @@ def reverser_oracle(
         if lorentzian:  # the splitting of a non-regular element is not built
             st = _lorentz_structure(sp)
         for det, sheet in itertools.product((1, -1), (1, -1)):
-            s = _reverser(st, det, sheet)
+            s = _reverser(st, mat, delta, det, sheet)
             if s is not None:
                 exact_witnesses[(det, sheet)] = s
-        for s in exact_witnesses.values():
-            _check_certificate(s, mat, st, delta)
         exact = frozenset(exact_witnesses)
 
     found: dict = {}

@@ -4,13 +4,19 @@ A spy on ``frames.frame_map`` counts the assemblies a public call makes:
 one per certificate, one per conjugator and one per achievable oracle
 component.  A conjugator's M is the identity off the special block of
 a parabolic, but for a -1 on the first +-1 column where it evens out the
-orientations of the two frames, which only the conjugator reads.
+orientations of the two frames, which only the conjugator reads.  Each
+map passes its gates where ``frames`` builds it, so the deciders that
+ship it name no gate.
 """
+
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import lorentz, maxabs, spy
+import hypiso
 from hypiso import frames
 from hypiso.conjugacy import Relation, conjugate_in_Mn
 from hypiso.frames import _lorentz_structure
@@ -104,3 +110,14 @@ def test_conjugator_assembles_once_or_twice(monkeypatch, n, cls, det):
         assert e[i, i] == -2.0
         e[i, i] = 0.0
     assert not e.any()
+
+
+GATES = re.compile(r"\b(_check_certificate|_check_conjugator|_component_of)\b")
+
+
+def test_only_frames_gates_a_certificate():
+    source = Path(hypiso.__file__).resolve().parent
+    named = [f"{name}:{i}" for name in ("reality.py", "conjugacy.py")
+             for i, line in enumerate((source / name).read_text(encoding="utf-8").splitlines(), 1)
+             if GATES.search(line)]
+    assert named == []

@@ -156,15 +156,19 @@ def test_svd_of_nan_fails_as_numpys(name):
     assert got == outcome(CALLS[name][1], a) == (np.linalg.LinAlgError, "SVD did not converge")
 
 
-def test_lstsq_of_nan_fails_as_numpys():
-    # an all-NaN matrix: numpy's own lstsq never returns on some matrices
-    # with a single NaN entry, such as diag(1, nan, 1, 1)
-    a = np.full((4, 4), np.nan)
+@pytest.mark.parametrize("entries", ("nan", "inf", "all-nan"))
+def test_lstsq_of_non_finite_input_fails_before_lapack(entries):
+    # numpy's own lstsq never returns on some matrices with a single NaN
+    # entry, such as this one; with inf it fails to converge
+    a = np.eye(4)
+    if entries == "all-nan":
+        a[:] = np.nan
+    else:
+        a[1, 2] = float(entries)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = outcome(CALLS["lstsq"][0], a)
-    assert got == outcome(CALLS["lstsq"][1], a) == (
-        np.linalg.LinAlgError, "SVD did not converge in Linear Least Squares")
+    assert got == (np.linalg.LinAlgError, "Array must not contain infs or NaNs")
 
 
 def caller_sees_its_own_state(call):

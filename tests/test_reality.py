@@ -1,3 +1,6 @@
+import sys
+from collections import Counter
+from pathlib import Path
 from unittest.mock import Mock
 
 import numpy as np
@@ -13,7 +16,7 @@ from hypiso.errors import (
     NotOrthogonal,
     NotSpecialOrthogonal,
 )
-from hypiso.quadspace import form_residual
+from hypiso.quadspace import Component, QuadraticSpace, classify_membership, form_residual
 from hypiso.reality import (
     GROUP_MO,
     GROUP_O,
@@ -34,6 +37,9 @@ from hypiso.sampling import (
     random_soo,
     rotation_with_angles,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import gen  # noqa: E402  (the benchmark's numpy-only input generator)
 
 PI = np.pi
 
@@ -282,6 +288,22 @@ class TestOracle:
             assert reversal_residual(s, t.entries) <= 1e-8
             assert form_residual(s, t.space.form_signs) <= 1e-8
         assert rep.sampled <= rep.exact
+
+    def test_lorentz_witnesses_lie_in_the_components_they_name(self):
+        # the (det, sheet) key of each exact witness is read back by
+        # membership, on 40 elements of each (n, class) cell
+        cells, keys = Counter(), set()
+        for item in gen.certify_items(7):
+            if cells[item.n, item.cls] == 40:
+                continue
+            cells[item.n, item.cls] += 1
+            space = QuadraticSpace(item.n)
+            rep = reverser_oracle(classify_membership(space, item.matrix), GROUP_SOO, budget=0)
+            for (det, sheet), s in rep.exact_witnesses.items():
+                component = classify_membership(space, s, 1e-8).component
+                assert component is Component.from_signs(det, sheet)
+                keys.add((item.n, item.cls, det, sheet))
+        assert len(keys) == 9 * 4  # every component met in every cell
 
     def test_decision_matches_exact_enumeration(self, rng):
         for n in (2, 3, 4, 5):

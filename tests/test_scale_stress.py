@@ -8,7 +8,15 @@ or raises a ``HypisoError``; none raises a Python ``OverflowError``, and
 a parabolic report keeps its angle or is refused.  The CLI answers each
 with an exit code and no traceback.  A membership tolerance that is not
 a number >= 0 is refused by name.
+
+Two inputs fail today where they should answer: the rapidity-40 boost and
+an e^10 pair.  Their tests are strict expected failures until the
+repelling ray is read as the attracting ray of T^-1 (ROADMAP direction
+1), which makes them pass.
 """
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +24,14 @@ import pytest
 from conftest import boost_matrix
 from hypiso.classify import FixedPointClass, classify, poincare_extend
 from hypiso.cli import main
-from hypiso.conjugacy import conjugate_in_Mn
+from hypiso.conjugacy import Relation, conjugate_in_Mn
 from hypiso.errors import Borderline, HypisoError, InvalidArg
 from hypiso.quadspace import QuadraticSpace, classify_membership, matrix_to_json
 from hypiso.reality import GROUP_SOO, is_real_SOo_n1, reverser_oracle
 from hypiso.spectral import rotation_matrix
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import gen  # noqa: E402  (the benchmark's numpy-only input generator)
 
 RAPIDITIES = (37.0, 40.0, 200.0, 355.0)
 TRANSLATIONS = (100.0, 150.0, 200.0, 1e52)
@@ -94,3 +105,41 @@ def test_cli_refuses_a_nan_eps(tmp_path, capsys):
     path.write_text('{"n": 2, "matrix": [1, 2, 3, 4, 5, 6, 7, 8, 9]}\n')
     assert main(["classify", str(path), "--eps", "nan"]) == 2
     assert "eps" in capsys.readouterr().err
+
+
+# the repelling ray, read from T - r^-1 I, errs by about u ||T|| over a gap
+# near 1; read as the attracting ray of J T^T J = T^-1 it would not
+DIRECTION_1 = pytest.mark.xfail(
+    raises=HypisoError, strict=True,
+    reason="ROADMAP direction 1: the repelling ray is read from T - r^-1 I",
+)
+
+
+def e10_pair():
+    """A stretch e^10 under two conjugators of det +1, rapidities 1 and 0.5."""
+    std = gen.standard("hyperbolic", 3, [1.0], 10.0).matrix
+    rng = np.random.default_rng(0)
+    g, g2 = gen.conjugator(rng, 3, 1.0, False), gen.conjugator(rng, 3, 0.5, False)
+    space = QuadraticSpace(3)
+    return tuple(classify_membership(space, h @ std @ gen.j_inverse(h)) for h in (g, g2))
+
+
+@DIRECTION_1
+def test_a_rapidity_40_boost_is_hyperbolic():
+    # fails with "null eigenvector has vanishing time coordinate"
+    t = classify_membership(QuadraticSpace(3), boost_matrix(3, 40.0))
+    assert classify(t).fixed_class is FixedPointClass.HYPERBOLIC
+
+
+@DIRECTION_1
+def test_an_e10_pair_is_conjugate_in_mo():
+    # fails with "conjugator residual 4.43e-08 exceeds tolerance"
+    t1, t2 = e10_pair()
+    assert conjugate_in_Mn(t1, t2).related is Relation.CONJUGATE_IN_MO
+
+
+@DIRECTION_1
+def test_an_e10_element_is_real():
+    # fails with "constructed reverser failed its residual check"
+    t1, _ = e10_pair()
+    assert is_real_SOo_n1(t1).decision
