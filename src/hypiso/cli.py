@@ -19,7 +19,10 @@ documents through one loop (:func:`_per_document`): every document is
 read first, the Lorentz ones get their spectral passes stored, stacked
 per dimension, and each is answered in input order by the command's
 public decider.  So a Lorentz stream holds every document's element
-until it writes.
+until it writes.  A dimension with at least
+``spectral.STACKED_READING_MIN`` documents has its passes read as arrays,
+rotation angles included; a smaller one, a one-document run among them,
+is read row by row; both give the same bits.
 
 The reality, conjugacy, fibration and sampling modules are imported by
 the commands that use them, so ``classify`` starts without them.
@@ -126,7 +129,7 @@ def _cannot_write(exc: OSError) -> int:
 def _store_passes(members: list, delta: float) -> None:
     """Store, stacked, the spectral pass of each sheet-preserving
     ``LorentzMatrix`` of ``members`` (all of one size), a hyperbolic's rays
-    included.  It raises nothing: a failed stack stores nothing, and each
+    included, and a large stack's rotation angles.  It raises nothing: a failed stack stores nothing, and each
     element's decider meets its own error."""
     live = [t for t in members if isinstance(t, quadspace.LorentzMatrix) and t.sheet_preserving]
     with contextlib.suppress(np.linalg.LinAlgError, HypisoError):

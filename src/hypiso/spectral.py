@@ -34,7 +34,13 @@ pair of boundary points its class fibres over.  The pass runs stacked
 over any number of matrices of one size (:meth:`_LorentzSpectrum.stack`);
 a single matrix is the stack of one.  The CLI runs it once per dimension
 over the documents of every Lorentz command (``cli._store_passes``) and
-stores it, before any decider reads it.  The adapted splitting is stored
+stores it, before any decider reads it.  A stack of at least
+``STACKED_READING_MIN`` passes is read as arrays and stores each
+element's rotation angles too; a smaller one, a single element's
+included, is read row by row, and its angles when a decider asks.  Both
+readings give the same bits; the row-by-row one is the reference, which
+the array one leaves the angles to wherever their reading might refuse.
+The adapted splitting is stored
 on the same record.  The kernel of T - I has Euclidean-orthonormal
 columns, so its J-Gram is I - 2 z z^T (z its time row), and the fixed
 data of an elliptic or a parabolic is read from it in closed form, with
@@ -72,6 +78,18 @@ DEFAULT_DELTA = 1e-7
 DELTA_MIN = 3e-8
 
 EPS = sys.float_info.epsilon  # machine epsilon, 2.2e-16
+
+# Radius, over the scale, of the rounding scatter of a Jordan block's
+# eigenvalues around 1 (see _lorentz_angles): 10 (u scale^3)^(1/3), no cube.
+JORDAN_RADIUS = 10.0 * 2.3e-16 ** (1.0 / 3.0)
+
+# Smallest number of passes that one call of _LorentzSpectrum.stack reads
+# as arrays (_stacked_reading) rather than row by row (_scalar_reading).
+# Timed per element, pass and angles, on cli_items documents (2-core x86-64,
+# one BLAS thread), the array reading's fixed cost of numpy calls makes it
+# dearer up to 8 passes and as cheap at 12 (n = 9) to 16 (n = 3); at 342 it
+# is 22 % (n = 9) to 32 % (n = 3) cheaper.
+STACKED_READING_MIN = 16
 
 
 @dataclass(frozen=True)
@@ -145,8 +163,9 @@ def _cluster_eigenvalues(vals: np.ndarray, delta: float) -> list[list[int]]:
     """Union-find clustering of eigenvalues at merge radius delta.
 
     Each pairwise distance is taken once, on Python scalars
-    (``vals.tolist()``), whose complex ``abs`` rounds as numpy's does, at a
-    fraction of the cost.  A pair at most delta apart is merged; a pair
+    (``vals.tolist()``), whose complex ``abs`` rounds as ``np.hypot`` does
+    (numpy's complex ``abs`` can differ in the last bit), at a fraction of
+    the cost.  A pair at most delta apart is merged; a pair
     inside (delta, 2 delta) is kept, and if one ends in two clusters, those
     nearly touch and the call refuses.  Clusters come in the order of their
     first member, each listing its members in order.  A delta that is not
@@ -218,6 +237,110 @@ def null_space_at(m: np.ndarray, threshold: float) -> np.ndarray:
     return vt[rank:].T
 
 
+def _scalar_reading(m, svals, sq, eigvals, modulus, delta):
+    """Each row's facts, read from its Python scalars (``tolist``): (scale,
+    rank (T - I), rank (T - I)^2, band, square_band, lam, rmax, unpaired,
+    real, None), the last the angles, which this reading leaves to
+    :func:`_lorentz_angles`."""
+    d = m.shape[-1]
+    # singular values come sorted (descending); read ascending, each rank
+    # and the band are counts by bisection
+    rows = zip(
+        m[:, -1, -1].tolist(), svals[:, ::-1].tolist(), sq[:, ::-1].tolist(),
+        eigvals.tolist(), modulus.tolist(),
+    )
+    for corner, up, sq_up, ev, mod in rows:
+        c = abs(corner)
+        scale = max(1.0, c + math.sqrt(max(c - 1.0, 0.0)) * math.sqrt(c + 1.0))
+        tau = delta * scale
+        rank1 = d - bisect_right(up, tau)
+        band = bisect_left(up, 2.0 * tau) > bisect_right(up, tau / 2.0)
+        # the square is ranked at tau^2 since small singular values square
+        # too; the largest one it reads as zero decides its band
+        t2 = tau * tau
+        zeros = bisect_right(sq_up, t2)
+        zero = sq_up[zeros - 1] if zeros else 0.0
+        square_band = zero > max(t2 / 4.0, d * EPS * (scale * scale))
+        rmax = max(mod)
+        unpaired = rmax > 1.0 + delta and (
+            min(abs(v - 1.0 / rmax) for v in ev) > max(delta, d * EPS * scale)
+        )
+        real = not any(v.imag for v in ev)
+        yield (scale, rank1, d - zeros, band, square_band, ev[mod.index(rmax)], rmax,
+               unpaired, real, None)
+
+
+def _stacked_reading(m, svals, sq, eigvals, modulus, delta):
+    """The rows of :func:`_scalar_reading`, read as (N,) arrays, and each
+    row's angles as :func:`_lorentz_angles` reads them, bit for bit.  Each
+    comparison is the scalar one; a complex modulus is ``np.hypot``, which
+    rounds as Python's ``abs`` does (numpy's complex ``abs`` need not), and
+    ``np.abs`` is taken where the scalar reading takes it.  A row whose
+    angle reading might refuse (a defective row whose Jordan radius drops
+    another count, a pair of eigenvalues inside (delta, 2 delta), a
+    non-real cluster off the unit circle) gets None, and
+    :func:`_lorentz_angles` reads it as the reference does."""
+    n, d = len(m), m.shape[-1]
+    with np.errstate(all="ignore"):  # overflow is inf, as with Python floats
+        c = np.abs(m[:, -1, -1])
+        scale = np.maximum(1.0, c + np.sqrt(np.maximum(c - 1.0, 0.0)) * np.sqrt(c + 1.0))
+        tau = (delta * scale)[:, None]
+        rank1 = (svals > tau).sum(1)
+        band = ((svals > tau / 2.0) & (svals < 2.0 * tau)).any(1)
+        t2 = tau * tau
+        zero = sq <= t2
+        rank2 = d - zero.sum(1)
+        square_band = np.where(zero, sq, 0.0).max(1) > np.maximum(
+            t2[:, 0] / 4.0, d * EPS * (scale * scale))
+        rmax = modulus.max(1)
+        lam = eigvals[np.arange(n), modulus.argmax(1)]
+        re, im = eigvals.real, eigvals.imag
+        unpaired = (rmax > 1.0 + delta) & (
+            np.hypot(re - (1.0 / rmax)[:, None], im).min(1) > np.maximum(delta, d * EPS * scale))
+        real = (im == 0).all(1)
+        # the angles: the Jordan radius drop, then clusters as the closure of
+        # the pairs at most delta apart, each labelled by its first member
+        defective = rank2 < rank1
+        keep = ~defective[:, None] | (np.abs(eigvals - 1.0) > (JORDAN_RADIUS * scale)[:, None])
+        ok = ~defective | (d - keep.sum(1) == d - rank1 + 2)
+        gap = np.hypot(re[:, :, None] - re[:, None, :], im[:, :, None] - im[:, None, :])
+        both = keep[:, :, None] & keep[:, None, :]
+        ok &= ~((gap > delta) & (gap < 2 * delta) & both).any((1, 2))
+        reach = ((gap <= delta) & both).astype(float)
+        for _ in range(d.bit_length()):  # paths of up to 2^(bit length) > d steps
+            reach = np.minimum(reach @ reach, 1.0)
+        linked = reach > 0.0
+        size = linked.sum(2)
+        first = linked.argmax(2)
+        head = keep & (first == np.arange(d))
+        center = eigvals.astype(complex)
+        for r, i in zip(*np.nonzero(head & (size > 1) & ok[:, None])):
+            vals = (eigvals[r].real if real[r] else eigvals[r])[linked[r, i]]
+            center[r, i] = vals.sum() / len(vals)
+        cre, cim = center.real, center.imag
+        off = np.abs(np.hypot(cre, cim) - 1.0) > delta
+        ok &= ~(head & off & (np.abs(cim) > delta)).any(1)
+        live = head & ~off
+        upper = live & (cim > delta)
+        minus = np.where(live & ~upper & ~(cim < -delta) & ~(cre > 0), size, 0).sum(1)
+        theta = np.full(center.shape, -np.inf)
+        theta[upper] = np.arctan2(cim[upper], cre[upper])
+        # each member of a rotation cluster contributes its angle, which is
+        # short of pi (module docstring): ascending, the angles end the row
+        member = np.take_along_axis(theta, first, 1)
+        member[~keep] = -np.inf
+        member.sort(1)
+        counts = (member > -np.inf).sum(1)
+    angles = [
+        RotationAngles(tuple([np.pi] * (b // 2) + row[d - k:][::-1]), bool(b % 2))
+        if good else None
+        for good, row, k, b in zip(ok.tolist(), member.tolist(), counts.tolist(), minus.tolist())
+    ]
+    return zip(scale.tolist(), rank1.tolist(), rank2.tolist(), band.tolist(),
+               square_band.tolist(), lam.tolist(), rmax.tolist(), unpaired.tolist(),
+               real.tolist(), angles)
+
+
 @dataclass(eq=False, slots=True)
 class _LorentzSpectrum:
     """The one spectral analysis of a Lorentz matrix T that deciders share,
@@ -239,7 +362,10 @@ class _LorentzSpectrum:
     1 / rmax, a stretch without the inverse every stretch of O(n,1) pairs
     with.  ``rays``, a hyperbolic's fixed rays, are the null eigenvectors
     for r = |lam| and 1/r, as rows, read wherever Re lam > 0, rmax > 1 +
-    delta and T is not ``defective`` (else None).  ``structure``, the
+    delta and T is not ``defective`` (else None).  ``angles``, the
+    rotation angles, are set where a large stack read them
+    (:func:`_stacked_reading`) and else None, for :func:`_lorentz_angles`
+    to read from the spectrum.  ``structure``, the
     adapted splitting (``frames._lorentz_structure``), is kept once built.  The
     fixed data of an elliptic or a parabolic is read from ``kernel``
     itself: its J-Gram is I - 2 z z^T, z the time row of ``kernel``, with
@@ -266,6 +392,7 @@ class _LorentzSpectrum:
     unpaired: bool
     rays: np.ndarray = None
     structure: object = None
+    angles: RotationAngles = None
 
     def __post_init__(self):
         for a in (self.eigvals, self.kernel):
@@ -283,13 +410,18 @@ class _LorentzSpectrum:
         stored are computed in three LAPACK calls on their (N, d, d) stack:
         the SVD of T - I, the singular values of (T - I)^2 and the
         eigenvalues of T, whose moduli are taken over the stack too.  The
-        rest is at most d^2 numbers per matrix, read from their Python
-        scalars (``tolist``): the scale, the two ranks and ``band`` (by
-        bisection on the sorted singular values), ``square_band``, ``lam``,
-        ``rmax`` and ``unpaired``; they are Python floats and bools, and
-        ``lam`` a float or a complex.  One more SVD, of T - r I and
-        T - r^-1 I for each row given ``rays``, reads them.  The passes are
-        stored once every call has returned: a failed call stores nothing.
+        rest is at most d^2 numbers per matrix: the scale, the two ranks and
+        ``band``, ``square_band``, ``lam``, ``rmax`` and ``unpaired``; they
+        are Python floats and bools, and ``lam`` a float or a complex.
+        Fewer than ``STACKED_READING_MIN`` passes, a single element's
+        among them, read these from their Python scalars, row by row
+        (:func:`_scalar_reading`, bisection on the sorted singular values).
+        A larger stack reads them as (N,) arrays, and its rotation angles
+        too (:func:`_stacked_reading`): the same numbers bit for bit, at a
+        fixed cost of numpy calls that only a larger stack repays.  One more
+        SVD, of T - r I and T - r^-1 I for each row given ``rays``, reads
+        them.  The passes are stored once every call has returned: a failed
+        call stores nothing.
 
         The scale needs no SVD.  T in O(n,1) is K1 B(s) K2 with K1, K2
         orthogonal and B(s) a boost (the Cartan form), so with
@@ -318,48 +450,25 @@ class _LorentzSpectrum:
         todo = [t for t in ts if delta not in t._analyses]
         if todo:
             m = np.array([t.entries for t in todo])
-            d = m.shape[-1]
             eye = todo[0].space.identity
             n1 = m - eye
             _, svals, vt = lapack.svd(n1)
             sq = lapack.svd(n1 @ n1, compute_uv=False)
             eigvals = lapack.eigvals(m)
             modulus = np.abs(eigvals)
+            read = _stacked_reading if len(todo) >= STACKED_READING_MIN else _scalar_reading
             done, stretched = [], []
-            # singular values come sorted (descending); read ascending, each
-            # rank and the band are counts by bisection, and the kernel is
-            # the last rows of vt
-            rows = zip(
-                todo, m[:, -1, -1].tolist(), svals[:, ::-1].tolist(), sq[:, ::-1].tolist(),
-                eigvals.tolist(), modulus.tolist(),
-            )
-            for i, (t, corner, up, sq_up, ev, mod) in enumerate(rows):
-                c = abs(corner)
-                scale = max(1.0, c + math.sqrt(max(c - 1.0, 0.0)) * math.sqrt(c + 1.0))
-                tau = delta * scale
-                rank1 = d - bisect_right(up, tau)
-                band = bisect_left(up, 2.0 * tau) > bisect_right(up, tau / 2.0)
-                # the square is ranked at tau^2 since small singular values
-                # square too; the largest one it reads as zero decides its band
-                t2 = tau * tau
-                zeros = bisect_right(sq_up, t2)
-                rank2 = d - zeros
-                zero = sq_up[zeros - 1] if zeros else 0.0
-                square_band = zero > max(t2 / 4.0, d * EPS * (scale * scale))
+            rows = zip(todo, read(m, svals, sq, eigvals, modulus, delta))
+            for i, (t, (scale, rank1, rank2, band, square_band, lam, rmax, unpaired, real,
+                        angles)) in enumerate(rows):
                 # as eigvals of one matrix, a real spectrum comes back real
-                rmax = max(mod)
-                lam = ev[mod.index(rmax)]
-                unpaired = rmax > 1.0 + delta and (
-                    min(abs(v - 1.0 / rmax) for v in ev) > max(delta, d * EPS * scale)
-                )
-                if any(v.imag for v in ev):
-                    vals = eigvals[i]
-                else:
-                    vals, lam = eigvals[i].real, lam.real
+                vals = eigvals[i]
+                if real:
+                    vals, lam = vals.real, lam.real
                 sp = cls(
                     t.entries, t.space, delta, t.sheet_preserving, scale, vals,
                     vt[i, rank1:].T, rank2 < rank1, lam, rmax, band, square_band,
-                    unpaired,
+                    unpaired, angles=angles,
                 )
                 if lam.real > 0 and rmax > 1.0 + delta and not sp.defective:
                     stretched.append(i)
@@ -477,11 +586,14 @@ def _lorentz_angles(sp: _LorentzSpectrum) -> RotationAngles:
     is meaningless inside that radius; it is dropped before clustering,
     otherwise its random spread trips the ambiguity check.  A radius that
     drops another count than the kernel width of T - I plus 2 (the rest of
-    the Jordan block) has swallowed an angle, and refuses.
+    the Jordan block) has swallowed an angle, and refuses.  The angles a
+    large stack read (``sp.angles``) are returned as they are.
     """
+    if sp.angles is not None:
+        return sp.angles
     vals = sp.eigvals
     if sp.defective:
-        one_fuzz = 10.0 * 2.3e-16 ** (1.0 / 3.0) * sp.scale  # 10 (u scale^3)^(1/3), no cube
+        one_fuzz = JORDAN_RADIUS * sp.scale
         keep = np.abs(vals - 1.0) > one_fuzz
         dropped, ones = len(vals) - int(keep.sum()), sp.kernel.shape[1] + 2
         if dropped != ones:

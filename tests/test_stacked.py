@@ -1,16 +1,22 @@
-"""Stacked kernels equal their one-matrix forms, the delta floor of the
-Lorentz pass, and typed errors where a float used to overflow."""
+"""Stacked kernels equal their one-matrix forms, the array reading of a
+large stack equals the row-by-row one, the delta floor of the Lorentz
+pass, and typed errors where a float used to overflow."""
 
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import block_rotation, spy
+from hypiso import spectral
 from hypiso.classify import classify
 from hypiso.cli import _store_passes, main
 from hypiso.conjugacy import conjugate_in_Mn
-from hypiso.errors import HypisoError, InvalidArg, NotAnIsometry
+from hypiso.errors import HypisoError, InvalidArg, NotAnIsometry, RefusedToDecide
 from hypiso.quadspace import (
+    LorentzMatrix,
     QuadraticSpace,
     classify_membership,
     classify_membership_many,
@@ -18,8 +24,17 @@ from hypiso.quadspace import (
     subspace_type,
 )
 from hypiso.reality import is_real_SOo_n1
-from hypiso.sampling import random_isometry
-from hypiso.spectral import DELTA_MIN, _LorentzSpectrum
+from hypiso.sampling import random_isometry, random_soo
+from hypiso.spectral import (
+    DEFAULT_DELTA,
+    DELTA_MIN,
+    STACKED_READING_MIN,
+    _LorentzSpectrum,
+    _lorentz_angles,
+)
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import gen  # noqa: E402  (the benchmark's numpy-only input generator)
 
 CLASSES = ("elliptic", "parabolic", "hyperbolic")
 
@@ -99,6 +114,82 @@ class TestStackedPass:
         assert swap._analyses == {}
         with pytest.raises(InvalidArg):
             classify(swap, 1e-7)
+
+
+def reading_inputs():
+    """The matrices of ``cli_items(7, 1026)``, T and partner of each item
+    of ``certify_items(7)`` and ``tail_items(101..103)``, and elliptics
+    with a repeated rotation angle, which the generator does not draw, by
+    n."""
+    mats = [it.matrix for it in gen.cli_items(7, 1026)]
+    pairs = gen.certify_items(7) + [it for seed in (101, 102, 103) for it in gen.tail_items(seed)]
+    mats += [m for it in pairs for m in (it.matrix, it.partner)]
+    rng = np.random.default_rng(7)
+    for angles in ((np.pi,), (1.1, 1.1), (2.0, 2.0, np.pi), (0.4, 0.4, 0.4, 0.4)):
+        n = 2 * len(angles) + 1
+        rotation = np.eye(n + 1)
+        rotation[:n, :n] = block_rotation(*angles, pad=1)
+        w = random_soo(rng, n, 0.5)
+        mats.append(w @ rotation @ np.linalg.inv(w))
+    return {n: np.stack([m for m in mats if len(m) == n + 1]) for n in (3, 5, 9)}
+
+
+def live_members(n, mats):
+    members = classify_membership_many(QuadraticSpace(n), mats, 1e-8)
+    return [t for t in members if isinstance(t, LorentzMatrix) and t.sheet_preserving]
+
+
+class TestStackedReading:
+    """A stack of at least ``STACKED_READING_MIN`` passes still to compute
+    is read as arrays (``spectral._stacked_reading``); every field of each
+    pass equals that of the pass of the element alone, read row by row, and
+    so do its angles, which the array reading leaves unset exactly where
+    the row-by-row reading refuses."""
+
+    def test_equals_the_pass_of_each_element_alone(self):
+        stored = 0
+        for n, mats in reading_inputs().items():
+            stacked = _LorentzSpectrum.stack(live_members(n, mats), DEFAULT_DELTA)
+            assert len(stacked) >= STACKED_READING_MIN
+            for sp, t in zip(stacked, live_members(n, mats), strict=True):
+                one = _LorentzSpectrum.stack([t], DEFAULT_DELTA)[0]
+                assert one.angles is None
+                for a, b in ((sp.eigvals, one.eigvals), (sp.kernel, one.kernel)):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
+                assert (sp.rays is None) == (one.rays is None)
+                assert sp.rays is None or sp.rays.tobytes() == one.rays.tobytes()
+                for field in ("lam", "scale", "rmax", "defective", "band", "square_band",
+                              "unpaired"):
+                    a, b = getattr(sp, field), getattr(one, field)
+                    assert type(a) is type(b) and a == b, (n, field)
+                if sp.angles is None:
+                    with pytest.raises(RefusedToDecide):
+                        _lorentz_angles(one)
+                else:
+                    assert _lorentz_angles(one) == sp.angles
+                    stored += 1
+        assert stored > 0
+
+    def test_a_single_element_reads_row_by_row(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a single element took the array reading")
+
+        monkeypatch.setattr(spectral, "_stacked_reading", refuse)
+        for t in sample(5, 1):
+            classify(classify_membership(t.space, t.entries))
+            is_real_SOo_n1(classify_membership(t.space, t.entries))
+            conjugate_in_Mn(classify_membership(t.space, t.entries), t.inverse())
+
+    def test_the_array_reading_starts_at_its_size(self, monkeypatch):
+        reader = spy(monkeypatch, spectral, "_stacked_reading")
+        rng = np.random.default_rng(3)
+        ts = [random_isometry(rng, 3, CLASSES[i % 3]) for i in range(STACKED_READING_MIN)]
+        _LorentzSpectrum.stack(ts[1:], DEFAULT_DELTA)
+        _LorentzSpectrum.stack(ts, DEFAULT_DELTA)  # one pass still to compute
+        assert reader.call_count == 0
+        _LorentzSpectrum.stack([classify_membership(t.space, t.entries) for t in ts], DEFAULT_DELTA)
+        assert reader.call_count == 1
 
 
 class TestDeltaFloor:

@@ -6,18 +6,25 @@ import errno
 import io
 import json
 import os
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import block_rotation, boost_matrix, spy
-from hypiso import lapack
-from hypiso.classify import classify
+from hypiso import lapack, spectral
+from hypiso.classify import classify, poincare_extend
 from hypiso.cli import main
 from hypiso.quadspace import QuadraticSpace, classify_membership, matrix_to_json
 from hypiso.sampling import random_isometry, random_soo
+from hypiso.spectral import STACKED_READING_MIN
+from test_certify_path import wide_stretch_pair
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import gen  # noqa: E402  (the benchmark's numpy-only input generator)
 
 
 def run(capsys, *argv):
@@ -212,6 +219,35 @@ class TestFailureOrder:
         assert err == "error: numerical failure: Eigenvalues did not converge\n"
         alone = run(capsys, argv[0], paths["non_isometry"], *argv[1:])
         assert run(capsys, argv[0], fine, paths["non_isometry"], flaky_doc, *argv[1:]) == alone
+
+
+def refused_angles():
+    """Elements whose angle reading refuses: two rotation angles 1.5 delta
+    apart and a parabolic whose Jordan radius swallows its rotation pair
+    (both n = 5), and a rotation pair off the unit circle (n = 3)."""
+    near = np.eye(6)
+    near[:5, :5] = block_rotation(1.0, 1.0 + 1.5e-7, pad=1)
+    return {
+        "cluster_ambiguity": near,
+        "jordan_radius": poincare_extend(1.0, block_rotation(1.0, pad=2), (0, 0, 0, 150.0)).entries,
+        "off_the_circle": wide_stretch_pair(25.0)[1],
+    }
+
+
+@pytest.mark.parametrize("case", ("cluster_ambiguity", "jordan_radius", "off_the_circle"))
+def test_array_reading_leaves_a_refusal_to_the_scalar_one(tmp_path, capsys, monkeypatch, case):
+    """Inside a stream long enough for the array reading of its stack, an
+    element whose angle reading refuses fails as it does alone."""
+    mat = refused_angles()[case]
+    alone = run(capsys, "classify", write(tmp_path, "alone.json", mat))
+    assert alone[0] == 3 and alone[1] == "" and alone[2].startswith("undecided:")
+    n = len(mat) - 1
+    pad = [it.matrix for it in gen.cli_items(7, 4 * STACKED_READING_MIN) if it.n == n]
+    assert len(pad) >= STACKED_READING_MIN
+    reader = spy(monkeypatch, spectral, "_stacked_reading")
+    stream = write(tmp_path, "stream.jsonl", *pad[:5], mat, *pad[5:])
+    assert run(capsys, "classify", stream) == alone
+    assert reader.call_count == 1
 
 
 class TestOneRawRead:

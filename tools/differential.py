@@ -13,7 +13,10 @@ and ``cli_items(7, 1026)``.  Each element T, with its partner T2, meets
 four calls: ``classify(T)``, ``is_real_SOo_n1(T)``,
 ``conjugate_in_Mn(T, T2)`` and ``reverser_oracle(T, GROUP_SOO,
 budget=0)``, each on a fresh ``classify_membership`` so that no call
-reads another's stored analysis.  One JSON line per call holds its ``id``
+reads another's stored analysis.  A fifth, ``classify-stacked``, is
+``classify(T)`` on the pass the CLI stores: membership and the spectral
+pass (``cli._store_passes``) run once per n on the stack of the set's
+elements of that n.  One JSON line per call holds its ``id``
 (set, item, call) and either the result's ``to_json_dict()`` or
 ``{"raised": <type name>, "message": <str>}``.  The oracle's line also
 holds its exact witnesses as matrix documents, which ``to_json_dict``
@@ -31,6 +34,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import gen  # noqa: E402  (the benchmark's numpy-only input generator)
 
@@ -45,12 +50,43 @@ def item_sets():
     yield "cli-7", gen.cli_items(7, 1026)
 
 
+def outcome(call) -> dict:
+    """The result of ``call()``, or the type and message of what it raised."""
+    try:
+        return call()
+    except Exception as exc:  # every outcome is a record
+        return {"raised": type(exc).__name__, "message": str(exc)}
+
+
+def stacked_members(items):
+    """Each item's T as the CLI reads it: membership and the stored pass,
+    stacked per n (a membership failure is the exception itself)."""
+    from hypiso.cli import _store_passes
+    from hypiso.quadspace import DEFAULT_EPS, QuadraticSpace, classify_membership_many
+    from hypiso.spectral import DEFAULT_DELTA
+
+    members = [None] * len(items)
+    for n in sorted({item.n for item in items}):
+        idx = [i for i, item in enumerate(items) if item.n == n]
+        stack = np.stack([items[i].matrix for i in idx])
+        got = classify_membership_many(QuadraticSpace(n), stack, DEFAULT_EPS)
+        _store_passes(got, DEFAULT_DELTA)
+        for i, t in zip(idx, got):
+            members[i] = t
+    return members
+
+
 def records():
     """One record per (item, call), as described in the module docstring."""
     from hypiso.classify import classify
     from hypiso.conjugacy import conjugate_in_Mn
     from hypiso.quadspace import QuadraticSpace, classify_membership, matrix_to_document
     from hypiso.reality import GROUP_SOO, is_real_SOo_n1, reverser_oracle
+
+    def stacked(t):
+        if isinstance(t, Exception):
+            raise t
+        return classify(t).to_json_dict()
 
     def oracle(t, _):
         report = reverser_oracle(t, GROUP_SOO, budget=0)
@@ -67,14 +103,13 @@ def records():
         "reverser_oracle": oracle,
     }
     for name, items in item_sets():
+        members = stacked_members(items)
         for i, item in enumerate(items):
             space = QuadraticSpace(item.n)
             for call, run in calls.items():
-                try:
-                    out = run(classify_membership(space, item.matrix), item.partner)
-                except Exception as exc:  # every outcome is a record
-                    out = {"raised": type(exc).__name__, "message": str(exc)}
+                out = outcome(lambda: run(classify_membership(space, item.matrix), item.partner))
                 yield {"id": f"{name}/{i}/{call}", **out}
+            yield {"id": f"{name}/{i}/classify-stacked", **outcome(lambda: stacked(members[i]))}
 
 
 def write(path: Path) -> None:
