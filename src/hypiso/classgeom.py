@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -38,7 +37,7 @@ from .classify import (
     classify,
 )
 from .errors import AngleMultiplicity, InvalidArg, NotRegular, OutOfRange
-from .quadspace import LorentzMatrix
+from .quadspace import LorentzMatrix, _Record, _set, _ValueRecord
 from .spectral import (
     DEFAULT_DELTA,
     PlaneDecomposition,
@@ -117,10 +116,12 @@ def dim_spaces(tag: str, *params: int) -> int:
     raise OutOfRange(f"unknown space tag {tag!r}")
 
 
-@dataclass(frozen=True)
-class SpaceTag:
-    tag: str
-    params: tuple[int, ...]
+class SpaceTag(_ValueRecord):
+    __slots__ = _fields = ("tag", "params")
+
+    def __init__(self, tag: str, params: tuple[int, ...]):
+        _set(self, "tag", tag)
+        _set(self, "params", params)
 
     @property
     def dim(self) -> int:
@@ -130,8 +131,7 @@ class SpaceTag:
         return {"tag": self.tag, "params": list(self.params)}
 
 
-@dataclass(frozen=True)
-class FiberTag:
+class FiberTag(_ValueRecord):
     """Fiber of a class fibration.
 
     Tags: FiniteSet (params: cardinality), O_k (params: k, n),
@@ -139,9 +139,12 @@ class FiberTag:
     ``minus`` marks the rotation-angle-pi variant (same dimensions).
     """
 
-    tag: str
-    params: tuple[int, ...]
-    minus: bool = False
+    __slots__ = _fields = ("tag", "params", "minus")
+
+    def __init__(self, tag: str, params: tuple[int, ...], minus: bool = False):
+        _set(self, "tag", tag)
+        _set(self, "params", params)
+        _set(self, "minus", minus)
 
     @property
     def dim(self) -> int:
@@ -167,12 +170,15 @@ class FiberTag:
         return {"tag": self.tag, "params": list(self.params), "minus": self.minus}
 
 
-@dataclass(frozen=True)
-class FibrationDescriptor:
-    base: SpaceTag
-    fiber: FiberTag
-    sheet_count: Optional[int]
-    total_dimension: int
+class FibrationDescriptor(_ValueRecord):
+    __slots__ = _fields = ("base", "fiber", "sheet_count", "total_dimension")
+
+    def __init__(self, base: SpaceTag, fiber: FiberTag, sheet_count: Optional[int],
+                 total_dimension: int):
+        _set(self, "base", base)
+        _set(self, "fiber", fiber)
+        _set(self, "sheet_count", sheet_count)
+        _set(self, "total_dimension", total_dimension)
 
     def to_json_dict(self) -> dict:
         return {
@@ -263,16 +269,16 @@ def class_descriptor(report: ClassificationReport) -> FibrationDescriptor:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class BoundaryPair:
+class BoundaryPair(_Record):
     """Unordered pair of distinct boundary points (null rays, time = 1)."""
 
-    first: np.ndarray
-    second: np.ndarray
+    __slots__ = _fields = ("first", "second")
 
-    def __post_init__(self):
-        if float(np.max(np.abs(self.first - self.second))) <= 1e-12:
+    def __init__(self, first: np.ndarray, second: np.ndarray):
+        if float(np.max(np.abs(first - second))) <= 1e-12:
             raise InvalidArg("boundary pair must consist of distinct points")
+        _set(self, "first", first)
+        _set(self, "second", second)
 
     def as_sorted(self) -> tuple[np.ndarray, np.ndarray]:
         a, b = self.first, self.second

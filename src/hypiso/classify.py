@@ -35,7 +35,6 @@ pinned by the round-trip tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Union
 
@@ -53,6 +52,8 @@ from .quadspace import (
     DEFAULT_EPS,
     LorentzMatrix,
     QuadraticSpace,
+    _Record,
+    _set,
     classify_membership,
     is_orthogonal,
     j_inner,
@@ -71,13 +72,15 @@ class FixedPointClass(Enum):
     HYPERBOLIC = "Hyperbolic"
 
 
-@dataclass(frozen=True, eq=False)
-class HyperbolicPair:
+class HyperbolicPair(_Record):
     """Unordered boundary fixed-point pair (attracting ray listed first
     internally; serialization orders lexicographically)."""
 
-    attracting: np.ndarray
-    repelling: np.ndarray
+    __slots__ = _fields = ("attracting", "repelling")
+
+    def __init__(self, attracting: np.ndarray, repelling: np.ndarray):
+        _set(self, "attracting", attracting)
+        _set(self, "repelling", repelling)
 
     def as_sorted(self) -> tuple[np.ndarray, np.ndarray]:
         a, b = self.attracting, self.repelling
@@ -88,20 +91,24 @@ class HyperbolicPair:
         return {"variant": "Hyperbolic", "points": [a.tolist(), b.tolist()]}
 
 
-@dataclass(frozen=True, eq=False)
-class ParabolicPoint:
-    point: np.ndarray
+class ParabolicPoint(_Record):
+    __slots__ = _fields = ("point",)
+
+    def __init__(self, point: np.ndarray):
+        _set(self, "point", point)
 
     def to_json_dict(self) -> dict:
         return {"variant": "Parabolic", "point": self.point.tolist()}
 
 
-@dataclass(frozen=True, eq=False)
-class EllipticSphere:
+class EllipticSphere(_Record):
     """Frame of ker(T - I); its null rays form the pointwise-fixed sphere."""
 
-    frame: np.ndarray
-    sphere_dim: int
+    __slots__ = _fields = ("frame", "sphere_dim")
+
+    def __init__(self, frame: np.ndarray, sphere_dim: int):
+        _set(self, "frame", frame)
+        _set(self, "sphere_dim", sphere_dim)
 
     def to_json_dict(self) -> dict:
         return {
@@ -111,11 +118,13 @@ class EllipticSphere:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class EllipticPoint:
+class EllipticPoint(_Record):
     """Unique fixed point in H^{n+1} of a full-rotation elliptic (n odd)."""
 
-    point: np.ndarray
+    __slots__ = _fields = ("point",)
+
+    def __init__(self, point: np.ndarray):
+        _set(self, "point", point)
 
     def to_json_dict(self) -> dict:
         return {"variant": "EllipticPoint", "point": self.point.tolist()}
@@ -124,15 +133,20 @@ class EllipticPoint:
 FixedPointData = Union[HyperbolicPair, ParabolicPoint, EllipticSphere, EllipticPoint]
 
 
-@dataclass(frozen=True, eq=False)
-class ClassificationReport:
-    fixed_class: FixedPointClass
-    k: int
-    angles: RotationAngles
-    regular: bool
-    stretch: Optional[float]
-    fixed_data: FixedPointData
-    boundary_dim: int
+class ClassificationReport(_Record):
+    __slots__ = _fields = ("fixed_class", "k", "angles", "regular", "stretch", "fixed_data",
+                           "boundary_dim")
+
+    def __init__(self, fixed_class: FixedPointClass, k: int, angles: RotationAngles,
+                 regular: bool, stretch: Optional[float], fixed_data: FixedPointData,
+                 boundary_dim: int):
+        _set(self, "fixed_class", fixed_class)
+        _set(self, "k", k)
+        _set(self, "angles", angles)
+        _set(self, "regular", regular)
+        _set(self, "stretch", stretch)
+        _set(self, "fixed_data", fixed_data)
+        _set(self, "boundary_dim", boundary_dim)
 
     def to_json_dict(self) -> dict:
         return {

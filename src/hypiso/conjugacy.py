@@ -26,7 +26,6 @@ Group Theory, 2015).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -36,7 +35,7 @@ from . import lapack
 from .classify import FixedPointClass, _fixed_point_class, _stretch, classify
 from .errors import Borderline, InvalidArg, NotConjugate, NotInIdentityComponent
 from .frames import _conjugator, _lorentz_structure, _LorentzStructure
-from .quadspace import Component, LorentzMatrix, matrix_to_document
+from .quadspace import Component, LorentzMatrix, _Record, _set, _ValueRecord, matrix_to_document
 from .spectral import DEFAULT_DELTA, _LorentzSpectrum, _OrthogonalBlocks
 
 CHARPOLY_TOL = 1e-7
@@ -51,22 +50,27 @@ class Relation(Enum):
     NOT_CONJUGATE = "NotConjugate"
 
 
-@dataclass(frozen=True)
-class InvariantTuple:
+class InvariantTuple(_ValueRecord):
     """Canonically rounded conjugacy invariants; equal tuples compare equal
-    as values (hashable)."""
+    as values (hashable).  Its fields live in a ``__dict__``, in order."""
 
-    fixed_class: str
-    angles: tuple[float, ...]
-    k: int
-    stretch: Optional[float]
+    _fields = ("fixed_class", "angles", "k", "stretch")
+
+    def __init__(self, fixed_class: str, angles: tuple[float, ...], k: int,
+                 stretch: Optional[float]):
+        _set(self, "fixed_class", fixed_class)
+        _set(self, "angles", angles)
+        _set(self, "k", k)
+        _set(self, "stretch", stretch)
 
 
-@dataclass(frozen=True, eq=False)
-class ConjugacyAnswer:
-    related: Relation
-    conjugator: Optional[np.ndarray]
-    method: str
+class ConjugacyAnswer(_Record):
+    __slots__ = _fields = ("related", "conjugator", "method")
+
+    def __init__(self, related: Relation, conjugator: Optional[np.ndarray], method: str):
+        _set(self, "related", related)
+        _set(self, "conjugator", conjugator)
+        _set(self, "method", method)
 
     def to_json_dict(self) -> dict:
         return {

@@ -26,7 +26,6 @@ a rotation read as +-1 explains is refused by name
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -39,8 +38,8 @@ from .classify import (
 )
 from .errors import Borderline, HypisoError, InvalidArg
 from .quadspace import (
-    Component, LorentzMatrix, QuadraticSpace, _component, _constants, classify_membership,
-    form_residual, group_inverse, j_inner,
+    Component, LorentzMatrix, QuadraticSpace, _component, _constants, _Record, _set,
+    classify_membership, form_residual, group_inverse, j_inner,
 )
 from .spectral import (
     DEFAULT_DELTA, _LorentzSpectrum, _lorentz_angles, _OrthogonalBlocks, invariant_plane_frames,
@@ -159,8 +158,7 @@ def _parabolic_frame(sp: _LorentzSpectrum) -> tuple[np.ndarray, float]:
     return frame, c
 
 
-@dataclass(frozen=True, eq=False)
-class _LorentzStructure:
+class _LorentzStructure(_Record):
     """Adapted splitting: special time-like block + space-like complement.
 
     ``frame`` is the square J-orthonormal frame Phi in which T is
@@ -180,15 +178,18 @@ class _LorentzStructure:
     None, the frame of its invariant blocks, ``signs`` and ``j`` all +1.
     """
 
-    cls: Optional[FixedPointClass]  # None in O(n)
-    blocks: _OrthogonalBlocks  # invariant blocks of T_o
-    unipotent_c: Optional[float]  # parabolic only
-    frame: np.ndarray
-    signs: np.ndarray
-    j: np.ndarray
+    __slots__ = _fields = ("cls", "blocks", "unipotent_c", "frame", "signs", "j")
 
-    def __post_init__(self):
-        self.frame.setflags(write=False)
+    def __init__(self, cls: Optional[FixedPointClass], blocks: _OrthogonalBlocks,
+                 unipotent_c: Optional[float], frame: np.ndarray, signs: np.ndarray,
+                 j: np.ndarray):
+        frame.setflags(write=False)
+        _set(self, "cls", cls)  # None in O(n)
+        _set(self, "blocks", blocks)  # invariant blocks of T_o
+        _set(self, "unipotent_c", unipotent_c)  # parabolic only
+        _set(self, "frame", frame)
+        _set(self, "signs", signs)
+        _set(self, "j", j)
 
     @property
     def special_dim(self) -> int:
@@ -394,39 +395,49 @@ def _component_of(s: np.ndarray) -> Component:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class KRotation:
+class KRotation(_Record):
     """Elliptic standard position: fixed point at the hyperboloid apex,
     boundary sphere action by an orthogonal matrix."""
 
-    matrix: np.ndarray
-    angles: tuple[float, ...]
+    __slots__ = _fields = ("matrix", "angles")
+
+    def __init__(self, matrix: np.ndarray, angles: tuple[float, ...]):
+        _set(self, "matrix", matrix)
+        _set(self, "angles", angles)
 
 
-@dataclass(frozen=True, eq=False)
-class KRotatoryTranslation:
+class KRotatoryTranslation(_Record):
     """Parabolic standard position: fixed point at infinity, boundary
     action x -> Ax + b."""
 
-    rotation: np.ndarray
-    translation: np.ndarray
-    angles: tuple[float, ...]
+    __slots__ = _fields = ("rotation", "translation", "angles")
+
+    def __init__(self, rotation: np.ndarray, translation: np.ndarray,
+                 angles: tuple[float, ...]):
+        _set(self, "rotation", rotation)
+        _set(self, "translation", translation)
+        _set(self, "angles", angles)
 
 
-@dataclass(frozen=True, eq=False)
-class KRotatoryStretch:
+class KRotatoryStretch(_Record):
     """Hyperbolic standard position: fixed points at 0 and infinity,
     boundary action x -> rAx with r > 1."""
 
-    stretch: float
-    rotation: np.ndarray
-    angles: tuple[float, ...]
+    __slots__ = _fields = ("stretch", "rotation", "angles")
+
+    def __init__(self, stretch: float, rotation: np.ndarray, angles: tuple[float, ...]):
+        _set(self, "stretch", stretch)
+        _set(self, "rotation", rotation)
+        _set(self, "angles", angles)
 
 
-@dataclass(frozen=True, eq=False)
-class NormalForm:
-    variant: Union[KRotation, KRotatoryTranslation, KRotatoryStretch]
-    conjugator: LorentzMatrix  # W with W T W^-1 in standard position
+class NormalForm(_Record):
+    __slots__ = _fields = ("variant", "conjugator")
+
+    def __init__(self, variant: Union[KRotation, KRotatoryTranslation, KRotatoryStretch],
+                 conjugator: LorentzMatrix):
+        _set(self, "variant", variant)
+        _set(self, "conjugator", conjugator)  # W with W T W^-1 in standard position
 
 
 def normal_form(

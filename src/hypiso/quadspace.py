@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import operator
 from enum import Enum
 from functools import cache
 
@@ -98,24 +98,69 @@ class Component(Enum):
 _COMPONENTS = {(c.det_sign, c.sheet_sign): c for c in Component}
 
 
-@dataclass(frozen=True)
-class QuadraticSpace:
-    """R^(n+1) with the diagonal form diag(1, ..., 1, -1)."""
+# sets a field of a record in its __init__, past the refusing __setattr__
+_set = object.__setattr__
 
-    n: int
-    # the constant arrays diag(J) = (1, ..., 1, -1), J, I and a vector of
-    # dim ones: read-only, built once per dimension and shared by every
-    # space of it, set as plain attributes in one dict update (a
-    # cached_property takes a lock on first use)
-    form_signs: np.ndarray = field(init=False, repr=False, compare=False)
-    form_matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    identity: np.ndarray = field(init=False, repr=False, compare=False)
-    ones: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DimensionMismatch(f"spatial dimension must be >= 1, got {self.n}")
-        self.__dict__.update(_constants(self.n + 1))
+class _Record:
+    """Base of the package's records: plain classes with ``__slots__`` and
+    an explicit ``__init__`` that sets each field once through ``_set``.
+    Assigning or deleting an attribute raises ``AttributeError``; ``repr``
+    shows the fields named in ``_fields`` as a dataclass would.  A record
+    compares by identity, a ``_ValueRecord`` by those fields."""
+
+    __slots__ = ("__weakref__",)  # a record can be watched being freed
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+
+class _ValueRecord(_Record):
+    """A record that compares and hashes by the tuple of its ``_fields``."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class QuadraticSpace(_ValueRecord):
+    """R^(n+1) with the diagonal form diag(1, ..., 1, -1).
+
+    Only ``n`` is shown and compared.  The constant arrays diag(J) =
+    (1, ..., 1, -1), J, I and a vector of dim ones are read-only, built
+    once per dimension and shared by every space of it.  An ``n`` that is
+    not an integer >= 1 (a bool among them) raises ``DimensionMismatch``.
+    """
+
+    _fields = ("n",)
+    __slots__ = _fields + ("form_signs", "form_matrix", "identity", "ones")
+
+    def __init__(self, n: int):
+        try:
+            size = -1 if isinstance(n, bool) else operator.index(n)
+        except TypeError:
+            size = -1
+        if size < 1:
+            raise DimensionMismatch(f"spatial dimension must be an integer >= 1, got {n!r}")
+        _set(self, "n", size)
+        for name, a in _constants(size + 1).items():
+            _set(self, name, a)
 
     @property
     def dim(self) -> int:
@@ -201,8 +246,7 @@ def subspace_type(
     return CausalType.TIME_LIKE
 
 
-@dataclass(frozen=True, eq=False)
-class LorentzMatrix:
+class LorentzMatrix(_Record):
     """A validated element of O(n,1) with its component label.
 
     Construct through :func:`classify_membership`; the constructor itself
@@ -219,14 +263,17 @@ class LorentzMatrix:
     built array that no one else holds, and it is made read-only here.
     """
 
-    entries: np.ndarray
-    component: Component
-    tolerance: float
-    space: QuadraticSpace = field(repr=False)
-    _analyses: dict = field(default_factory=dict, init=False, repr=False)
+    _fields = ("entries", "component", "tolerance")
+    __slots__ = _fields + ("space", "_analyses")
 
-    def __post_init__(self):
-        self.entries.setflags(write=False)
+    def __init__(self, entries: np.ndarray, component: Component, tolerance: float,
+                 space: QuadraticSpace):
+        entries.setflags(write=False)
+        _set(self, "entries", entries)
+        _set(self, "component", component)
+        _set(self, "tolerance", tolerance)
+        _set(self, "space", space)
+        _set(self, "_analyses", {})
 
     @property
     def n(self) -> int:

@@ -33,7 +33,6 @@ is exact for regular elements.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -49,7 +48,8 @@ from .frames import (
     _reverser,
 )
 from .quadspace import (
-    DEFAULT_EPS, LorentzMatrix, form_residual, group_inverse, is_orthogonal, matrix_to_document,
+    DEFAULT_EPS, LorentzMatrix, _Record, _set, form_residual, group_inverse, is_orthogonal,
+    matrix_to_document,
 )
 from .spectral import DEFAULT_DELTA, _distinct, _LorentzSpectrum, _lorentz_angles
 
@@ -61,13 +61,16 @@ GROUP_SOO = "SO_o_n1"
 GROUP_MO = "M_o_n"
 
 
-@dataclass(frozen=True, eq=False)
-class RealityCertificate:
-    group: str
-    decision: bool
-    clause: str
-    reverser: Optional[np.ndarray]
-    involution: bool
+class RealityCertificate(_Record):
+    __slots__ = _fields = ("group", "decision", "clause", "reverser", "involution")
+
+    def __init__(self, group: str, decision: bool, clause: str,
+                 reverser: Optional[np.ndarray], involution: bool):
+        _set(self, "group", group)
+        _set(self, "decision", decision)
+        _set(self, "clause", clause)
+        _set(self, "reverser", reverser)
+        _set(self, "involution", involution)
 
     def to_json_dict(self) -> dict:
         return {
@@ -143,7 +146,8 @@ def is_strongly_real_SOn(
     under the clause tag "KN": the +-1 eigenspaces split into lines, the
     odd-dimensional summands.
     """
-    return replace(is_real_SOn(t, delta, eps), clause="KN")
+    cert = is_real_SOn(t, delta, eps)
+    return RealityCertificate(cert.group, cert.decision, "KN", cert.reverser, cert.involution)
 
 
 def _theorem_clause(n: int, cls: FixedPointClass, a: int, b: int) -> tuple[bool, str]:
@@ -185,7 +189,9 @@ def is_real_SOo_n1(
 def is_real_Mo(t: LorentzMatrix, delta: float = DEFAULT_DELTA) -> RealityCertificate:
     """Reality in M_o(n) via the identification M_o(n) = SO_o(n+1,1);
     the element acts on H^{n+1} and n denotes the boundary dimension."""
-    return replace(is_real_SOo_n1(t, delta), group=GROUP_MO)
+    cert = is_real_SOo_n1(t, delta)
+    return RealityCertificate(GROUP_MO, cert.decision, cert.clause, cert.reverser,
+                              cert.involution)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +199,7 @@ def is_real_Mo(t: LorentzMatrix, delta: float = DEFAULT_DELTA) -> RealityCertifi
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class OracleReport:
+class OracleReport(_Record):
     """Achievable reverser components.
 
     ``exact`` lists every achievable (det, sheet) pair for a regular input
@@ -203,14 +208,20 @@ class OracleReport:
     groups.
     """
 
-    group: str
-    regular: bool
-    exact: Optional[frozenset]
-    exact_witnesses: dict
-    sampled: frozenset
-    sampled_witnesses: dict
-    samples_used: int
-    exhausted: bool
+    __slots__ = _fields = ("group", "regular", "exact", "exact_witnesses", "sampled",
+                           "sampled_witnesses", "samples_used", "exhausted")
+
+    def __init__(self, group: str, regular: bool, exact: Optional[frozenset],
+                 exact_witnesses: dict, sampled: frozenset, sampled_witnesses: dict,
+                 samples_used: int, exhausted: bool):
+        _set(self, "group", group)
+        _set(self, "regular", regular)
+        _set(self, "exact", exact)
+        _set(self, "exact_witnesses", exact_witnesses)
+        _set(self, "sampled", sampled)
+        _set(self, "sampled_witnesses", sampled_witnesses)
+        _set(self, "samples_used", samples_used)
+        _set(self, "exhausted", exhausted)
 
     def to_json_dict(self) -> dict:
         return {

@@ -57,13 +57,12 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import lapack
 from .errors import Borderline, ClusterAmbiguity, InvalidArg, NotOrthogonal, NotRegular
-from .quadspace import LorentzMatrix, QuadraticSpace, is_orthogonal
+from .quadspace import LorentzMatrix, QuadraticSpace, _Record, _set, _ValueRecord, is_orthogonal
 
 DEFAULT_DELTA = 1e-7
 
@@ -92,29 +91,35 @@ JORDAN_RADIUS = 10.0 * 2.3e-16 ** (1.0 / 3.0)
 STACKED_READING_MIN = 16
 
 
-@dataclass(frozen=True)
-class EigenCluster:
-    value: complex
-    algebraic: int
-    geometric: int
+class EigenCluster(_ValueRecord):
+    __slots__ = _fields = ("value", "algebraic", "geometric")
+
+    def __init__(self, value: complex, algebraic: int, geometric: int):
+        _set(self, "value", value)
+        _set(self, "algebraic", algebraic)
+        _set(self, "geometric", geometric)
 
 
-@dataclass(frozen=True)
-class EigenStructure:
-    clusters: tuple[EigenCluster, ...]
-    dim: int
+class EigenStructure(_ValueRecord):
+    __slots__ = _fields = ("clusters", "dim")
+
+    def __init__(self, clusters: tuple[EigenCluster, ...], dim: int):
+        _set(self, "clusters", clusters)
+        _set(self, "dim", dim)
 
 
-@dataclass(frozen=True)
-class RotationAngles:
+class RotationAngles(_ValueRecord):
     """Multiset of rotation angles, descending, with repetition.
 
     ``reflection`` marks a leftover odd -1 eigenvalue (determinant -1
     inputs only); it is not part of the angle multiset.
     """
 
-    angles: tuple[float, ...]
-    reflection: bool = False
+    __slots__ = _fields = ("angles", "reflection")
+
+    def __init__(self, angles: tuple[float, ...], reflection: bool = False):
+        _set(self, "angles", angles)
+        _set(self, "reflection", reflection)
 
     @property
     def k(self) -> int:
@@ -125,8 +130,7 @@ class RotationAngles:
         return np.pi in self.angles
 
 
-@dataclass(frozen=True, eq=False)
-class PlaneDecomposition:
+class PlaneDecomposition(_Record):
     """Invariant 2-planes of a regular rotation plus its fixed subspace.
 
     ``planes[i]`` is an (n, 2) orthonormal frame spanning the invariant
@@ -136,14 +140,16 @@ class PlaneDecomposition:
     orthonormal frame of the pointwise-fixed subspace.
     """
 
-    planes: tuple[np.ndarray, ...]
-    angles: tuple[float, ...]
-    fixed_subspace: np.ndarray
+    __slots__ = _fields = ("planes", "angles", "fixed_subspace")
 
-    def __post_init__(self):
-        for p in self.planes:
+    def __init__(self, planes: tuple[np.ndarray, ...], angles: tuple[float, ...],
+                 fixed_subspace: np.ndarray):
+        for p in planes:
             p.setflags(write=False)
-        self.fixed_subspace.setflags(write=False)
+        fixed_subspace.setflags(write=False)
+        _set(self, "planes", planes)
+        _set(self, "angles", angles)
+        _set(self, "fixed_subspace", fixed_subspace)
 
     @property
     def k(self) -> int:
@@ -341,8 +347,7 @@ def _stacked_reading(m, svals, sq, eigvals, modulus, delta):
                real.tolist(), angles)
 
 
-@dataclass(eq=False, slots=True)
-class _LorentzSpectrum:
+class _LorentzSpectrum(_Record):
     """The one spectral analysis of a Lorentz matrix T that deciders share,
     stored on T (``LorentzMatrix._analyses``) per delta.
 
@@ -377,26 +382,37 @@ class _LorentzSpectrum:
     as every later call on T reads them.
     """
 
-    entries: np.ndarray
-    space: QuadraticSpace
-    delta: float
-    sheet_preserving: bool
-    scale: float
-    eigvals: np.ndarray
-    kernel: np.ndarray
-    defective: bool
-    lam: object  # float, or complex for a non-real spectrum
-    rmax: float
-    band: bool
-    square_band: bool
-    unpaired: bool
-    rays: np.ndarray = None
-    structure: object = None
-    angles: RotationAngles = None
+    __slots__ = _fields = (
+        "entries", "space", "delta", "sheet_preserving", "scale", "eigvals", "kernel",
+        "defective", "lam", "rmax", "band", "square_band", "unpaired", "rays", "structure",
+        "angles")
+    # the one mutable record: ``rays`` and ``structure`` are set late
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
 
-    def __post_init__(self):
-        for a in (self.eigvals, self.kernel):
-            a.setflags(write=False)
+    def __init__(self, entries: np.ndarray, space: QuadraticSpace, delta: float,
+                 sheet_preserving: bool, scale: float, eigvals: np.ndarray,
+                 kernel: np.ndarray, defective: bool, lam, rmax: float, band: bool,
+                 square_band: bool, unpaired: bool, rays: np.ndarray = None,
+                 structure=None, angles: RotationAngles = None):
+        eigvals.setflags(write=False)
+        kernel.setflags(write=False)
+        _set(self, "entries", entries)
+        _set(self, "space", space)
+        _set(self, "delta", delta)
+        _set(self, "sheet_preserving", sheet_preserving)
+        _set(self, "scale", scale)
+        _set(self, "eigvals", eigvals)
+        _set(self, "kernel", kernel)
+        _set(self, "defective", defective)
+        _set(self, "lam", lam)  # float, or complex for a non-real spectrum
+        _set(self, "rmax", rmax)
+        _set(self, "band", band)
+        _set(self, "square_band", square_band)
+        _set(self, "unpaired", unpaired)
+        _set(self, "rays", rays)
+        _set(self, "structure", structure)
+        _set(self, "angles", angles)
 
     @classmethod
     def of(cls, t: LorentzMatrix, delta: float) -> "_LorentzSpectrum":
@@ -632,18 +648,21 @@ def is_regular(a, delta: float = DEFAULT_DELTA, eps: float = 1e-9) -> bool:
     return _distinct(rotation_angles(a, delta, eps).angles, delta)
 
 
-@dataclass(frozen=True, eq=False)
-class _OrthogonalBlocks:
+class _OrthogonalBlocks(_Record):
     """Invariant blocks of an orthogonal matrix A.  ``frame`` is the square
     frame, in which A is block diagonal: the plane frames by descending
     angle, then ker(A - I), then ker(A + I); the block frames are its
     column slices."""
 
-    planes: list  # (angle, frame) with angle in (0, pi), descending
-    fix_frame: np.ndarray  # ker(A - I)
-    neg_frame: np.ndarray  # ker(A + I)
-    near_pm_one: float  # largest |Im lambda| the reading counted as +-1
-    frame: np.ndarray
+    __slots__ = _fields = ("planes", "fix_frame", "neg_frame", "near_pm_one", "frame")
+
+    def __init__(self, planes: list, fix_frame: np.ndarray, neg_frame: np.ndarray,
+                 near_pm_one: float, frame: np.ndarray):
+        _set(self, "planes", planes)  # (angle, frame) with angle in (0, pi), descending
+        _set(self, "fix_frame", fix_frame)  # ker(A - I)
+        _set(self, "neg_frame", neg_frame)  # ker(A + I)
+        _set(self, "near_pm_one", near_pm_one)  # largest |Im lambda| the reading counted as +-1
+        _set(self, "frame", frame)
 
     @property
     def angles(self) -> RotationAngles:

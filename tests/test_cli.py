@@ -543,6 +543,21 @@ class TestImportGraph:
         assert total == got == listed == bound > 50
         assert modules == ["hypiso.reality", "hypiso.conjugacy"]
 
+    def test_classify_does_not_import_dataclasses(self, tmp_path):
+        path = write_matrix(tmp_path, "t.json", boost_matrix(3, 0.5))
+        proc = run_subprocess("-X", "importtime", "-m", "hypiso.cli", "classify", path)
+        assert proc.returncode == 0, proc.stderr
+        loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert "hypiso.classify" in loaded and "dataclasses" not in loaded
+
+    def test_the_late_modules_do_not_import_dataclasses(self):
+        code = ("import sys, hypiso.frames, hypiso.reality, hypiso.conjugacy, hypiso.classgeom\n"
+                "print('dataclasses' in sys.modules, 'hypiso.classgeom' in sys.modules)")
+        proc = run_subprocess("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "True"]
+
     def test_unknown_name_raises_attribute_error(self):
         import hypiso
 

@@ -13,8 +13,6 @@ position with one angle within 3 delta of 0 or pi, conjugated by two
 ``random_soo(., 0.5)``.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +22,7 @@ from conftest import boost_matrix, lorentz, maxabs
 from hypiso.classify import fixed_point_class
 from hypiso.conjugacy import Relation, _mn_conjugator, conjugate_in_Mn
 from hypiso.errors import Borderline, HypisoError, NotConjugate, RefusedToDecide
-from hypiso.frames import _lorentz_structure
+from hypiso.frames import _lorentz_structure, _LorentzStructure
 from hypiso.reality import (
     GROUP_O,
     GROUP_SOO,
@@ -34,7 +32,7 @@ from hypiso.reality import (
     reverser_oracle,
 )
 from hypiso.sampling import random_angles, random_soo, rotation_with_angles
-from hypiso.spectral import _LorentzSpectrum
+from hypiso.spectral import _LorentzSpectrum, _OrthogonalBlocks
 from test_near_pm_one import near_pm_one
 
 GATE = 1e-8
@@ -170,7 +168,9 @@ def test_disagreeing_readings_of_a_pair_are_refused():
     sp = _LorentzSpectrum.of(lorentz(m), 1e-7)
     st1 = _lorentz_structure(sp)
     moved = [(theta + 1e-5, frame) for theta, frame in st1.blocks.planes]
-    st2 = replace(st1, blocks=replace(st1.blocks, planes=moved))
+    b = st1.blocks
+    blocks = _OrthogonalBlocks(moved, b.fix_frame, b.neg_frame, b.near_pm_one, b.frame)
+    st2 = _LorentzStructure(st1.cls, blocks, st1.unipotent_c, st1.frame, st1.signs, st1.j)
     named = r"readings differ: angles \(0.7\), \+1 x 2, -1 x 0 against angles \(0.70001\)"
     with pytest.raises(Borderline, match=named):
         _mn_conjugator(sp, st1, sp, st2)

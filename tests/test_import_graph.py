@@ -3,7 +3,9 @@
 Each ``src/hypiso/*.py`` is parsed with ``ast``.  The imports between
 package modules made at module level form a graph with no cycle, and a
 package module is imported inside a function only by ``cli.py``, whose
-commands import what they use so that its start-up stays short.  The
+commands import what they use so that its start-up stays short.  No
+module names ``dataclass``, ``namedtuple``, ``NamedTuple``, ``exec`` or
+``eval``, which would build classes or compile code at import.  The
 package's table of public names lists each name once, under the module
 that defines it.
 """
@@ -100,6 +102,50 @@ def test_the_guard_sees_each_form(source, want):
 def test_the_guard_finds_a_cycle():
     assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
     assert find_cycle({"a": {"b", "c"}, "b": {"c"}, "c": set()}) == []
+
+
+# names whose use builds classes or compiles code when a module is imported
+GENERATED = {"dataclass", "dataclasses", "namedtuple", "NamedTuple", "exec", "eval"}
+
+
+def generated_names(source: str) -> list:
+    """(name, line) of each name, attribute or imported module or name in
+    ``GENERATED``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = node.name.split(".")
+        elif isinstance(node, ast.ImportFrom):
+            names = (node.module or "").split(".")
+        else:
+            continue
+        out.extend((name, node.lineno) for name in names if name in GENERATED)
+    return out
+
+
+def test_no_module_generates_code_at_import():
+    found = [f"{path.name}:{line} {name}" for path in sorted(SOURCE.glob("*.py"))
+             for name, line in generated_names(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+@pytest.mark.parametrize("source,want", [
+    ("from dataclasses import dataclass\n", [("dataclass", 1), ("dataclasses", 1)]),
+    ("import dataclasses\n@dataclasses.dataclass\nclass A: pass\n",
+     [("dataclasses", 1), ("dataclasses", 2), ("dataclass", 2)]),
+    ("from collections import namedtuple\n", [("namedtuple", 1)]),
+    ("import typing\nclass A(typing.NamedTuple): pass\n", [("NamedTuple", 2)]),
+    ("exec('x = 1')\n", [("exec", 1)]),
+    ("y = eval('1')\n", [("eval", 1)]),
+    ("import builtins\nbuiltins.eval('1')\n", [("eval", 2)]),
+    ("s = 'dataclass'\nevaluate = 1\nnp.linalg.eigvals(m)\n", []),
+])
+def test_the_generated_code_guard_sees_each_form(source, want):
+    assert sorted(generated_names(source)) == sorted(want)
 
 
 def test_each_public_name_is_listed_once_under_its_module():

@@ -320,3 +320,17 @@ class TestSheetEntryGate:
         m = np.array([[np.sqrt(1.0 + big * big), 0.0], [big, 1e-5]])
         with pytest.raises(AmbiguousComponent, match="indistinguishable from zero"):
             classify_membership(QuadraticSpace(1), m)
+
+
+class TestSpaceDimension:
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3", None, True, False, 0, -1])
+    def test_a_dimension_that_is_not_an_integer_at_least_one_is_refused(self, n):
+        with pytest.raises(DimensionMismatch,
+                           match=r"spatial dimension must be an integer >= 1, got "):
+            QuadraticSpace(n)
+
+    @pytest.mark.parametrize("n", [1, 3, np.int64(3), np.int32(9)])
+    def test_an_integer_dimension_is_stored_as_int(self, n):
+        space = QuadraticSpace(n)
+        assert type(space.n) is int and space.n == n and space.dim == n + 1
+        assert space == QuadraticSpace(int(n)) and repr(space) == f"QuadraticSpace(n={int(n)})"

@@ -10,18 +10,29 @@ Run it once per version, with ``PYTHONPATH`` naming that version's
 The inputs come from the benchmark's generator (``bench/gen.py``, numpy
 only): ``certify_items(7)``, ``tail_items(101)`` to ``tail_items(103)``
 and ``cli_items(7, 1026)``.  Each element T, with its partner T2, meets
-four calls: ``classify(T)``, ``is_real_SOo_n1(T)``,
-``conjugate_in_Mn(T, T2)`` and ``reverser_oracle(T, GROUP_SOO,
-budget=0)``, each on a fresh ``classify_membership`` so that no call
-reads another's stored analysis.  A fifth, ``classify-stacked``, is
-``classify(T)`` on the pass the CLI stores: membership and the spectral
-pass (``cli._store_passes``) run once per n on the stack of the set's
-elements of that n.  One JSON line per call holds its ``id``
-(set, item, call) and either the result's ``to_json_dict()`` or
-``{"raised": <type name>, "message": <str>}``.  The oracle's line also
-holds its exact witnesses as matrix documents, which ``to_json_dict``
-leaves out.  JSON writes every double exactly, so equal lines mean equal
-answers, refusal messages and certificate bytes.
+six calls: ``classify(T)``, ``is_real_SOo_n1(T)``,
+``conjugate_in_Mn(T, T2)``, ``reverser_oracle(T, GROUP_SOO,
+budget=0)``, ``invariant_tuple(T)`` and ``normal_form(T)``, each on a
+fresh ``classify_membership`` so that no call reads another's stored
+analysis.  A seventh, ``classify-stacked``, is ``classify(T)`` on the
+pass the CLI stores: membership and the spectral pass
+(``cli._store_passes``) run once per n on the stack of the set's elements
+of that n.  One JSON line per call holds its ``id`` (set, item, call) and
+either the result or ``{"raised": <type name>, "message": <str>}``.  A
+result is its ``to_json_dict()``; the oracle's also holds its exact
+witnesses as matrix documents, which ``to_json_dict`` leaves out.  The
+two results without a ``to_json_dict`` are written field by field: the
+invariant tuple's four fields, and the normal form's variant (type name
+and fields) with its conjugator's entries and component.
+
+Last come the CLI's bytes.  The T documents of ``cli_items(7, 1026)``
+and of ``tail_items(101)``, each set as one JSONL stream, go through
+``hypiso classify``, ``hypiso reality --group SOo`` and ``hypiso oracle
+--group SOo --budget 0``, run as ``python -m hypiso.cli`` by this
+interpreter with this ``PYTHONPATH``; one line per (stream, command)
+holds the exit code, standard output and standard error.  JSON writes
+every double exactly, so equal lines mean equal answers, refusal
+messages, certificate bytes and CLI output.
 
 ``--compare A B`` prints the number of records and of differing records,
 shows the first few differences, and exits 1 if any record differs.
@@ -31,7 +42,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +53,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import gen  # noqa: E402  (the benchmark's numpy-only input generator)
 
 SHOWN = 5
+# each normal-form variant's fields, in order
+VARIANT_FIELDS = {
+    "KRotation": ("matrix", "angles"),
+    "KRotatoryTranslation": ("rotation", "translation", "angles"),
+    "KRotatoryStretch": ("stretch", "rotation", "angles"),
+}
+CLI_STREAMS = (("cli-7", lambda: gen.cli_items(7, 1026)),
+               ("tail-101", lambda: gen.tail_items(101)))
+CLI_COMMANDS = {
+    "classify": ["classify"],
+    "reality-SOo": ["reality", "--group", "SOo"],
+    "oracle-SOo": ["oracle", "--group", "SOo", "--budget", "0"],
+}
 
 
 def item_sets():
@@ -76,10 +102,16 @@ def stacked_members(items):
     return members
 
 
+def plain(value):
+    """``value``, an array as nested lists (JSON writes a tuple as a list)."""
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
 def records():
     """One record per (item, call), as described in the module docstring."""
     from hypiso.classify import classify
-    from hypiso.conjugacy import conjugate_in_Mn
+    from hypiso.conjugacy import conjugate_in_Mn, invariant_tuple
+    from hypiso.frames import normal_form
     from hypiso.quadspace import QuadraticSpace, classify_membership, matrix_to_document
     from hypiso.reality import GROUP_SOO, is_real_SOo_n1, reverser_oracle
 
@@ -95,12 +127,27 @@ def records():
                                   for (d, s), m in report.exact_witnesses.items()}
         return out
 
+    def invariants(t, _):
+        inv = invariant_tuple(t)
+        return {"fixed_class": inv.fixed_class, "angles": inv.angles, "k": inv.k,
+                "stretch": inv.stretch}
+
+    def standard(t, _):
+        form = normal_form(t)
+        variant = type(form.variant).__name__
+        return {"variant": variant,
+                "fields": {f: plain(getattr(form.variant, f)) for f in VARIANT_FIELDS[variant]},
+                "conjugator": form.conjugator.entries.tolist(),
+                "component": form.conjugator.component.label}
+
     calls = {
         "classify": lambda t, _: classify(t).to_json_dict(),
         "is_real_SOo_n1": lambda t, _: is_real_SOo_n1(t).to_json_dict(),
         "conjugate_in_Mn": lambda t, partner: conjugate_in_Mn(
             t, classify_membership(t.space, partner)).to_json_dict(),
         "reverser_oracle": oracle,
+        "invariant_tuple": invariants,
+        "normal_form": standard,
     }
     for name, items in item_sets():
         members = stacked_members(items)
@@ -110,6 +157,24 @@ def records():
                 out = outcome(lambda: run(classify_membership(space, item.matrix), item.partner))
                 yield {"id": f"{name}/{i}/{call}", **out}
             yield {"id": f"{name}/{i}/classify-stacked", **outcome(lambda: stacked(members[i]))}
+    yield from cli_records()
+
+
+def cli_records():
+    """One record per (stream, command) of the CLI, as described in the
+    module docstring."""
+    from hypiso.quadspace import matrix_to_json
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, items in CLI_STREAMS:
+            path = Path(tmp) / f"{name}.jsonl"
+            path.write_text("".join(matrix_to_json(item.matrix) + "\n" for item in items()),
+                            encoding="utf-8")
+            for command, argv in CLI_COMMANDS.items():
+                proc = subprocess.run([sys.executable, "-m", "hypiso.cli", *argv, str(path)],
+                                      capture_output=True, text=True)
+                yield {"id": f"cli/{name}/{command}", "exit": proc.returncode,
+                       "stdout": proc.stdout, "stderr": proc.stderr}
 
 
 def write(path: Path) -> None:
